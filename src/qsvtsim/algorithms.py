@@ -3,8 +3,8 @@
 Each run is seeded and replayable; exact mode replaces measurement sampling
 with decisions taken from exactly computed outcome probabilities, which
 the deterministic correctness tests exercise.  Blocks are produced
-by the honest engine circuits (phase products plus the real-part ancilla),
-never by the verification oracles.
+by the honest engine circuits (phase products, plus the real-part ancilla
+where a full unitary is used), never by the verification oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
+    _lift,
+    _select,
     embed_general,
     grover_signal,
     phase_oracle_block,
@@ -44,7 +46,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence
-from .qsvt_engine import QsvtProgram, real_part_encoding, transformed_block
+from .qsvt_engine import QsvtProgram, _real_part_circuit, real_part_encoding, transformed_block
 
 # step-like targets touch the unit bound, where synthesis floors out around
 # 1e-6 at high degree; every algorithm here budgets polynomial error >= 5e-3,
@@ -603,20 +605,11 @@ def hamiltonian_simulation(
     tau = alpha * t
     cos_seq, sin_seq = _hamsim_phases(abs(tau), epsilon)
     enc = qubitize_hermitian(h, alpha)
-    v_cos = real_part_encoding(QsvtProgram(enc, cos_seq))
-    v_sin = real_part_encoding(QsvtProgram(enc, sin_seq))
-    d = v_cos.dim
+    u_cos, proj_right, proj_left = _real_part_circuit(QsvtProgram(enc, cos_seq))
+    u_sin, _, _ = _real_part_circuit(QsvtProgram(enc, sin_seq))
     sign = -1.0 if t >= 0 else 1.0  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
-    big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = v_cos.unitary
-    big[d:, d:] = sign * 1j * v_sin.unitary
-    had = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(d))
-    combined = had @ big @ had
-    lift = np.zeros((2 * d, 2 * d), dtype=complex)
-    lift[:d, :d] = v_cos.proj_right
-    lift_l = np.zeros((2 * d, 2 * d), dtype=complex)
-    lift_l[:d, :d] = v_cos.proj_left
-    return BlockEncoding(combined, lift, lift_l, 2.0)
+    combined = _select(u_cos, sign * 1j * u_sin)
+    return BlockEncoding(combined, _lift(proj_right), _lift(proj_left), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +631,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
         )
     phases = _mi_phases(epsilon, kappa)
     enc = embed_general(a.conj().T, 1.0)
-    out = real_part_encoding(QsvtProgram(enc, phases))
-    return BlockEncoding(out.unitary, out.proj_right, out.proj_left, 2.0 * kappa)
+    return BlockEncoding(*_real_part_circuit(QsvtProgram(enc, phases)), 2.0 * kappa)
 
 
 @lru_cache(maxsize=32)

@@ -21,6 +21,7 @@ from .errors import (
     NotProjector,
     NotUnitary,
     ScaleTooSmall,
+    _json_field,
 )
 
 UNITARY_TOL = 1e-12
@@ -120,19 +121,30 @@ def _range_basis(projector: np.ndarray) -> np.ndarray:
     return np.array(basis).T if basis else np.zeros((projector.shape[0], 0), dtype=complex)
 
 
+def _restrict(m: np.ndarray, proj_left: np.ndarray, proj_right: np.ndarray) -> np.ndarray:
+    """Matrix of m from range(proj_right) to range(proj_left), in their bases."""
+    return _range_basis(proj_left).conj().T @ m @ _range_basis(proj_right)
+
+
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """Matrix of the encoded block (A / alpha) in the projector-range bases."""
-    left = _range_basis(be.proj_left)
-    right = _range_basis(be.proj_right)
-    return left.conj().T @ be.unitary @ right
+    return _restrict(be.unitary, be.proj_left, be.proj_right)
 
 
-def _coordinate_projector(dim: int, block: int, total_blocks: int = 2) -> np.ndarray:
-    """|0><0| (x) I style projector on the first of `total_blocks` blocks."""
-    p = np.zeros((dim * total_blocks, dim * total_blocks), dtype=complex)
-    idx = np.arange(block * dim, (block + 1) * dim)
-    p[idx, idx] = 1.0
-    return p
+def _select(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hadamard-select combiner (H (x) I) diag(a, b) (H (x) I), which equals
+    1/2 [[a + b, a - b], [a - b, a + b]]."""
+    mean = 0.5 * (a + b)
+    half_diff = 0.5 * (a - b)
+    return np.block([[mean, half_diff], [half_diff, mean]])
+
+
+def _lift(p: np.ndarray) -> np.ndarray:
+    """|0><0| (x) p: p on the first half of the doubled space."""
+    d = p.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = p
+    return out
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -150,7 +162,7 @@ def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
     root = evecs @ np.diag(np.sqrt(1.0 - lam**2)) @ evecs.conj().T
     ht = evecs @ np.diag(lam) @ evecs.conj().T
     u = np.block([[ht, root], [root, -ht]])
-    pi = _coordinate_projector(h.shape[0], 0)
+    pi = _lift(np.eye(h.shape[0]))
     return BlockEncoding(u, pi, pi, float(alpha))
 
 
@@ -171,7 +183,7 @@ def embed_general(a: np.ndarray, alpha: float) -> BlockEncoding:
     at = w @ np.diag(sig) @ vh
     root = w @ np.diag(np.sqrt(1.0 - sig**2)) @ vh
     u = np.block([[at, root], [root, -at]])
-    pi = _coordinate_projector(a.shape[0], 0)
+    pi = _lift(np.eye(a.shape[0]))
     return BlockEncoding(u, pi, pi, float(alpha))
 
 
@@ -183,16 +195,9 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
     projectors that is the affine map (block + I)/2.  New projectors are
     |0><0| (x) old.
     """
-    d = be.dim
-    u = be.unitary
-    eye = np.eye(d, dtype=complex)
-    upper = np.block([[0.5 * (eye + u), 0.5 * (eye - u)], [0.5 * (eye - u), 0.5 * (eye + u)]])
-    pr = np.zeros((2 * d, 2 * d), dtype=complex)
-    pr[:d, :d] = be.proj_right
-    pl = np.zeros((2 * d, 2 * d), dtype=complex)
-    pl[:d, :d] = be.proj_left
+    upper = _select(np.eye(be.dim), be.unitary)
     # the shifted block (old_block + I)/2 is itself sub-normalized
-    return BlockEncoding(upper, pr, pl, 1.0)
+    return BlockEncoding(upper, _lift(be.proj_right), _lift(be.proj_left), 1.0)
 
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
@@ -206,12 +211,8 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
     power = u.copy()
     for _ in range(j):
         power = power @ power
-    c = np.exp(-2j * np.pi * theta)
-    d = u.shape[0]
-    eye = np.eye(d, dtype=complex)
-    cu = c * power
-    w = 0.5 * np.block([[eye + cu, eye - cu], [eye - cu, eye + cu]])
-    pi = _coordinate_projector(d, 0)
+    w = _select(np.eye(u.shape[0]), np.exp(-2j * np.pi * theta) * power)
+    pi = _lift(np.eye(u.shape[0]))
     return BlockEncoding(w, pi, pi, 1.0)
 
 
@@ -228,8 +229,7 @@ def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
         raise DomainError("signal amplitude must lie in (0, 1]")
     s = np.sqrt(1.0 - a * a)
     w = np.array([[a, s], [s, -a]], dtype=complex)
-    pi = np.zeros((2, 2), dtype=complex)
-    pi[0, 0] = 1.0
+    pi = _lift(np.eye(1))
     return BlockEncoding(w, pi, pi, 1.0)
 
 
@@ -257,12 +257,17 @@ def matrix_to_json(m: np.ndarray) -> str:
     )
 
 
-def matrix_from_json(text: str) -> np.ndarray:
-    payload = json.loads(text)
-    rows, cols = payload["rows"], payload["cols"]
-    re = np.array(payload["re"], dtype=float).reshape(rows, cols)
-    im = np.array(payload["im"], dtype=float).reshape(rows, cols)
+def _matrix_from_payload(payload, what: str) -> np.ndarray:
+    rows, cols = (_json_field(payload, key, int, what) for key in ("rows", "cols"))
+    re, im = (
+        _json_field(payload, key, lambda v: np.array(v, dtype=float).reshape(rows, cols), what)
+        for key in ("re", "im")
+    )
     return re + 1j * im
+
+
+def matrix_from_json(text: str) -> np.ndarray:
+    return _matrix_from_payload(json.loads(text), "matrix")
 
 
 def encoding_to_json(be: BlockEncoding) -> str:
@@ -279,9 +284,8 @@ def encoding_to_json(be: BlockEncoding) -> str:
 
 def encoding_from_json(text: str) -> BlockEncoding:
     payload = json.loads(text)
-    return BlockEncoding(
-        matrix_from_json(json.dumps(payload["unitary"])),
-        matrix_from_json(json.dumps(payload["proj_right"])),
-        matrix_from_json(json.dumps(payload["proj_left"])),
-        float(payload["alpha"]),
-    )
+    matrices = [
+        _matrix_from_payload(_json_field(payload, key, lambda v: v, "encoding"), f"encoding {key}")
+        for key in ("unitary", "proj_right", "proj_left")
+    ]
+    return BlockEncoding(*matrices, _json_field(payload, "alpha", float, "encoding"))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field reader
+that turns malformed input into them."""
 
 
 class QsvtSimError(Exception):
@@ -67,3 +68,18 @@ class GiveUp(QsvtSimError, RuntimeError):
 
 class EmptyCurve(QsvtSimError, ValueError):
     """An empty curve cannot be rendered."""
+
+
+def _json_field(payload, name: str, convert, what: str):
+    """convert(payload[name]), with a DomainError naming the field when it
+    is absent or ``convert`` rejects it; library errors pass unchanged."""
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what} JSON must be an object")
+    if name not in payload:
+        raise DomainError(f"{what} JSON is missing the field {name!r}")
+    try:
+        return convert(payload[name])
+    except QsvtSimError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} JSON field {name!r} is malformed: {exc}") from None

@@ -16,10 +16,9 @@ from .phase_solver import FixedPointParams, SolverOptions, fixed_point_phases, s
 from .poly_approx import (
     ChebyshevPoly,
     Parity,
-    cert_grid,
+    _unit_interpolant,
     eigenstate_filter_poly,
     gibbs_poly,
-    interpolate,
     jacobi_anger_cos,
     jacobi_anger_sin,
     matrix_inversion_poly,
@@ -29,21 +28,13 @@ from .poly_approx import (
 from .qsp_core import PhaseSequence
 
 
-def _unit_rescale(poly: ChebyshevPoly) -> ChebyshevPoly:
-    sup = poly.sup_norm(cert_grid())
-    if sup > 1.0:
-        poly = poly.scaled(1.0 / (sup * (1.0 + 1e-12)))
-    return poly
-
-
 def _thresh_target(d: int, k: float) -> ChebyshevPoly:
     """Even step located at |x| = 1/2: (erf(k(x+1/2)) - erf(k(x-1/2))) / 2."""
     if d % 2 != 0:
         raise DomainError("threshold family degree must be even")
-    poly = interpolate(
+    return _unit_interpolant(
         lambda x: 0.5 * (erf(k * (x + 0.5)) - erf(k * (x - 0.5))), d, Parity.EVEN
     )
-    return _unit_rescale(poly)
 
 
 def _phase_target(d: int, k: float) -> ChebyshevPoly:
@@ -51,10 +42,9 @@ def _phase_target(d: int, k: float) -> ChebyshevPoly:
     if d % 2 != 0:
         raise DomainError("phase family degree must be even")
     c = 1.0 / math.sqrt(2.0)
-    poly = interpolate(
+    return _unit_interpolant(
         lambda x: 0.5 * (erf(k * (c - x)) + erf(k * (c + x)) - 1.0), d, Parity.EVEN
     )
-    return _unit_rescale(poly)
 
 
 _TARGET_FAMILIES = {

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     OverflowGuard,
     ParityError,
+    _json_field,
 )
 
 CERT_GRID_SIZE = 4096
@@ -100,7 +101,10 @@ def poly_to_json(poly: ChebyshevPoly) -> str:
 
 def poly_from_json(text: str) -> ChebyshevPoly:
     payload = json.loads(text)
-    return ChebyshevPoly(np.array(payload["coeffs"], dtype=float), Parity(payload["parity"]))
+    return ChebyshevPoly(
+        _json_field(payload, "coeffs", lambda v: np.array(v, dtype=float), "polynomial"),
+        _json_field(payload, "parity", Parity, "polynomial"),
+    )
 
 
 def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
@@ -149,20 +153,24 @@ def _rescale_into_unit(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _unit_interpolant(target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
+    """Parity-projected interpolant of target, scaled into the unit ball on
+    the certification grid."""
+    coeffs = interpolate(target, degree, parity).coeffs
+    return ChebyshevPoly(_rescale_into_unit(coeffs, cert_grid()), parity)
+
+
 def _grow_and_certify(
-    target: Callable,
-    parity: Parity,
+    build: Callable[[int], ChebyshevPoly],
     start_degree: int,
     degree_cap: int,
     certify: Callable[[ChebyshevPoly], bool],
-    grid: np.ndarray,
 ) -> ChebyshevPoly:
+    """Grow the degree of build(degree) by ~1.5x until it certifies, then
+    trim it to the smallest certifying truncation."""
     degree = min(start_degree, degree_cap)
     while True:
-        coeffs = cheb.chebinterpolate(target, degree)
-        coeffs = _project_parity(coeffs, parity)
-        coeffs = _rescale_into_unit(coeffs, grid)
-        poly = ChebyshevPoly(coeffs, parity)
+        poly = build(degree)
         if certify(poly):
             return _certified_trim(poly, certify)
         if degree >= degree_cap:
@@ -213,7 +221,8 @@ def sign_poly(
 
     start = int(2 * math.ceil(0.8 * k) + 1)
     return _grow_and_certify(
-        lambda x: erf(k * x), Parity.ODD, max(start, 9), degree_cap, certify, grid
+        lambda d: _unit_interpolant(lambda x: erf(k * x), d, Parity.ODD),
+        max(start, 9), degree_cap, certify,
     )
 
 
@@ -225,8 +234,7 @@ def sign_poly_from_steepness(degree: int, k: float) -> ChebyshevPoly:
     """
     if degree % 2 == 0:
         raise DomainError("sign family degree must be odd")
-    poly = interpolate(lambda x: erf(k * x), degree, Parity.ODD)
-    return ChebyshevPoly(_rescale_into_unit(poly.coeffs.copy(), cert_grid()), Parity.ODD)
+    return _unit_interpolant(lambda x: erf(k * x), degree, Parity.ODD)
 
 
 def _symmetric_step_poly(
@@ -260,7 +268,9 @@ def _symmetric_step_poly(
         return bool(np.max(np.abs(vals[checked] - step_vals)) <= epsilon)
 
     start = int(2 * math.ceil(0.8 * k) + 2)
-    return _grow_and_certify(target, Parity.EVEN, max(start, 10), degree_cap, certify, grid)
+    return _grow_and_certify(
+        lambda d: _unit_interpolant(target, d, Parity.EVEN), max(start, 10), degree_cap, certify
+    )
 
 
 def eigenvalue_threshold_poly(
@@ -446,18 +456,15 @@ def rect_poly(
             return False
         return not (np.any(vals[inner] < -1e-12) or np.any(vals[inner] > epsilon))
 
-    degree = max(int(2 * math.ceil(0.8 * k) + 2), 10)
-    while True:
+    def build(degree: int) -> ChebyshevPoly:
         coeffs = _project_parity(cheb.chebinterpolate(target, degree), Parity.EVEN)
         eta = float(np.max(np.abs(cheb.chebval(grid, coeffs) - target_vals)))
         lifted = coeffs / (1.0 + 2.0 * eta)
         lifted[0] += eta / (1.0 + 2.0 * eta)
-        poly = ChebyshevPoly(lifted, Parity.EVEN)
-        if certify(poly):
-            return _certified_trim(poly, certify)
-        if degree >= degree_cap:
-            raise DegreeCapExceeded(f"certification failed at degree cap {degree_cap}")
-        degree = min(degree_cap, max(degree + 2, int(degree * 1.5)))
+        return ChebyshevPoly(lifted, Parity.EVEN)
+
+    start = max(int(2 * math.ceil(0.8 * k) + 2), 10)
+    return _grow_and_certify(build, start, degree_cap, certify)
 
 
 def matrix_inversion_poly(

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import DomainError, NotUnitary, ParityError, UnsupportedConversion
+from .errors import DomainError, NotUnitary, ParityError, UnsupportedConversion, _json_field
 
 UNITARITY_TOL = 1e-12
 RESPONSE_TOL = 1e-10
@@ -124,6 +124,28 @@ def _require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     return m
 
 
+def _signal_matrices(values: np.ndarray, convention: Convention) -> np.ndarray:
+    """Signal rotations over an array (or 0-d array) of signal values."""
+    ws = np.zeros(values.shape + (2, 2), dtype=complex)
+    if convention.signal is SignalKind.WZ:
+        ws[..., 0, 0] = np.exp(0.5j * values)
+        ws[..., 1, 1] = np.conj(ws[..., 0, 0])
+        return ws
+    outside = values[np.abs(values) > 1.0 + 1e-12]
+    if outside.size:
+        raise DomainError(f"signal value {outside.flat[0]} outside [-1, 1]")
+    av = np.clip(values, -1.0, 1.0)
+    s = np.sqrt(1.0 - av * av)
+    ws[..., 0, 0] = av
+    if convention.signal is SignalKind.WX:
+        ws[..., 1, 1] = av
+        ws[..., 0, 1] = ws[..., 1, 0] = 1j * s
+    else:
+        ws[..., 1, 1] = -av
+        ws[..., 0, 1] = ws[..., 1, 0] = s
+    return ws
+
+
 def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
     """Signal rotation for one sample of the signal.
 
@@ -131,20 +153,7 @@ def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
     for WZ it is the rotation angle theta, with a = cos(theta/2) the
     bridging variable.
     """
-    if convention.signal is SignalKind.WZ:
-        theta = float(a)
-        w = np.exp(0.5j * theta)
-        return np.diag([w, np.conj(w)])
-    a = float(a)
-    if abs(a) > 1.0 + 1e-12:
-        raise DomainError(f"signal value {a} outside [-1, 1]")
-    a = min(1.0, max(-1.0, a))
-    s = np.sqrt(1.0 - a * a)
-    if convention.signal is SignalKind.WX:
-        m = np.array([[a, 1j * s], [1j * s, a]])
-    else:
-        m = np.array([[a, s], [s, -a]], dtype=complex)
-    return _require_unitary(m)
+    return _require_unitary(_signal_matrices(np.asarray(float(a)), convention))
 
 
 def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -158,43 +167,15 @@ def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.nd
 
 def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
     """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)]."""
-    w = signal_operator(a, seq.convention)
-    u = processing_operator(seq.phases[0], seq.convention)
-    for phi in seq.phases[1:]:
-        u = u @ w @ processing_operator(phi, seq.convention)
-    return _require_unitary(u, 1e-11)
+    return _require_unitary(_evaluate_many(seq, float(a)), 1e-11)
 
 
-def _evaluate_many(seq: PhaseSequence, values: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate_sequence over a 1-D array of signal values."""
-    values = np.asarray(values, dtype=float)
-    conv = seq.convention
-    if conv.signal is SignalKind.WZ:
-        w = np.exp(0.5j * values)
-        ws = np.zeros(values.shape + (2, 2), dtype=complex)
-        ws[..., 0, 0] = w
-        ws[..., 1, 1] = np.conj(w)
-    else:
-        if np.any(np.abs(values) > 1.0 + 1e-12):
-            raise DomainError("signal values outside [-1, 1]")
-        av = np.clip(values, -1.0, 1.0)
-        s = np.sqrt(1.0 - av * av)
-        ws = np.zeros(values.shape + (2, 2), dtype=complex)
-        if conv.signal is SignalKind.WX:
-            ws[..., 0, 0] = av
-            ws[..., 1, 1] = av
-            ws[..., 0, 1] = 1j * s
-            ws[..., 1, 0] = 1j * s
-        else:
-            ws[..., 0, 0] = av
-            ws[..., 1, 1] = -av
-            ws[..., 0, 1] = s
-            ws[..., 1, 0] = s
-    u = np.broadcast_to(
-        processing_operator(seq.phases[0], conv), values.shape + (2, 2)
-    ).copy()
+def _evaluate_many(seq: PhaseSequence, values) -> np.ndarray:
+    """Sequence unitaries over an array (or scalar) of signal values."""
+    ws = _signal_matrices(np.asarray(values, dtype=float), seq.convention)
+    u = np.broadcast_to(processing_operator(seq.phases[0], seq.convention), ws.shape).copy()
     for phi in seq.phases[1:]:
-        u = u @ ws @ processing_operator(phi, conv)
+        u = u @ ws @ processing_operator(phi, seq.convention)
     return u
 
 
@@ -223,28 +204,16 @@ def response_curve(seq: PhaseSequence, grid) -> list:
     return list(zip([float(g) for g in grid], [complex(v) for v in vals]))
 
 
-def _wx_to_reflection(phases: np.ndarray) -> np.ndarray:
-    d = len(phases) - 1
-    out = phases.copy()
-    if d == 0:
-        return out
-    out[0] += (2 * d - 1) * np.pi / 4
-    out[-1] -= np.pi / 4
-    if d >= 2:
-        out[1:-1] -= np.pi / 2
-    return out
-
-
-def _reflection_to_wx(phases: np.ndarray) -> np.ndarray:
-    d = len(phases) - 1
-    out = phases.copy()
-    if d == 0:
-        return out
-    out[0] -= (2 * d - 1) * np.pi / 4
-    out[-1] += np.pi / 4
-    if d >= 2:
-        out[1:-1] += np.pi / 2
-    return out
+def _reflection_offsets(degree: int) -> np.ndarray:
+    """Shifts taking Wx phases to reflection phases, and canonical phases to
+    the engine's projector angles: (2d-1)*pi/4 on the first, -pi/4 on the
+    last, -pi/2 between; the (2d-1)*pi/4 absorbs the (-i)^d left by writing
+    each reflection as an x-rotation."""
+    if degree == 0:
+        return np.zeros(1)
+    offsets = np.full(degree + 1, -np.pi / 2)
+    offsets[0], offsets[-1] = (2 * degree - 1) * np.pi / 4, -np.pi / 4
+    return offsets
 
 
 def convert_convention(seq: PhaseSequence, target: Convention) -> PhaseSequence:
@@ -273,10 +242,8 @@ def convert_convention(seq: PhaseSequence, target: Convention) -> PhaseSequence:
             raise UnsupportedConversion(
                 "wx<->reflection with the ++ basis requires even degree"
             )
-        if conv.signal is SignalKind.WX:
-            out = _wx_to_reflection(phases)
-        else:
-            out = _reflection_to_wx(phases)
+        offsets = _reflection_offsets(d)
+        out = phases + offsets if conv.signal is SignalKind.WX else phases - offsets
         return PhaseSequence(tuple(out), target)
 
     wx_pp = Convention.wx(Basis.PLUS_PLUS)
@@ -393,10 +360,11 @@ def phase_sequence_to_json(seq: PhaseSequence) -> str:
 
 def phase_sequence_from_json(text: str) -> PhaseSequence:
     payload = json.loads(text)
-    conv = payload["convention"]
+    conv = _json_field(payload, "convention", lambda v: v, "phase sequence")
     convention = Convention(
-        SignalKind(conv["signal"]),
-        ProcessingKind(conv["processing"]),
-        Basis(conv["basis"]),
+        _json_field(conv, "signal", SignalKind, "phase sequence convention"),
+        _json_field(conv, "processing", ProcessingKind, "phase sequence convention"),
+        _json_field(conv, "basis", Basis, "phase sequence convention"),
     )
-    return PhaseSequence(tuple(float(p) for p in payload["phases"]), convention)
+    phases = _json_field(payload, "phases", lambda v: tuple(map(float, v)), "phase sequence")
+    return PhaseSequence(phases, convention)

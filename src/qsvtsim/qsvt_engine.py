@@ -1,12 +1,14 @@
 """Singular value transformation of block-encoded operators.
 
 Applies a canonical-convention phase sequence to a block encoding as an
-alternating product of U, its inverse, and projector-controlled phase
-rotations.  Phase offsets map the stored QSP phases onto projector phases
-so the encoded block of the product is exactly the sequence's P polynomial
-applied to the singular values; a one-ancilla combiner then isolates the
-real part, which is the solver's target.  Independent eigen- and SVD-based
-oracles are provided for verification.
+alternating product V(phi) of U, its inverse, and projector-controlled
+phase rotations.  The reflection offsets of ``qsp_core`` map the stored QSP
+phases onto projector phases, so the encoded block of V(phi) is exactly the
+sequence's P polynomial applied to the singular values.  The real part,
+which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
+with no ancilla; ``real_part_encoding`` builds the one-ancilla
+Hadamard-select circuit only for callers that need the full unitary.
+Independent eigen- and SVD-based oracles are provided for verification.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, extract_block, projector_phase
+from .block_encoding import BlockEncoding, _lift, _restrict, _select, projector_phase
 from .errors import DomainError, NotHermitian, NotUnit, UnsupportedConversion
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (
@@ -24,10 +26,9 @@ from .qsp_core import (
     Convention,
     PhaseSequence,
     SignalKind,
+    _reflection_offsets,
     convert_convention,
 )
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def _to_canonical(seq: PhaseSequence) -> PhaseSequence:
@@ -61,29 +62,14 @@ class QsvtProgram:
         return Parity.EVEN if self.degree % 2 == 0 else Parity.ODD
 
 
-def _projector_angles(phases: np.ndarray) -> np.ndarray:
-    """Map canonical QSP phases to projector-phase angles.
+def _phased_product(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
+    """Alternating product Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d).
 
-    End phases shift by -pi/4 and interior ones by -pi/2 (the reflection
-    offsets); the extra d*pi/2 on the first angle cancels the (-i)^d
-    accumulated by rewriting each reflection as an x-rotation, so the
-    encoded block carries no stray global phase.
+    The projector angles chi are the phases shifted by the reflection
+    offsets, which leave the encoded block with no stray global phase.
     """
     d = len(phases) - 1
-    chi = phases.copy()
-    if d == 0:
-        return chi
-    chi[0] += -np.pi / 4 + d * np.pi / 2
-    chi[-1] -= np.pi / 4
-    if d >= 2:
-        chi[1:-1] -= np.pi / 2
-    return chi
-
-
-def _phased_product(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
-    """Alternating product Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d)."""
-    chi = _projector_angles(phases)
-    d = len(phases) - 1
+    chi = phases + _reflection_offsets(d)
     u = encoding.unitary
     pr, pl = encoding.proj_right, encoding.proj_left
     v = projector_phase(pr, chi[d])
@@ -100,13 +86,24 @@ def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
     return _phased_product(prog.encoding, prog.phases.as_array())
 
 
-def _lift(proj: np.ndarray, branch: int) -> np.ndarray:
-    """|branch><branch| (x) proj on the doubled (ancilla) space."""
-    d = proj.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    sl = slice(branch * d, (branch + 1) * d)
-    out[sl, sl] = proj
-    return out
+def _conjugate_pair(prog: QsvtProgram):
+    """(V(phi), V(-phi), output projector); the mean of the two blocks is Re(P).
+
+    For even degree the transform lives in the right singular vector space
+    (the right projector on both sides); for odd degree it maps the right
+    space into the left one.
+    """
+    phases = prog.phases.as_array()
+    enc = prog.encoding
+    out_proj = enc.proj_right if prog.degree % 2 == 0 else enc.proj_left
+    return _phased_product(enc, phases), _phased_product(enc, -phases), out_proj
+
+
+def _real_part_circuit(prog: QsvtProgram):
+    """(unitary, proj_right, proj_left) of the one-ancilla real-part circuit,
+    unvalidated, for callers that combine it further."""
+    v_plus, v_minus, out_proj = _conjugate_pair(prog)
+    return _select(v_plus, v_minus), _lift(prog.encoding.proj_right), _lift(out_proj)
 
 
 def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
@@ -116,29 +113,18 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     conjugate average the two complex blocks, leaving the real part; the
     ancilla is read out in the |0> slot.
     """
-    phases = prog.phases.as_array()
-    v_plus = _phased_product(prog.encoding, phases)
-    v_minus = _phased_product(prog.encoding, -phases)
-    d = prog.encoding.dim
-    big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = v_plus
-    big[d:, d:] = v_minus
-    h = np.kron(_H, np.eye(d))
-    combined = h @ big @ h
-    left_proj = prog.encoding.proj_right if prog.degree % 2 == 0 else prog.encoding.proj_left
-    return BlockEncoding(
-        combined, _lift(prog.encoding.proj_right, 0), _lift(left_proj, 0), prog.encoding.alpha
-    )
+    return BlockEncoding(*_real_part_circuit(prog), prog.encoding.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
     """Re(P)^(SV) of the encoded block, in the projector-range bases.
 
-    For even degree the transform lives in the right singular vector space
-    (addressed by the right projector on both sides); for odd degree it maps
-    the right space into the left one.
+    The block of the real-part circuit, 1/2 (V(phi) + V(-phi)) restricted to
+    the ranges of the program's (already validated) encoding, formed
+    without building the ancilla circuit.
     """
-    return extract_block(real_part_encoding(prog))
+    v_plus, v_minus, out_proj = _conjugate_pair(prog)
+    return _restrict(0.5 * (v_plus + v_minus), out_proj, prog.encoding.proj_right)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,38 @@ def test_computation_error_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+_PHASES = '{"convention": {"basis": "++", "processing": "sz", "signal": "wx"}, "phases": [0, 0]}'
+
+
+@pytest.mark.parametrize(
+    "command, bad_file, bad_text, field",
+    [
+        ("hamsim", "--matrix", '{"rows": 1, "re": [0.5], "im": [0.0]}', "'cols'"),
+        ("hamsim", "--matrix", '[[0.5]]', "must be an object"),
+        ("response", "--phases", '{"phases": [0.0, 0.0]}', "'convention'"),
+        ("response", "--phases", '{"convention": {"basis": "++", "processing": "sz"}, '
+         '"phases": [0]}', "'signal'"),
+        ("response", "--phases", _PHASES.replace("[0, 0]", '"x"'), "'phases'"),
+        ("qsvt", "--encoding", '{"unitary": {}, "proj_right": {}, "proj_left": {}}', "'rows'"),
+    ],
+    ids=["no-cols", "not-object", "no-convention", "no-signal", "bad-phases", "no-rows"],
+)
+def test_malformed_json_input_is_a_typed_error(capsys, tmp_path, command, bad_file,
+                                               bad_text, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(bad_text)
+    phases = tmp_path / "ph.json"
+    phases.write_text(_PHASES)
+    argv = {
+        "hamsim": ["--alpha", "1", "--t", "1", "--epsilon", "0.01"],
+        "response": [],
+        "qsvt": ["--phases", str(phases)],
+    }[command]
+    code, _, err = run_cli(capsys, command, bad_file, str(bad), *argv)
+    assert code == 1
+    assert err.startswith("error:") and field in err
+
+
 def test_output_dir_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QSVTSIM_OUTPUT_DIR", str(tmp_path))
     code, _, _ = run_cli(

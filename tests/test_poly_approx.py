@@ -40,6 +40,10 @@ def test_poly_json_roundtrip():
     q = poly_from_json(poly_to_json(p))
     assert q.parity is Parity.ODD
     assert np.allclose(q.coeffs, p.coeffs)
+    with pytest.raises(DomainError, match="'parity'"):
+        poly_from_json('{"coeffs": [0.0, 1.0]}')
+    with pytest.raises(DomainError, match="'coeffs'"):
+        poly_from_json('{"coeffs": "x", "parity": "odd"}')
 
 
 class TestSignPoly:

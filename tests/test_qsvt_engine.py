@@ -20,9 +20,14 @@ from qsvtsim import (
     eigen_oracle,
     eigenvalue_threshold_poly,
     embed_general,
+    encoding_from_json,
+    encoding_to_json,
+    extract_block,
+    hamiltonian_simulation,
     qsvt_unitary,
     qubitize_hermitian,
     response,
+    response_many,
     shift_positive,
     sign_poly,
     solve_phases,
@@ -98,6 +103,20 @@ class TestOracleEquivalence:
         t3_at = 4 * 0.8**3 - 3 * 0.8
         assert block[0, 1] == pytest.approx(t3_at, abs=1e-6)
         assert np.max(np.abs(svd_oracle(a, t3) - block)) < 1e-6
+
+    def test_high_degree_on_hamsim_output(self, family_solutions):
+        # the 128-dimensional evolution encoding with degree-61 phases: the
+        # rounding of the phased products must not reject a valid input
+        rng = np.random.default_rng(100)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        h = 0.5 * (g + g.conj().T)
+        h *= 0.9 / np.linalg.norm(h, 2)
+        enc = encoding_from_json(encoding_to_json(hamiltonian_simulation(h, 1.0, 5.0, 1e-3)))
+        _, seq, _ = family_solutions("poly_sign", d=61, k=12.0)
+        block = transformed_block(QsvtProgram(enc, seq))
+        w, sigma, vh = np.linalg.svd(extract_block(enc))
+        expect = w @ np.diag(response_many(seq, sigma).real) @ vh
+        assert np.max(np.abs(block - expect)) <= 1e-9
 
 
 class TestEigenOracle:
