@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE")
     p.add_argument("--npts", type=int, default=400)
     p.add_argument("--residual-tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=1205)
+    p.add_argument("--seed", type=int, default=1205, help="accepted; has no effect")
     p.set_defaults(func=_cmd_phases)
 
     p = sub.add_parser("poly", help="emit a family target polynomial")

@@ -27,7 +27,8 @@ class ConvergenceError(QsvtSimError, RuntimeError):
 
 
 class NoConvergence(QsvtSimError, RuntimeError):
-    """Phase optimization exhausted all restarts above tolerance."""
+    """Phase synthesis stopped above tolerance; the message names the best
+    residual and the Newton iterations spent."""
 
 
 class NotHermitian(QsvtSimError, ValueError):

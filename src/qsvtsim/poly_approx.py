@@ -145,9 +145,37 @@ def _certified_trim(poly: ChebyshevPoly, passes: Callable[[ChebyshevPoly], bool]
     return ChebyshevPoly(full.coeffs[: candidates[hi] + 1], poly.parity)
 
 
+def _critical_points(coeffs: np.ndarray) -> np.ndarray:
+    """Points of [-1, 1] among which are all real critical points of p.
+
+    Every root is clipped onto the interval, so complex roots only add
+    harmless extra points.  A parity-definite p is handled at half size
+    through y = 2x^2 - 1, since T_2j(x) = T_j(y): an even p' is r(y), with
+    roots at both signs of x, and an even p is p(x) = r(y), symmetric and
+    stationary at x = 0 and wherever r' vanishes.
+    """
+    def to_x(y_roots):
+        return np.sqrt(0.5 * (1.0 + np.clip(y_roots.real, -1.0, 1.0)))
+
+    der = cheb.chebder(coeffs)
+    if not np.any(der[1::2]):
+        x = to_x(cheb.chebroots(der[::2]))
+        return np.concatenate([x, -x])
+    if not np.any(coeffs[1::2]):
+        return np.append(to_x(cheb.chebroots(cheb.chebder(coeffs[::2]))), 0.0)
+    return np.clip(cheb.chebroots(der).real, -1.0, 1.0)
+
+
+def _true_sup(coeffs: np.ndarray, grid: np.ndarray) -> float:
+    """max |p| on [-1, 1]: the grid maximum together with |p| at the real
+    critical points of p, which the grid can step over."""
+    points = np.concatenate([grid, _critical_points(coeffs)])
+    return float(np.max(np.abs(cheb.chebval(points, coeffs))))
+
+
 def _rescale_into_unit(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Scale coefficients so the grid sup norm is at most 1."""
-    sup = np.max(np.abs(cheb.chebval(grid, coeffs)))
+    """Scale coefficients so the sup norm on [-1, 1] is at most 1."""
+    sup = _true_sup(coeffs, grid)
     if sup > 1.0:
         coeffs = coeffs / (sup * (1.0 + 1e-12))
     return coeffs
@@ -155,7 +183,7 @@ def _rescale_into_unit(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def _unit_interpolant(target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
     """Parity-projected interpolant of target, scaled into the unit ball on
-    the certification grid."""
+    [-1, 1]."""
     coeffs = interpolate(target, degree, parity).coeffs
     return ChebyshevPoly(_rescale_into_unit(coeffs, cert_grid()), parity)
 

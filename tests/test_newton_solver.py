@@ -1,0 +1,108 @@
+"""Newton phase synthesis: targets the restart-based optimizer gave up on,
+the paper-scale degrees, bounded typed failure and the inert options."""
+
+import time
+
+import numpy as np
+import pytest
+
+from qsvtsim import (
+    ChebyshevPoly,
+    NoConvergence,
+    Parity,
+    SolverOptions,
+    extract_block,
+    hamiltonian_simulation,
+    residual,
+    sign_poly,
+    solve_phases,
+)
+from qsvtsim.phase_solver import _response_jacobian, _symmetric_response
+
+
+def _interior_target(seed: int) -> ChebyshevPoly:
+    # odd degree-101 series with c_k = N(0, 1) exp(-k / 25), scaled to sup 0.9
+    rng = np.random.default_rng(seed)
+    k = np.arange(102)
+    coeffs = np.zeros(102)
+    coeffs[1::2] = rng.standard_normal(51) * np.exp(-k[1::2] / 25)
+    target = ChebyshevPoly(coeffs, Parity.ODD)
+    return target.scaled(0.9 / target.sup_norm())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_interior_degree_101(seed):
+    target = _interior_target(seed)
+    assert target.degree == 101
+    seq = solve_phases(target, SolverOptions(residual_tol=1e-4))
+    assert residual(seq, target) <= 1e-4
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+def test_hamiltonian_simulation_at_t2(epsilon):
+    # needs the degree-6 cosine jacobi_anger_cos(2.0, epsilon / 4)
+    h = np.diag([0.3, -0.6]).astype(complex)
+    enc = hamiltonian_simulation(h, 1.0, 2.0, epsilon)
+    approx = enc.alpha * extract_block(enc)
+    exact = np.diag(np.exp(-2j * np.array([0.3, -0.6])))
+    assert np.max(np.abs(approx - exact)) <= epsilon
+
+
+def test_sign_degree_153_to_1e6_under_a_second():
+    target = sign_poly(0.01, 0.1)
+    assert target.degree == 153
+    start = time.perf_counter()
+    seq = solve_phases(target, SolverOptions(residual_tol=1e-6))
+    assert time.perf_counter() - start < 1.0
+    assert residual(seq, target) <= 1e-6
+
+
+def test_sign_degree_505():
+    target = sign_poly(0.01, 0.03)
+    assert target.degree == 505
+    seq = solve_phases(target, SolverOptions(residual_tol=1e-4))
+    assert residual(seq, target) <= 1e-4
+
+
+def test_unattainable_tolerance_fails_fast():
+    target = ChebyshevPoly([0, 0.5, 0, 0.3], Parity.ODD)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence) as info:
+        solve_phases(target, SolverOptions(residual_tol=1e-17))
+    assert time.perf_counter() - start < 2.0
+    message = str(info.value)
+    assert "best residual" in message and "iterations" in message
+    assert "restart" not in message
+
+
+def test_restarts_and_seed_are_inert():
+    target = _interior_target(0)
+    base = solve_phases(target)
+    other = solve_phases(target, SolverOptions(restarts=1, rng_seed=99))
+    assert base.phases == other.phases
+
+
+@pytest.mark.parametrize("degree", [6, 7])
+def test_symmetric_jacobian_matches_finite_differences(degree, rng):
+    # the palindromic fast path of _response_jacobian and the mirror sum
+    half = (degree + 2) // 2
+    sym = rng.uniform(-np.pi, np.pi, half)
+    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    _, jac = _symmetric_response(sym, degree, nodes)
+    assert jac.shape == (half, half)
+    step = 1e-6
+    fd = np.zeros_like(jac)
+    for k in range(half):
+        up, down = sym.copy(), sym.copy()
+        up[k] += step
+        down[k] -= step
+        fd[:, k] = (_symmetric_response(up, degree, nodes)[0]
+                    - _symmetric_response(down, degree, nodes)[0]) / (2 * step)
+    assert np.max(np.abs(jac - fd)) / np.max(np.abs(jac)) < 1e-5
+    # the palindromic shortcut agrees with the two-pass general path
+    full = np.concatenate([sym, sym[: degree + 1 - half][::-1]])
+    _, shortcut = _response_jacobian(full, nodes)
+    nudged = full.copy()
+    nudged[0] = np.nextafter(full[0], np.inf)  # one ulp: not palindromic bitwise
+    _, general = _response_jacobian(nudged, nodes)
+    assert np.allclose(shortcut, general, atol=1e-13)

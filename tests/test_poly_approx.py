@@ -253,3 +253,14 @@ def test_composite_certification_is_rechecked():
     outside = np.abs(grid) > 1 / kappa
     err = np.abs(p(grid[outside]) - 1 / (2 * kappa * grid[outside]))
     assert np.max(err) <= eps / (2 * kappa)
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, degree", [(0.01, 0.1, 153), (0.01, 0.2, 77), (0.1, 0.4, 19)]
+)
+def test_sign_bounded_between_grid_points(epsilon, delta, degree):
+    # the unit rescale takes the sup at the critical points as well as on
+    # the grid, so no overshoot hides between grid points
+    p = sign_poly(epsilon, delta)
+    assert p.degree == degree
+    assert np.max(np.abs(p(np.linspace(-1.0, 1.0, 2_000_001)))) <= 1.0
