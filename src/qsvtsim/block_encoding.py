@@ -101,12 +101,32 @@ class BlockEncoding:
         return self.unitary.shape[0]
 
 
+def _coordinate_range(projector: np.ndarray) -> np.ndarray | None:
+    """Ascending indices j with P = sum_j |j><j| when P is a diagonal 0/1
+    matrix (every constructor here makes such projectors), else None."""
+    diag = np.diagonal(projector)
+    if not np.all((diag == 0) | (diag == 1)):
+        return None
+    idx = np.flatnonzero(diag)
+    if np.count_nonzero(projector) != len(idx):
+        return None
+    return idx
+
+
 def _range_basis(projector: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(P), deterministic by ascending column index.
 
-    Gram-Schmidt over the projector's columns in index order; for coordinate
-    projectors this reproduces the standard basis vectors.
+    For a coordinate projector that is the standard basis vectors e_j, which
+    is exactly what the Gram-Schmidt loop gives; other projectors run it.
     """
+    idx = _coordinate_range(projector)
+    if idx is not None:
+        return np.eye(projector.shape[0], dtype=projector.dtype)[:, idx]
+    return _gram_schmidt(projector)
+
+
+def _gram_schmidt(projector: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt over the projector's columns in index order."""
     rank = int(round(float(np.real(np.trace(projector)))))
     basis = []
     for j in range(projector.shape[0]):

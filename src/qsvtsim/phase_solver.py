@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, ParityError
-from .poly_approx import ChebyshevPoly, Parity
+from .poly_approx import ChebyshevPoly, Parity, _true_sup
 from .qsp_core import CANONICAL, PhaseSequence, response_many
 
 SUP_NUDGE = 1e-8
@@ -168,19 +168,29 @@ def _newton(targets: np.ndarray, degree: int, nodes: np.ndarray, max_iterations:
     return _expand_symmetric(sym, degree), steps
 
 
-def _solve_variants(target: ChebyshevPoly):
+def _solve_variants(target: ChebyshevPoly, residual_tol: float):
     """The target itself, plus a nudged copy for boundary-touching targets.
 
     Targets with sup norm at 1 sit on the numerically singular edge of the
     feasible set; some (the pure Chebyshev responses) still admit exact
-    solutions, so the raw target is attempted first and the copy scaled by
-    (1 - 1e-8) serves as the fallback.
+    solutions, so the raw target is attempted first and the copy scaled to
+    sup (1 - 1e-8) serves as the fallback.  The sup is the true one, which
+    can exceed the certification grid's between grid points; past
+    1 + residual_tol no QSP response (always bounded by 1) meets the
+    tolerance, so such a target is a domain error.
     """
     if target.parity is Parity.NONE:
         raise ParityError("phase synthesis requires a parity-definite target")
     sup = target.sup_norm()
     if sup > 1.0 + 1e-9:
         raise DomainError(f"target sup norm {sup:.6f} exceeds 1")
+    # the grid sup already covers the grid; the endpoints complete the true sup
+    sup = max(sup, _true_sup(np.asarray(target.coeffs), np.array([-1.0, 1.0])))
+    if sup > 1.0 + residual_tol:
+        raise DomainError(
+            f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "
+            f"{sup - 1.0:.3e}, more than residual_tol {residual_tol:.1e}"
+        )
     variants = [target]
     if sup > 1.0 - SUP_NUDGE:
         variants.append(target.scaled((1.0 - SUP_NUDGE) / sup))
@@ -195,7 +205,7 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
     the raw target on a 1001-point grid) wins.  Raises NoConvergence, naming
     the best residual and the Newton steps spent, when none does.
     """
-    variants = _solve_variants(target)
+    variants = _solve_variants(target, options.residual_tol)
     degree = target.degree
     half = (degree + 2) // 2
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))

@@ -2,9 +2,10 @@
 
 Applies a canonical-convention phase sequence to a block encoding as an
 alternating product V(phi) of U, its inverse, and projector-controlled
-phase rotations.  The reflection offsets of ``qsp_core`` map the stored QSP
-phases onto projector phases, so the encoded block of V(phi) is exactly the
-sequence's P polynomial applied to the singular values.  The real part,
+phase rotations, computed by one sweep in the projector frame where each
+rotation is a row scaling.  The reflection offsets of ``qsp_core`` map the
+stored QSP phases onto projector phases, so the encoded block of V(phi) is
+exactly the sequence's P polynomial applied to the singular values.  The real part,
 which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
 with no ancilla; ``real_part_encoding`` builds the one-ancilla
 Hadamard-select circuit only for callers that need the full unitary.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _lift, _restrict, _select, projector_phase
+from .block_encoding import BlockEncoding, _coordinate_range, _lift, _range_basis, _select
 from .errors import DomainError, NotHermitian, NotUnit, UnsupportedConversion
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (
@@ -62,48 +63,100 @@ class QsvtProgram:
         return Parity.EVEN if self.degree % 2 == 0 else Parity.ODD
 
 
-def _phased_product(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
-    """Alternating product Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d).
+def _frame(projector: np.ndarray):
+    """(rank, F): a unitary F whose columns are a basis of range(P) followed
+    by one of its complement, so that P = F diag(I_rank, 0) F^dag.
 
-    The projector angles chi are the phases shifted by the reflection
-    offsets, which leave the encoded block with no stray global phase.
+    F is an index permutation (F = I[:, perm]) for a coordinate projector and
+    otherwise a dense matrix whose range columns are ``_range_basis(P)``.
     """
-    d = len(phases) - 1
-    chi = phases + _reflection_offsets(d)
-    u = encoding.unitary
-    pr, pl = encoding.proj_right, encoding.proj_left
-    v = projector_phase(pr, chi[d])
+    idx = _coordinate_range(projector)
+    if idx is not None:
+        rest = np.setdiff1d(np.arange(projector.shape[0]), idx, assume_unique=True)
+        return len(idx), np.concatenate([idx, rest])
+    basis = _range_basis(projector)
+    rank = basis.shape[1]
+    return rank, np.hstack([basis, np.linalg.qr(basis, mode="complete")[0][:, rank:]])
+
+
+def _inverse(frame: np.ndarray) -> np.ndarray:
+    """F^dag, in the same form as F."""
+    return np.argsort(frame) if frame.dtype.kind == "i" else frame.conj().T
+
+
+def _into(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows^dag m cols: a gather for permutation frames, products otherwise."""
+    m = m[rows] if rows.dtype.kind == "i" else rows.conj().T @ m
+    return m[:, cols] if cols.dtype.kind == "i" else m @ cols
+
+
+def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
+    """The products Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d) of every phase
+    list at once, in the projector frame.
+
+    U is written once as F_L^dag U F_R; the frames cancel between steps
+    (Phi_L U Phi_R = F_L D_L (F_L^dag U F_R) D_R F_R^dag), so each projector
+    phase is the row scaling D(chi): e^{i chi} on the first rank rows and
+    e^{-i chi} on the rest.  The lists share one (N, lists, cols) stack and
+    one matrix product per step.  ``range_only`` carries only the columns of
+    range(P_R), otherwise every column.  Returns (W, out_rank,
+    out_frame, right_frame) with V_j = out_frame W[:, j] right_frame^dag; the
+    projector angles chi are the phases shifted by the reflection offsets,
+    which leave the encoded block with no stray global phase.
+    """
+    chi = np.array(phase_lists, dtype=float)
+    chi += _reflection_offsets(chi.shape[1] - 1)
+    d = chi.shape[1] - 1
+    rank_r, frame_r = _frame(encoding.proj_right)
+    rank_l, frame_l = _frame(encoding.proj_left)
+    u = _into(encoding.unitary, frame_l, frame_r)
+    u_dag = np.ascontiguousarray(u.conj().T)
+    n = u.shape[0]
+    width = rank_r if range_only else n
+
+    def scale(w, rank, angles):
+        w[:rank] *= np.exp(1j * angles)[:, None]
+        w[rank:] *= np.exp(-1j * angles)[:, None]
+
+    w = np.zeros((n, len(chi), width), dtype=complex)
+    w[np.arange(width), :, np.arange(width)] = 1.0  # identity columns, per list
+    scale(w, rank_r, chi[:, d])
+    spare = np.empty_like(w)
     for k in range(d - 1, -1, -1):
-        applied = d - k  # U factors applied once this slot is added
-        op = u if applied % 2 == 1 else u.conj().T
-        proj = pr if applied % 2 == 0 else pl
-        v = projector_phase(proj, chi[k]) @ (op @ v)
-    return v
+        odd = (d - k) % 2 == 1  # U factors applied once this slot is added
+        np.matmul(u if odd else u_dag, w.reshape(n, -1), out=spare.reshape(n, -1))
+        w, spare = spare, w
+        scale(w, rank_l if odd else rank_r, chi[:, k])
+    if d % 2 == 0:
+        return w, rank_r, frame_r, frame_r
+    return w, rank_l, frame_l, frame_r
+
+
+def _full(prog: QsvtProgram, phase_lists):
+    """The dense products V of the phase lists, mapped out of the frame."""
+    w, _, out_frame, right_frame = _sweep(prog.encoding, phase_lists, range_only=False)
+    rows, cols = _inverse(out_frame), _inverse(right_frame)
+    return [_into(w[:, j], rows, cols) for j in range(len(phase_lists))]
 
 
 def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
     """Full product unitary; its block is the complex polynomial P^(SV)."""
-    return _phased_product(prog.encoding, prog.phases.as_array())
+    return _full(prog, [prog.phases.as_array()])[0]
 
 
-def _conjugate_pair(prog: QsvtProgram):
-    """(V(phi), V(-phi), output projector); the mean of the two blocks is Re(P).
+def _real_part_circuit(prog: QsvtProgram):
+    """(unitary, proj_right, proj_left) of the one-ancilla real-part circuit,
+    unvalidated, for callers that combine it further.
 
     For even degree the transform lives in the right singular vector space
     (the right projector on both sides); for odd degree it maps the right
     space into the left one.
     """
     phases = prog.phases.as_array()
+    v_plus, v_minus = _full(prog, [phases, -phases])
     enc = prog.encoding
     out_proj = enc.proj_right if prog.degree % 2 == 0 else enc.proj_left
-    return _phased_product(enc, phases), _phased_product(enc, -phases), out_proj
-
-
-def _real_part_circuit(prog: QsvtProgram):
-    """(unitary, proj_right, proj_left) of the one-ancilla real-part circuit,
-    unvalidated, for callers that combine it further."""
-    v_plus, v_minus, out_proj = _conjugate_pair(prog)
-    return _select(v_plus, v_minus), _lift(prog.encoding.proj_right), _lift(out_proj)
+    return _select(v_plus, v_minus), _lift(enc.proj_right), _lift(out_proj)
 
 
 def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
@@ -120,11 +173,13 @@ def transformed_block(prog: QsvtProgram) -> np.ndarray:
     """Re(P)^(SV) of the encoded block, in the projector-range bases.
 
     The block of the real-part circuit, 1/2 (V(phi) + V(-phi)) restricted to
-    the ranges of the program's (already validated) encoding, formed
-    without building the ancilla circuit.
+    the ranges of the program's (already validated) encoding: the sweep
+    carries only the range(P_R) columns of both products and keeps the
+    out-range rows, with no ancilla circuit.
     """
-    v_plus, v_minus, out_proj = _conjugate_pair(prog)
-    return _restrict(0.5 * (v_plus + v_minus), out_proj, prog.encoding.proj_right)
+    phases = prog.phases.as_array()
+    w, out_rank, _, _ = _sweep(prog.encoding, [phases, -phases], range_only=True)
+    return 0.5 * (w[:out_rank, 0] + w[:out_rank, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from qsvtsim import (
     shift_positive,
     signal_operator,
 )
+from qsvtsim.block_encoding import _gram_schmidt, _range_basis
 from qsvtsim.qsp_core import Basis
 
 
@@ -201,6 +202,25 @@ def test_extract_block_zero_projector(rng):
     be = qubitize_hermitian(random_hermitian(rng, 2), 1.0)
     zero = BlockEncoding(be.unitary, np.zeros_like(be.proj_right), np.zeros_like(be.proj_left))
     assert extract_block(zero).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda h: qubitize_hermitian(h, 1.0),
+        lambda h: embed_general(h + 0.3j * h @ h, 2.0),
+        lambda h: shift_positive(qubitize_hermitian(h, 1.0)),
+        lambda h: grover_signal(8),
+    ],
+    ids=["qubitize_hermitian", "embed_general", "shift_positive", "grover_signal"],
+)
+def test_coordinate_range_basis_is_the_gram_schmidt_basis(build, rng):
+    # the index fast path returns the loop's basis bit for bit
+    be = build(random_hermitian(rng, 3))
+    for p in (be.proj_right, be.proj_left):
+        fast, loop = _range_basis(p), _gram_schmidt(p)
+        assert fast.dtype == loop.dtype and fast.shape == loop.shape
+        assert fast.tobytes() == np.ascontiguousarray(loop).tobytes()
 
 
 def test_block_encoding_validation(rng):

@@ -8,6 +8,7 @@ import pytest
 
 from qsvtsim import (
     ChebyshevPoly,
+    DomainError,
     NoConvergence,
     Parity,
     SolverOptions,
@@ -28,6 +29,34 @@ def _interior_target(seed: int) -> ChebyshevPoly:
     coeffs[1::2] = rng.standard_normal(51) * np.exp(-k[1::2] / 25)
     target = ChebyshevPoly(coeffs, Parity.ODD)
     return target.scaled(0.9 / target.sup_norm())
+
+
+def _grid_unit_target(seed: int) -> ChebyshevPoly:
+    # odd degree-235 series with c_k = N(0, 1) exp(-k / 20), scaled to a
+    # sup of 1 on the certification grid; between grid points it is larger
+    rng = np.random.default_rng(seed)
+    k = np.arange(236)
+    coeffs = np.zeros(236)
+    coeffs[1::2] = rng.standard_normal(118) * np.exp(-k[1::2] / 20)
+    target = ChebyshevPoly(coeffs, Parity.ODD)
+    return target.scaled(1.0 / target.sup_norm())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_true_sup_beyond_tolerance_is_a_domain_error(seed):
+    # true sups 1 + 1.1e-5 and 1 + 8.0e-6: Newton used to end in NoConvergence
+    target = _grid_unit_target(seed)
+    assert target.sup_norm() <= 1.0 + 1e-9
+    with pytest.raises(DomainError, match="between grid points"):
+        solve_phases(target, SolverOptions(residual_tol=1e-6))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_true_sup_within_tolerance_solves(seed):
+    # true sups 1 + 2.1e-7 and 1 + 2.0e-7, inside the tolerance
+    target = _grid_unit_target(seed)
+    seq = solve_phases(target, SolverOptions(residual_tol=1e-6))
+    assert residual(seq, target) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsvtsim import (
+    BlockEncoding,
     CANONICAL,
     Basis,
     ChebyshevPoly,
@@ -24,7 +25,10 @@ from qsvtsim import (
     encoding_to_json,
     extract_block,
     hamiltonian_simulation,
+    projector_phase,
     qsvt_unitary,
+    real_part_encoding,
+    residual,
     qubitize_hermitian,
     response,
     response_many,
@@ -34,6 +38,7 @@ from qsvtsim import (
     svd_oracle,
     transformed_block,
 )
+from qsvtsim.qsp_core import _reflection_offsets
 
 
 def random_contraction(rng, dim, norm=0.95):
@@ -117,6 +122,65 @@ class TestOracleEquivalence:
         w, sigma, vh = np.linalg.svd(extract_block(enc))
         expect = w @ np.diag(response_many(seq, sigma).real) @ vh
         assert np.max(np.abs(block - expect)) <= 1e-9
+
+
+    def test_paper_scale_sign_transform(self):
+        # the degree-153 certified sign phases on a 64x64 contraction
+        a = random_contraction(np.random.default_rng(64), 64)
+        poly = sign_poly(0.01, 0.1)
+        assert poly.degree == 153
+        seq = solve_phases(poly)
+        block = transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
+        err = np.linalg.norm(block - svd_oracle(a, poly), 2)
+        assert err <= residual(seq, poly) + 1e-10
+
+
+class TestDenseFrame:
+    """An encoding whose projectors are not coordinate ones: the engine's
+    dense change of frame, which no constructor reaches."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = np.random.default_rng(6)
+        base = embed_general(random_contraction(rng, 6), 1.0)
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        q, _ = np.linalg.qr(g)
+        rotate = lambda m: q @ m @ q.conj().T
+        enc = BlockEncoding(rotate(base.unitary), rotate(base.proj_right), rotate(base.proj_left))
+        enc = encoding_from_json(encoding_to_json(enc))
+        poly = sign_poly(0.1, 0.4)
+        seq = solve_phases(poly)
+        return enc, poly, seq, base
+
+    def test_block_matches_svd_oracle(self, setup):
+        enc, poly, seq, _ = setup
+        block = transformed_block(QsvtProgram(enc, seq))
+        err = np.max(np.abs(block - svd_oracle(extract_block(enc), poly)))
+        assert err <= residual(seq, poly) + 1e-10
+
+    def test_real_part_encoding_block(self, setup):
+        enc, _, seq, _ = setup
+        prog = QsvtProgram(enc, seq)
+        block = extract_block(real_part_encoding(prog))
+        assert np.max(np.abs(block - transformed_block(prog))) <= 1e-12
+
+    def test_unitary(self, setup):
+        enc, _, seq, _ = setup
+        v = qsvt_unitary(QsvtProgram(enc, seq))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(12))) <= 1e-11
+
+    def test_unitary_is_the_literal_product(self, setup):
+        # reference: Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d), one dense
+        # projector phase per slot, for the rotated and the coordinate frame
+        enc_rotated, _, seq, base = setup
+        chi = seq.as_array() + _reflection_offsets(seq.degree)
+        for enc in (enc_rotated, base):
+            v = projector_phase(enc.proj_right, chi[-1])
+            for k in range(seq.degree - 1, -1, -1):
+                odd = (seq.degree - k) % 2 == 1
+                op = enc.unitary if odd else enc.unitary.conj().T
+                v = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ v
+            assert np.max(np.abs(qsvt_unitary(QsvtProgram(enc, seq)) - v)) <= 1e-13
 
 
 class TestEigenOracle:
