@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .block_encoding import (
+    DIM_CAP,
     BlockEncoding,
     _lift,
     _select,
@@ -597,6 +598,8 @@ def hamiltonian_simulation(
     evolution (the factor 1/2 is the encoding's alpha).
     """
     h = require_hermitian(h)
+    if 8 * len(h) > DIM_CAP:  # checked before any work: the output has dimension 8n
+        raise DomainError(f"output dimension {8 * len(h)} (8n) exceeds the cap {DIM_CAP}")
     if not 0.0 < epsilon < 1.0 / math.e:
         raise DomainError("epsilon must lie in (0, 1/e)")
     norm = np.linalg.norm(h, 2)
@@ -624,6 +627,8 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     returned encoding has alpha = 2 kappa.
     """
     a = np.asarray(a, dtype=complex)
+    if 4 * len(a) > DIM_CAP:  # checked before any work: the output has dimension 4n
+        raise DomainError(f"output dimension {4 * len(a)} (4n) exceeds the cap {DIM_CAP}")
     sigma = np.linalg.svd(a, compute_uv=False)
     if np.any(sigma > 1.0 + 1e-9) or np.any(sigma < 1.0 / kappa - 1e-9):
         raise ConditionViolated(

@@ -32,7 +32,7 @@ from .block_encoding import (
     matrix_to_json,
 )
 from .errors import DomainError, EmptyCurve, QsvtSimError
-from .phase_solver import SolverOptions, residual
+from .phase_solver import SolverOptions
 from .poly_approx import poly_to_json
 from .qsp_core import (
     phase_sequence_from_json,
@@ -145,7 +145,7 @@ def _emit_record(record, out: str | None):
 
 def _cmd_phases(args) -> int:
     kv = _parse_args_kv(args.args)
-    options = SolverOptions(residual_tol=args.residual_tol, rng_seed=args.seed)
+    options = SolverOptions(residual_tol=args.residual_tol)
     seq = families.family_phases(args.family, kv, options)
     text = phase_sequence_to_json(seq)
     if args.json:
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE")
     p.add_argument("--npts", type=int, default=400)
     p.add_argument("--residual-tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=1205, help="accepted; has no effect")
     p.set_defaults(func=_cmd_phases)
 
     p = sub.add_parser("poly", help="emit a family target polynomial")

@@ -20,7 +20,14 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, ParityError
 from .poly_approx import ChebyshevPoly, Parity, _true_sup
-from .qsp_core import CANONICAL, PhaseSequence, response_many
+from .qsp_core import (
+    CANONICAL,
+    PhaseSequence,
+    SignalKind,
+    _row_sweep,
+    _signal_entries,
+    response_many,
+)
 
 SUP_NUDGE = 1e-8
 # node-residual 2-norm that rounding leaves, per factor of the (d+1)-fold
@@ -32,24 +39,17 @@ DAMPINGS = 0.5 ** np.arange(11)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """``max_iterations`` caps the Newton steps per target variant.
-
-    ``restarts`` and ``rng_seed`` are accepted for compatibility and have
-    no effect: the Newton iteration has a single deterministic start.
-    """
+    """``max_iterations`` caps the Newton steps per target variant, and a
+    solve succeeds once its ``residual`` is at most ``residual_tol``."""
 
     # solved targets reach the rounding level (residuals of 2e-14 at degree
     # 153 and 1.4e-13 at degree 505), so the default tolerance has headroom
     max_iterations: int = 4000
     residual_tol: float = 1e-6
-    restarts: int = 6
-    rng_seed: int = 1205
 
     def __post_init__(self):
         if self.residual_tol <= 0.0:
             raise DomainError("residual_tol must be positive")
-        if self.restarts < 1:
-            raise DomainError("at least one restart is required")
 
 
 @dataclass(frozen=True)
@@ -79,42 +79,36 @@ class FixedPointParams:
 # Response and Jacobian, vectorized over signal nodes
 
 
-def _row_products(phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows (1, 1) S(phi_0) W S(phi_1) W ... S(phi_{k-1}) W for k = 0..d.
-
-    Shape (2, d + 1, m): the two entries of the row vector at each prefix
-    length and node, one batched row-times-2x2 step per phase.
-    """
-    d = len(phases) - 1
-    js = 1j * np.sqrt(1.0 - x * x)
-    e = np.exp(1j * phases)
-    rows = np.empty((2, d + 1, len(x)), dtype=complex)
-    rows[:, 0] = 1.0
-    for k in range(d):
-        top, bot = rows[0, k] * e[k], rows[1, k] * np.conj(e[k])
-        rows[0, k + 1] = x * top + js * bot
-        rows[1, k + 1] = js * top + x * bot
-    return rows
-
-
 def _response_jacobian(phases: np.ndarray, nodes: np.ndarray, need_jac: bool = True):
     """Re<+|U|+> at each node, optionally with d/dphi_k (analytic).
 
     U = S(phi_0) W S(phi_1) ... W S(phi_d) in the canonical Wx convention.
     With a = (1, 1) times the prefix before S(phi_k) and b = the suffix after
     it times (1, 1)^T, dU/dphi_k contributes Re(i e_k a_0 b_0 - i e_k^* a_1 b_1)
-    / 2.  W and S are symmetric, so b is the row product of the reversed
+    / 2.  W and S are symmetric, so b is the prefix row of the reversed
     phases; for a palindromic list that is a itself.
     """
-    d = len(phases) - 1
-    e = np.exp(1j * phases)[:, None]
-    a = _row_products(phases, nodes)
-    g = 0.5 * np.real(a[0, d] * e[d] + a[1, d] * np.conj(e[d]))
+    entries = _signal_entries(nodes, SignalKind.WX)
+    a = np.empty((2, len(phases), len(nodes)), dtype=complex) if need_jac else None
+    top, bot = _row_sweep(phases, entries, (1, 1), a)
+    g = 0.5 * np.real(top + bot)
     if not need_jac:
         return g, None
-    reverse = phases[::-1]
-    b = (a if np.array_equal(phases, reverse) else _row_products(reverse, nodes))[:, ::-1]
-    jac = 0.5 * np.real(1j * (e * a[0] * b[0] - np.conj(e) * a[1] * b[1]))
+    b = a
+    if not np.array_equal(phases, phases[::-1]):
+        b = np.empty_like(a)
+        _row_sweep(phases[::-1], entries, (1, 1), b)
+    b = b[:, ::-1]
+    # Re(i z) = -Im z; one complex (d + 1) x m buffer serves both terms, so no
+    # large temporaries are freed and faulted in again on every Newton trial
+    e = np.exp(1j * phases)[:, None]
+    term = e * a[0]
+    term *= b[0]
+    jac = term.imag.copy()
+    np.multiply(np.conj(e), a[1], out=term)
+    term *= b[1]
+    np.subtract(term.imag, jac, out=jac)
+    jac *= 0.5
     return g, jac.T
 
 
@@ -209,19 +203,16 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
     degree = target.degree
     half = (degree + 2) // 2
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
-    check_grid = np.linspace(-1.0, 1.0, 1001)
-    check_vals = target(check_grid)  # certification is against the raw target
-
     best_resid = np.inf
     spent = 0
     for variant in variants:
         phases, steps = _newton(variant(nodes), degree, nodes, options.max_iterations)
         spent += steps
-        g, _ = _response_jacobian(phases, check_grid, need_jac=False)
-        resid = float(np.max(np.abs(g - check_vals)))
+        seq = PhaseSequence(tuple(phases), CANONICAL)
+        resid = residual(seq, target)  # certification is against the raw target
         best_resid = min(best_resid, resid)
         if resid <= options.residual_tol:
-            return PhaseSequence(tuple(phases), CANONICAL)
+            return seq
     raise NoConvergence(
         f"best residual {best_resid:.3e} above tolerance "
         f"{options.residual_tol:.3e} after {spent} Newton iterations"

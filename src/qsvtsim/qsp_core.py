@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import DomainError, NotUnitary, ParityError, UnsupportedConversion, _json_field
 
@@ -124,26 +123,45 @@ def _require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     return m
 
 
-def _signal_matrices(values: np.ndarray, convention: Convention) -> np.ndarray:
-    """Signal rotations over an array (or 0-d array) of signal values."""
-    ws = np.zeros(values.shape + (2, 2), dtype=complex)
-    if convention.signal is SignalKind.WZ:
-        ws[..., 0, 0] = np.exp(0.5j * values)
-        ws[..., 1, 1] = np.conj(ws[..., 0, 0])
-        return ws
+def _signal_entries(values: np.ndarray, signal: SignalKind):
+    """(w00, w01, w11) of the symmetric signal rotation over an array (or
+    0-d array) of signal values; w00 and w11 are real.  WZ is given in the
+    Hadamard frame (H exp(i phi X) H = exp(i phi Z)), where its signal is
+    the x-rotation by theta, keeping the sign of sin(theta/2)."""
+    if signal is SignalKind.WZ:
+        c = np.cos(0.5 * values)
+        return c, 1j * np.sin(0.5 * values), c
     outside = values[np.abs(values) > 1.0 + 1e-12]
     if outside.size:
         raise DomainError(f"signal value {outside.flat[0]} outside [-1, 1]")
     av = np.clip(values, -1.0, 1.0)
     s = np.sqrt(1.0 - av * av)
-    ws[..., 0, 0] = av
-    if convention.signal is SignalKind.WX:
-        ws[..., 1, 1] = av
-        ws[..., 0, 1] = ws[..., 1, 0] = 1j * s
-    else:
-        ws[..., 1, 1] = -av
-        ws[..., 0, 1] = ws[..., 1, 0] = s
-    return ws
+    if signal is SignalKind.WX:
+        return av, 1j * s, av
+    return av, s, -av
+
+
+def _row_sweep(phases: np.ndarray, entries, row, prefixes: np.ndarray | None = None):
+    """The row vector ``row`` (a pair of start entries, broadcast against
+    the signal values) times S(phi_0) W S(phi_1) W ... W S(phi_d).
+
+    S(phi) = diag(e^{i phi}, e^{-i phi}) is a row scaling and W the
+    symmetric 2x2 of ``entries``, so each phase costs a few vector updates.
+    Returns the two final entries; ``prefixes``, of shape (2, d + 1) +
+    values shape, if given, receives the row before each S(phi_k).
+    """
+    w00, w01, w11 = entries
+    e = np.exp(1j * np.asarray(phases, dtype=float))
+    ec = np.conj(e)
+    shape = np.broadcast(w00, *row).shape
+    r0, r1 = (np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in row)
+    for k in range(len(e)):
+        if prefixes is not None:
+            prefixes[0, k], prefixes[1, k] = r0, r1
+        top, bot = r0 * e[k], r1 * ec[k]
+        if k < len(e) - 1:
+            r0, r1 = w00 * top + w01 * bot, w01 * top + w11 * bot
+    return top, bot
 
 
 def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -153,7 +171,11 @@ def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
     for WZ it is the rotation angle theta, with a = cos(theta/2) the
     bridging variable.
     """
-    return _require_unitary(_signal_matrices(np.asarray(float(a)), convention))
+    a = float(a)
+    if convention.signal is SignalKind.WZ:
+        return _require_unitary(np.diag([np.exp(0.5j * a), np.exp(-0.5j * a)]))
+    w00, w01, w11 = _signal_entries(np.asarray(a), convention.signal)
+    return _require_unitary(np.array([[w00, w01], [w01, w11]], dtype=complex))
 
 
 def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -165,34 +187,36 @@ def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.nd
     return np.array([[c, 1j * s], [1j * s, c]])
 
 
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
-    """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)]."""
-    return _require_unitary(_evaluate_many(seq, float(a)), 1e-11)
+    """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)].
 
-
-def _evaluate_many(seq: PhaseSequence, values) -> np.ndarray:
-    """Sequence unitaries over an array (or scalar) of signal values."""
-    ws = _signal_matrices(np.asarray(values, dtype=float), seq.convention)
-    u = np.broadcast_to(processing_operator(seq.phases[0], seq.convention), ws.shape).copy()
-    for phi in seq.phases[1:]:
-        u = u @ ws @ processing_operator(phi, seq.convention)
-    return u
+    Its rows are two sweeps from the unit rows, run side by side; WZ maps
+    back out of the Hadamard frame.
+    """
+    entries = _signal_entries(np.full(2, float(a)), seq.convention.signal)
+    u = np.array(_row_sweep(seq.as_array(), entries, ([1, 0], [0, 1]))).T
+    if seq.convention.signal is SignalKind.WZ:
+        u = _H @ u @ _H
+    return _require_unitary(u, 1e-11)
 
 
 def response(seq: PhaseSequence, a: float) -> complex:
     """Matrix element of the sequence unitary in the convention's basis."""
-    u = evaluate_sequence(seq, a)
-    if seq.convention.basis is Basis.ZERO_ZERO:
-        return complex(u[0, 0])
-    return complex(0.5 * u.sum())
+    return complex(response_many(seq, float(a)))
 
 
 def response_many(seq: PhaseSequence, values) -> np.ndarray:
-    """Vectorized response over an array of signal values."""
-    u = _evaluate_many(seq, np.asarray(values, dtype=float))
-    if seq.convention.basis is Basis.ZERO_ZERO:
-        return u[..., 0, 0]
-    return 0.5 * u.sum(axis=(-2, -1))
+    """Vectorized response: one row sweep from <0| or <+| (WZ's <0| is <+|
+    in the Hadamard frame), read against the same vector."""
+    conv = seq.convention
+    entries = _signal_entries(np.asarray(values, dtype=float), conv.signal)
+    if conv.basis is Basis.PLUS_PLUS or conv.signal is SignalKind.WZ:
+        top, bot = _row_sweep(seq.as_array(), entries, (1, 1))
+        return 0.5 * (top + bot)
+    return _row_sweep(seq.as_array(), entries, (1, 0))[0]
 
 
 def response_curve(seq: PhaseSequence, grid) -> list:
@@ -274,16 +298,13 @@ def pq_from_sequence(seq: PhaseSequence):
     n = 2 * (d + 2)
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
     a = np.cos(theta)
-    u = _evaluate_many(seq, a)
-    p_vals = u[:, 0, 0]
-    p_coeffs = cheb.chebfit(a, p_vals, d)
-    s = np.sin(theta)
-    q_vals = u[:, 0, 1] / (1j * s)
-    # U_{k-1}(cos t) = sin(k t) / sin(t)
-    k = np.arange(1, d + 1)
-    design = np.sin(np.outer(theta, k)) / s[:, None]
-    q_tail, *_ = np.linalg.lstsq(design, q_vals, rcond=None)
-    q_coeffs = np.concatenate([[0.0 + 0j], q_tail])
+    # row 0 of the unitary is (P, i*Q*s), with i*Q*s = i * sum_k q_k sin(k theta)
+    p_vals, row_q = _row_sweep(seq.as_array(), _signal_entries(a, SignalKind.WX), (1, 0))
+    # cos(k theta) and sin(k theta), k <= d < n, are orthogonal on these angles
+    k = np.arange(d + 1)
+    p_coeffs = (2.0 / n) * np.cos(np.outer(k, theta)) @ p_vals
+    p_coeffs[0] /= 2
+    q_coeffs = (2.0 / n) * np.sin(np.outer(k, theta)) @ (row_q / 1j)
     return p_coeffs, q_coeffs
 
 

@@ -19,29 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_encoding import BlockEncoding, _coordinate_range, _lift, _range_basis, _select
-from .errors import DomainError, NotHermitian, NotUnit, UnsupportedConversion
+from .errors import DomainError, NotHermitian, NotUnit
 from .poly_approx import ChebyshevPoly, Parity
-from .qsp_core import (
-    CANONICAL,
-    Basis,
-    Convention,
-    PhaseSequence,
-    SignalKind,
-    _reflection_offsets,
-    convert_convention,
-)
-
-
-def _to_canonical(seq: PhaseSequence) -> PhaseSequence:
-    if seq.convention == CANONICAL:
-        return seq
-    if seq.convention == Convention.wz():
-        return convert_convention(seq, CANONICAL)
-    if seq.convention.signal is SignalKind.REFLECTION and seq.convention.basis is Basis.PLUS_PLUS:
-        return convert_convention(seq, CANONICAL)
-    raise UnsupportedConversion(
-        "engine phases must be convertible to the (wx, sz, ++) convention"
-    )
+from .qsp_core import CANONICAL, PhaseSequence, _reflection_offsets, convert_convention
 
 
 @dataclass(frozen=True)
@@ -52,7 +32,7 @@ class QsvtProgram:
     phases: PhaseSequence
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", _to_canonical(self.phases))
+        object.__setattr__(self, "phases", convert_convention(self.phases, CANONICAL))
 
     @property
     def degree(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ class TestHamiltonianSimulation:
         with pytest.raises(DomainError):
             hamiltonian_simulation(np.eye(2) * 0.5, 1.0, 1.0, 0.5)
 
+    def test_dimension_cap_is_checked_first(self, rng):
+        # the output has dimension 8n, so n = 129 breaks the 1024 cap
+        g = rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))
+        h = (g + g.conj().T) / 2
+        h *= 0.9 / np.linalg.norm(h, 2)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="dimension 1032 .* exceeds the cap 1024"):
+            hamiltonian_simulation(h, 1.0, 5.0, 1e-3)
+        assert time.perf_counter() - start < 0.05
+
 
 class TestMatrixInversion:
     def test_diagonal_example(self):
@@ -269,6 +280,13 @@ class TestMatrixInversion:
     def test_condition_validation(self):
         with pytest.raises(ConditionViolated):
             matrix_inversion(np.diag([0.1, 1.0]).astype(complex), 2.0, 0.05)
+
+    def test_dimension_cap_is_checked_first(self):
+        # the output has dimension 4n, so n = 257 breaks the 1024 cap
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="dimension 1028 .* exceeds the cap 1024"):
+            matrix_inversion(0.5 * np.eye(257, dtype=complex), 3.0, 0.05)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_run_record_json_roundtrip():

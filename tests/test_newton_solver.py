@@ -104,13 +104,6 @@ def test_unattainable_tolerance_fails_fast():
     assert "restart" not in message
 
 
-def test_restarts_and_seed_are_inert():
-    target = _interior_target(0)
-    base = solve_phases(target)
-    other = solve_phases(target, SolverOptions(restarts=1, rng_seed=99))
-    assert base.phases == other.phases
-
-
 @pytest.mark.parametrize("degree", [6, 7])
 def test_symmetric_jacobian_matches_finite_differences(degree, rng):
     # the palindromic fast path of _response_jacobian and the mirror sum

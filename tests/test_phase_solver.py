@@ -84,8 +84,8 @@ class TestSolvePhases:
 
     def test_deterministic_bitwise(self):
         target = ChebyshevPoly([0, 0.3, 0, 0.4], Parity.ODD)
-        a = solve_phases(target, SolverOptions(rng_seed=7))
-        b = solve_phases(target, SolverOptions(rng_seed=7))
+        a = solve_phases(target)
+        b = solve_phases(target)
         assert a.phases == b.phases
 
     def test_rejects_bad_targets(self):
@@ -106,7 +106,7 @@ class TestSolvePhases:
             # below machine precision: unattainable by construction
             solve_phases(
                 target,
-                SolverOptions(max_iterations=1, residual_tol=1e-17, restarts=1),
+                SolverOptions(max_iterations=1, residual_tol=1e-17),
             )
 
 

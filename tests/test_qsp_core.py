@@ -218,3 +218,76 @@ def test_phase_sequence_validation_and_json():
     seq = PhaseSequence((0.25, -1.5, 2.0), Convention.wz())
     again = phase_sequence_from_json(phase_sequence_to_json(seq))
     assert again == seq
+
+
+ALL_CONVENTIONS = [
+    CANONICAL,
+    WX00,
+    Convention.reflection(Basis.ZERO_ZERO),
+    Convention.reflection(Basis.PLUS_PLUS),
+    Convention.wz(),
+]
+
+
+def _literal_unitaries(phases, values, convention):
+    """S(phi_0) W S(phi_1) ... W S(phi_d) at each value, multiplied out from
+    the public operator matrices."""
+    out = []
+    for v in values:
+        w = signal_operator(v, convention)
+        u = processing_operator(phases[0], convention)
+        for phi in phases[1:]:
+            u = u @ w @ processing_operator(phi, convention)
+        out.append(u)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "convention", ALL_CONVENTIONS, ids=lambda c: f"{c.signal.value}-{c.basis.value}"
+)
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 101])
+def test_sweep_matches_literal_product(convention, degree):
+    rng = np.random.default_rng(1000 + degree)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    seq = PhaseSequence(tuple(phases), convention)
+    if convention == Convention.wz():
+        # theta in (2 pi, 4 pi) and theta < 0 give sin(theta/2) < 0
+        values = np.concatenate([
+            rng.uniform(0.0, 2 * np.pi, 8),
+            rng.uniform(2 * np.pi, 4 * np.pi, 8),
+            rng.uniform(-4 * np.pi, 0.0, 8),
+            [0.0, np.pi, 2 * np.pi, 3 * np.pi],
+        ])
+    else:
+        values = np.concatenate([rng.uniform(-1.0, 1.0, 24), [-1.0, 0.0, 1.0]])
+    u = _literal_unitaries(phases, values, convention)
+    if convention.basis is Basis.ZERO_ZERO:
+        expected = u[:, 0, 0]
+    else:
+        expected = 0.5 * u.sum(axis=(1, 2))
+    assert np.max(np.abs(response_many(seq, values) - expected)) <= 1e-14
+    for v, ref in zip(values[::6], u[::6]):
+        assert np.max(np.abs(evaluate_sequence(seq, v) - ref)) <= 1e-14
+
+    # (P, Q) are those of the WX sequence, converted from a reflection one;
+    # WZ, and odd degree in the ++ basis, have no WX form in their basis
+    wx = Convention.wx(convention.basis)
+    odd_plus = convention.basis is Basis.PLUS_PLUS and degree % 2 == 1
+    if convention == Convention.wz() or (convention != wx and odd_plus):
+        with pytest.raises(UnsupportedConversion):
+            pq_from_sequence(seq)
+        return
+    wx_phases = convert_convention(seq, wx).as_array()
+    p, q = pq_from_sequence(seq)
+    # reference coefficients by discrete orthogonality of cos(k theta) and
+    # sin(k theta) on n > d first-kind Chebyshev angles:
+    # P = sum p_k T_k(cos theta) and i Q sqrt(1 - a^2) = i sum q_k sin(k theta)
+    n = 2 * (degree + 2)
+    theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+    u = _literal_unitaries(wx_phases, np.cos(theta), WX00)
+    k = np.arange(degree + 1)
+    p_ref = (2.0 / n) * np.cos(np.outer(k, theta)) @ u[:, 0, 0]
+    p_ref[0] /= 2
+    q_ref = (2.0 / n) * np.sin(np.outer(k, theta)) @ (u[:, 0, 1] / 1j)
+    assert np.max(np.abs(p - p_ref)) <= 1e-14
+    assert np.max(np.abs(q - q_ref)) <= 1e-14
