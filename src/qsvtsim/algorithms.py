@@ -42,6 +42,7 @@ from .poly_approx import (
     eigenvalue_threshold_poly,
     jacobi_anger_cos,
     jacobi_anger_sin,
+    matrix_inversion_poly,
     phase_estimation_poly,
     sign_poly,
     solve_truncation,
@@ -49,9 +50,9 @@ from .poly_approx import (
 from .qsp_core import PhaseSequence
 from .qsvt_engine import QsvtProgram, _real_part_circuit, real_part_encoding, transformed_block
 
-# step-like targets touch the unit bound, where synthesis floors out around
-# 1e-6 at high degree; every algorithm here budgets polynomial error >= 5e-3,
-# so the internal tolerance stays far below any consumer's epsilon
+# every algorithm here budgets polynomial error >= 5e-3, so the internal
+# tolerance stays far below any consumer's epsilon; step-like targets touch
+# the unit bound and certify at about half this tolerance
 _SOLVE = SolverOptions(residual_tol=1e-4)
 _LOOP_CAP = 1000
 
@@ -108,28 +109,17 @@ class PhaseEstimate:
 # Cached phase synthesis (deterministic, so safe to memoize)
 
 
-@lru_cache(maxsize=128)
-def _sign_phases(epsilon: float, delta: float) -> PhaseSequence:
-    return solve_phases(sign_poly(epsilon, delta), _SOLVE)
+@lru_cache(maxsize=512)
+def _phases(constructor, *args) -> PhaseSequence:
+    """Phases of the target ``constructor(*args)``, solved once per key."""
+    return solve_phases(constructor(*args), _SOLVE)
 
 
-@lru_cache(maxsize=128)
-def _threshold_phases(epsilon: float, delta: float, cut: float) -> PhaseSequence:
-    return solve_phases(eigenvalue_threshold_poly(epsilon, delta, cut), _SOLVE)
-
-
-@lru_cache(maxsize=128)
-def _pe_phases(epsilon: float, delta: float) -> PhaseSequence:
-    return solve_phases(phase_estimation_poly(epsilon, delta), _SOLVE)
-
-
-@lru_cache(maxsize=128)
 def _hamsim_phases(t: float, epsilon: float):
     # quarter-budget truncations: each rescaled component is epsilon/2
     # accurate, so the cos - i sin combination meets epsilon overall
-    cos_part = jacobi_anger_cos(t, epsilon / 4.0)
-    sin_part = jacobi_anger_sin(t, epsilon / 4.0)
-    return solve_phases(cos_part, _SOLVE), solve_phases(sin_part, _SOLVE)
+    return (_phases(jacobi_anger_cos, t, epsilon / 4.0),
+            _phases(jacobi_anger_sin, t, epsilon / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +149,7 @@ def qsvt_search(
         big_delta = 1.5 / math.sqrt(n)
     if big_delta > 2.0 / math.sqrt(n) + 1e-12:
         raise DomainError("the transition width must satisfy Delta <= 2/sqrt(N)")
-    phases = _sign_phases(delta / 2.0, big_delta)
+    phases = _phases(sign_poly, delta / 2.0, big_delta)
     prog = QsvtProgram(grover_signal(n), phases)
     enc = real_part_encoding(prog)
     # basis order: (ancilla 0/1) x (marked, unmarked); input is the start state
@@ -233,7 +223,7 @@ def eigenvalue_threshold(
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
-    phases = _threshold_phases(epsilon, width, cut)
+    phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
     enc = shift_positive(qubitize_hermitian(h, alpha))
     block = transformed_block(QsvtProgram(enc, phases))
     u = block @ psi
@@ -348,7 +338,7 @@ def _run_phase_estimation(
     first (and only transition-vulnerable) bit's votes come out ambiguous,
     then rounds the deeper estimate back to n bits.
     """
-    phases = _pe_phases(epsilon, big_delta)
+    phases = _phases(phase_estimation_poly, epsilon, big_delta)
     degree = phases.degree
     if block_fn is None:
         def block_fn(j, theta_frac):
@@ -484,7 +474,7 @@ def _modmul_unitary(x: int, n_mod: int) -> np.ndarray:
 def _order_block(x: int, n_mod: int, j: int, theta_num: int, theta_den: int,
                  epsilon: float, big_delta: float) -> np.ndarray:
     u = _modmul_unitary(x, n_mod)
-    phases = _pe_phases(epsilon, big_delta)
+    phases = _phases(phase_estimation_poly, epsilon, big_delta)
     theta = (theta_num / theta_den) % 2.0
     block = transformed_block(QsvtProgram(phase_oracle_block(u, j, theta), phases))
     block.setflags(write=False)
@@ -634,13 +624,6 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
         raise ConditionViolated(
             f"singular values {np.round(sigma, 6)} leave [1/kappa, 1]"
         )
-    phases = _mi_phases(epsilon, kappa)
+    phases = _phases(matrix_inversion_poly, epsilon, kappa)
     enc = embed_general(a.conj().T, 1.0)
     return BlockEncoding(*_real_part_circuit(QsvtProgram(enc, phases)), 2.0 * kappa)
-
-
-@lru_cache(maxsize=32)
-def _mi_phases(epsilon: float, kappa: float) -> PhaseSequence:
-    from .poly_approx import matrix_inversion_poly
-
-    return solve_phases(matrix_inversion_poly(epsilon, kappa), _SOLVE)

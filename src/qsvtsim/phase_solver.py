@@ -7,8 +7,10 @@ a solution), so a degree-d target has (d + 2) // 2 unknowns; requiring the
 response to equal the target at as many positive Chebyshev nodes gives a
 square system, solved by damped Newton's method from (pi/4, 0, ..., 0, pi/4)
 (symmetric QSP; Dong, Lin, Ni & Wang, arXiv:2307.12468).  No restarts are
-needed.  Phase solutions are not unique, so callers should compare response
-functions rather than phase lists.
+needed.  A target whose sup comes within half the tolerance of 1 is solved
+scaled just inside the bound, so its residual is about that half rather
+than the rounding level.  Phase solutions are not unique, so callers should
+compare response functions rather than phase lists.
 """
 
 from __future__ import annotations
@@ -29,22 +31,19 @@ from .qsp_core import (
     response_many,
 )
 
-SUP_NUDGE = 1e-8
 # node-residual 2-norm that rounding leaves, per factor of the (d+1)-fold
 # product (the residual of converged phases levels off at 0.3 to 0.5 times
-# this), and the step fractions Newton tries in turn
+# this), the step fractions Newton tries in turn, and its step budget (the
+# certified targets up to degree 512 take at most 58 steps)
 ROUNDING = 2 * np.finfo(float).eps
 DAMPINGS = 0.5 ** np.arange(11)
+MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """``max_iterations`` caps the Newton steps per target variant, and a
-    solve succeeds once its ``residual`` is at most ``residual_tol``."""
+    """A solve succeeds once its ``residual`` is at most ``residual_tol``."""
 
-    # solved targets reach the rounding level (residuals of 2e-14 at degree
-    # 153 and 1.4e-13 at degree 505), so the default tolerance has headroom
-    max_iterations: int = 4000
     residual_tol: float = 1e-6
 
     def __post_init__(self):
@@ -127,24 +126,28 @@ def _symmetric_response(sym: np.ndarray, degree: int, nodes: np.ndarray):
     return g, out
 
 
-def _newton(targets: np.ndarray, degree: int, nodes: np.ndarray, max_iterations: int):
+def _newton(target: ChebyshevPoly):
     """Damped Newton's method on the square symmetric system from
-    (pi/4, 0, ..., 0).
+    (pi/4, 0, ..., 0), one equation per positive Chebyshev node.
 
     Each step is halved until it shrinks the 2-norm of the node residual
     (the Newton direction always descends it) by more than rounding can.
-    Stops at ``max_iterations``, once the residual is down to rounding, or
+    Stops after ``MAX_STEPS``, once the residual is down to rounding, or
     when no damping down to 2^-10 shrinks it; returns the palindromic phases
     and the number of steps taken.
     """
+    degree = target.degree
+    half = (degree + 2) // 2
+    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    targets = target(nodes)
     rounding = ROUNDING * (degree + 1)
-    sym = np.zeros(len(nodes))
+    sym = np.zeros(half)
     sym[0] = np.pi / 4
     g, jac = _symmetric_response(sym, degree, nodes)
     resid = g - targets
     size = np.linalg.norm(resid)
     steps = 0
-    while steps < max_iterations and size > rounding:
+    while steps < MAX_STEPS and size > rounding:
         try:
             step = np.linalg.solve(jac, resid)
         except np.linalg.LinAlgError:
@@ -162,16 +165,19 @@ def _newton(targets: np.ndarray, degree: int, nodes: np.ndarray, max_iterations:
     return _expand_symmetric(sym, degree), steps
 
 
-def _solve_variants(target: ChebyshevPoly, residual_tol: float):
-    """The target itself, plus a nudged copy for boundary-touching targets.
+def _nudged(target: ChebyshevPoly, residual_tol: float) -> ChebyshevPoly:
+    """The target Newton solves: the target itself, or, when its sup comes
+    within eta of 1, its copy scaled to sup 1 - eta.
 
-    Targets with sup norm at 1 sit on the numerically singular edge of the
-    feasible set; some (the pure Chebyshev responses) still admit exact
-    solutions, so the raw target is attempted first and the copy scaled to
-    sup (1 - 1e-8) serves as the fallback.  The sup is the true one, which
-    can exceed the certification grid's between grid points; past
-    1 + residual_tol no QSP response (always bounded by 1) meets the
-    tolerance, so such a target is a domain error.
+    At |f| = 1 the Newton root is singular and convergence only linear
+    (Dong, Lin, Ni & Wang, arXiv:2307.12468), so a target touching the
+    bound is solved at a small distance eta from it, which its residual
+    against the raw target then carries.  eta = min(tol, 1 + tol - sup) / 2
+    leaves half the tolerance for Newton, and less headroom when the sup is
+    already above 1.  The sup is the true one, which can exceed the
+    certification grid's between grid points; past 1 + residual_tol no QSP
+    response (always bounded by 1) meets the tolerance, so such a target is
+    a domain error.
     """
     if target.parity is Parity.NONE:
         raise ParityError("phase synthesis requires a parity-definite target")
@@ -185,38 +191,29 @@ def _solve_variants(target: ChebyshevPoly, residual_tol: float):
             f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "
             f"{sup - 1.0:.3e}, more than residual_tol {residual_tol:.1e}"
         )
-    variants = [target]
-    if sup > 1.0 - SUP_NUDGE:
-        variants.append(target.scaled((1.0 - SUP_NUDGE) / sup))
-    return variants
+    eta = 0.5 * min(residual_tol, 1.0 + residual_tol - sup)
+    if sup <= 1.0 - eta:
+        return target
+    return target.scaled((1.0 - eta) / sup)
 
 
 def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()) -> PhaseSequence:
     """Phases whose canonical response matches the target polynomial.
 
-    Deterministic; each variant of the target gets one Newton run, and the
-    first whose phases reach ``residual_tol`` (max response error against
-    the raw target on a 1001-point grid) wins.  Raises NoConvergence, naming
-    the best residual and the Newton steps spent, when none does.
+    Deterministic: one Newton run on the (possibly nudged) target, whose
+    phases succeed when they reach ``residual_tol`` (max response error
+    against the raw target on a 1001-point grid).  Raises NoConvergence,
+    naming that residual and the Newton steps spent, when they do not.
     """
-    variants = _solve_variants(target, options.residual_tol)
-    degree = target.degree
-    half = (degree + 2) // 2
-    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
-    best_resid = np.inf
-    spent = 0
-    for variant in variants:
-        phases, steps = _newton(variant(nodes), degree, nodes, options.max_iterations)
-        spent += steps
-        seq = PhaseSequence(tuple(phases), CANONICAL)
-        resid = residual(seq, target)  # certification is against the raw target
-        best_resid = min(best_resid, resid)
-        if resid <= options.residual_tol:
-            return seq
-    raise NoConvergence(
-        f"best residual {best_resid:.3e} above tolerance "
-        f"{options.residual_tol:.3e} after {spent} Newton iterations"
-    )
+    phases, steps = _newton(_nudged(target, options.residual_tol))
+    seq = PhaseSequence(tuple(phases), CANONICAL)
+    resid = residual(seq, target)  # certification is against the raw target
+    if resid > options.residual_tol:
+        raise NoConvergence(
+            f"best residual {resid:.3e} above tolerance "
+            f"{options.residual_tol:.3e} after {steps} Newton iterations"
+        )
+    return seq
 
 
 def residual(seq: PhaseSequence, target: ChebyshevPoly) -> float:

@@ -290,16 +290,20 @@ def pq_from_sequence(seq: PhaseSequence):
 
     The unitary is [[P, i*Q*s], [i*conj(Q)*s, conj(P)]] with s = sqrt(1-a^2);
     P is returned in the T_k basis (length d+1) and Q in the U_{k-1} basis
-    (length d+1, q_0 = 0).
+    (length d+1, q_0 = 0).  (P, Q) is row 0, which no readout basis
+    changes: WZ phases are the WX sequence in the Hadamard frame, and
+    reflection phases map to WX through their 00-basis offsets (at odd
+    degree the left Z factor between the two unitaries changes row 1 only).
     """
-    if seq.convention.signal is not SignalKind.WX:
-        seq = convert_convention(seq, Convention.wx(seq.convention.basis))
     d = seq.degree
+    phases = seq.as_array()
+    if seq.convention.signal is SignalKind.REFLECTION:
+        phases = phases - _reflection_offsets(d)
     n = 2 * (d + 2)
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
     a = np.cos(theta)
     # row 0 of the unitary is (P, i*Q*s), with i*Q*s = i * sum_k q_k sin(k theta)
-    p_vals, row_q = _row_sweep(seq.as_array(), _signal_entries(a, SignalKind.WX), (1, 0))
+    p_vals, row_q = _row_sweep(phases, _signal_entries(a, SignalKind.WX), (1, 0))
     # cos(k theta) and sin(k theta), k <= d < n, are orthogonal on these angles
     k = np.arange(d + 1)
     p_coeffs = (2.0 / n) * np.cos(np.outer(k, theta)) @ p_vals

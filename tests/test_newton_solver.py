@@ -11,14 +11,17 @@ from qsvtsim import (
     DomainError,
     NoConvergence,
     Parity,
+    PhaseSequence,
     SolverOptions,
+    eigenvalue_threshold_poly,
     extract_block,
     hamiltonian_simulation,
+    phase_estimation_poly,
     residual,
     sign_poly,
     solve_phases,
 )
-from qsvtsim.phase_solver import _response_jacobian, _symmetric_response
+from qsvtsim.phase_solver import _newton, _nudged, _response_jacobian, _symmetric_response
 
 
 def _interior_target(seed: int) -> ChebyshevPoly:
@@ -57,6 +60,38 @@ def test_true_sup_within_tolerance_solves(seed):
     target = _grid_unit_target(seed)
     seq = solve_phases(target, SolverOptions(residual_tol=1e-6))
     assert residual(seq, target) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, tol", [(0, 1.5e-5), (1, 1.2e-5)])
+def test_true_sup_above_half_tolerance_solves(seed, tol):
+    # true sup - 1 (1.1e-5, 8.0e-6) is above tol / 2, so the nudge must keep
+    # to the headroom 1 + tol - sup rather than take tol / 2
+    target = _grid_unit_target(seed)
+    seq = solve_phases(target, SolverOptions(residual_tol=tol))
+    assert residual(seq, target) <= tol
+
+
+@pytest.mark.parametrize("make, degree", [
+    (lambda: eigenvalue_threshold_poly(1e-6, 0.2, 0.5), 312),
+    (lambda: phase_estimation_poly(1e-4, 0.1), 342),
+], ids=["threshold", "phase_estimation"])
+def test_unit_bound_steps_under_a_second(make, degree):
+    # plateaus at +-1 make the Newton root singular; solved raw, these took
+    # 1098 and 210 steps (10 s and 1.6 s)
+    target = make()
+    assert target.degree == degree
+    start = time.perf_counter()
+    seq = solve_phases(target)
+    assert time.perf_counter() - start < 1.0
+    assert residual(seq, target) <= 1e-6
+
+
+def test_threshold_newton_steps_within_budget():
+    # 24 steps on one BLAS thread, far inside the budget of 100
+    target = eigenvalue_threshold_poly(1e-6, 0.2, 0.5)
+    phases, steps = _newton(_nudged(target, 1e-6))
+    assert steps <= 40
+    assert residual(PhaseSequence(tuple(phases)), target) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -106,7 +106,7 @@ class TestSolvePhases:
             # below machine precision: unattainable by construction
             solve_phases(
                 target,
-                SolverOptions(max_iterations=1, residual_tol=1e-17),
+                SolverOptions(residual_tol=1e-17),
             )
 
 

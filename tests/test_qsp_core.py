@@ -269,22 +269,20 @@ def test_sweep_matches_literal_product(convention, degree):
     for v, ref in zip(values[::6], u[::6]):
         assert np.max(np.abs(evaluate_sequence(seq, v) - ref)) <= 1e-14
 
-    # (P, Q) are those of the WX sequence, converted from a reflection one;
-    # WZ, and odd degree in the ++ basis, have no WX form in their basis
-    wx = Convention.wx(convention.basis)
-    odd_plus = convention.basis is Basis.PLUS_PLUS and degree % 2 == 1
-    if convention == Convention.wz() or (convention != wx and odd_plus):
-        with pytest.raises(UnsupportedConversion):
-            pq_from_sequence(seq)
-        return
-    wx_phases = convert_convention(seq, wx).as_array()
+    # (P, Q) is row 0 of the sequence unitary, which no readout basis
+    # changes; WZ's is read in the Hadamard frame, where the signal angle
+    # 2 theta is the WX signal a = cos(theta)
     p, q = pq_from_sequence(seq)
     # reference coefficients by discrete orthogonality of cos(k theta) and
     # sin(k theta) on n > d first-kind Chebyshev angles:
     # P = sum p_k T_k(cos theta) and i Q sqrt(1 - a^2) = i sum q_k sin(k theta)
     n = 2 * (degree + 2)
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
-    u = _literal_unitaries(wx_phases, np.cos(theta), WX00)
+    if convention == Convention.wz():
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        u = h @ _literal_unitaries(phases, 2 * theta, convention) @ h
+    else:
+        u = _literal_unitaries(phases, np.cos(theta), convention)
     k = np.arange(degree + 1)
     p_ref = (2.0 / n) * np.cos(np.outer(k, theta)) @ u[:, 0, 0]
     p_ref[0] /= 2

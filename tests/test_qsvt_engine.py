@@ -133,6 +133,10 @@ class TestOracleEquivalence:
         block = transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
         err = np.linalg.norm(block - svd_oracle(a, poly), 2)
         assert err <= residual(seq, poly) + 1e-10
+        # the phases' own response per singular value, free of the residual
+        w, sigma, vh = np.linalg.svd(a)
+        expect = w @ np.diag(response_many(seq, sigma).real) @ vh
+        assert np.max(np.abs(block - expect)) <= 1e-12
 
 
 class TestDenseFrame:
@@ -157,6 +161,10 @@ class TestDenseFrame:
         block = transformed_block(QsvtProgram(enc, seq))
         err = np.max(np.abs(block - svd_oracle(extract_block(enc), poly)))
         assert err <= residual(seq, poly) + 1e-10
+        # the phases' own response per singular value, free of the residual
+        w, sigma, vh = np.linalg.svd(extract_block(enc))
+        expect = w @ np.diag(response_many(seq, sigma).real) @ vh
+        assert np.max(np.abs(block - expect)) <= 1e-12
 
     def test_real_part_encoding_block(self, setup):
         enc, _, seq, _ = setup
