@@ -35,18 +35,32 @@ def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitary("expected a square matrix")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
+    if not defect <= tol:  # a NaN or inf defect fails too
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return u
+
+
+def _coordinate_range(projector: np.ndarray) -> np.ndarray | None:
+    """Ascending indices j with P = sum_j |j><j| when P is a diagonal 0/1
+    matrix (every constructor here makes such projectors), else None."""
+    diag = np.diagonal(projector)
+    if not np.all((diag == 0) | (diag == 1)):
+        return None
+    idx = np.flatnonzero(diag)
+    if np.count_nonzero(projector) != len(idx):
+        return None
+    return idx
 
 
 def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise NotProjector("expected a square matrix")
+    if _coordinate_range(p) is not None:
+        return p  # both defects of a diagonal 0/1 matrix are exactly 0
     herm = np.max(np.abs(p - p.conj().T))
     idem = np.max(np.abs(p @ p - p))
-    if herm > tol or idem > tol:
+    if not (herm <= tol and idem <= tol):
         raise NotProjector(
             f"projector defects: hermitian {herm:.3e}, idempotent {idem:.3e}"
         )
@@ -58,7 +72,7 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitian("expected a square matrix")
     defect = np.max(np.abs(h - h.conj().T))
-    if defect > tol:
+    if not defect <= tol:
         raise NotHermitian(f"hermitian defect {defect:.3e} exceeds {tol:.1e}")
     return h
 
@@ -70,6 +84,12 @@ class BlockEncoding:
     The encoded operator is alpha * (restriction of U between the projector
     ranges); proj_right selects the input (right singular vector) space and
     proj_left the output space.
+
+    Construction checks U at UNITARY_TOL, both projectors at PROJECTOR_TOL
+    and the block's operator norm against 1 + 1e-10.  Coordinate projectors
+    (diagonal 0/1, which every constructor here makes) are checked exactly
+    in O(N^2), and the norm is taken of the gathered r x c sub-block of U;
+    any other projector is checked densely, with the norm of P_left U P_right.
     """
 
     unitary: np.ndarray
@@ -85,10 +105,14 @@ class BlockEncoding:
             raise DomainError("projectors must match the unitary dimension")
         if u.shape[0] > DIM_CAP:
             raise DomainError(f"dimension {u.shape[0]} exceeds the cap {DIM_CAP}")
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be positive")
-        block = pl @ u @ pr
-        norm = np.linalg.norm(block, 2)
+        if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
+            raise DomainError(f"alpha {self.alpha} must be positive and finite")
+        rows, cols = _coordinate_range(pl), _coordinate_range(pr)
+        if rows is not None and cols is not None:
+            block = u[np.ix_(rows, cols)]
+        else:
+            block = pl @ u @ pr
+        norm = np.linalg.norm(block, 2) if block.size else 0.0
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
         for name, value in (("unitary", u), ("proj_right", pr), ("proj_left", pl)):
@@ -99,18 +123,6 @@ class BlockEncoding:
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
-
-
-def _coordinate_range(projector: np.ndarray) -> np.ndarray | None:
-    """Ascending indices j with P = sum_j |j><j| when P is a diagonal 0/1
-    matrix (every constructor here makes such projectors), else None."""
-    diag = np.diagonal(projector)
-    if not np.all((diag == 0) | (diag == 1)):
-        return None
-    idx = np.flatnonzero(diag)
-    if np.count_nonzero(projector) != len(idx):
-        return None
-    return idx
 
 
 def _range_basis(projector: np.ndarray) -> np.ndarray:
@@ -264,17 +276,19 @@ def projector_phase(proj: np.ndarray, phi: float) -> np.ndarray:
 # Serialization
 
 
-def matrix_to_json(m: np.ndarray) -> str:
+def _matrix_payload(m: np.ndarray) -> dict:
+    """JSON object of a matrix: shape and row-major real and imaginary parts."""
     m = np.asarray(m, dtype=complex)
-    return json.dumps(
-        {
-            "rows": m.shape[0],
-            "cols": m.shape[1],
-            "re": [float(x) for x in m.real.ravel()],
-            "im": [float(x) for x in m.imag.ravel()],
-        },
-        sort_keys=True,
-    )
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "re": m.real.ravel().tolist(),
+        "im": m.imag.ravel().tolist(),
+    }
+
+
+def matrix_to_json(m: np.ndarray) -> str:
+    return json.dumps(_matrix_payload(m), sort_keys=True)
 
 
 def _matrix_from_payload(payload, what: str) -> np.ndarray:
@@ -293,9 +307,9 @@ def matrix_from_json(text: str) -> np.ndarray:
 def encoding_to_json(be: BlockEncoding) -> str:
     return json.dumps(
         {
-            "unitary": json.loads(matrix_to_json(be.unitary)),
-            "proj_right": json.loads(matrix_to_json(be.proj_right)),
-            "proj_left": json.loads(matrix_to_json(be.proj_left)),
+            "unitary": _matrix_payload(be.unitary),
+            "proj_right": _matrix_payload(be.proj_right),
+            "proj_left": _matrix_payload(be.proj_left),
             "alpha": be.alpha,
         },
         sort_keys=True,

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from qsvtsim import (
     encoding_to_json,
     extract_block,
     grover_signal,
+    hamiltonian_simulation,
     matrix_from_json,
     matrix_to_json,
     phase_oracle_block,
@@ -22,7 +26,14 @@ from qsvtsim import (
     shift_positive,
     signal_operator,
 )
-from qsvtsim.block_encoding import _gram_schmidt, _range_basis
+from qsvtsim.block_encoding import (
+    _coordinate_range,
+    _gram_schmidt,
+    _range_basis,
+    require_hermitian,
+    require_projector,
+    require_unitary,
+)
 from qsvtsim.qsp_core import Basis
 
 
@@ -242,3 +253,115 @@ def test_matrix_and_encoding_json_roundtrip(rng):
     be2 = encoding_from_json(encoding_to_json(be))
     assert np.max(np.abs(be2.unitary - be.unitary)) == 0.0
     assert be2.alpha == be.alpha
+
+
+def _reference_matrix_json(m):
+    # the codec's earlier form: one float() per element
+    m = np.asarray(m, dtype=complex)
+    return json.dumps(
+        {
+            "rows": m.shape[0],
+            "cols": m.shape[1],
+            "re": [float(x) for x in m.real.ravel()],
+            "im": [float(x) for x in m.imag.ravel()],
+        },
+        sort_keys=True,
+    )
+
+
+def _reference_encoding_json(be):
+    # the codec's earlier form: each matrix serialized, parsed and serialized again
+    return json.dumps(
+        {
+            "unitary": json.loads(_reference_matrix_json(be.unitary)),
+            "proj_right": json.loads(_reference_matrix_json(be.proj_right)),
+            "proj_left": json.loads(_reference_matrix_json(be.proj_left)),
+            "alpha": be.alpha,
+        },
+        sort_keys=True,
+    )
+
+
+def test_codec_bytes_match_the_reference_form(rng):
+    be = hamiltonian_simulation(random_hermitian(rng, 4), 1.0, 2.0, 0.01)
+    assert encoding_to_json(be) == _reference_encoding_json(be)
+    assert matrix_to_json(be.unitary) == _reference_matrix_json(be.unitary)
+    edge = np.array(
+        [[-0.0, 5e-324, 1.0], [-1.0, 1e308, np.nan]], dtype=float
+    ) + 1j * np.array([[1e308, -0.0, np.nan], [5e-324, -1.0, 1.0]])
+    text = matrix_to_json(edge)
+    assert text == _reference_matrix_json(edge)
+    again = matrix_from_json(text)
+    assert again.tobytes() == edge.tobytes()
+
+
+def test_coordinate_projectors_take_the_exact_path():
+    p = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+    assert list(_coordinate_range(p)) == [0, 2]
+    require_projector(p)
+    swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
+    be = BlockEncoding(swap, p, p)
+    assert extract_block(be).tolist() == [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "entry, value, passes",
+    [
+        ((0, 0), 1 - 1e-13, True),
+        ((0, 1), 1e-14, True),
+        ((0, 0), 1 - 1e-11, False),
+        ((0, 1), 1e-11, False),
+    ],
+    ids=["diag-1e-13", "offdiag-1e-14", "diag-1e-11", "offdiag-1e-11"],
+)
+def test_near_coordinate_projectors_keep_the_dense_verdict(entry, value, passes):
+    p = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+    p[entry] = value
+    assert _coordinate_range(p) is None
+    if passes:
+        require_projector(p)
+        BlockEncoding(np.eye(4, dtype=complex), p, p)
+    else:
+        with pytest.raises(NotProjector):
+            require_projector(p)
+        with pytest.raises(NotProjector):
+            BlockEncoding(np.eye(4, dtype=complex), p, p)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validators_reject_nan_and_inf(bad):
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = bad
+    with pytest.raises(NotUnitary, match="exceeds"):
+        require_unitary(u)
+    with pytest.raises(NotProjector, match="projector defects"):
+        require_projector(np.diag([bad, 1.0]))
+    with pytest.raises(NotHermitian, match="exceeds"):
+        require_hermitian(u)
+
+
+def test_nan_outside_the_encoded_block_is_not_unitary():
+    # the norm reads only the gathered sub-block, so the unitarity check
+    # must see a NaN in its complement
+    p = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    u = np.eye(4, dtype=complex)
+    u[3, 3] = np.nan
+    with pytest.raises(NotUnitary):
+        BlockEncoding(u, p, p)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+def test_alpha_must_be_positive_and_finite(alpha):
+    p = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(DomainError, match="alpha"):
+        BlockEncoding(np.eye(2, dtype=complex), p, p, alpha)
+
+
+def test_hamiltonian_simulation_at_the_cap_is_fast(rng):
+    h = random_hermitian(rng, 128)
+    hamiltonian_simulation(h[:2, :2], 1.0, 2.0, 0.01)  # solve the phases first
+    start = time.perf_counter()
+    be = hamiltonian_simulation(h, 1.0, 2.0, 0.01)
+    assert time.perf_counter() - start < 0.4
+    assert be.dim == 1024

@@ -57,6 +57,27 @@ def test_byte_determinism(capsys, tmp_path):
         files.append(path.read_bytes())
     assert files[0] == files[1]
 
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (x + x.conj().T) / 2
+    matrix_file = tmp_path / "h.json"
+    matrix_file.write_text(matrix_to_json(h / np.linalg.norm(h, 2)))
+    phases_file = tmp_path / "sign.json"
+    code, _, _ = run_cli(capsys, "phases", "--family", "poly_sign", "--args", "d=7,k=4",
+                         "--json", str(phases_file))
+    assert code == 0
+    emitted = []
+    for run in ("a", "b"):
+        hamsim, block = tmp_path / f"hamsim_{run}.json", tmp_path / f"qsvt_{run}.json"
+        code, _, _ = run_cli(capsys, "hamsim", "--matrix", str(matrix_file), "--alpha", "1",
+                             "--t", "2", "--epsilon", "0.01", "--emit", str(hamsim))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "qsvt", "--encoding", str(hamsim),
+                             "--phases", str(phases_file), "--emit", str(block))
+        assert code == 0
+        emitted.append((hamsim.read_bytes(), block.read_bytes()))
+    assert emitted[0] == emitted[1]
+
 
 def test_poly_subcommand(capsys, tmp_path):
     csv = tmp_path / "poly.csv"
