@@ -30,6 +30,9 @@ HERMITIAN_TOL = 1e-10
 DIM_CAP = 2**10
 
 
+# In the three validators an inf entry makes a NaN defect, which fails its check;
+# numpy's warnings on the way are silenced so only the typed error surfaces.
+@np.errstate(invalid="ignore", over="ignore")
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -52,6 +55,7 @@ def _coordinate_range(projector: np.ndarray) -> np.ndarray | None:
     return idx
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -67,6 +71,7 @@ def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return p
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:

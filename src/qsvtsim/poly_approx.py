@@ -3,7 +3,7 @@
 Every constructor returns a parity-tagged polynomial that has been checked
 on a dense certification grid against the bounds stated in its contract
 (boundedness on [-1, 1] and approximation accuracy outside the transition
-windows).  Certification is the contract: composites are re-checked rather
+windows).  Certification is the contract: every result is re-checked rather
 than trusted by construction.
 """
 
@@ -36,6 +36,11 @@ DEFAULT_DEGREE_CAP = 512
 # largest epsilon for which the erf-based sign construction applies
 SIGN_EPSILON_MAX = math.sqrt(2.0 / (math.e * math.pi))
 
+# max over u > 0 of (1 - exp(-u^2)) / u, reached where exp(u^2) = 1 + 2 u^2
+_INVERSION_PEAK = 0.6381726863389515
+# largest kappa / epsilon for which the smooth inversion target has sup <= 1
+INVERSION_RATIO_MAX = 0.5 * math.exp((2.0 / _INVERSION_PEAK) ** 2)
+
 
 class Parity(Enum):
     EVEN = "even"
@@ -54,6 +59,8 @@ class ChebyshevPoly:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float)).copy()
         if c.ndim != 1 or len(c) == 0:
             raise DomainError("coefficients must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("coefficients must be finite")
         if self.parity is not Parity.NONE:
             off = c[1::2] if self.parity is Parity.EVEN else c[0::2]
             bad = np.max(np.abs(off)) if len(off) else 0.0
@@ -188,6 +195,21 @@ def _unit_interpolant(target: Callable, degree: int, parity: Parity) -> Chebyshe
     return ChebyshevPoly(_rescale_into_unit(coeffs, cert_grid()), parity)
 
 
+def _certifier(keep: Callable, reference: Callable, budget: float) -> Callable:
+    """Certification test on the dense grid: |p| <= 1 + 1e-12 everywhere,
+    and |p - reference| <= budget on the grid points where keep holds."""
+    grid = cert_grid()
+    mask = keep(grid)
+    ref = reference(grid[mask])
+
+    def certify(p: ChebyshevPoly) -> bool:
+        vals = p(grid)
+        return bool(np.max(np.abs(vals)) <= 1.0 + 1e-12
+                    and np.max(np.abs(vals[mask] - ref), initial=0.0) <= budget)
+
+    return certify
+
+
 def _grow_and_certify(
     build: Callable[[int], ChebyshevPoly],
     start_degree: int,
@@ -237,16 +259,7 @@ def sign_poly(
     """
     _validate_sign_args(epsilon, delta)
     k = erf_scale(epsilon, delta)
-    grid = cert_grid()
-    outside = np.abs(grid) > delta / 2
-
-    def certify(p: ChebyshevPoly) -> bool:
-        vals = p(grid)
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            return False
-        err = np.abs(vals[outside] - np.sign(grid[outside]))
-        return bool(np.max(err) <= epsilon)
-
+    certify = _certifier(lambda g: np.abs(g) > delta / 2, np.sign, epsilon)
     start = int(2 * math.ceil(0.8 * k) + 1)
     return _grow_and_certify(
         lambda d: _unit_interpolant(lambda x: erf(k * x), d, Parity.ODD),
@@ -285,16 +298,8 @@ def _symmetric_step_poly(
     def target(x):
         return norm * (-1.0 + epsilon / 4 + erf(k * (center - x)) + erf(k * (center + x)))
 
-    grid = cert_grid()
-    checked = (grid >= 0.0) & (np.abs(grid - center) > delta / 2)
-    step_vals = np.sign(center - grid[checked])
-
-    def certify(p: ChebyshevPoly) -> bool:
-        vals = p(grid)
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            return False
-        return bool(np.max(np.abs(vals[checked] - step_vals)) <= epsilon)
-
+    certify = _certifier(lambda g: (g >= 0.0) & (np.abs(g - center) > delta / 2),
+                         lambda x: np.sign(center - x), epsilon)
     start = int(2 * math.ceil(0.8 * k) + 2)
     return _grow_and_certify(
         lambda d: _unit_interpolant(target, d, Parity.EVEN), max(start, 10), degree_cap, certify
@@ -500,35 +505,29 @@ def matrix_inversion_poly(
 ) -> ChebyshevPoly:
     """Odd, unit-bounded approximation of 1/(2*kappa*x) on |x| in [1/k, 1].
 
-    Product of the inverse expansion (built at accuracy eps/4 and condition
-    2*kappa) with a rect window that suppresses the growth inside [-1/(2k),
-    1/(2k)]; the composite is re-certified on the grid and trimmed to the
-    smallest degree that still certifies.
+    Interpolates the odd entire function h(x) = (1 - exp(-(s x)^2)) /
+    (2 kappa x), s = kappa * sqrt(ln(2 kappa / eps)), which is within
+    eps/(4 kappa) of 1/(2 kappa x) on |x| >= 1/kappa, and grows the degree
+    until the unit bound and eps/(2 kappa) accuracy certify on the grid.
+    sup h = (s / (2 kappa)) * _INVERSION_PEAK passes 1 once kappa / eps
+    exceeds INVERSION_RATIO_MAX (about 9214).
     """
-    if epsilon / kappa >= 0.5:
-        raise DomainError("requires epsilon / kappa < 1/2")
-    p_inv = inverse_poly(epsilon / 4.0, 2.0 * kappa)
-    _, d_cap = inverse_poly_params(epsilon / 4.0, 2.0 * kappa)
-    eps_rect = min(2.0 * epsilon / (5.0 * kappa), kappa / (2.0 * d_cap))
-    p_rect = rect_poly(eps_rect, kappa, degree_cap)
-    coeffs = cheb.chebmul(p_inv.coeffs, p_rect.coeffs) / (2.0 * kappa)
-    coeffs = _project_parity(coeffs, Parity.ODD)
-    poly = ChebyshevPoly(coeffs, Parity.ODD)
+    if kappa < 1.0 or not 0.0 < epsilon < 0.5 * kappa:
+        raise DomainError("requires kappa >= 1 and 0 < epsilon / kappa < 1/2")
+    s = kappa * math.sqrt(math.log(2.0 * kappa / epsilon))
+    if kappa / epsilon > INVERSION_RATIO_MAX:
+        raise DomainError(
+            f"kappa / epsilon = {kappa / epsilon:.6g} exceeds {INVERSION_RATIO_MAX:.6g}: the"
+            f" smooth 1/(2*kappa*x) target has sup {s / (2.0 * kappa) * _INVERSION_PEAK:.6f} > 1"
+        )
 
-    grid = cert_grid()
-    outside = np.abs(grid) > 1.0 / kappa
-    budget = epsilon / (2.0 * kappa)
+    def target(x):  # h(0) = 0, as -expm1(0) / inf
+        return -np.expm1(-((s * x) ** 2)) / (2.0 * kappa * np.where(x == 0.0, np.inf, x))
 
-    def certify(p: ChebyshevPoly) -> bool:
-        vals = p(grid)
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            return False
-        err = np.abs(vals[outside] - 1.0 / (2.0 * kappa * grid[outside]))
-        return bool(np.max(err) <= budget)
-
-    if not certify(poly):
-        raise DegreeCapExceeded("matrix inversion composite failed certification")
-    return _certified_trim(poly, certify)
+    certify = _certifier(lambda g: np.abs(g) > 1.0 / kappa,
+                         lambda x: 1.0 / (2.0 * kappa * x), epsilon / (2.0 * kappa))
+    return _grow_and_certify(lambda d: _unit_interpolant(target, d, Parity.ODD),
+                             2 * math.ceil(s) + 1, degree_cap, certify)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NotUnitary, ParityError, UnsupportedConversion, _json_field
-
-UNITARITY_TOL = 1e-12
-RESPONSE_TOL = 1e-10
+from .block_encoding import require_unitary
+from .errors import DomainError, ParityError, UnsupportedConversion, _json_field
 
 _Z = np.diag([1.0 + 0j, -1.0 + 0j])
 
@@ -116,18 +114,13 @@ def phases_equal_mod_2pi(a, b, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(d)) <= tol)
 
 
-def _require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    err = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if err > tol:
-        raise NotUnitary(f"matrix is not unitary (defect {err:.3e})")
-    return m
-
-
 def _signal_entries(values: np.ndarray, signal: SignalKind):
     """(w00, w01, w11) of the symmetric signal rotation over an array (or
     0-d array) of signal values; w00 and w11 are real.  WZ is given in the
     Hadamard frame (H exp(i phi X) H = exp(i phi Z)), where its signal is
     the x-rotation by theta, keeping the sign of sin(theta/2)."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("signal values must be finite")
     if signal is SignalKind.WZ:
         c = np.cos(0.5 * values)
         return c, 1j * np.sin(0.5 * values), c
@@ -171,11 +164,10 @@ def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
     for WZ it is the rotation angle theta, with a = cos(theta/2) the
     bridging variable.
     """
-    a = float(a)
-    if convention.signal is SignalKind.WZ:
-        return _require_unitary(np.diag([np.exp(0.5j * a), np.exp(-0.5j * a)]))
-    w00, w01, w11 = _signal_entries(np.asarray(a), convention.signal)
-    return _require_unitary(np.array([[w00, w01], [w01, w11]], dtype=complex))
+    w00, w01, w11 = _signal_entries(np.asarray(float(a)), convention.signal)
+    if convention.signal is SignalKind.WZ:  # H [[c, is], [is, c]] H = diag(c + is, c - is)
+        return require_unitary(np.diag([w00 + w01, w00 - w01]))
+    return require_unitary(np.array([[w00, w01], [w01, w11]], dtype=complex))
 
 
 def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -200,7 +192,7 @@ def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
     u = np.array(_row_sweep(seq.as_array(), entries, ([1, 0], [0, 1]))).T
     if seq.convention.signal is SignalKind.WZ:
         u = _H @ u @ _H
-    return _require_unitary(u, 1e-11)
+    return require_unitary(u, 1e-11)
 
 
 def response(seq: PhaseSequence, a: float) -> complex:

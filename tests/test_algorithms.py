@@ -281,6 +281,16 @@ class TestMatrixInversion:
         with pytest.raises(ConditionViolated):
             matrix_inversion(np.diag([0.1, 1.0]).astype(complex), 2.0, 0.05)
 
+    def test_kappa_20_at_n_64(self):
+        # singular values spread over [1/kappa, 1], both ends included
+        rng = np.random.default_rng(64)
+        n, kappa, eps = 64, 20.0, 0.01
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        sigma = np.concatenate([[1 / kappa, 1.0], rng.uniform(1 / kappa, 1.0, n - 2)])
+        a = ((u * sigma) @ v.T).astype(complex)
+        enc = matrix_inversion(a, kappa, eps)
+        assert np.linalg.norm(enc.alpha * extract_block(enc) - np.linalg.inv(a), 2) <= eps
+
     def test_dimension_cap_is_checked_first(self):
         # the output has dimension 4n, so n = 257 breaks the 1024 cap
         start = time.perf_counter()

@@ -328,7 +328,7 @@ def test_near_coordinate_projectors_keep_the_dense_verdict(entry, value, passes)
             BlockEncoding(np.eye(4, dtype=complex), p, p)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validators_reject_nan_and_inf(bad):
     u = np.eye(2, dtype=complex)

@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from qsvtsim import (
     ChebyshevPoly,
+    DegreeCapExceeded,
     DomainError,
     Parity,
     ParityError,
@@ -24,7 +25,7 @@ from qsvtsim import (
     sign_poly,
     solve_truncation,
 )
-from qsvtsim.poly_approx import cert_grid, inverse_poly_params
+from qsvtsim.poly_approx import DEFAULT_DEGREE_CAP, cert_grid, inverse_poly_params
 
 
 def test_chebyshev_poly_parity_enforced():
@@ -44,6 +45,14 @@ def test_poly_json_roundtrip():
         poly_from_json('{"coeffs": [0.0, 1.0]}')
     with pytest.raises(DomainError, match="'coeffs'"):
         poly_from_json('{"coeffs": "x", "parity": "odd"}')
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_coefficients_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        ChebyshevPoly([0.0, bad], Parity.ODD)
+    with pytest.raises(DomainError, match="finite"):
+        poly_from_json('{"coeffs": [0, NaN], "parity": "odd"}')
 
 
 class TestSignPoly:
@@ -203,6 +212,25 @@ class TestMatrixInversionPoly:
     def test_requires_small_epsilon_over_kappa(self):
         with pytest.raises(DomainError):
             matrix_inversion_poly(0.6, 1.0)
+
+
+class TestSmoothInversionTarget:
+    @pytest.mark.parametrize("eps, kappa, degree", [(0.05, 3.0, 23), (0.01, 20.0, 283)])
+    def test_certifies_under_the_cap(self, eps, kappa, degree):
+        p = matrix_inversion_poly(eps, kappa)
+        assert p.degree == degree <= DEFAULT_DEGREE_CAP
+        x = np.linspace(1 / kappa, 1.0, 200_001)
+        assert np.max(np.abs(p(x) - 1 / (2 * kappa * x))) <= eps / (2 * kappa)
+        assert np.max(np.abs(p(np.linspace(-1.0, 1.0, 200_001)))) <= 1.0
+
+    def test_ratio_bound_is_a_domain_error(self):
+        # kappa / eps = 10^4 puts the smooth target's sup at 1.0042
+        with pytest.raises(DomainError, match="kappa / epsilon = 10000 exceeds 9214.03"):
+            matrix_inversion_poly(1e-3, 10.0)
+
+    def test_degree_cap_is_named(self):
+        with pytest.raises(DegreeCapExceeded, match="degree cap 101"):
+            matrix_inversion_poly(0.01, 20.0, degree_cap=101)
 
 
 class TestEigenstateFilter:

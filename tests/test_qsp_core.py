@@ -42,6 +42,24 @@ def test_signal_operator_domain_error():
         signal_operator(1.001, WX00)
 
 
+@pytest.mark.parametrize("convention", [WX00, Convention.wz()], ids=["wx", "wz"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seq, v: response(seq, v),
+        lambda seq, v: evaluate_sequence(seq, v),
+        lambda seq, v: signal_operator(v, seq.convention),
+        lambda seq, v: response_curve(seq, [0.5, v]),
+    ],
+    ids=["response", "evaluate_sequence", "signal_operator", "response_curve"],
+)
+def test_nonfinite_signal_values_rejected(call, bad, convention):
+    seq = PhaseSequence((0.1, 0.2, 0.3), convention)
+    with pytest.raises(DomainError, match="finite"):
+        call(seq, bad)
+
+
 def test_processing_operator_values():
     assert np.allclose(processing_operator(0.0), np.eye(2))
     assert np.allclose(processing_operator(np.pi / 2), np.diag([1j, -1j]))
