@@ -8,6 +8,7 @@ and the SVG emitter depends only on its input curve.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,7 +281,9 @@ def _cmd_invert(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qsvtsim",
         description="QSP phase synthesis and QSVT algorithm simulation",

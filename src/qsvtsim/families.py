@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import erf
-
 from .errors import DomainError
 from .phase_solver import FixedPointParams, SolverOptions, fixed_point_phases, solve_phases
 from .poly_approx import (
     ChebyshevPoly,
     Parity,
+    _erf,
     _unit_interpolant,
     eigenstate_filter_poly,
     gibbs_poly,
@@ -33,7 +32,7 @@ def _thresh_target(d: int, k: float) -> ChebyshevPoly:
     if d % 2 != 0:
         raise DomainError("threshold family degree must be even")
     return _unit_interpolant(
-        lambda x: 0.5 * (erf(k * (x + 0.5)) - erf(k * (x - 0.5))), d, Parity.EVEN
+        lambda x: 0.5 * (_erf(k * (x + 0.5)) - _erf(k * (x - 0.5))), d, Parity.EVEN
     )
 
 
@@ -43,7 +42,7 @@ def _phase_target(d: int, k: float) -> ChebyshevPoly:
         raise DomainError("phase family degree must be even")
     c = 1.0 / math.sqrt(2.0)
     return _unit_interpolant(
-        lambda x: 0.5 * (erf(k * (c - x)) + erf(k * (c + x)) - 1.0), d, Parity.EVEN
+        lambda x: 0.5 * (_erf(k * (c - x)) + _erf(k * (c + x)) - 1.0), d, Parity.EVEN
     )
 
 

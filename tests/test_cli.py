@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from qsvtsim import (
     matrix_to_json,
     phase_sequence_from_json,
 )
-from qsvtsim.cli import curve_csv, emit_svg, main
+from qsvtsim.cli import build_parser, curve_csv, emit_svg, main
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +164,10 @@ def test_hamsim_and_invert_commands(capsys, tmp_path):
     assert json.loads(out.splitlines()[0])["alpha"] == 4.0
 
 
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["phases"])  # missing required --family
@@ -269,3 +278,31 @@ def test_svg_sign_curve_spans_band(capsys, tmp_path, family_solutions):
     assert max(reals) - min(reals) >= 1.8
     svg = emit_svg(curve, channels=("re",))
     assert svg.count("<polyline") == 1
+
+
+def test_runs_without_scipy():
+    # with sys.modules["scipy"] = None every scipy import raises, eager or lazy;
+    # together these commands reach erf, the Jacobi-Anger coefficients, the
+    # truncation root and the log-factorials
+    script = textwrap.dedent("""
+        import io, sys
+        from contextlib import redirect_stdout
+        sys.modules["scipy"] = None
+        import qsvtsim, qsvtsim.cli
+        qsvtsim.inverse_poly(0.1, 2)
+        for argv in (
+            ["phases", "--family", "hamsim", "--args", "t=5,eps=1e-3"],
+            ["phases", "--family", "poly_sign", "--args", "d=61,k=12"],
+            ["poly", "--family", "poly_thresh"],
+            ["poly", "--family", "poly_phase"],
+            ["phases", "--family", "invert", "--args", "kappa=20,eps=0.01"],
+        ):
+            with redirect_stdout(io.StringIO()):
+                code = qsvtsim.cli.main(argv)
+            assert code == 0, (argv, code)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]

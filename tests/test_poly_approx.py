@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.optimize import brentq
+from scipy.special import erf, gammaln, jv
 
 from qsvtsim import (
     ChebyshevPoly,
@@ -25,7 +26,13 @@ from qsvtsim import (
     sign_poly,
     solve_truncation,
 )
-from qsvtsim.poly_approx import DEFAULT_DEGREE_CAP, cert_grid, inverse_poly_params
+from qsvtsim.poly_approx import (
+    DEFAULT_DEGREE_CAP,
+    _erf,
+    _jacobi_anger_coeffs,
+    cert_grid,
+    inverse_poly_params,
+)
 
 
 def test_chebyshev_poly_parity_enforced():
@@ -292,3 +299,62 @@ def test_sign_bounded_between_grid_points(epsilon, delta, degree):
     p = sign_poly(epsilon, delta)
     assert p.degree == degree
     assert np.max(np.abs(p(np.linspace(-1.0, 1.0, 2_000_001)))) <= 1.0
+
+
+class TestScipyReferences:
+    """The numpy/math special functions of poly_approx against scipy."""
+
+    @pytest.mark.parametrize("t", [0.5, -0.5, 5.0, 15.0, 30.0, 100.0, 400.0])
+    def test_bessel_orders_match_jv(self, t):
+        # cos(tx) + sin(tx) = J_0(t) + 2 sum_k>0 (-1)^floor(k/2) J_k(t) T_k(x)
+        order = int(1.5 * abs(t)) + 30
+        k = np.arange(order + 1)
+        bessel = 0.5 * _jacobi_anger_coeffs(t, order) * (-1.0) ** (k // 2)
+        bessel[0] *= 2.0
+        assert np.max(np.abs(bessel - jv(k, t))) <= 2e-14
+
+    def test_erf_matches(self):
+        x = np.linspace(-8.0, 8.0, 100_001)
+        assert np.max(np.abs(_erf(x) - erf(x))) <= 1e-15
+
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 2.0, 5.0, 15.0, 120.0, 3000.0])
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 1e-3, 1e-8, 1e-14])
+    def test_truncation_root_matches_brentq(self, t, eps):
+        spec = solve_truncation(t, eps)
+        log_eps = math.log(spec.eps_arg)
+        r = brentq(lambda x: x * (math.log(spec.t_arg) - math.log(x)) - log_eps,
+                   spec.t_arg * (1 + 1e-14), 4.0 * spec.t_arg + 100.0, xtol=1e-300, rtol=1e-15)
+        assert spec.k_prime == math.floor(0.5 * r)
+        assert abs(spec.r_value - r) <= 1e-13 * r
+
+    def test_inverse_coefficients_match_gammaln(self):
+        b, d_cap = inverse_poly_params(0.1, 2.0)
+        i = np.arange(1, b + 1, dtype=float)
+        terms = np.exp(gammaln(2 * b + 1) - gammaln(b + i + 1) - gammaln(b - i + 1)
+                       - 2 * b * math.log(2.0))
+        tail = np.append(np.cumsum(terms[::-1])[::-1], np.zeros(d_cap + 1))
+        ref = 4.0 * (-1.0) ** np.arange(d_cap + 1) * tail[: d_cap + 1]
+        coeffs = inverse_poly(0.1, 2.0).coeffs[1::2]
+        assert np.all(np.abs(coeffs - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("eps, kappa", [(0.05, 3.0), (0.01, 5.0), (0.01, 10.0)])
+    def test_inverse_coefficients_match_exact_binomials(self, eps, kappa):
+        # the log-space sum carries about one ulp of lgamma(2b + 1), relative,
+        # whichever lgamma computes it
+        b, d_cap = inverse_poly_params(eps, kappa)
+        binomial = [math.comb(2 * b, b + i) for i in range(b + 1)] + [0] * (d_cap + 1)
+        tails = np.cumsum([0] + binomial[:0:-1])[::-1]  # tails[j] = sum_{i > j} C(2b, b + i)
+        ref = np.array([4 * (-1) ** j * (tails[j] / 4**b) for j in range(d_cap + 1)], dtype=float)
+        coeffs = inverse_poly(eps, kappa).coeffs[1::2]
+        tol = 2.0 * math.ulp(math.lgamma(2 * b + 1.0))
+        assert np.max(np.abs(coeffs - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make, degree", [
+    (lambda: phase_estimation_poly(1e-6, 0.1), 418),
+    (lambda: eigenvalue_threshold_poly(1e-6, 0.1, 0.5), 512),
+    (lambda: jacobi_anger_cos(15.0, 1e-3), 26),
+    (lambda: jacobi_anger_sin(15.0, 1e-3), 27),
+], ids=["phase_estimation", "threshold", "jacobi_anger_cos", "jacobi_anger_sin"])
+def test_certified_degrees(make, degree):
+    assert make().degree == degree
