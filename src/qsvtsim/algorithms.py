@@ -270,8 +270,9 @@ def bernoulli_sample_count(a_mean: float, b_mean: float, delta: float) -> int:
 # Phase estimation
 
 
-def _pe_iteration_block(u: np.ndarray, j: int, theta: float, phases: PhaseSequence) -> np.ndarray:
-    enc = phase_oracle_block(u, j, theta % 2.0)
+def _pe_block(u: np.ndarray, j: int, theta: Fraction, phases: PhaseSequence) -> np.ndarray:
+    """Step-transformed block of (I + exp(-2 pi i theta) U^(2^j)) / 2."""
+    enc = phase_oracle_block(u, j, float(theta) % 2.0)
     return transformed_block(QsvtProgram(enc, phases))
 
 
@@ -312,17 +313,16 @@ def _run_phase_estimation(
     u: np.ndarray,
     state: np.ndarray,
     n: int,
-    epsilon: float,
-    big_delta: float,
+    phases: PhaseSequence,
     rng,
     exact: bool,
     phase_errors=None,
-    block_fn=None,
     majority_votes: int = 1,
     escalate_ambiguous: bool = False,
     _escalations: int = 0,
 ):
-    """Shared bit-by-bit loop; returns (estimate, trace, queries, state).
+    """Bit-by-bit loop of the step polynomial's ``phases`` on u; returns
+    (estimate, trace, queries, state).
 
     After the n fractional bits, the ones place records whether the nearest
     n-bit value was reached by rounding up through 1.0.  That carry is only
@@ -338,12 +338,7 @@ def _run_phase_estimation(
     first (and only transition-vulnerable) bit's votes come out ambiguous,
     then rounds the deeper estimate back to n bits.
     """
-    phases = _phases(phase_estimation_poly, epsilon, big_delta)
     degree = phases.degree
-    if block_fn is None:
-        def block_fn(j, theta_frac):
-            return _pe_iteration_block(u, j, float(theta_frac), phases)
-
     theta = Fraction(0)
     bits_rev = []  # theta_1..theta_n as collected, most significant last
     trace = []
@@ -353,7 +348,7 @@ def _run_phase_estimation(
         theta = theta / 2
         err = 0.0 if phase_errors is None else float(phase_errors[step])
         theta_eff = theta - Fraction(err).limit_denominator(1 << 40) if err else theta
-        block = block_fn(j, theta_eff)
+        block = _pe_block(u, j, theta_eff, phases)
         bit, ones, p1, state = _voted_measure(state, block, rng, exact, majority_votes)
         queries += degree * majority_votes
         trace.append({"j": j, "theta": float(theta), "p1": p1, "bit": bit,
@@ -368,9 +363,8 @@ def _run_phase_estimation(
             # ambiguous leading bit: the transform sits near its transition;
             # restart one iteration deeper and round back to n bits
             est, deep_trace, deep_q, state = _run_phase_estimation(
-                u, initial_state, n + 1, epsilon, big_delta, rng, exact,
-                None, block_fn, majority_votes, escalate_ambiguous,
-                _escalations + 1,
+                u, initial_state, n + 1, phases, rng, exact, None,
+                majority_votes, escalate_ambiguous, _escalations + 1,
             )
             rounded = (round(est.value * 2**n) / 2**n) % 2.0
             whole = int(rounded)
@@ -386,7 +380,7 @@ def _run_phase_estimation(
     if not any(bits_rev):
         probe = Fraction(1, 4) - CARRY_RESOLUTION  # theta is exactly 0 here
         ones_bit, _, p1, state = _voted_measure(
-            state, block_fn(n - 1, probe), rng, exact, majority_votes
+            state, _pe_block(u, n - 1, probe, phases), rng, exact, majority_votes
         )
         queries += degree * majority_votes
         trace.append({"j": n - 1, "theta": float(probe), "p1": p1, "bit": ones_bit,
@@ -436,10 +430,10 @@ def phase_estimation_record(
         raise DomainError("majority_votes must be a positive odd count")
     if majority_votes == 1 and epsilon > math.sqrt(2.0 / (n + 1)) + 1e-12:
         raise DomainError("epsilon too large for the per-iteration union bound")
+    phases = _phases(phase_estimation_poly, epsilon, big_delta)
     rng = np.random.default_rng(seed)
     estimate, trace, queries, _ = _run_phase_estimation(
-        u, state, n, epsilon, big_delta, rng, exact, phase_errors,
-        majority_votes=majority_votes, escalate_ambiguous=escalate_ambiguous,
+        u, state, n, phases, rng, exact, phase_errors, majority_votes, escalate_ambiguous,
     )
     params = {
         "n": n,
@@ -468,17 +462,6 @@ def _modmul_unitary(x: int, n_mod: int) -> np.ndarray:
     for j in range(n_mod):
         u[(x * j) % n_mod, j] = 1.0
     return u
-
-
-@lru_cache(maxsize=4096)
-def _order_block(x: int, n_mod: int, j: int, theta_num: int, theta_den: int,
-                 epsilon: float, big_delta: float) -> np.ndarray:
-    u = _modmul_unitary(x, n_mod)
-    phases = _phases(phase_estimation_poly, epsilon, big_delta)
-    theta = (theta_num / theta_den) % 2.0
-    block = transformed_block(QsvtProgram(phase_oracle_block(u, j, theta), phases))
-    block.setflags(write=False)
-    return block
 
 
 def _continued_fraction_denominators(value: float, max_den: int):
@@ -525,23 +508,17 @@ def order_finding_demo(
         raise DomainError("x must be coprime to the modulus")
     n = int(math.ceil(2 * math.log2(n_mod))) + 1
     epsilon = pe_epsilon_for(delta, n)
-    big_delta = 0.2
+    phases = _phases(phase_estimation_poly, epsilon, 0.2)
+    u = _modmul_unitary(x, n_mod)
     rng = np.random.default_rng(seed)
     state0 = np.zeros(n_mod, dtype=complex)
     state0[1 % n_mod] = 1.0
-
-    def block_fn(j, theta_frac):
-        frac = Fraction(theta_frac)
-        return _order_block(x, n_mod, j, frac.numerator, frac.denominator, epsilon, big_delta)
-
     shots = []
     queries = 0
     trace = []
     params = {"x": x, "modulus": n_mod, "n": n, "delta": delta, "epsilon": epsilon}
     for attempt in range(retries):
-        estimate, tr, q, _ = _run_phase_estimation(
-            None, state0.copy(), n, epsilon, big_delta, rng, exact=False, block_fn=block_fn
-        )
+        estimate, tr, q, _ = _run_phase_estimation(u, state0, n, phases, rng, exact=False)
         queries += q
         shots.append([t["bit"] for t in tr])
         trace.extend(tr)

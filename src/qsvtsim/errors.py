@@ -55,10 +55,6 @@ class ConditionViolated(QsvtSimError, ValueError):
     """Singular values fall outside the promised [1/kappa, 1] range."""
 
 
-class OverflowGuard(QsvtSimError, RuntimeError):
-    """A numerically guarded accumulation produced a non-finite value."""
-
-
 class OrderNotFound(QsvtSimError, RuntimeError):
     """Order finding exhausted its retry budget without a valid order."""
 

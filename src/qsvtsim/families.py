@@ -46,85 +46,50 @@ def _phase_target(d: int, k: float) -> ChebyshevPoly:
     )
 
 
+# name -> builder of the target polynomial from the family's argument dict
 _TARGET_FAMILIES = {
-    "poly_sign": (
-        lambda a: sign_poly_from_steepness(int(a.get("d", 19)), a.get("k", 10.0)),
-        "odd erf-based sign approximation; args d (odd degree), k (steepness)",
+    # odd erf-based sign approximation; args d (odd degree), k (steepness)
+    "poly_sign": lambda a: sign_poly_from_steepness(int(a.get("d", 19)), a.get("k", 10.0)),
+    # odd 1/(2*kappa*x) approximation; args kappa, eps
+    "invert": lambda a: matrix_inversion_poly(a.get("eps", 0.3), a.get("kappa", 3.0)),
+    # Jacobi-Anger cos/sin truncation; args t, eps, part=cos|sin
+    "hamsim": lambda a: (
+        jacobi_anger_cos(a.get("t", 5.0), a.get("eps", 0.1))
+        if a.get("part", "cos") == "cos"
+        else jacobi_anger_sin(a.get("t", 5.0), a.get("eps", 0.1))
     ),
-    "invert": (
-        lambda a: matrix_inversion_poly(a.get("eps", 0.3), a.get("kappa", 3.0)),
-        "odd 1/(2*kappa*x) approximation; args kappa, eps",
-    ),
-    "hamsim": (
-        lambda a: (
-            jacobi_anger_cos(a.get("t", 5.0), a.get("eps", 0.1))
-            if a.get("part", "cos") == "cos"
-            else jacobi_anger_sin(a.get("t", 5.0), a.get("eps", 0.1))
-        ),
-        "Jacobi-Anger cos/sin truncation; args t, eps, part=cos|sin",
-    ),
-    "poly_thresh": (
-        lambda a: _thresh_target(int(a.get("d", 18)), a.get("k", 10.0)),
-        "even step at |x|=1/2; args d (even degree), k (steepness)",
-    ),
-    "poly_phase": (
-        lambda a: _phase_target(int(a.get("d", 18)), a.get("k", 10.0)),
-        "even symmetric step at 1/sqrt(2); args d (even degree), k",
-    ),
-    "efilter": (
-        lambda a: eigenstate_filter_poly(int(a.get("d", 30)) // 2, a.get("dlam", 0.3)),
-        "eigenstate filter of degree d = 2k; args d (even degree), dlam (gap)",
-    ),
-    "gibbs": (
-        lambda a: gibbs_poly(a.get("beta", 3.5), int(a.get("d", 20))).poly,
-        "even fit of exp(-beta|x|); args d (even degree), beta",
-    ),
-    "relu": (
-        lambda a: relu_poly(
-            a.get("delta", 0.6), a.get("steepness", 15.0), int(a.get("d", 20))
-        ).poly,
-        "even softplus fit; args d (even degree), delta (offset), steepness",
-    ),
+    # even step at |x|=1/2; args d (even degree), k (steepness)
+    "poly_thresh": lambda a: _thresh_target(int(a.get("d", 18)), a.get("k", 10.0)),
+    # even symmetric step at 1/sqrt(2); args d (even degree), k
+    "poly_phase": lambda a: _phase_target(int(a.get("d", 18)), a.get("k", 10.0)),
+    # eigenstate filter of degree d = 2k; args d (even degree), dlam (gap)
+    "efilter": lambda a: eigenstate_filter_poly(int(a.get("d", 30)) // 2, a.get("dlam", 0.3)),
+    # even fit of exp(-beta|x|); args d (even degree), beta
+    "gibbs": lambda a: gibbs_poly(a.get("beta", 3.5), int(a.get("d", 20))).poly,
+    # even softplus fit; args d (even degree), delta (offset), steepness
+    "relu": lambda a: relu_poly(
+        a.get("delta", 0.6), a.get("steepness", 15.0), int(a.get("d", 20))
+    ).poly,
 }
 
 FAMILY_NAMES = ("fpsearch",) + tuple(sorted(_TARGET_FAMILIES))
 
-_ALIASES = {"hamsim_cos": ("hamsim", {"part": "cos"}), "hamsim_sin": ("hamsim", {"part": "sin"})}
-
-
-def _resolve(name: str, args: dict):
-    args = dict(args or {})
-    if name in _ALIASES:
-        base, extra = _ALIASES[name]
-        args.update(extra)
-        name = base
-    return name, args
-
 
 def family_target(name: str, args: dict | None = None) -> ChebyshevPoly:
     """Target polynomial of a named family (all families except fpsearch)."""
-    name, args = _resolve(name, args)
     if name == "fpsearch":
         raise DomainError("fpsearch is a closed-form phase family with no target polynomial")
     if name not in _TARGET_FAMILIES:
         raise DomainError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    return _TARGET_FAMILIES[name][0](args)
+    return _TARGET_FAMILIES[name](args or {})
 
 
 def family_phases(
     name: str, args: dict | None = None, options: SolverOptions | None = None
 ) -> PhaseSequence:
     """Phases for a named family: closed form for fpsearch, solved otherwise."""
-    name, args = _resolve(name, args)
     if name == "fpsearch":
         params = FixedPointParams(int((args or {}).get("d", 10)), (args or {}).get("delta", 0.5))
         return fixed_point_phases(params)
     target = family_target(name, args)
     return solve_phases(target, options or SolverOptions())
-
-
-def family_help() -> str:
-    lines = ["fpsearch: closed-form fixed-point amplification phases; args d, delta"]
-    for name in sorted(_TARGET_FAMILIES):
-        lines.append(f"{name}: {_TARGET_FAMILIES[name][1]}")
-    return "\n".join(lines)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, ParityError
-from .poly_approx import ChebyshevPoly, Parity, _true_sup
+from .poly_approx import ChebyshevPoly, Parity, _require_degree, _true_sup
 from .qsp_core import (
     CANONICAL,
     PhaseSequence,
@@ -203,8 +203,10 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
     Deterministic: one Newton run on the (possibly nudged) target, whose
     phases succeed when they reach ``residual_tol`` (max response error
     against the raw target on a 1001-point grid).  Raises NoConvergence,
-    naming that residual and the Newton steps spent, when they do not.
+    naming that residual and the Newton steps spent, when they do not, and
+    DegreeCapExceeded, before any work, on a target past the degree cap.
     """
+    _require_degree(target.degree)
     phases, steps = _newton(_nudged(target, options.residual_tol))
     seq = PhaseSequence(tuple(phases), CANONICAL)
     resid = residual(seq, target)  # certification is against the raw target

@@ -22,14 +22,13 @@ from .errors import (
     ConvergenceError,
     DegreeCapExceeded,
     DomainError,
-    OverflowGuard,
     ParityError,
     _json_field,
 )
 
 CERT_GRID_SIZE = 4096
 PARITY_TOL = 1e-14
-DEFAULT_DEGREE_CAP = 512
+DEGREE_CAP = 512
 
 # largest epsilon for which the erf-based sign construction applies
 SIGN_EPSILON_MAX = math.sqrt(2.0 / (math.e * math.pi))
@@ -129,8 +128,15 @@ def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
     return out
 
 
+def _require_degree(degree: int):
+    """Reject a polynomial degree past the cap before any work is spent on it."""
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
+
+
 def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> ChebyshevPoly:
     """Chebyshev interpolation at Chebyshev points, with parity projection."""
+    _require_degree(degree)
     coeffs = cheb.chebinterpolate(func, degree)
     return ChebyshevPoly(_project_parity(coeffs, parity), parity)
 
@@ -219,21 +225,18 @@ def _certifier(keep: Callable, reference: Callable, budget: float) -> Callable:
 def _grow_and_certify(
     build: Callable[[int], ChebyshevPoly],
     start_degree: int,
-    degree_cap: int,
     certify: Callable[[ChebyshevPoly], bool],
 ) -> ChebyshevPoly:
     """Grow the degree of build(degree) by ~1.5x until it certifies, then
     trim it to the smallest certifying truncation."""
-    degree = min(start_degree, degree_cap)
+    degree = min(start_degree, DEGREE_CAP)
     while True:
         poly = build(degree)
         if certify(poly):
             return _certified_trim(poly, certify)
-        if degree >= degree_cap:
-            raise DegreeCapExceeded(
-                f"certification failed at degree cap {degree_cap}"
-            )
-        degree = min(degree_cap, max(degree + 2, int(degree * 1.5)))
+        if degree >= DEGREE_CAP:
+            raise DegreeCapExceeded(f"certification failed at degree cap {DEGREE_CAP}")
+        degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +257,7 @@ def _validate_sign_args(epsilon: float, delta: float):
         raise DomainError("transition width delta must be positive")
 
 
-def sign_poly(
-    epsilon: float, delta: float, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ChebyshevPoly:
+def sign_poly(epsilon: float, delta: float) -> ChebyshevPoly:
     """Odd polynomial within epsilon of sign(x) outside (-delta/2, delta/2).
 
     Constructed by Chebyshev interpolation of erf(k x) with the steepness
@@ -269,7 +270,7 @@ def sign_poly(
     start = int(2 * math.ceil(0.8 * k) + 1)
     return _grow_and_certify(
         lambda d: _unit_interpolant(lambda x: _erf(k * x), d, Parity.ODD),
-        max(start, 9), degree_cap, certify,
+        max(start, 9), certify,
     )
 
 
@@ -284,12 +285,7 @@ def sign_poly_from_steepness(degree: int, k: float) -> ChebyshevPoly:
     return _unit_interpolant(lambda x: _erf(k * x), degree, Parity.ODD)
 
 
-def _symmetric_step_poly(
-    epsilon: float,
-    delta: float,
-    center: float,
-    degree_cap: int,
-) -> ChebyshevPoly:
+def _symmetric_step_poly(epsilon: float, delta: float, center: float) -> ChebyshevPoly:
     """Even, unit-bounded polynomial behaving as the step at x = center.
 
     Realizes (-1 + eps/4 + S(center - x) + S(center + x)) / (1 + eps/4)
@@ -308,16 +304,11 @@ def _symmetric_step_poly(
                          lambda x: np.sign(center - x), epsilon)
     start = int(2 * math.ceil(0.8 * k) + 2)
     return _grow_and_certify(
-        lambda d: _unit_interpolant(target, d, Parity.EVEN), max(start, 10), degree_cap, certify
+        lambda d: _unit_interpolant(target, d, Parity.EVEN), max(start, 10), certify
     )
 
 
-def eigenvalue_threshold_poly(
-    epsilon: float,
-    delta: float,
-    threshold: float,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> ChebyshevPoly:
+def eigenvalue_threshold_poly(epsilon: float, delta: float, threshold: float) -> ChebyshevPoly:
     """Even polynomial distinguishing singular values across a threshold.
 
     ``threshold`` is the rescaled cut lambda_th / alpha in (0, 1); the
@@ -327,14 +318,12 @@ def eigenvalue_threshold_poly(
         raise DomainError("threshold must lie in (0, 1)")
     if threshold - delta / 2 <= 0.0 or threshold + delta / 2 >= 1.0:
         raise DomainError("transition window overflows (0, 1)")
-    return _symmetric_step_poly(epsilon, delta, threshold, degree_cap)
+    return _symmetric_step_poly(epsilon, delta, threshold)
 
 
-def phase_estimation_poly(
-    epsilon: float, delta: float, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ChebyshevPoly:
+def phase_estimation_poly(epsilon: float, delta: float) -> ChebyshevPoly:
     """Even step polynomial at 1/sqrt(2), used to read out phase bits."""
-    return _symmetric_step_poly(epsilon, delta, 1.0 / math.sqrt(2.0), degree_cap)
+    return _symmetric_step_poly(epsilon, delta, 1.0 / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +344,13 @@ def solve_truncation(t: float, epsilon: float) -> TruncationSpec:
     """Truncation index for the Jacobi-Anger series at time t, accuracy eps.
 
     Solves (t'/r)^r = eps' with t' = (e/2)|t| and eps' = (5/4) eps, then
-    k' = floor(r / 2).  Requires 0 < eps < 1/e and t > 0.
+    k' = floor(r / 2).  Requires 0 < eps < 1/e and finite t > 0.
     """
     if not 0.0 < epsilon < 1.0 / math.e:
         raise DomainError("epsilon must lie in (0, 1/e)")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    t_arg = 0.5 * math.e * abs(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    t_arg = 0.5 * math.e * t
     eps_arg = 1.25 * epsilon
     log_eps = math.log(eps_arg)
 
@@ -370,12 +359,8 @@ def solve_truncation(t: float, epsilon: float) -> TruncationSpec:
 
     lo = t_arg * (1.0 + 1e-14)
     hi = max(3.0 * t_arg, t_arg + 10.0)
-    for _ in range(200):
-        if h(hi) < 0.0:
-            break
+    while h(hi) >= 0.0:  # h falls to -inf (nan once t_arg overflows) as hi grows
         hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the truncation equation")
     while True:  # bisection down to adjacent floats: h(lo) > 0 >= h(hi)
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -420,6 +405,7 @@ def jacobi_anger_cos(t: float, epsilon: float) -> ChebyshevPoly:
     if t == 0.0:
         return ChebyshevPoly([1.0 / (1.0 + epsilon)], Parity.EVEN)
     kp = solve_truncation(t, epsilon).k_prime
+    _require_degree(2 * kp)
     coeffs = _project_parity(_jacobi_anger_coeffs(t, 2 * kp), Parity.EVEN)
     return ChebyshevPoly(coeffs / (1.0 + epsilon), Parity.EVEN)
 
@@ -429,6 +415,7 @@ def jacobi_anger_sin(t: float, epsilon: float) -> ChebyshevPoly:
     if t == 0.0:
         return ChebyshevPoly([0.0, 0.0], Parity.ODD)
     kp = solve_truncation(t, epsilon).k_prime
+    _require_degree(2 * kp + 1)
     coeffs = _project_parity(_jacobi_anger_coeffs(t, 2 * kp + 1), Parity.ODD)
     return ChebyshevPoly(coeffs / (1.0 + epsilon), Parity.ODD)
 
@@ -446,6 +433,7 @@ def inverse_poly_params(epsilon: float, kappa: float) -> tuple:
     b = int(math.ceil(kappa**2 * math.log(kappa / epsilon)))
     b = max(b, 1)
     d_cap = int(math.ceil(math.sqrt(b * math.log(4.0 * b / epsilon))))
+    _require_degree(2 * d_cap + 1)
     return b, d_cap
 
 
@@ -461,8 +449,6 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     log_terms = (log_factorial[2 * b] - log_factorial[b + i] - log_factorial[b - i]
                  - 2 * b * math.log(2.0))
     terms = np.exp(log_terms)
-    if not np.all(np.isfinite(terms)):
-        raise OverflowGuard("binomial tail accumulation produced non-finite terms")
     tail = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])  # tail[j] = sum_{i>j}
     if d_cap >= len(tail):
         tail = np.pad(tail, (0, d_cap + 1 - len(tail)))
@@ -485,9 +471,7 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     return poly
 
 
-def rect_poly(
-    epsilon: float, kappa: float, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ChebyshevPoly:
+def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     """Even unit-bounded window polynomial: ~1 outside [-1/k, 1/k], ~0 inside
     [-1/(2k), 1/(2k)], built from two opposed erf steps at +-3/(4k).
 
@@ -528,12 +512,10 @@ def rect_poly(
         return ChebyshevPoly(lifted, Parity.EVEN)
 
     start = max(int(2 * math.ceil(0.8 * k) + 2), 10)
-    return _grow_and_certify(build, start, degree_cap, certify)
+    return _grow_and_certify(build, start, certify)
 
 
-def matrix_inversion_poly(
-    epsilon: float, kappa: float, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ChebyshevPoly:
+def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     """Odd, unit-bounded approximation of 1/(2*kappa*x) on |x| in [1/k, 1].
 
     Interpolates the odd entire function h(x) = (1 - exp(-(s x)^2)) /
@@ -558,7 +540,7 @@ def matrix_inversion_poly(
     certify = _certifier(lambda g: np.abs(g) > 1.0 / kappa,
                          lambda x: 1.0 / (2.0 * kappa * x), epsilon / (2.0 * kappa))
     return _grow_and_certify(lambda d: _unit_interpolant(target, d, Parity.ODD),
-                             2 * math.ceil(s) + 1, degree_cap, certify)
+                             2 * math.ceil(s) + 1, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +585,7 @@ class FitResult(NamedTuple):
 def _even_fit(target: Callable, degree: int, grid_size: int = 2001) -> FitResult:
     if degree % 2 != 0 or degree < 2:
         raise DomainError("fit degree must be even and >= 2")
+    _require_degree(degree)
     grid = np.linspace(-1.0, 1.0, grid_size)
     design = cheb.chebvander(grid, degree)[:, ::2]
     vals = target(grid)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from qsvtsim import (
     ConditionViolated,
+    DegreeCapExceeded,
     DomainError,
     OrderNotFound,
     bernoulli_sample_count,
@@ -198,6 +200,53 @@ class TestOrderFinding:
             order_finding_demo(3, 128, seed=0)
 
 
+# sha256 of RunRecord.to_json() for seeded phase-estimation runs: the three
+# factor cases of the cli benchmark, a sampled run, the escalation case of
+# TestPhaseEstimationStrategies and a run with phase errors that reaches the
+# ones-place carry probe.  A refactor of the shared loop must keep every
+# bit, queries and p1 value of these records.
+PE_REPLAYS = {
+    "factor_7_15": (
+        lambda: order_finding_demo(7, 15, seed=1),
+        "1a5c1aa25dac38a2941ea11d1b526aa3028e55ea0fcb34aaee824333396d0544",
+    ),
+    "factor_2_21": (
+        lambda: order_finding_demo(2, 21, seed=1),
+        "f9f9f309c435a8c0dd1818137f8fbba3ac0c5e9fbf2cfba1a86f0207d054a321",
+    ),
+    "factor_2_35": (
+        lambda: order_finding_demo(2, 35, seed=1),
+        "2de0d6ea2965e71dd6652e4757422ece90875e2730dc7210a7fe0791247cba01",
+    ),
+    "qpe_sampled": (
+        lambda: phase_estimation_record(
+            oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
+        ),
+        "f017c90e5bfe987da0ee4be24654dcabe2ef1edc395e77de9148106dac8cb2e4",
+    ),
+    "qpe_escalation": (
+        lambda: phase_estimation_record(
+            oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
+            majority_votes=5, escalate_ambiguous=True,
+        ),
+        "b2721c77bcb83c5964422fe70e0f6b0086b41812ab5853cc6d833aaba496c0c4",
+    ),
+    "qpe_phase_errors": (
+        lambda: phase_estimation_record(
+            oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
+            phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
+        ),
+        "5b94012a2943620354287f7889d28d5c26fd2edd9c265f39a2e892624ca787fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PE_REPLAYS))
+def test_phase_estimation_replays(name):
+    make, digest = PE_REPLAYS[name]
+    assert hashlib.sha256(make().to_json().encode()).hexdigest() == digest
+
+
 class TestHamiltonianSimulation:
     def test_identity_at_time_zero(self):
         h = np.diag([0.3, 0.7]).astype(complex)
@@ -212,6 +261,15 @@ class TestHamiltonianSimulation:
         phase = np.vdot(approx, exact)
         phase /= abs(phase)
         assert np.max(np.abs(approx * phase - exact)) <= 1e-3
+
+    def test_degree_cap_checked_before_any_solve(self):
+        # t = 1e4 needs a cosine part of degree 13,598: it fails at once
+        # instead of starting the Newton solve
+        h = np.diag([0.3, 0.7]).astype(complex)
+        start = time.perf_counter()
+        with pytest.raises(DegreeCapExceeded, match="degree 13598 exceeds the degree cap 512"):
+            hamiltonian_simulation(h, 1.0, 1e4, 1e-3)
+        assert time.perf_counter() - start < 0.05
 
     def test_query_count_formula(self):
         for t, eps in [(1.0, 1e-2), (5.0, 1e-3)]:

@@ -4,6 +4,7 @@ import pytest
 from qsvtsim import (
     CANONICAL,
     ChebyshevPoly,
+    DegreeCapExceeded,
     DomainError,
     FixedPointParams,
     NoConvergence,
@@ -93,6 +94,12 @@ class TestSolvePhases:
             solve_phases(ChebyshevPoly([0.3, 0.4], Parity.NONE))
         with pytest.raises(DomainError):
             solve_phases(ChebyshevPoly([0, 1.2], Parity.ODD))
+
+    def test_degree_cap_checked_before_solving(self):
+        coeffs = np.zeros(602)
+        coeffs[1], coeffs[601] = 0.5, 0.01
+        with pytest.raises(DegreeCapExceeded, match="degree 601 exceeds the degree cap 512"):
+            solve_phases(ChebyshevPoly(coeffs, Parity.ODD))
 
     def test_boundary_target_is_nudged(self):
         # a target touching |P| = 1 still solves, to within the nudge

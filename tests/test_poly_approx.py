@@ -13,6 +13,7 @@ from qsvtsim import (
     ParityError,
     eigenstate_filter_poly,
     eigenvalue_threshold_poly,
+    families,
     gibbs_poly,
     inverse_poly,
     jacobi_anger_cos,
@@ -27,7 +28,7 @@ from qsvtsim import (
     solve_truncation,
 )
 from qsvtsim.poly_approx import (
-    DEFAULT_DEGREE_CAP,
+    DEGREE_CAP,
     _erf,
     _jacobi_anger_coeffs,
     cert_grid,
@@ -131,6 +132,11 @@ class TestTruncation:
         with pytest.raises(DomainError):
             solve_truncation(-1.0, 0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_a_domain_error(self, t):
+        with pytest.raises(DomainError, match="positive and finite"):
+            solve_truncation(t, 1e-3)
+
 
 class TestJacobiAnger:
     def test_cos_at_zero_prescale(self):
@@ -225,7 +231,7 @@ class TestSmoothInversionTarget:
     @pytest.mark.parametrize("eps, kappa, degree", [(0.05, 3.0, 23), (0.01, 20.0, 283)])
     def test_certifies_under_the_cap(self, eps, kappa, degree):
         p = matrix_inversion_poly(eps, kappa)
-        assert p.degree == degree <= DEFAULT_DEGREE_CAP
+        assert p.degree == degree <= DEGREE_CAP
         x = np.linspace(1 / kappa, 1.0, 200_001)
         assert np.max(np.abs(p(x) - 1 / (2 * kappa * x))) <= eps / (2 * kappa)
         assert np.max(np.abs(p(np.linspace(-1.0, 1.0, 200_001)))) <= 1.0
@@ -236,8 +242,22 @@ class TestSmoothInversionTarget:
             matrix_inversion_poly(1e-3, 10.0)
 
     def test_degree_cap_is_named(self):
-        with pytest.raises(DegreeCapExceeded, match="degree cap 101"):
-            matrix_inversion_poly(0.01, 20.0, degree_cap=101)
+        # kappa = 33 is the last to certify under the cap at eps = 0.01
+        with pytest.raises(DegreeCapExceeded, match="degree cap 512"):
+            matrix_inversion_poly(0.01, 40.0)
+
+
+@pytest.mark.parametrize("make, degree", [
+    (lambda: jacobi_anger_cos(1000.0, 1e-3), 1364),
+    (lambda: jacobi_anger_sin(1000.0, 1e-3), 1365),
+    (lambda: families.family_target("poly_sign", {"d": 1501}), 1501),
+    (lambda: families.family_target("efilter", {"d": 1000}), 1000),
+    (lambda: gibbs_poly(1.0, 600), 600),
+    (lambda: inverse_poly_params(0.01, 1e4), 386547),
+], ids=["jacobi_anger_cos", "jacobi_anger_sin", "poly_sign", "efilter", "gibbs", "inverse"])
+def test_degree_cap_checked_before_work(make, degree):
+    with pytest.raises(DegreeCapExceeded, match=f"degree {degree} exceeds the degree cap 512"):
+        make()
 
 
 class TestEigenstateFilter:
