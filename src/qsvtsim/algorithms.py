@@ -473,10 +473,8 @@ def _continued_fraction_denominators(value: float, max_den: int):
     while den:
         a_list.append(num // den)
         num, den = den, num % den
-    h_prev, h = 1, a_list[0] if a_list else 0
     k_prev, k = 0, 1
     for a in a_list[1:]:
-        h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
         if k > max_den:
             break

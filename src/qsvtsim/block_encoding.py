@@ -55,6 +55,60 @@ def _coordinate_range(projector: np.ndarray) -> np.ndarray | None:
     return idx
 
 
+def _gram_schmidt(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(P): Gram-Schmidt over the projector's
+    columns in index order."""
+    rank = int(round(float(np.real(np.trace(projector)))))
+    basis = []
+    for j in range(projector.shape[0]):
+        if len(basis) == rank:
+            break
+        v = projector[:, j].copy()
+        for b in basis:
+            v -= b * (b.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            basis.append(v / norm)
+    return np.array(basis).T if basis else np.zeros((projector.shape[0], 0), dtype=complex)
+
+
+def _frame(projector: np.ndarray):
+    """(rank, F), F read-only: a unitary whose columns are a basis of range(P)
+    followed by one of its complement, so that P = F diag(I_rank, 0) F^dag
+    and F[..., :rank] holds the range basis.
+
+    F is an index permutation (F = I[:, perm]) for a coordinate projector,
+    whose range basis e_j is what Gram-Schmidt gives, and otherwise a dense
+    matrix whose range columns are ``_gram_schmidt(P)``.
+    """
+    idx = _coordinate_range(projector)
+    if idx is not None:
+        rank, frame = len(idx), np.concatenate([idx, np.flatnonzero(np.diagonal(projector) == 0)])
+    else:
+        basis = _gram_schmidt(projector)
+        rank = basis.shape[1]
+        frame = np.hstack([basis, np.linalg.qr(basis, mode="complete")[0][:, rank:]])
+    frame.setflags(write=False)
+    return rank, frame
+
+
+def _inverse(frame: np.ndarray) -> np.ndarray:
+    """F^dag, in the same form as F."""
+    return np.argsort(frame) if frame.dtype.kind == "i" else frame.conj().T
+
+
+def _into(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows^dag m cols: a gather for permutation frames, products otherwise."""
+    m = m[rows] if rows.dtype.kind == "i" else rows.conj().T @ m
+    return m[:, cols] if cols.dtype.kind == "i" else m @ cols
+
+
+def _range_block(u: np.ndarray, left, right) -> np.ndarray:
+    """Matrix of u from range(P_R) to range(P_L), in the frames' range bases."""
+    (rank_l, frame_l), (rank_r, frame_r) = left, right
+    return _into(u, frame_l[..., :rank_l], frame_r[..., :rank_r])
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
@@ -90,11 +144,12 @@ class BlockEncoding:
     ranges); proj_right selects the input (right singular vector) space and
     proj_left the output space.
 
-    Construction checks U at UNITARY_TOL, both projectors at PROJECTOR_TOL
-    and the block's operator norm against 1 + 1e-10.  Coordinate projectors
-    (diagonal 0/1, which every constructor here makes) are checked exactly
-    in O(N^2), and the norm is taken of the gathered r x c sub-block of U;
-    any other projector is checked densely, with the norm of P_left U P_right.
+    Construction checks U at UNITARY_TOL and both projectors at
+    PROJECTOR_TOL; coordinate projectors (diagonal 0/1, which every
+    constructor here makes) are checked exactly in O(N^2), any other densely.
+    It then derives each projector's frame once (``_frame``), stored
+    read-only as ``_frame_right`` and ``_frame_left``: the norm check
+    against 1 + 1e-10, ``extract_block`` and the QSVT engine all read them.
     """
 
     unitary: np.ndarray
@@ -112,11 +167,8 @@ class BlockEncoding:
             raise DomainError(f"dimension {u.shape[0]} exceeds the cap {DIM_CAP}")
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
-        rows, cols = _coordinate_range(pl), _coordinate_range(pr)
-        if rows is not None and cols is not None:
-            block = u[np.ix_(rows, cols)]
-        else:
-            block = pl @ u @ pr
+        right, left = _frame(pr), _frame(pl)
+        block = _range_block(u, left, right)
         norm = np.linalg.norm(block, 2) if block.size else 0.0
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
@@ -124,48 +176,17 @@ class BlockEncoding:
             value = value.copy()
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_frame_right", right)
+        object.__setattr__(self, "_frame_left", left)
 
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
 
 
-def _range_basis(projector: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(P), deterministic by ascending column index.
-
-    For a coordinate projector that is the standard basis vectors e_j, which
-    is exactly what the Gram-Schmidt loop gives; other projectors run it.
-    """
-    idx = _coordinate_range(projector)
-    if idx is not None:
-        return np.eye(projector.shape[0], dtype=projector.dtype)[:, idx]
-    return _gram_schmidt(projector)
-
-
-def _gram_schmidt(projector: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt over the projector's columns in index order."""
-    rank = int(round(float(np.real(np.trace(projector)))))
-    basis = []
-    for j in range(projector.shape[0]):
-        if len(basis) == rank:
-            break
-        v = projector[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            basis.append(v / norm)
-    return np.array(basis).T if basis else np.zeros((projector.shape[0], 0), dtype=complex)
-
-
-def _restrict(m: np.ndarray, proj_left: np.ndarray, proj_right: np.ndarray) -> np.ndarray:
-    """Matrix of m from range(proj_right) to range(proj_left), in their bases."""
-    return _range_basis(proj_left).conj().T @ m @ _range_basis(proj_right)
-
-
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """Matrix of the encoded block (A / alpha) in the projector-range bases."""
-    return _restrict(be.unitary, be.proj_left, be.proj_right)
+    return _range_block(be.unitary, be._frame_left, be._frame_right)
 
 
 def _select(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -290,13 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    family_help = "one of, with its --args and their defaults: " + families.family_usage()
+    args_help = "comma-separated key=value family arguments"
     p = sub.add_parser("phases", help="synthesize phases for a named family")
-    p.add_argument(
-        "--family",
-        required=True,
-        help="one of: " + ", ".join(families.FAMILY_NAMES) + "; see the poly command for arguments",
-    )
-    p.add_argument("--args", default="", help="comma-separated key=value family arguments")
+    p.add_argument("--family", required=True, help=family_help)
+    p.add_argument("--args", default="", help=args_help)
     p.add_argument("--emit-response", metavar="CSV")
     p.add_argument("--json", metavar="FILE")
     p.add_argument("--npts", type=int, default=400)
@@ -304,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phases)
 
     p = sub.add_parser("poly", help="emit a family target polynomial")
-    p.add_argument("--family", required=True)
-    p.add_argument("--args", default="")
+    p.add_argument("--family", required=True, help=family_help + "; fpsearch has phases but no target")
+    p.add_argument("--args", default="", help=args_help)
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--json", metavar="FILE")
     p.add_argument("--npts", type=int, default=400)

@@ -46,42 +46,82 @@ def _phase_target(d: int, k: float) -> ChebyshevPoly:
     )
 
 
-# name -> builder of the target polynomial from the family's argument dict
-_TARGET_FAMILIES = {
-    # odd erf-based sign approximation; args d (odd degree), k (steepness)
-    "poly_sign": lambda a: sign_poly_from_steepness(int(a.get("d", 19)), a.get("k", 10.0)),
-    # odd 1/(2*kappa*x) approximation; args kappa, eps
-    "invert": lambda a: matrix_inversion_poly(a.get("eps", 0.3), a.get("kappa", 3.0)),
-    # Jacobi-Anger cos/sin truncation; args t, eps, part=cos|sin
-    "hamsim": lambda a: (
-        jacobi_anger_cos(a.get("t", 5.0), a.get("eps", 0.1))
-        if a.get("part", "cos") == "cos"
-        else jacobi_anger_sin(a.get("t", 5.0), a.get("eps", 0.1))
+def _hamsim_target(a: dict) -> ChebyshevPoly:
+    """Jacobi-Anger truncation of cos(tx) or sin(tx), by the part argument."""
+    parts = {"cos": jacobi_anger_cos, "sin": jacobi_anger_sin}
+    if a["part"] not in parts:
+        raise DomainError(
+            f"hamsim part must be cos or sin, got {a['part']!r}; "
+            f"hamsim takes {_usage('hamsim')}"
+        )
+    return parts[a["part"]](a["t"], a["eps"])
+
+
+# name -> (argument defaults, builder): every family's arguments, declared
+# once, fpsearch first and the rest by name; fpsearch builds its phases in
+# closed form, the others a target polynomial
+_FAMILIES = {
+    # fixed-point amplification phases of length 2d + 1, gap delta
+    "fpsearch": (
+        {"d": 10, "delta": 0.5},
+        lambda a: fixed_point_phases(FixedPointParams(int(a["d"]), a["delta"])),
     ),
-    # even step at |x|=1/2; args d (even degree), k (steepness)
-    "poly_thresh": lambda a: _thresh_target(int(a.get("d", 18)), a.get("k", 10.0)),
-    # even symmetric step at 1/sqrt(2); args d (even degree), k
-    "poly_phase": lambda a: _phase_target(int(a.get("d", 18)), a.get("k", 10.0)),
-    # eigenstate filter of degree d = 2k; args d (even degree), dlam (gap)
-    "efilter": lambda a: eigenstate_filter_poly(int(a.get("d", 30)) // 2, a.get("dlam", 0.3)),
-    # even fit of exp(-beta|x|); args d (even degree), beta
-    "gibbs": lambda a: gibbs_poly(a.get("beta", 3.5), int(a.get("d", 20))).poly,
-    # even softplus fit; args d (even degree), delta (offset), steepness
-    "relu": lambda a: relu_poly(
-        a.get("delta", 0.6), a.get("steepness", 15.0), int(a.get("d", 20))
-    ).poly,
+    # eigenstate filter of even degree d = 2k and gap dlam
+    "efilter": (
+        {"d": 30, "dlam": 0.3},
+        lambda a: eigenstate_filter_poly(int(a["d"]) // 2, a["dlam"]),
+    ),
+    # even fit of exp(-beta|x|) of even degree d
+    "gibbs": ({"d": 20, "beta": 3.5}, lambda a: gibbs_poly(a["beta"], int(a["d"])).poly),
+    # Jacobi-Anger cos/sin truncation
+    "hamsim": ({"t": 5.0, "eps": 0.1, "part": "cos"}, _hamsim_target),
+    # odd 1/(2*kappa*x) approximation
+    "invert": ({"kappa": 3.0, "eps": 0.3}, lambda a: matrix_inversion_poly(a["eps"], a["kappa"])),
+    # even symmetric step at 1/sqrt(2), even degree d
+    "poly_phase": ({"d": 18, "k": 10.0}, lambda a: _phase_target(int(a["d"]), a["k"])),
+    # odd erf-based sign approximation of odd degree d and steepness k
+    "poly_sign": ({"d": 19, "k": 10.0}, lambda a: sign_poly_from_steepness(int(a["d"]), a["k"])),
+    # even step at |x| = 1/2, even degree d
+    "poly_thresh": ({"d": 18, "k": 10.0}, lambda a: _thresh_target(int(a["d"]), a["k"])),
+    # even softplus fit of even degree d, offset delta and the given steepness
+    "relu": (
+        {"d": 20, "delta": 0.6, "steepness": 15.0},
+        lambda a: relu_poly(a["delta"], a["steepness"], int(a["d"])).poly,
+    ),
 }
 
-FAMILY_NAMES = ("fpsearch",) + tuple(sorted(_TARGET_FAMILIES))
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def _usage(name: str) -> str:
+    """The family's arguments with their defaults, as key=value."""
+    return ", ".join(f"{key}={value}" for key, value in _FAMILIES[name][0].items())
+
+
+def family_usage() -> str:
+    """Every family with its arguments and defaults, for help texts."""
+    return "; ".join(f"{name} ({_usage(name)})" for name in FAMILY_NAMES)
+
+
+def _build(name: str, args: dict | None):
+    """Run the family's builder on its defaults overridden by args."""
+    if name not in _FAMILIES:
+        raise DomainError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+    defaults, builder = _FAMILIES[name]
+    unknown = sorted(set(args or {}) - set(defaults))
+    if unknown:
+        raise DomainError(
+            f"family {name} has no argument {', '.join(map(repr, unknown))}; "
+            f"it takes {_usage(name)}"
+        )
+    return builder({**defaults, **(args or {})})
 
 
 def family_target(name: str, args: dict | None = None) -> ChebyshevPoly:
     """Target polynomial of a named family (all families except fpsearch)."""
     if name == "fpsearch":
         raise DomainError("fpsearch is a closed-form phase family with no target polynomial")
-    if name not in _TARGET_FAMILIES:
-        raise DomainError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    return _TARGET_FAMILIES[name](args or {})
+    return _build(name, args)
 
 
 def family_phases(
@@ -89,7 +129,5 @@ def family_phases(
 ) -> PhaseSequence:
     """Phases for a named family: closed form for fpsearch, solved otherwise."""
     if name == "fpsearch":
-        params = FixedPointParams(int((args or {}).get("d", 10)), (args or {}).get("delta", 0.5))
-        return fixed_point_phases(params)
-    target = family_target(name, args)
-    return solve_phases(target, options or SolverOptions())
+        return _build(name, args)
+    return solve_phases(family_target(name, args), options or SolverOptions())

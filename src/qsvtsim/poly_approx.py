@@ -370,9 +370,14 @@ def solve_truncation(t: float, epsilon: float) -> TruncationSpec:
         else:
             hi = mid
     r = lo if abs(h(lo)) <= abs(h(hi)) else hi
-    resid = abs((t_arg / r) ** r - eps_arg)
-    if not (r > t_arg and resid <= 1e-10 * eps_arg + 1e-14):
-        raise ConvergenceError(f"truncation root rejected (residual {resid:.3e})")
+    # h(r) in log space, against four unit roundoffs (2^-53) of the sizes of
+    # its terms: (t'/r)^r itself loses about r ulps at large r
+    resid = abs(h(r))
+    bound = 4.0 * 2.0**-53 * (r * (abs(math.log(t_arg)) + abs(math.log(r))) + abs(log_eps))
+    if not (r > t_arg and resid <= bound):
+        raise ConvergenceError(
+            f"truncation root rejected (residual {resid:.3e} exceeds {bound:.3e})"
+        )
     return TruncationSpec(t_arg, eps_arg, float(r), int(math.floor(0.5 * r)))
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _coordinate_range, _lift, _range_basis, _select
-from .errors import DomainError, NotHermitian, NotUnit
+from .block_encoding import BlockEncoding, _into, _inverse, _lift, _select, require_hermitian
+from .errors import DomainError, NotUnit
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import CANONICAL, PhaseSequence, _reflection_offsets, convert_convention
 
@@ -38,43 +38,13 @@ class QsvtProgram:
     def degree(self) -> int:
         return self.phases.degree
 
-    @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.degree % 2 == 0 else Parity.ODD
-
-
-def _frame(projector: np.ndarray):
-    """(rank, F): a unitary F whose columns are a basis of range(P) followed
-    by one of its complement, so that P = F diag(I_rank, 0) F^dag.
-
-    F is an index permutation (F = I[:, perm]) for a coordinate projector and
-    otherwise a dense matrix whose range columns are ``_range_basis(P)``.
-    """
-    idx = _coordinate_range(projector)
-    if idx is not None:
-        rest = np.setdiff1d(np.arange(projector.shape[0]), idx, assume_unique=True)
-        return len(idx), np.concatenate([idx, rest])
-    basis = _range_basis(projector)
-    rank = basis.shape[1]
-    return rank, np.hstack([basis, np.linalg.qr(basis, mode="complete")[0][:, rank:]])
-
-
-def _inverse(frame: np.ndarray) -> np.ndarray:
-    """F^dag, in the same form as F."""
-    return np.argsort(frame) if frame.dtype.kind == "i" else frame.conj().T
-
-
-def _into(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows^dag m cols: a gather for permutation frames, products otherwise."""
-    m = m[rows] if rows.dtype.kind == "i" else rows.conj().T @ m
-    return m[:, cols] if cols.dtype.kind == "i" else m @ cols
-
 
 def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
     """The products Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d) of every phase
     list at once, in the projector frame.
 
-    U is written once as F_L^dag U F_R; the frames cancel between steps
+    U is written once as F_L^dag U F_R, in the frames the encoding derived
+    at construction; the frames cancel between steps
     (Phi_L U Phi_R = F_L D_L (F_L^dag U F_R) D_R F_R^dag), so each projector
     phase is the row scaling D(chi): e^{i chi} on the first rank rows and
     e^{-i chi} on the rest.  The lists share one (N, lists, cols) stack and
@@ -87,8 +57,8 @@ def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
     chi = np.array(phase_lists, dtype=float)
     chi += _reflection_offsets(chi.shape[1] - 1)
     d = chi.shape[1] - 1
-    rank_r, frame_r = _frame(encoding.proj_right)
-    rank_l, frame_l = _frame(encoding.proj_left)
+    rank_r, frame_r = encoding._frame_right
+    rank_l, frame_l = encoding._frame_left
     u = _into(encoding.unitary, frame_l, frame_r)
     u_dag = np.ascontiguousarray(u.conj().T)
     n = u.shape[0]
@@ -185,9 +155,7 @@ def svd_oracle(a: np.ndarray, poly: ChebyshevPoly) -> np.ndarray:
 
 def eigen_oracle(h: np.ndarray, poly: ChebyshevPoly) -> np.ndarray:
     """Eigenbasis functional calculus sum_l f(lambda_l) |l><l|."""
-    h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise NotHermitian("eigen_oracle expects a Hermitian matrix")
+    h = require_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     return evecs @ np.diag(poly(evals)) @ evecs.conj().T
 
@@ -209,7 +177,7 @@ def amplitude_amplification_matrix_element(
     a0 = np.asarray(a0, dtype=complex).ravel()
     b0 = np.asarray(b0, dtype=complex).ravel()
     for name, vec in (("A0", a0), ("B0", b0)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:  # a NaN norm fails too
             raise NotUnit(f"{name} must be a unit vector")
     phases = list(phases)
     if len(phases) % 2 != 0:

@@ -29,7 +29,6 @@ from qsvtsim import (
 from qsvtsim.block_encoding import (
     _coordinate_range,
     _gram_schmidt,
-    _range_basis,
     require_hermitian,
     require_projector,
     require_unitary,
@@ -226,10 +225,11 @@ def test_extract_block_zero_projector(rng):
     ids=["qubitize_hermitian", "embed_general", "shift_positive", "grover_signal"],
 )
 def test_coordinate_range_basis_is_the_gram_schmidt_basis(build, rng):
-    # the index fast path returns the loop's basis bit for bit
+    # the range columns of the stored index frame are the loop's basis bit for bit
     be = build(random_hermitian(rng, 3))
-    for p in (be.proj_right, be.proj_left):
-        fast, loop = _range_basis(p), _gram_schmidt(p)
+    for p, (rank, frame) in ((be.proj_right, be._frame_right), (be.proj_left, be._frame_left)):
+        assert frame.dtype.kind == "i"
+        fast, loop = np.eye(be.dim, dtype=complex)[:, frame[:rank]], _gram_schmidt(p)
         assert fast.dtype == loop.dtype and fast.shape == loop.shape
         assert fast.tobytes() == np.ascontiguousarray(loop).tobytes()
 

@@ -269,6 +269,38 @@ def test_all_family_names_reachable(capsys):
         assert json.loads(out)["phases"]
 
 
+@pytest.mark.parametrize(
+    "command, family, args, message",
+    [
+        ("phases", "invert", "kapa=20,eps=0.01", "no argument 'kapa'; it takes kappa=3.0, eps=0.3"),
+        ("poly", "invert", "kapa=20", "no argument 'kapa'; it takes kappa=3.0, eps=0.3"),
+        ("phases", "fpsearch", "d=3,detla=0.5", "no argument 'detla'; it takes d=10, delta=0.5"),
+        (
+            "phases", "hamsim", "t=2,part=cosine",
+            "part must be cos or sin, got 'cosine'; hamsim takes t=5.0, eps=0.1, part=cos",
+        ),
+        ("poly", "hamsim", "part=sine", "part must be cos or sin, got 'sine'"),
+    ],
+    ids=["phases-kapa", "poly-kapa", "fpsearch-detla", "phases-cosine", "poly-sine"],
+)
+def test_family_arguments_are_checked(capsys, command, family, args, message):
+    # a misspelt key or part must not fall back silently to a default
+    code, out, err = run_cli(capsys, command, "--family", family, "--args", args)
+    assert code == 1 and out == "" and message in err
+
+
+def test_family_help_lists_every_argument(capsys):
+    from qsvtsim.families import family_usage
+
+    for command in ("phases", "poly"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert family_usage() in text
+        assert "invert (kappa=3.0, eps=0.3)" in text
+        assert "hamsim (t=5.0, eps=0.1, part=cos)" in text
+
+
 def test_svg_sign_curve_spans_band(capsys, tmp_path, family_solutions):
     from qsvtsim import response_curve
 

@@ -137,6 +137,23 @@ class TestTruncation:
         with pytest.raises(DomainError, match="positive and finite"):
             solve_truncation(t, 1e-3)
 
+    @pytest.mark.parametrize(
+        "t", [1e-3, 0.1, 1.0, 10.0, 100.0, 376.0, 1e3, 1e4, 3e4, 1e5, 3e5, 1e6]
+    )
+    def test_root_accepted_at_every_time(self, t):
+        # the root check must hold at large t, where (t'/r)^r in linear
+        # space loses about r ulps
+        for eps in (0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+            spec = solve_truncation(t, eps)
+            r, log_eps = spec.r_value, math.log(spec.eps_arg)
+            assert r > spec.t_arg and spec.k_prime == math.floor(0.5 * r)
+            assert abs(r * math.log(spec.t_arg / r) - log_eps) <= 1e-8 * abs(log_eps)
+
+    def test_large_time_reports_the_degree_cap(self):
+        assert solve_truncation(1e6, 1e-3).k_prime > DEGREE_CAP
+        with pytest.raises(DegreeCapExceeded, match="degree cap 512"):
+            jacobi_anger_cos(1e6, 1e-3)
+
 
 class TestJacobiAnger:
     def test_cos_at_zero_prescale(self):

@@ -191,6 +191,76 @@ class TestDenseFrame:
             assert np.max(np.abs(qsvt_unitary(QsvtProgram(enc, seq)) - v)) <= 1e-13
 
 
+def _edge_encodings():
+    """Encodings at the rank extremes, by (rank_right, rank_left): as coordinate
+    projectors and rotated by a random unitary q.  q 0 q^dag is still the
+    zero (coordinate) projector; q I q^dag is not, so the rotated full-rank
+    sides take the dense frame, with an empty complement."""
+    rng = np.random.default_rng(12)
+    n = 6
+    unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    proj = {0: np.zeros((n, n), dtype=complex), n: np.eye(n, dtype=complex)}
+    rotate = lambda m: q @ m @ q.conj().T
+    cases = {}
+    for ranks in ((0, 0), (n, n), (0, n), (n, 0)):
+        pr, pl = proj[ranks[0]], proj[ranks[1]]
+        cases[f"coordinate-{ranks[0]}-{ranks[1]}"] = (BlockEncoding(unitary, pr, pl), ranks)
+        enc = BlockEncoding(rotate(unitary), rotate(pr), rotate(pl))
+        cases[f"rotated-{ranks[0]}-{ranks[1]}"] = (enc, ranks)
+    return cases
+
+
+EDGE_ENCODINGS = _edge_encodings()
+
+
+class TestFrameEdgeCases:
+    """Rank 0 and full rank on either side, through every reader of the
+    encoding's stored frames."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        rng = np.random.default_rng(13)
+        polys = [random_parity_poly(rng, degree) for degree in (4, 5)]
+        return [(poly, solve_phases(poly, SolverOptions(residual_tol=1e-9))) for poly in polys]
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ENCODINGS))
+    def test_shapes_and_values(self, name, programs):
+        enc, (rank_r, rank_l) = EDGE_ENCODINGS[name]
+        n = enc.dim
+        block = extract_block(enc)
+        assert block.shape == (rank_l, rank_r)
+        for poly, seq in programs:
+            prog = QsvtProgram(enc, seq)
+            out_rank = rank_l if seq.degree % 2 else rank_r
+            tb = transformed_block(prog)
+            assert tb.shape == (out_rank, rank_r)
+            # an empty block has every singular value 0 (svd_oracle takes square blocks)
+            expect = svd_oracle(block, poly) if block.size else poly(0.0) * np.eye(*tb.shape)
+            assert np.max(np.abs(tb - expect), initial=0.0) <= residual(seq, poly) + 1e-10
+            v = qsvt_unitary(prog)
+            chi = seq.as_array() + _reflection_offsets(seq.degree)
+            literal = projector_phase(enc.proj_right, chi[-1])
+            for k in range(seq.degree - 1, -1, -1):
+                odd = (seq.degree - k) % 2 == 1
+                op = enc.unitary if odd else enc.unitary.conj().T
+                literal = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ literal
+            assert v.shape == (n, n) and np.max(np.abs(v - literal)) <= 1e-13
+            real = real_part_encoding(prog)
+            assert real.dim == 2 * n
+            real_block = extract_block(real)
+            assert real_block.shape == tb.shape
+            assert np.max(np.abs(real_block - tb), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["coordinate-6-0", "rotated-6-6"])
+    def test_stored_frames_are_read_only(self, name):
+        enc, _ = EDGE_ENCODINGS[name]
+        for rank, frame in (enc._frame_right, enc._frame_left):
+            assert not frame.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frame[..., 0] = frame[..., 0]
+
+
 class TestEigenOracle:
     def test_identity(self, rng):
         h = np.diag([0.2, -0.5]).astype(complex)
@@ -246,6 +316,15 @@ class TestEigenOracle:
 
         with pytest.raises(NotHermitian):
             eigen_oracle(np.array([[0, 1.0], [0, 0]]), ChebyshevPoly([0, 1.0], Parity.ODD))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan(self, entry):
+        from qsvtsim import NotHermitian
+
+        h = np.diag([0.5, -0.2]).astype(complex)
+        h[entry] = np.nan
+        with pytest.raises(NotHermitian, match="hermitian defect nan"):
+            eigen_oracle(h, ChebyshevPoly([0, 1.0], Parity.ODD))
 
     def test_svd_oracle_requires_parity(self):
         with pytest.raises(DomainError):
@@ -314,3 +393,11 @@ class TestAmplitudeAmplification:
             amplitude_amplification_matrix_element(u, a0, b0, [0.1])
         with pytest.raises(NotUnit):
             amplitude_amplification_matrix_element(u, 2 * a0, b0, [])
+
+    @pytest.mark.parametrize("which", ["A0", "B0"])
+    def test_rejects_nan_vectors(self, search_setup, which):
+        u, a0, b0 = search_setup
+        vecs = {"A0": a0.copy(), "B0": b0.copy()}
+        vecs[which][3] = np.nan
+        with pytest.raises(NotUnit, match=which):
+            amplitude_amplification_matrix_element(u, vecs["A0"], vecs["B0"], [0.1, 0.2])
