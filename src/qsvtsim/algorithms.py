@@ -18,15 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .block_encoding import (
-    DIM_CAP,
     BlockEncoding,
-    _lift,
-    _select,
+    _average,
+    _require_dim,
+    _square,
     embed_general,
     grover_signal,
     phase_oracle_block,
     qubitize_hermitian,
-    require_hermitian,
     require_unitary,
     shift_positive,
 )
@@ -34,8 +33,8 @@ from .errors import (
     ConditionViolated,
     DomainError,
     GiveUp,
+    NotHermitian,
     OrderNotFound,
-    ScaleTooSmall,
 )
 from .phase_solver import SolverOptions, solve_phases
 from .poly_approx import (
@@ -48,7 +47,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence
-from .qsvt_engine import QsvtProgram, _real_part_circuit, real_part_encoding, transformed_block
+from .qsvt_engine import QsvtProgram, _conjugate_pair, real_part_encoding, transformed_block
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -216,7 +215,7 @@ def eigenvalue_threshold(
     measurements distinguish the two Bernoulli means.  Decision True means
     "a low eigenvalue exists".
     """
-    h = require_hermitian(h)
+    enc = shift_positive(qubitize_hermitian(h, alpha))
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     if epsilon is None:
@@ -224,7 +223,6 @@ def eigenvalue_threshold(
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
     phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
-    enc = shift_positive(qubitize_hermitian(h, alpha))
     block = transformed_block(QsvtProgram(enc, phases))
     u = block @ psi
     p0 = 0.5 * float(np.linalg.norm(psi + u) ** 2) / (1.0 + float(np.linalg.norm(u) ** 2))
@@ -556,28 +554,23 @@ def hamiltonian_simulation(
 ) -> BlockEncoding:
     """Block encoding of exp(-i H t) / 2 built from two QSVT passes.
 
-    Even and odd passes approximate cos(Ht) and sin(Ht); a select ancilla
-    with Hadamards combines them into cos - i sin.  Qubitization acts per
-    signed eigenvalue, so no spectral shift is needed and the total query
-    count is 4k' + 1.  Post-selecting both ancillas on |0> applies the
-    evolution (the factor 1/2 is the encoding's alpha).
+    Even and odd passes approximate cos(Ht) and sin(Ht); one Hadamard average
+    of V_cos(+-phi) and -+i V_sin(+-phi) over two ancillas gives (cos - i sin)
+    / 2.  Qubitization acts per signed eigenvalue, so no spectral shift is
+    needed and the total query count is 4k' + 1.  Post-selecting both
+    ancillas on |0> applies the evolution (the factor 1/2 is the encoding's
+    alpha).
     """
-    h = require_hermitian(h)
-    if 8 * len(h) > DIM_CAP:  # checked before any work: the output has dimension 8n
-        raise DomainError(f"output dimension {8 * len(h)} (8n) exceeds the cap {DIM_CAP}")
+    h = _square(h, NotHermitian)
+    _require_dim(8 * len(h), "8n")  # checked before any work: the output has dimension 8n
     if not 0.0 < epsilon < 1.0 / math.e:
         raise DomainError("epsilon must lie in (0, 1/e)")
-    norm = np.linalg.norm(h, 2)
-    if norm / alpha > 1.0 + 1e-12:
-        raise ScaleTooSmall(f"alpha {alpha} below the spectral norm {norm:.6f}")
-    tau = alpha * t
-    cos_seq, sin_seq = _hamsim_phases(abs(tau), epsilon)
     enc = qubitize_hermitian(h, alpha)
-    u_cos, proj_right, proj_left = _real_part_circuit(QsvtProgram(enc, cos_seq))
-    u_sin, _, _ = _real_part_circuit(QsvtProgram(enc, sin_seq))
-    sign = -1.0 if t >= 0 else 1.0  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
-    combined = _select(u_cos, sign * 1j * u_sin)
-    return BlockEncoding(combined, _lift(proj_right), _lift(proj_left), 2.0)
+    cos_seq, sin_seq = _hamsim_phases(abs(alpha * t), epsilon)
+    cos_pair, out_proj = _conjugate_pair(QsvtProgram(enc, cos_seq))
+    sin_pair, _ = _conjugate_pair(QsvtProgram(enc, sin_seq))
+    sign = -1j if t >= 0 else 1j  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
+    return _average(cos_pair + [sign * v for v in sin_pair], enc.proj_right, out_proj, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +585,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     returned encoding has alpha = 2 kappa.
     """
     a = np.asarray(a, dtype=complex)
-    if 4 * len(a) > DIM_CAP:  # checked before any work: the output has dimension 4n
-        raise DomainError(f"output dimension {4 * len(a)} (4n) exceeds the cap {DIM_CAP}")
+    _require_dim(4 * len(a), "4n")  # checked before any work: the output has dimension 4n
     sigma = np.linalg.svd(a, compute_uv=False)
     if np.any(sigma > 1.0 + 1e-9) or np.any(sigma < 1.0 / kappa - 1e-9):
         raise ConditionViolated(
@@ -601,4 +593,5 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
         )
     phases = _phases(matrix_inversion_poly, epsilon, kappa)
     enc = embed_general(a.conj().T, 1.0)
-    return BlockEncoding(*_real_part_circuit(QsvtProgram(enc, phases)), 2.0 * kappa)
+    pair, out_proj = _conjugate_pair(QsvtProgram(enc, phases))
+    return _average(pair, enc.proj_right, out_proj, 2.0 * kappa)

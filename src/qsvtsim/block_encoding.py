@@ -5,7 +5,8 @@ unitary via a pair of orthogonal projectors: A / alpha = P_left U P_right
 restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
 decompositions, and build the phase-oracle and Grover-signal encodings used
-by the algorithm layer.
+by the algorithm layer.  Every composite encoding comes from one of two
+builders: ``_complete`` or ``_average``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,27 @@ HERMITIAN_TOL = 1e-10
 DIM_CAP = 2**10
 
 
+def _require_dim(dim: int, factor: str = "") -> None:
+    """DomainError unless dimension ``dim`` fits DIM_CAP, checked before any
+    work; ``factor`` names an output dimension derived from n, such as "8n"."""
+    if dim > DIM_CAP:
+        what = f"output dimension {dim} ({factor})" if factor else f"dimension {dim}"
+        raise DomainError(f"{what} exceeds the cap {DIM_CAP}")
+
+
+def _square(m, error) -> np.ndarray:
+    """m as a complex array; ``error`` unless it is a square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise error("expected a square matrix")
+    return m
+
+
 # In the three validators an inf entry makes a NaN defect, which fails its check;
 # numpy's warnings on the way are silenced so only the typed error surfaces.
 @np.errstate(invalid="ignore", over="ignore")
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotUnitary("expected a square matrix")
+    u = _square(u, NotUnitary)
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if not defect <= tol:  # a NaN or inf defect fails too
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
@@ -111,9 +126,7 @@ def _range_block(u: np.ndarray, left, right) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")
 def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise NotProjector("expected a square matrix")
+    p = _square(p, NotProjector)
     if _coordinate_range(p) is not None:
         return p  # both defects of a diagonal 0/1 matrix are exactly 0
     herm = np.max(np.abs(p - p.conj().T))
@@ -127,9 +140,7 @@ def require_projector(p: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")
 def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise NotHermitian("expected a square matrix")
+    h = _square(h, NotHermitian)
     defect = np.max(np.abs(h - h.conj().T))
     if not defect <= tol:
         raise NotHermitian(f"hermitian defect {defect:.3e} exceeds {tol:.1e}")
@@ -144,9 +155,10 @@ class BlockEncoding:
     ranges); proj_right selects the input (right singular vector) space and
     proj_left the output space.
 
-    Construction checks U at UNITARY_TOL and both projectors at
-    PROJECTOR_TOL; coordinate projectors (diagonal 0/1, which every
-    constructor here makes) are checked exactly in O(N^2), any other densely.
+    Construction checks the dimension cap first, then U at UNITARY_TOL and
+    both projectors at PROJECTOR_TOL; coordinate projectors (diagonal 0/1,
+    which every constructor here makes) are checked exactly in O(N^2), any
+    other densely.
     It then derives each projector's frame once (``_frame``), stored
     read-only as ``_frame_right`` and ``_frame_left``: the norm check
     against 1 + 1e-10, ``extract_block`` and the QSVT engine all read them.
@@ -158,13 +170,13 @@ class BlockEncoding:
     alpha: float = 1.0
 
     def __post_init__(self):
-        u = require_unitary(self.unitary)
+        u = _square(self.unitary, NotUnitary)
+        _require_dim(len(u))
+        u = require_unitary(u)
         pr = require_projector(self.proj_right)
         pl = require_projector(self.proj_left)
         if pr.shape != u.shape or pl.shape != u.shape:
             raise DomainError("projectors must match the unitary dimension")
-        if u.shape[0] > DIM_CAP:
-            raise DomainError(f"dimension {u.shape[0]} exceeds the cap {DIM_CAP}")
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
         right, left = _frame(pr), _frame(pl)
@@ -189,20 +201,34 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return _range_block(be.unitary, be._frame_left, be._frame_right)
 
 
-def _select(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hadamard-select combiner (H (x) I) diag(a, b) (H (x) I), which equals
-    1/2 [[a + b, a - b], [a - b, a + b]]."""
-    mean = 0.5 * (a + b)
-    half_diff = 0.5 * (a - b)
-    return np.block([[mean, half_diff], [half_diff, mean]])
-
-
 def _lift(p: np.ndarray) -> np.ndarray:
     """|0><0| (x) p: p on the first half of the doubled space."""
-    d = p.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = p
+    out = np.zeros((2 * len(p), 2 * len(p)), dtype=complex)
+    out[: len(p), : len(p)] = p
     return out
+
+
+def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> BlockEncoding:
+    """The reflection completion [[A, R], [R, -A]] of qubitization, with
+    |0><0| (x) I on both sides.  For unitary W, V and |s| <= 1, A = W diag(s)
+    V^dag and R = W diag(sqrt(1 - s^2)) V^dag make it exactly unitary."""
+    a = w @ np.diag(s) @ vh
+    root = w @ np.diag(np.sqrt(1.0 - s**2)) @ vh
+    pi = _lift(np.eye(len(a)))
+    return BlockEncoding(np.block([[a, root], [root, -a]]), pi, pi, float(alpha))
+
+
+def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
+    """Encoding of the mean of 2^k unitaries: (H^(x)k (x) I) diag(branches)
+    (H^(x)k (x) I), Hadamards on k ancillas around their select, with both
+    projectors lifted to |0..0><0..0| (x) P.  Branch i sits at ancilla index i
+    (first ancilla most significant); the cap on 2^k N is checked first."""
+    _require_dim(len(branches) * len(branches[0]))
+    while len(branches) > 1:
+        halves = [(0.5 * (a + b), 0.5 * (a - b)) for a, b in zip(branches[::2], branches[1::2])]
+        branches = [np.block([[mean, diff], [diff, mean]]) for mean, diff in halves]
+        proj_right, proj_left = _lift(proj_right), _lift(proj_left)
+    return BlockEncoding(branches[0], proj_right, proj_left, alpha)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -212,16 +238,13 @@ def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
     the square root acts per eigenspace.  Projectors are |0><0| (x) I.
     """
     h = require_hermitian(h)
+    _require_dim(2 * len(h))
     evals, evecs = np.linalg.eigh(h)
     norm = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    if norm / alpha > 1.0 + 1e-12:
+    if 0.0 <= alpha * (1.0 + 1e-12) < norm:  # alpha = 0 too; a negative alpha fails later
         raise ScaleTooSmall(f"alpha {alpha} below the spectral norm {norm:.6f}")
     lam = np.clip(evals / alpha, -1.0, 1.0)
-    root = evecs @ np.diag(np.sqrt(1.0 - lam**2)) @ evecs.conj().T
-    ht = evecs @ np.diag(lam) @ evecs.conj().T
-    u = np.block([[ht, root], [root, -ht]])
-    pi = _lift(np.eye(h.shape[0]))
-    return BlockEncoding(u, pi, pi, float(alpha))
+    return _complete(evecs, lam, evecs.conj().T, alpha)
 
 
 def embed_general(a: np.ndarray, alpha: float) -> BlockEncoding:
@@ -234,15 +257,11 @@ def embed_general(a: np.ndarray, alpha: float) -> BlockEncoding:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("embed_general expects a square matrix")
+    _require_dim(2 * len(a))
     w, sigma, vh = np.linalg.svd(a)
-    if len(sigma) and sigma[0] / alpha > 1.0 + 1e-12:
+    if len(sigma) and 0.0 <= alpha * (1.0 + 1e-12) < sigma[0]:
         raise ScaleTooSmall(f"alpha {alpha} below the largest singular value {sigma[0]:.6f}")
-    sig = np.clip(sigma / alpha, 0.0, 1.0)
-    at = w @ np.diag(sig) @ vh
-    root = w @ np.diag(np.sqrt(1.0 - sig**2)) @ vh
-    u = np.block([[at, root], [root, -at]])
-    pi = _lift(np.eye(a.shape[0]))
-    return BlockEncoding(u, pi, pi, float(alpha))
+    return _complete(w, np.clip(sigma / alpha, 0.0, 1.0), vh, alpha)
 
 
 def shift_positive(be: BlockEncoding) -> BlockEncoding:
@@ -253,9 +272,8 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
     projectors that is the affine map (block + I)/2.  New projectors are
     |0><0| (x) old.
     """
-    upper = _select(np.eye(be.dim), be.unitary)
     # the shifted block (old_block + I)/2 is itself sub-normalized
-    return BlockEncoding(upper, _lift(be.proj_right), _lift(be.proj_left), 1.0)
+    return _average([np.eye(be.dim), be.unitary], be.proj_right, be.proj_left, 1.0)
 
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
@@ -263,15 +281,14 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
 
     The power is computed by repeated squaring; projectors are |0><0| (x) I.
     """
-    u = require_unitary(np.asarray(u, dtype=complex), 1e-10)
+    u = _square(u, NotUnitary)
+    _require_dim(2 * len(u))
+    u = require_unitary(u, 1e-10)
     if j < 0:
         raise DomainError("power index j must be >= 0")
-    power = u.copy()
-    for _ in range(j):
-        power = power @ power
-    w = _select(np.eye(u.shape[0]), np.exp(-2j * np.pi * theta) * power)
-    pi = _lift(np.eye(u.shape[0]))
-    return BlockEncoding(w, pi, pi, 1.0)
+    power = np.linalg.matrix_power(u, 2**j)
+    eye = np.eye(len(u))
+    return _average([eye, np.exp(-2j * np.pi * theta) * power], eye, eye, 1.0)
 
 
 def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
@@ -285,10 +302,7 @@ def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
     a = 1.0 / np.sqrt(n) if a_override is None else float(a_override)
     if not 0.0 < a <= 1.0:
         raise DomainError("signal amplitude must lie in (0, 1]")
-    s = np.sqrt(1.0 - a * a)
-    w = np.array([[a, s], [s, -a]], dtype=complex)
-    pi = _lift(np.eye(1))
-    return BlockEncoding(w, pi, pi, 1.0)
+    return _complete(np.eye(1), np.array([a]), np.eye(1), 1.0)
 
 
 def projector_phase(proj: np.ndarray, phi: float) -> np.ndarray:
@@ -323,29 +337,25 @@ def _matrix_from_payload(payload, what: str) -> np.ndarray:
         _json_field(payload, key, lambda v: np.array(v, dtype=float).reshape(rows, cols), what)
         for key in ("re", "im")
     )
-    return re + 1j * im
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]  # exact, signed zeros included
 
 
 def matrix_from_json(text: str) -> np.ndarray:
     return _matrix_from_payload(json.loads(text), "matrix")
 
 
+_ENCODING_MATRICES = ("unitary", "proj_right", "proj_left")
+
+
 def encoding_to_json(be: BlockEncoding) -> str:
-    return json.dumps(
-        {
-            "unitary": _matrix_payload(be.unitary),
-            "proj_right": _matrix_payload(be.proj_right),
-            "proj_left": _matrix_payload(be.proj_left),
-            "alpha": be.alpha,
-        },
-        sort_keys=True,
-    )
+    payload = {key: _matrix_payload(getattr(be, key)) for key in _ENCODING_MATRICES}
+    return json.dumps({**payload, "alpha": be.alpha}, sort_keys=True)
 
 
 def encoding_from_json(text: str) -> BlockEncoding:
     payload = json.loads(text)
     matrices = [
         _matrix_from_payload(_json_field(payload, key, lambda v: v, "encoding"), f"encoding {key}")
-        for key in ("unitary", "proj_right", "proj_left")
+        for key in _ENCODING_MATRICES
     ]
     return BlockEncoding(*matrices, _json_field(payload, "alpha", float, "encoding"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _into, _inverse, _lift, _select, require_hermitian
+from .block_encoding import BlockEncoding, _average, _into, _inverse, require_hermitian
 from .errors import DomainError, NotUnit
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import CANONICAL, PhaseSequence, _reflection_offsets, convert_convention
@@ -94,19 +94,13 @@ def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
     return _full(prog, [prog.phases.as_array()])[0]
 
 
-def _real_part_circuit(prog: QsvtProgram):
-    """(unitary, proj_right, proj_left) of the one-ancilla real-part circuit,
-    unvalidated, for callers that combine it further.
-
-    For even degree the transform lives in the right singular vector space
-    (the right projector on both sides); for odd degree it maps the right
-    space into the left one.
-    """
+def _conjugate_pair(prog: QsvtProgram):
+    """[V(phi), V(-phi)], the real-part circuit's branches, and its output
+    projector: the right one for even degree, where the transform stays in
+    the right singular vector space, else the left one."""
     phases = prog.phases.as_array()
-    v_plus, v_minus = _full(prog, [phases, -phases])
     enc = prog.encoding
-    out_proj = enc.proj_right if prog.degree % 2 == 0 else enc.proj_left
-    return _select(v_plus, v_minus), _lift(enc.proj_right), _lift(out_proj)
+    return _full(prog, [phases, -phases]), enc.proj_left if prog.degree % 2 else enc.proj_right
 
 
 def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
@@ -116,7 +110,8 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     conjugate average the two complex blocks, leaving the real part; the
     ancilla is read out in the |0> slot.
     """
-    return BlockEncoding(*_real_part_circuit(prog), prog.encoding.alpha)
+    pair, out_proj = _conjugate_pair(prog)
+    return _average(pair, prog.encoding.proj_right, out_proj, prog.encoding.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
@@ -141,15 +136,16 @@ def svd_oracle(a: np.ndarray, poly: ChebyshevPoly) -> np.ndarray:
 
     Odd parity returns W f(S) V^dag (right space to left space); even
     parity returns V f(S) V^dag, matching where the QSVT sequence leaves
-    the transform.
+    the transform.  The block may be r x c: the odd transform keeps the
+    min(r, c) singular pairs, and the even one puts f(0) on the null space.
     """
     if poly.parity is Parity.NONE:
         raise DomainError("singular value transforms need a parity-definite polynomial")
     a = np.asarray(a, dtype=complex)
     w, sigma, vh = np.linalg.svd(a)
-    vals = poly(sigma)
     if poly.parity is Parity.ODD:
-        return w @ np.diag(vals) @ vh
+        return w[:, : len(sigma)] @ np.diag(poly(sigma)) @ vh[: len(sigma)]
+    vals = poly(np.concatenate([sigma, np.zeros(a.shape[1] - len(sigma))]))
     return vh.conj().T @ np.diag(vals) @ vh
 
 

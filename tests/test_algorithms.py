@@ -10,7 +10,10 @@ from qsvtsim import (
     ConditionViolated,
     DegreeCapExceeded,
     DomainError,
+    GiveUp,
     OrderNotFound,
+    ScaleTooSmall,
+    algorithms,
     bernoulli_sample_count,
     eigenvalue_threshold,
     extract_block,
@@ -60,6 +63,14 @@ class TestSearch:
         with pytest.raises(DomainError):
             qsvt_search(2, 0, 0.1, big_delta=1.5)  # above 2/sqrt(N)
 
+    def test_loop_cap_gives_up(self, monkeypatch):
+        # at N = 64, delta 0.9 a shot misses the block branch with probability
+        # 0.14; seed 4 misses on the first shot, so a cap of 1 is reached
+        monkeypatch.setattr(algorithms, "_LOOP_CAP", 1)
+        with pytest.raises(GiveUp, match="search loop cap"):
+            qsvt_search(6, 1, 0.9, seed=4)
+        assert qsvt_search(6, 1, 0.9, seed=0).queries > 0  # seed 0 lands at once
+
 
 class TestThreshold:
     PSI = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -88,6 +99,10 @@ class TestThreshold:
             )
             correct += rec.decision == low
         assert correct / 40 >= 0.9
+
+    def test_zero_alpha_is_a_typed_error(self):
+        with pytest.raises(ScaleTooSmall):
+            eigenvalue_threshold(0.5 * np.eye(2), 0.0, 0.0, 0.2, ZETA, 0.1, self.PSI)
 
     def test_repetition_count(self):
         assert threshold_repetitions(ZETA, 0.1) == math.ceil(18 * math.log(10))
@@ -303,6 +318,8 @@ class TestHamiltonianSimulation:
 
         with pytest.raises(ScaleTooSmall):
             hamiltonian_simulation(np.eye(2) * 2.0, 1.0, 1.0, 1e-2)
+        with pytest.raises(ScaleTooSmall):
+            hamiltonian_simulation(np.eye(2) * 0.5, 0.0, 1.0, 1e-2)
         with pytest.raises(DomainError):
             hamiltonian_simulation(np.eye(2) * 0.5, 1.0, 1.0, 0.5)
 

@@ -89,6 +89,11 @@ class TestQubitize:
         with pytest.raises(ScaleTooSmall):
             qubitize_hermitian(np.eye(2), 0.5)
 
+    def test_zero_alpha_is_too_small(self):
+        # checked without dividing by alpha, so no ZeroDivisionError
+        with pytest.raises(ScaleTooSmall, match="alpha 0.0 below the spectral norm 0.5"):
+            qubitize_hermitian(0.5 * np.eye(2), 0.0)
+
 
 class TestEmbedGeneral:
     def test_unitary_input_has_zero_off_blocks(self, rng):
@@ -110,6 +115,8 @@ class TestEmbedGeneral:
     def test_scale_too_small(self):
         with pytest.raises(ScaleTooSmall):
             embed_general(np.diag([1.5, 0.2]), 1.0)
+        with pytest.raises(ScaleTooSmall):
+            embed_general(np.diag([1.5, 0.2]), 0.0)
 
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
@@ -365,3 +372,31 @@ def test_hamiltonian_simulation_at_the_cap_is_fast(rng):
     be = hamiltonian_simulation(h, 1.0, 2.0, 0.01)
     assert time.perf_counter() - start < 0.4
     assert be.dim == 1024
+
+
+def _oversize_builds():
+    """An encoding of dimension 1200 or 1500 from each entry point, with
+    inputs whose decomposition, squaring or U^dag U check takes about 0.3 s."""
+    rng = np.random.default_rng(600)
+    g = rng.standard_normal((600, 600))
+    h = (g + g.T) / 2
+    u = np.linalg.qr(g)[0]
+    eye = np.eye(1500)
+    return {
+        "embed_general": (lambda: embed_general(g, 1e3), 1200),
+        "qubitize_hermitian": (lambda: qubitize_hermitian(h, 1e3), 1200),
+        "phase_oracle_block": (lambda: phase_oracle_block(u, 6, 0.1), 1200),
+        "BlockEncoding": (lambda: BlockEncoding(eye, eye, eye), 1500),
+    }
+
+
+OVERSIZE_BUILDS = _oversize_builds()
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_BUILDS))
+def test_dimension_cap_is_checked_before_any_work(name):
+    build, dim = OVERSIZE_BUILDS[name]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"^dimension {dim} exceeds the cap 1024$"):
+        build()
+    assert time.perf_counter() - start < 0.05

@@ -10,6 +10,7 @@ import pytest
 
 from qsvtsim import (
     EmptyCurve,
+    algorithms,
     embed_general,
     encoding_to_json,
     matrix_from_json,
@@ -162,6 +163,14 @@ def test_hamsim_and_invert_commands(capsys, tmp_path):
                            "--epsilon", "0.05", "--emit", str(enc_file))
     assert code == 0
     assert json.loads(out.splitlines()[0])["alpha"] == 4.0
+
+
+def test_search_loop_cap_is_a_typed_error(capsys, monkeypatch):
+    monkeypatch.setattr(algorithms, "_LOOP_CAP", 1)
+    code, out, err = run_cli(capsys, "search", "--n-qubits", "6", "--marked", "1",
+                             "--delta", "0.9", "--seed", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: search loop cap")
 
 
 def test_parser_built_once():

@@ -192,18 +192,19 @@ class TestDenseFrame:
 
 
 def _edge_encodings():
-    """Encodings at the rank extremes, by (rank_right, rank_left): as coordinate
-    projectors and rotated by a random unitary q.  q 0 q^dag is still the
-    zero (coordinate) projector; q I q^dag is not, so the rotated full-rank
-    sides take the dense frame, with an empty complement."""
+    """Encodings by (rank_right, rank_left), at the rank extremes and at
+    unequal ranks, whose blocks are not square: as coordinate projectors and
+    rotated by a random unitary q.  q 0 q^dag is still the zero (coordinate)
+    projector; q I q^dag is not, so the rotated full-rank sides take the
+    dense frame, with an empty complement."""
     rng = np.random.default_rng(12)
     n = 6
     unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    proj = {0: np.zeros((n, n), dtype=complex), n: np.eye(n, dtype=complex)}
+    proj = {r: np.diag([1.0] * r + [0.0] * (n - r)).astype(complex) for r in range(n + 1)}
     rotate = lambda m: q @ m @ q.conj().T
     cases = {}
-    for ranks in ((0, 0), (n, n), (0, n), (n, 0)):
+    for ranks in ((0, 0), (n, n), (0, n), (n, 0), (2, 3), (3, 2), (1, 4)):
         pr, pl = proj[ranks[0]], proj[ranks[1]]
         cases[f"coordinate-{ranks[0]}-{ranks[1]}"] = (BlockEncoding(unitary, pr, pl), ranks)
         enc = BlockEncoding(rotate(unitary), rotate(pr), rotate(pl))
@@ -215,8 +216,8 @@ EDGE_ENCODINGS = _edge_encodings()
 
 
 class TestFrameEdgeCases:
-    """Rank 0 and full rank on either side, through every reader of the
-    encoding's stored frames."""
+    """Rank 0, full rank and unequal ranks on either side, through every
+    reader of the encoding's stored frames."""
 
     @pytest.fixture(scope="class")
     def programs(self):
@@ -235,8 +236,7 @@ class TestFrameEdgeCases:
             out_rank = rank_l if seq.degree % 2 else rank_r
             tb = transformed_block(prog)
             assert tb.shape == (out_rank, rank_r)
-            # an empty block has every singular value 0 (svd_oracle takes square blocks)
-            expect = svd_oracle(block, poly) if block.size else poly(0.0) * np.eye(*tb.shape)
+            expect = svd_oracle(block, poly)
             assert np.max(np.abs(tb - expect), initial=0.0) <= residual(seq, poly) + 1e-10
             v = qsvt_unitary(prog)
             chi = seq.as_array() + _reflection_offsets(seq.degree)
@@ -259,6 +259,31 @@ class TestFrameEdgeCases:
             assert not frame.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 frame[..., 0] = frame[..., 0]
+
+
+class TestNonSquareOracle:
+    """svd_oracle on tall and wide blocks; ``TestFrameEdgeCases`` also
+    checks it against the engine on encodings whose ranks differ."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_zero_block(self, shape):
+        odd = ChebyshevPoly([0.0, 0.5, 0.0, 0.25], Parity.ODD)
+        even = ChebyshevPoly([0.3, 0.0, 0.5], Parity.EVEN)
+        assert np.array_equal(svd_oracle(np.zeros(shape), odd), np.zeros(shape))
+        # f(0) on the whole right space, the null space included
+        assert np.allclose(svd_oracle(np.zeros(shape), even), even(0.0) * np.eye(shape[1]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_matches_the_zero_padded_square(self, shape, rng):
+        # padding A to 3 x 3 with a zero row or column keeps its singular
+        # pairs; the padded column only adds f(0) on a null direction
+        a = random_contraction(rng, 3)[: shape[0], : shape[1]]
+        padded = np.zeros((3, 3), dtype=complex)
+        padded[: shape[0], : shape[1]] = a
+        for poly in (random_parity_poly(rng, 5), random_parity_poly(rng, 4)):
+            odd = poly.parity is Parity.ODD
+            expect = svd_oracle(padded, poly)[: shape[0] if odd else shape[1], : shape[1]]
+            assert np.max(np.abs(svd_oracle(a, poly) - expect)) <= 1e-12
 
 
 class TestEigenOracle:
