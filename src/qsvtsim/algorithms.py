@@ -188,6 +188,17 @@ def qsvt_search(
     raise GiveUp("search loop cap reached without projecting onto the block")
 
 
+def _unit_state(psi, name: str) -> np.ndarray:
+    """psi scaled to unit norm; DomainError naming it unless its norm is finite and
+    nonzero (a NaN or inf entry gives a NaN or inf norm)."""
+    psi = np.asarray(psi, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise DomainError(f"input state {name} has norm {norm}; it must be finite and nonzero")
+    return psi / norm
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue threshold decision
 
@@ -216,8 +227,7 @@ def eigenvalue_threshold(
     "a low eigenvalue exists".
     """
     enc = shift_positive(qubitize_hermitian(h, alpha))
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = _unit_state(psi, "psi")
     if epsilon is None:
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
@@ -420,8 +430,7 @@ def phase_estimation_record(
 ) -> RunRecord:
     """Phase estimation with the full per-iteration trace recorded."""
     u = require_unitary(np.asarray(u, dtype=complex), 1e-10)
-    state = np.asarray(eigvec, dtype=complex)
-    state = state / np.linalg.norm(state)
+    state = _unit_state(eigvec, "eigvec")
     if n < 1:
         raise DomainError("need at least one bit")
     if majority_votes < 1 or majority_votes % 2 == 0:
@@ -584,7 +593,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     an odd polynomial approximating 1/(2 kappa x) lands on A^{-1}; the
     returned encoding has alpha = 2 kappa.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _square(a, DomainError)
     _require_dim(4 * len(a), "4n")  # checked before any work: the output has dimension 4n
     sigma = np.linalg.svd(a, compute_uv=False)
     if np.any(sigma > 1.0 + 1e-9) or np.any(sigma < 1.0 / kappa - 1e-9):

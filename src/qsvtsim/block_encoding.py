@@ -43,7 +43,7 @@ def _square(m, error) -> np.ndarray:
     """m as a complex array; ``error`` unless it is a square matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise error("expected a square matrix")
+        raise error(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -254,9 +254,7 @@ def embed_general(a: np.ndarray, alpha: float) -> BlockEncoding:
     left and right singular vectors so the completed matrix is exactly
     unitary.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("embed_general expects a square matrix")
+    a = _square(a, DomainError)
     _require_dim(2 * len(a))
     w, sigma, vh = np.linalg.svd(a)
     if len(sigma) and 0.0 <= alpha * (1.0 + 1e-12) < sigma[0]:
@@ -316,19 +314,31 @@ def projector_phase(proj: np.ndarray, phi: float) -> np.ndarray:
 # Serialization
 
 
-def _matrix_payload(m: np.ndarray) -> dict:
-    """JSON object of a matrix: shape and row-major real and imaginary parts."""
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "re": m.real.ravel().tolist(),
-        "im": m.imag.ravel().tolist(),
-    }
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
+def _float_list(x: np.ndarray) -> str:
+    """The text ``json.dumps(x.tolist())`` writes for a float vector, with one
+    ``float.__repr__`` per distinct bit pattern (so -0.0 and 0.0 stay apart):
+    the encodings repeat few values many times, and a 0/1 projector has two."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(x, dtype=float).view(np.uint64), return_inverse=True
+    )
+    values = bits.view(float)
+    words = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        words[i] = _NONFINITE[words[i]]
+    return "[" + ", ".join(np.array(words, dtype=object)[inverse].tolist()) + "]"
 
 
 def matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(_matrix_payload(m), sort_keys=True)
+    """JSON object of a matrix: shape and row-major real and imaginary parts,
+    keys sorted as ``json.dumps(..., sort_keys=True)`` writes them."""
+    m = np.asarray(m, dtype=complex)
+    return (
+        f'{{"cols": {m.shape[1]}, "im": {_float_list(m.imag.ravel())}, '
+        f'"re": {_float_list(m.real.ravel())}, "rows": {m.shape[0]}}}'
+    )
 
 
 def _matrix_from_payload(payload, what: str) -> np.ndarray:
@@ -348,8 +358,10 @@ _ENCODING_MATRICES = ("unitary", "proj_right", "proj_left")
 
 
 def encoding_to_json(be: BlockEncoding) -> str:
-    payload = {key: _matrix_payload(getattr(be, key)) for key in _ENCODING_MATRICES}
-    return json.dumps({**payload, "alpha": be.alpha}, sort_keys=True)
+    matrices = ", ".join(
+        f'"{key}": {matrix_to_json(getattr(be, key))}' for key in sorted(_ENCODING_MATRICES)
+    )
+    return f'{{"alpha": {json.dumps(be.alpha)}, {matrices}}}'
 
 
 def encoding_from_json(text: str) -> BlockEncoding:

@@ -34,6 +34,10 @@ from qsvtsim import (
 ZETA = 1.0 / math.sqrt(2.0)
 
 
+def _no_solve(*args):
+    raise AssertionError("phases solved before the input was checked")
+
+
 def oracle_1q(phi):
     return np.array([[np.exp(2j * np.pi * phi)]])
 
@@ -112,6 +116,14 @@ class TestThreshold:
         rec = eigenvalue_threshold(h, 1.0, 0.5, 0.1, ZETA, 0.1, self.PSI, exact=True)
         assert rec.decision is True  # -0.9 is below the 0.5 cut
 
+    @pytest.mark.parametrize("psi, norm", [([0.0, 0.0], "0.0"), ([np.nan, 1.0], "nan"),
+                                           ([np.inf, 0.0], "inf")], ids=["zero", "nan", "inf"])
+    def test_unusable_state_is_rejected_before_any_solve(self, monkeypatch, psi, norm):
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        with pytest.raises(DomainError, match=f"input state psi has norm {norm}"):
+            eigenvalue_threshold(np.diag([0.2, 0.8]), 1.0, 0.5, 0.1, ZETA, 0.1, np.array(psi),
+                                 exact=True)
+
 
 class TestBernoulli:
     def test_formula_values(self):
@@ -174,6 +186,11 @@ class TestPhaseEstimation:
                 if not in_window:
                     p_fail = entry["p1"] if ideal == 0 else 1 - entry["p1"]
                     assert p_fail <= 0.5 * eps**2 + 1e-12
+
+    def test_zero_state_is_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        with pytest.raises(DomainError, match="input state eigvec has norm 0.0"):
+            phase_estimation_record(np.array([[1j]]), np.zeros(1), 3, 0.3, exact=True)
 
     def test_epsilon_cap(self):
         with pytest.raises(DomainError):
@@ -372,6 +389,12 @@ class TestMatrixInversion:
         with pytest.raises(DomainError, match="dimension 1028 .* exceeds the cap 1024"):
             matrix_inversion(0.5 * np.eye(257, dtype=complex), 3.0, 0.05)
         assert time.perf_counter() - start < 0.05
+
+    def test_non_square_matrix_is_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        a = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        with pytest.raises(DomainError, match=r"square matrix, got shape \(2, 3\)"):
+            matrix_inversion(a, 30.0, 0.01)
 
 
 def test_run_record_json_roundtrip():

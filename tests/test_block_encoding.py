@@ -11,6 +11,7 @@ from qsvtsim import (
     NotHermitian,
     NotProjector,
     NotUnitary,
+    QsvtProgram,
     ScaleTooSmall,
     embed_general,
     encoding_from_json,
@@ -19,12 +20,16 @@ from qsvtsim import (
     grover_signal,
     hamiltonian_simulation,
     matrix_from_json,
+    matrix_inversion,
     matrix_to_json,
     phase_oracle_block,
     projector_phase,
     qubitize_hermitian,
+    real_part_encoding,
     shift_positive,
+    sign_poly,
     signal_operator,
+    solve_phases,
 )
 from qsvtsim.block_encoding import (
     _coordinate_range,
@@ -300,6 +305,44 @@ def test_codec_bytes_match_the_reference_form(rng):
     assert text == _reference_matrix_json(edge)
     again = matrix_from_json(text)
     assert again.tobytes() == edge.tobytes()
+
+
+def _random_unitary(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+SEEDED_ENCODINGS = {
+    "embed_general": lambda rng: embed_general(
+        random_hermitian(rng, 4) @ _random_unitary(rng, 4), 1.0),
+    "qubitize_hermitian": lambda rng: qubitize_hermitian(random_hermitian(rng, 4), 1.0),
+    "grover_signal": lambda rng: grover_signal(5),
+    "shift_positive": lambda rng: shift_positive(qubitize_hermitian(random_hermitian(rng, 3), 1.0)),
+    "phase_oracle_block": lambda rng: phase_oracle_block(_random_unitary(rng, 3), 2, 0.3),
+    "real_part_encoding": lambda rng: real_part_encoding(QsvtProgram(
+        qubitize_hermitian(random_hermitian(rng, 3), 1.0), solve_phases(sign_poly(0.1, 0.4)))),
+    "matrix_inversion": lambda rng: matrix_inversion(
+        0.5 * _random_unitary(rng, 3) + 0.25 * random_hermitian(rng, 3, 1.0), 4.0, 0.05),
+    "hamiltonian_simulation": lambda rng: hamiltonian_simulation(
+        random_hermitian(rng, 4), 1.0, 3.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_ENCODINGS))
+def test_codec_bytes_match_the_reference_form_for_every_constructor(name, rng):
+    be = SEEDED_ENCODINGS[name](rng)
+    assert encoding_to_json(be) == _reference_encoding_json(be)
+    assert matrix_to_json(be.unitary) == _reference_matrix_json(be.unitary)
+
+
+def test_codec_bytes_of_an_encoding_read_with_a_dense_projector(rng):
+    # a rank-1 projector off the coordinate axes, read back with a dense frame
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    dense = np.outer(v, v.conj())
+    text = _reference_encoding_json(BlockEncoding(_random_unitary(rng, 4), dense, dense, 2.0))
+    again = encoding_from_json(text)
+    assert again._frame_right[1].dtype.kind == "c"  # the dense frame, not an index permutation
+    assert encoding_to_json(again) == text
 
 
 def test_coordinate_projectors_take_the_exact_path():

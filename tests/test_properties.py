@@ -1,7 +1,9 @@
-"""Property tests: the Hadamard average against its literal circuit, and the
-encoding codec against every constructor's output, on seeded inputs."""
+"""Property tests: the Hadamard average against its literal circuit, the
+float writer against json.dumps, and the encoding codec against every
+constructor's output, on seeded inputs."""
 
 import functools
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.block_encoding import _average
+from qsvtsim.block_encoding import _average, _float_list
 
 # fixed examples (derandomize) and no example database, so runs replay
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -103,3 +105,21 @@ def test_encoding_json_roundtrip_is_bit_exact(name, seed, n, real):
         assert getattr(again, key).tobytes() == getattr(enc, key).tobytes()
     assert again.alpha == enc.alpha
     assert encoding_to_json(again) == text
+
+
+# signed zeros, the smallest subnormal, both sides of repr's switches to
+# exponent form at 1e16 and 1e-4, and json's NaN and ±Infinity
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+               1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e-4, -1e16,
+               float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.5]
+
+
+@SETTINGS
+@given(drawn=st.lists(st.floats(), max_size=8), seed=SEEDS, size=st.integers(0, 300))
+def test_float_list_writes_the_bytes_of_json_dumps(drawn, seed, size):
+    # every edge value, and heavy repetition: `size` more draws from the same pool
+    pool = np.array(EDGE_FLOATS + drawn)
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.concatenate([pool, pool[rng.integers(0, len(pool), size)]]))
+    assert _float_list(x) == json.dumps(x.tolist())
+    assert _float_list(x[:0]) == "[]"
