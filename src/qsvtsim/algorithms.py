@@ -188,10 +188,15 @@ def qsvt_search(
     raise GiveUp("search loop cap reached without projecting onto the block")
 
 
-def _unit_state(psi, name: str) -> np.ndarray:
-    """psi scaled to unit norm; DomainError naming it unless its norm is finite and
-    nonzero (a NaN or inf entry gives a NaN or inf norm)."""
+def _unit_state(psi, name: str, dim: int) -> np.ndarray:
+    """psi scaled to unit norm; DomainError naming it unless it is a vector of
+    length dim whose norm is finite and nonzero (a NaN or inf entry gives a
+    NaN or inf norm)."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise DomainError(
+            f"input state {name} has shape {psi.shape}; the operator needs a vector of length {dim}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(psi)
     if not 0.0 < norm < np.inf:
@@ -227,7 +232,7 @@ def eigenvalue_threshold(
     "a low eigenvalue exists".
     """
     enc = shift_positive(qubitize_hermitian(h, alpha))
-    psi = _unit_state(psi, "psi")
+    psi = _unit_state(psi, "psi", len(h))
     if epsilon is None:
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
@@ -430,7 +435,7 @@ def phase_estimation_record(
 ) -> RunRecord:
     """Phase estimation with the full per-iteration trace recorded."""
     u = require_unitary(np.asarray(u, dtype=complex), 1e-10)
-    state = _unit_state(eigvec, "eigvec")
+    state = _unit_state(eigvec, "eigvec", len(u))
     if n < 1:
         raise DomainError("need at least one bit")
     if majority_votes < 1 or majority_votes % 2 == 0:

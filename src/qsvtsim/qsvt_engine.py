@@ -3,7 +3,11 @@
 Applies a canonical-convention phase sequence to a block encoding as an
 alternating product V(phi) of U, its inverse, and projector-controlled
 phase rotations, computed by one sweep in the projector frame where each
-rotation is a row scaling.  The reflection offsets of ``qsp_core`` map the
+rotation is a row scaling.  The sweep takes the steps in pairs: each
+U^dag Phi_L(chi) U is the phase rotation about the rotated projector
+U^dag Pi_L U, which it applies as one rank-r_L update through the r_L rows
+of U that Pi_L keeps, so a pair costs 2 r_L N multiply-adds per column
+instead of 2 N^2.  The reflection offsets of ``qsp_core`` map the
 stored QSP phases onto projector phases, so the encoded block of V(phi) is
 exactly the sequence's P polynomial applied to the singular values.  The real part,
 which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
@@ -40,46 +44,61 @@ class QsvtProgram:
 
 
 def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
-    """The products Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d) of every phase
-    list at once, in the projector frame.
+    """The products Phi(chi_0) U Phi(chi_1) U^dag ... Phi(chi_d) of every
+    phase list at once, in the projector frame, one reflection pair per step.
 
-    U is written once as F_L^dag U F_R, in the frames the encoding derived
-    at construction; the frames cancel between steps
-    (Phi_L U Phi_R = F_L D_L (F_L^dag U F_R) D_R F_R^dag), so each projector
-    phase is the row scaling D(chi): e^{i chi} on the first rank rows and
-    e^{-i chi} on the rest.  The lists share one (N, lists, cols) stack and
-    one matrix product per step.  ``range_only`` carries only the columns of
-    range(P_R), otherwise every column.  Returns (W, out_rank,
-    out_frame, right_frame) with V_j = out_frame W[:, j] right_frame^dag; the
-    projector angles chi are the phases shifted by the reflection offsets,
-    which leave the encoded block with no stray global phase.
+    U is written once as U' = F_L^dag U F_R, in the frames the encoding
+    derived at construction; the frames cancel between steps
+    (Phi_L U Phi_R = F_L D_L U' D_R F_R^dag), so each projector phase is
+    D(chi) = e^{-i chi} diag(e^{2i chi} I_rank, I): up to the scalar, a
+    scaling of the first rank rows.  Each pair U'^dag D_L(chi) U' is a
+    rotation about the rotated projector U'^dag Pi_L U', so with U_L the
+    first rank_l rows of U' it is e^{-i chi} (I + (e^{2i chi} - 1) U_L^dag U_L):
+    a rank-rank_l update W += (e^{2i chi} - 1) U_L^dag (U_L W) at 2 rank_l N
+    multiply-adds per column, where the full product costs 2 N^2.  The
+    scalars e^{-i chi} of every list are applied once, at the end.  An odd
+    degree ends with one product by U' and D_L(chi_0).
+
+    The lists share one (N, lists, cols) stack.  ``range_only`` carries only
+    the columns of range(P_R), otherwise every column; for odd degree it also
+    keeps only the out-range rows, so only U_L is gathered.  Returns (W,
+    out_rank, out_frame, right_frame) with V_j = out_frame W[:, j]
+    right_frame^dag for full width; the projector angles chi are the phases
+    shifted by the reflection offsets, which leave the encoded block with no
+    stray global phase.
     """
     chi = np.array(phase_lists, dtype=float)
     chi += _reflection_offsets(chi.shape[1] - 1)
     d = chi.shape[1] - 1
     rank_r, frame_r = encoding._frame_right
     rank_l, frame_l = encoding._frame_left
-    u = _into(encoding.unitary, frame_l, frame_r)
-    u_dag = np.ascontiguousarray(u.conj().T)
-    n = u.shape[0]
+    full_end = d % 2 == 1 and not range_only  # the odd end needs every row of U'
+    u = _into(encoding.unitary, frame_l if full_end else frame_l[..., :rank_l], frame_r)
+    u_l = u[:rank_l]
+    u_l_dag = u_l.conj().T
+    n = u.shape[1]
     width = rank_r if range_only else n
-
-    def scale(w, rank, angles):
-        w[:rank] *= np.exp(1j * angles)[:, None]
-        w[rank:] *= np.exp(-1j * angles)[:, None]
+    turn = np.expm1(2j * chi)  # e^{2i chi} - 1, the range rows' phase less the rest's
 
     w = np.zeros((n, len(chi), width), dtype=complex)
     w[np.arange(width), :, np.arange(width)] = 1.0  # identity columns, per list
-    scale(w, rank_r, chi[:, d])
-    spare = np.empty_like(w)
-    for k in range(d - 1, -1, -1):
-        odd = (d - k) % 2 == 1  # U factors applied once this slot is added
-        np.matmul(u if odd else u_dag, w.reshape(n, -1), out=spare.reshape(n, -1))
-        w, spare = spare, w
-        scale(w, rank_l if odd else rank_r, chi[:, k])
-    if d % 2 == 0:
-        return w, rank_r, frame_r, frame_r
-    return w, rank_l, frame_l, frame_r
+    w[:rank_r] *= 1.0 + turn[:, d, None]
+    stack = w.reshape(n, -1)
+    spare = np.empty_like(stack)
+    proj = np.empty((rank_l, len(chi), width), dtype=complex)
+    proj_stack = proj.reshape(rank_l, stack.shape[1])
+    for k in range(d - 1, 0, -2):
+        np.matmul(u_l, stack, out=proj_stack)
+        proj *= turn[:, k, None]
+        stack += np.matmul(u_l_dag, proj_stack, out=spare)
+        w[:rank_r] *= 1.0 + turn[:, k - 1, None]
+    out_rank, out_frame = rank_r, frame_r
+    if d % 2:
+        w = np.matmul(u, stack, out=spare[: len(u)]).reshape(len(u), len(chi), width)
+        w[:rank_l] *= 1.0 + turn[:, 0, None]
+        out_rank, out_frame = rank_l, frame_l
+    w *= np.prod(np.exp(-1j * chi), axis=1)[:, None]
+    return w, out_rank, out_frame, frame_r
 
 
 def _full(prog: QsvtProgram, phase_lists):

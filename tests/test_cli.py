@@ -185,6 +185,21 @@ def test_bad_threshold_state_and_invert_matrix_exit_1(capsys, tmp_path, monkeypa
     assert err.startswith("error: expected a square matrix, got shape (2, 3)")
 
 
+def test_threshold_state_of_the_wrong_length_exits_1(capsys, tmp_path, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("phases solved before the input was checked")
+
+    monkeypatch.setattr(algorithms, "_phases", no_solve)
+    h_file, psi_file = tmp_path / "h.json", tmp_path / "psi.json"
+    h_file.write_text(matrix_to_json(np.diag([0.2, 0.8])))
+    psi_file.write_text(matrix_to_json(np.ones((3, 1))))
+    code, out, err = run_cli(capsys, "threshold", "--matrix", str(h_file), "--psi", str(psi_file),
+                             "--alpha", "1", "--lambda-th", "0.5", "--delta-lambda", "0.1",
+                             "--exact", "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input state psi has shape (3,)")
+
+
 def test_search_loop_cap_is_a_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(algorithms, "_LOOP_CAP", 1)
     code, out, err = run_cli(capsys, "search", "--n-qubits", "6", "--marked", "1",

@@ -38,12 +38,26 @@ from qsvtsim import (
     svd_oracle,
     transformed_block,
 )
+from qsvtsim.block_encoding import _range_block
 from qsvtsim.qsp_core import _reflection_offsets
 
 
 def random_contraction(rng, dim, norm=0.95):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return a * (norm / np.linalg.norm(a, 2))
+
+
+def literal_product(enc, phases):
+    """Phi(chi_0) U Phi(chi_1) U^dag ... Phi(chi_d) with one dense
+    ``projector_phase`` per slot: the engine's reference."""
+    d = len(phases) - 1
+    chi = np.asarray(phases) + _reflection_offsets(d)
+    v = projector_phase(enc.proj_right, chi[-1])
+    for k in range(d - 1, -1, -1):
+        odd = (d - k) % 2 == 1
+        op = enc.unitary if odd else enc.unitary.conj().T
+        v = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ v
+    return v
 
 
 def random_parity_poly(rng, degree, sup=0.9):
@@ -178,16 +192,10 @@ class TestDenseFrame:
         assert np.max(np.abs(v.conj().T @ v - np.eye(12))) <= 1e-11
 
     def test_unitary_is_the_literal_product(self, setup):
-        # reference: Phi(chi_0) U' Phi(chi_1) ... Phi(chi_d), one dense
-        # projector phase per slot, for the rotated and the coordinate frame
+        # for the rotated and the coordinate frame
         enc_rotated, _, seq, base = setup
-        chi = seq.as_array() + _reflection_offsets(seq.degree)
         for enc in (enc_rotated, base):
-            v = projector_phase(enc.proj_right, chi[-1])
-            for k in range(seq.degree - 1, -1, -1):
-                odd = (seq.degree - k) % 2 == 1
-                op = enc.unitary if odd else enc.unitary.conj().T
-                v = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ v
+            v = literal_product(enc, seq.as_array())
             assert np.max(np.abs(qsvt_unitary(QsvtProgram(enc, seq)) - v)) <= 1e-13
 
 
@@ -239,12 +247,7 @@ class TestFrameEdgeCases:
             expect = svd_oracle(block, poly)
             assert np.max(np.abs(tb - expect), initial=0.0) <= residual(seq, poly) + 1e-10
             v = qsvt_unitary(prog)
-            chi = seq.as_array() + _reflection_offsets(seq.degree)
-            literal = projector_phase(enc.proj_right, chi[-1])
-            for k in range(seq.degree - 1, -1, -1):
-                odd = (seq.degree - k) % 2 == 1
-                op = enc.unitary if odd else enc.unitary.conj().T
-                literal = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ literal
+            literal = literal_product(enc, seq.as_array())
             assert v.shape == (n, n) and np.max(np.abs(v - literal)) <= 1e-13
             real = real_part_encoding(prog)
             assert real.dim == 2 * n
@@ -259,6 +262,36 @@ class TestFrameEdgeCases:
             assert not frame.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 frame[..., 0] = frame[..., 0]
+
+
+class TestReflectionPairs:
+    """The engine applies each U^dag Phi_L U pair as one rank-rank_l update
+    and collects the scalar phases at the end; degrees 0, 1, 2, 3 and 41 run
+    its pair loop 0, 0, 1, 1 and 20 times, with and without the odd end."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
+    @pytest.mark.parametrize("name", sorted(EDGE_ENCODINGS))
+    def test_matches_the_literal_product(self, name, degree):
+        enc, _ = EDGE_ENCODINGS[name]
+        rng = np.random.default_rng(degree)
+        phases = rng.uniform(-np.pi, np.pi, degree + 1)
+        prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
+        literal = literal_product(enc, phases)
+        assert np.max(np.abs(qsvt_unitary(prog) - literal)) <= 1e-13
+        # the real-part block between the projector ranges, out of the literal pair
+        out_frame = enc._frame_left if degree % 2 else enc._frame_right
+        mean = 0.5 * (literal + literal_product(enc, -phases))
+        expect = _range_block(mean, out_frame, enc._frame_right)
+        block = transformed_block(prog)
+        assert block.shape == expect.shape
+        assert np.max(np.abs(block - expect), initial=0.0) <= 1e-13
+
+    def test_n256_matches_svd_oracle(self):
+        a = random_contraction(np.random.default_rng(256), 256)
+        poly = sign_poly(0.05, 0.2)
+        seq = solve_phases(poly)
+        block = transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
+        assert np.linalg.norm(block - svd_oracle(a, poly), 2) <= residual(seq, poly) + 1e-10
 
 
 class TestNonSquareOracle:
