@@ -20,11 +20,11 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     _average,
+    _phase_oracle,
     _require_dim,
     _square,
     embed_general,
     grover_signal,
-    phase_oracle_block,
     qubitize_hermitian,
     require_unitary,
     shift_positive,
@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     GiveUp,
     NotHermitian,
+    NotUnitary,
     OrderNotFound,
 )
 from .phase_solver import SolverOptions, solve_phases
@@ -47,7 +48,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence
-from .qsvt_engine import QsvtProgram, _conjugate_pair, real_part_encoding, transformed_block
+from .qsvt_engine import QsvtProgram, _conjugate_pair, _transformed, real_part_encoding
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -231,6 +232,8 @@ def eigenvalue_threshold(
     measurements distinguish the two Bernoulli means.  Decision True means
     "a low eigenvalue exists".
     """
+    h = _square(h, NotHermitian)
+    _require_dim(4 * len(h), "4n")  # checked before any work: the shifted encoding is 4n
     enc = shift_positive(qubitize_hermitian(h, alpha))
     psi = _unit_state(psi, "psi", len(h))
     if epsilon is None:
@@ -238,8 +241,7 @@ def eigenvalue_threshold(
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
     phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
-    block = transformed_block(QsvtProgram(enc, phases))
-    u = block @ psi
+    u = _transformed(QsvtProgram(enc, phases), psi[:, None])[:, 0]
     p0 = 0.5 * float(np.linalg.norm(psi + u) ** 2) / (1.0 + float(np.linalg.norm(u) ** 2))
 
     low_mean = zeta**2 * (1.0 - epsilon)
@@ -283,10 +285,10 @@ def bernoulli_sample_count(a_mean: float, b_mean: float, delta: float) -> int:
 # Phase estimation
 
 
-def _pe_block(u: np.ndarray, j: int, theta: Fraction, phases: PhaseSequence) -> np.ndarray:
-    """Step-transformed block of (I + exp(-2 pi i theta) U^(2^j)) / 2."""
-    enc = phase_oracle_block(u, j, float(theta) % 2.0)
-    return transformed_block(QsvtProgram(enc, phases))
+def _pe_block(power: np.ndarray, theta: Fraction, phases: PhaseSequence) -> QsvtProgram:
+    """The step transform of (I + exp(-2 pi i theta) U^(2^j)) / 2, given
+    power = U^(2^j)."""
+    return QsvtProgram(_phase_oracle(power, float(theta) % 2.0), phases)
 
 
 # resolution of the ones-place carry probe as a fraction of a full turn at
@@ -296,10 +298,11 @@ def _pe_block(u: np.ndarray, j: int, theta: Fraction, phases: PhaseSequence) -> 
 CARRY_RESOLUTION = Fraction(1, 256)
 
 
-def _measure(state: np.ndarray, block: np.ndarray, rng, exact: bool):
+def _measure(state: np.ndarray, prog: QsvtProgram, rng, exact: bool):
     """One controlled-block measurement: returns (bit, p1, collapsed state)."""
-    b1 = 0.5 * (state + block @ state)
-    b0 = 0.5 * (state - block @ state)
+    out = _transformed(prog, state[:, None])[:, 0]
+    b1 = 0.5 * (state + out)
+    b0 = 0.5 * (state - out)
     w1 = float(np.linalg.norm(b1) ** 2)
     w0 = float(np.linalg.norm(b0) ** 2)
     p1 = w1 / (w0 + w1)
@@ -311,13 +314,13 @@ def _measure(state: np.ndarray, block: np.ndarray, rng, exact: bool):
     return bit, p1, branch / np.linalg.norm(branch)
 
 
-def _voted_measure(state, block, rng, exact, votes):
+def _voted_measure(state, prog, rng, exact, votes):
     """Majority of repeated measurements; sensible for eigenvector inputs,
     where each repetition is independent of the collapse history."""
     ones = 0
     p_last = None
     for _ in range(votes):
-        bit, p_last, state = _measure(state, block, rng, exact)
+        bit, p_last, state = _measure(state, prog, rng, exact)
         ones += bit
     return int(2 * ones > votes), ones, p_last, state
 
@@ -352,6 +355,9 @@ def _run_phase_estimation(
     then rounds the deeper estimate back to n bits.
     """
     degree = phases.degree
+    powers = [u]  # U^(2^j) by successive squaring, as matrix_power forms it
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ powers[-1])
     theta = Fraction(0)
     bits_rev = []  # theta_1..theta_n as collected, most significant last
     trace = []
@@ -361,8 +367,8 @@ def _run_phase_estimation(
         theta = theta / 2
         err = 0.0 if phase_errors is None else float(phase_errors[step])
         theta_eff = theta - Fraction(err).limit_denominator(1 << 40) if err else theta
-        block = _pe_block(u, j, theta_eff, phases)
-        bit, ones, p1, state = _voted_measure(state, block, rng, exact, majority_votes)
+        prog = _pe_block(powers[j], theta_eff, phases)
+        bit, ones, p1, state = _voted_measure(state, prog, rng, exact, majority_votes)
         queries += degree * majority_votes
         trace.append({"j": j, "theta": float(theta), "p1": p1, "bit": bit,
                       "votes": ones})
@@ -393,7 +399,7 @@ def _run_phase_estimation(
     if not any(bits_rev):
         probe = Fraction(1, 4) - CARRY_RESOLUTION  # theta is exactly 0 here
         ones_bit, _, p1, state = _voted_measure(
-            state, _pe_block(u, n - 1, probe, phases), rng, exact, majority_votes
+            state, _pe_block(powers[n - 1], probe, phases), rng, exact, majority_votes
         )
         queries += degree * majority_votes
         trace.append({"j": n - 1, "theta": float(probe), "p1": p1, "bit": ones_bit,
@@ -434,7 +440,9 @@ def phase_estimation_record(
     escalate_ambiguous: bool = False,
 ) -> RunRecord:
     """Phase estimation with the full per-iteration trace recorded."""
-    u = require_unitary(np.asarray(u, dtype=complex), 1e-10)
+    u = _square(u, NotUnitary)
+    _require_dim(2 * len(u), "2n")  # checked before any work: each block has dimension 2n
+    u = require_unitary(u, 1e-10)
     state = _unit_state(eigvec, "eigvec", len(u))
     if n < 1:
         raise DomainError("need at least one bit")

@@ -284,8 +284,13 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
     u = require_unitary(u, 1e-10)
     if j < 0:
         raise DomainError("power index j must be >= 0")
-    power = np.linalg.matrix_power(u, 2**j)
-    eye = np.eye(len(u))
+    return _phase_oracle(np.linalg.matrix_power(u, 2**j), theta)
+
+
+def _phase_oracle(power: np.ndarray, theta: float) -> BlockEncoding:
+    """Encoding of (I + exp(-2*pi*i*theta) power) / 2 for a checked unitary
+    power, as the Hadamard average of I and the phased power."""
+    eye = np.eye(len(power))
     return _average([eye, np.exp(-2j * np.pi * theta) * power], eye, eye, 1.0)
 
 

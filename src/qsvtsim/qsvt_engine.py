@@ -7,13 +7,18 @@ rotation is a row scaling.  The sweep takes the steps in pairs: each
 U^dag Phi_L(chi) U is the phase rotation about the rotated projector
 U^dag Pi_L U, which it applies as one rank-r_L update through the r_L rows
 of U that Pi_L keeps, so a pair costs 2 r_L N multiply-adds per column
-instead of 2 N^2.  The reflection offsets of ``qsp_core`` map the
-stored QSP phases onto projector phases, so the encoded block of V(phi) is
-exactly the sequence's P polynomial applied to the singular values.  The real part,
+instead of 2 N^2.  The product is linear in its start, so the sweep
+carries only the columns a caller reads: all N for the full unitary, the
+range(P_R) identity for the block, one state for a caller that reads
+block . psi.  The reflection offsets of ``qsp_core`` map the stored QSP
+phases onto projector phases, so the encoded block of V(phi) is exactly the
+sequence's P polynomial applied to the singular values.  The real part,
 which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
 with no ancilla; ``real_part_encoding`` builds the one-ancilla
 Hadamard-select circuit only for callers that need the full unitary.
-Independent eigen- and SVD-based oracles are provided for verification.
+Amplitude amplification between two privileged states is the same product
+on rank-1 projectors.  Independent eigen- and SVD-based oracles are
+provided for verification.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class QsvtProgram:
         return self.phases.degree
 
 
-def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
+def _sweep(encoding: BlockEncoding, phase_lists, start):
     """The products Phi(chi_0) U Phi(chi_1) U^dag ... Phi(chi_d) of every
     phase list at once, in the projector frame, one reflection pair per step.
 
@@ -59,33 +64,36 @@ def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
     scalars e^{-i chi} of every list are applied once, at the end.  An odd
     degree ends with one product by U' and D_L(chi_0).
 
-    The lists share one (N, lists, cols) stack.  ``range_only`` carries only
-    the columns of range(P_R), otherwise every column; for odd degree it also
-    keeps only the out-range rows, so only U_L is gathered.  Returns (W,
-    out_rank, out_frame, right_frame) with V_j = out_frame W[:, j]
-    right_frame^dag for full width; the projector angles chi are the phases
-    shifted by the reflection offsets, which leave the encoded block with no
-    stray global phase.
+    The lists share one (N, lists, cols) stack of the columns the caller
+    reads: the product is linear in ``start``, which holds them in the
+    range(P_R) basis as (rank_r, cols) and for odd degree keeps only the
+    out-range rows, so only U_L is gathered; ``None`` starts from every
+    column.  Returns (W, out_rank, out_frame, right_frame) with V_j =
+    out_frame W[:, j] right_frame^dag for ``None``; the projector angles chi
+    are the phases shifted by the reflection offsets, which leave the
+    encoded block with no stray global phase.
     """
     chi = np.array(phase_lists, dtype=float)
     chi += _reflection_offsets(chi.shape[1] - 1)
     d = chi.shape[1] - 1
     rank_r, frame_r = encoding._frame_right
     rank_l, frame_l = encoding._frame_left
-    full_end = d % 2 == 1 and not range_only  # the odd end needs every row of U'
+    full_end = d % 2 == 1 and start is None  # the odd end needs every row of U'
     u = _into(encoding.unitary, frame_l if full_end else frame_l[..., :rank_l], frame_r)
     u_l = u[:rank_l]
     u_l_dag = u_l.conj().T
     n = u.shape[1]
-    width = rank_r if range_only else n
     turn = np.expm1(2j * chi)  # e^{2i chi} - 1, the range rows' phase less the rest's
 
-    w = np.zeros((n, len(chi), width), dtype=complex)
-    w[np.arange(width), :, np.arange(width)] = 1.0  # identity columns, per list
+    w = np.zeros((n, len(chi), n if start is None else start.shape[1]), dtype=complex)
+    if start is None:
+        w[np.arange(n), :, np.arange(n)] = 1.0  # identity columns, per list
+    else:
+        w[:rank_r] = start[:, None]
     w[:rank_r] *= 1.0 + turn[:, d, None]
     stack = w.reshape(n, -1)
     spare = np.empty_like(stack)
-    proj = np.empty((rank_l, len(chi), width), dtype=complex)
+    proj = np.empty((rank_l,) + w.shape[1:], dtype=complex)
     proj_stack = proj.reshape(rank_l, stack.shape[1])
     for k in range(d - 1, 0, -2):
         np.matmul(u_l, stack, out=proj_stack)
@@ -94,7 +102,7 @@ def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
         w[:rank_r] *= 1.0 + turn[:, k - 1, None]
     out_rank, out_frame = rank_r, frame_r
     if d % 2:
-        w = np.matmul(u, stack, out=spare[: len(u)]).reshape(len(u), len(chi), width)
+        w = np.matmul(u, stack, out=spare[: len(u)]).reshape(len(u), *w.shape[1:])
         w[:rank_l] *= 1.0 + turn[:, 0, None]
         out_rank, out_frame = rank_l, frame_l
     w *= np.prod(np.exp(-1j * chi), axis=1)[:, None]
@@ -103,7 +111,7 @@ def _sweep(encoding: BlockEncoding, phase_lists, range_only: bool):
 
 def _full(prog: QsvtProgram, phase_lists):
     """The dense products V of the phase lists, mapped out of the frame."""
-    w, _, out_frame, right_frame = _sweep(prog.encoding, phase_lists, range_only=False)
+    w, _, out_frame, right_frame = _sweep(prog.encoding, phase_lists, None)
     rows, cols = _inverse(out_frame), _inverse(right_frame)
     return [_into(w[:, j], rows, cols) for j in range(len(phase_lists))]
 
@@ -133,17 +141,22 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     return _average(pair, prog.encoding.proj_right, out_proj, prog.encoding.alpha)
 
 
+def _transformed(prog: QsvtProgram, x: np.ndarray) -> np.ndarray:
+    """``transformed_block(prog) @ x`` without the block, for x of shape
+    (rank(P_R), cols) in the range(P_R) basis: the sweep starts from x."""
+    phases = prog.phases.as_array()
+    w, out_rank, _, _ = _sweep(prog.encoding, [phases, -phases], x)
+    return 0.5 * (w[:out_rank, 0] + w[:out_rank, 1])
+
+
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
     """Re(P)^(SV) of the encoded block, in the projector-range bases.
 
     The block of the real-part circuit, 1/2 (V(phi) + V(-phi)) restricted to
-    the ranges of the program's (already validated) encoding: the sweep
-    carries only the range(P_R) columns of both products and keeps the
-    out-range rows, with no ancilla circuit.
+    the ranges of the program's (already validated) encoding: the transform
+    applied to the identity of range(P_R), with no ancilla circuit.
     """
-    phases = prog.phases.as_array()
-    w, out_rank, _, _ = _sweep(prog.encoding, [phases, -phases], range_only=True)
-    return 0.5 * (w[:out_rank, 0] + w[:out_rank, 1])
+    return _transformed(prog, np.eye(prog.encoding._frame_right[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +195,24 @@ def eigen_oracle(h: np.ndarray, poly: ChebyshevPoly) -> np.ndarray:
 def amplitude_amplification_matrix_element(
     u: np.ndarray, a0: np.ndarray, b0: np.ndarray, phases
 ) -> complex:
-    """<A0| [prod_k U B(phi_{2k-1}) U^dag A(phi_{2k})] U |B0>.
+    """<A0| [prod_k U B(phi_{2k}) U^dag A(phi_{2k+1})] U |B0>, a degree <= d+1
+    polynomial in a = <A0|U|B0> realized with an even-length phase list.
 
-    The rank-1 phase operators act on the privileged states only; the
-    result is a degree <= d+1 polynomial in a = <A0|U|B0> realized with an
-    even-length phase list.
+    B(phi) = I + (e^{i phi} - 1)|B0><B0| is e^{i phi/2} Phi_R(phi/2) on the
+    encoding (u, |B0><B0|, |A0><A0|), and A(phi) likewise with Phi_L, so this
+    is one engine product at the angles (0, phi/2, 0); u must be a unitary of
+    dimension at most 1024.
     """
-    u = np.asarray(u, dtype=complex)
-    a0 = np.asarray(a0, dtype=complex).ravel()
-    b0 = np.asarray(b0, dtype=complex).ravel()
+    a0, b0 = (np.asarray(vec, dtype=complex).ravel() for vec in (a0, b0))
     for name, vec in (("A0", a0), ("B0", b0)):
         if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:  # a NaN norm fails too
             raise NotUnit(f"{name} must be a unit vector")
-    phases = list(phases)
+    phases = np.array(list(phases), dtype=float)
     if len(phases) % 2 != 0:
         raise DomainError("the amplification product uses an even phase count")
-
-    def rank1_phase(vec: np.ndarray, phi: float) -> np.ndarray:
-        return np.eye(len(vec), dtype=complex) + (np.exp(1j * phi) - 1.0) * np.outer(
-            vec, vec.conj()
-        )
-
-    m = np.eye(u.shape[0], dtype=complex)
-    for k in range(0, len(phases), 2):
-        m = m @ u @ rank1_phase(b0, phases[k]) @ u.conj().T @ rank1_phase(a0, phases[k + 1])
-    m = m @ u
-    return complex(a0.conj() @ m @ b0)
+    a0, b0 = a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)
+    enc = BlockEncoding(u, np.outer(b0, b0.conj()), np.outer(a0, a0.conj()))
+    chi = np.concatenate([[0.0], phases / 2.0, [0.0]])
+    canonical = PhaseSequence(tuple(chi - _reflection_offsets(len(phases) + 1)), CANONICAL)
+    v = qsvt_unitary(QsvtProgram(enc, canonical))
+    return complex(np.exp(0.5j * phases.sum()) * (a0.conj() @ v @ b0))

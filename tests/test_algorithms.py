@@ -130,6 +130,15 @@ class TestThreshold:
             eigenvalue_threshold(np.diag([0.2, 0.8]), 1.0, 0.5, 0.1, ZETA, 0.1, np.ones(3),
                                  exact=True)
 
+    def test_dimension_cap_is_checked_first(self, monkeypatch):
+        # the shifted encoding has dimension 4n, so n = 300 breaks the 1024 cap
+        # before the eigendecomposition of qubitize_hermitian or any solve
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        monkeypatch.setattr(algorithms, "qubitize_hermitian", _no_solve)
+        with pytest.raises(DomainError, match=r"dimension 1200 \(4n\) exceeds the cap 1024"):
+            eigenvalue_threshold(0.5 * np.eye(300), 1.0, 0.5, 0.1, ZETA, 0.1, np.ones(300),
+                                 exact=True)
+
 
 class TestBernoulli:
     def test_formula_values(self):
@@ -203,6 +212,14 @@ class TestPhaseEstimation:
         with pytest.raises(DomainError, match=r"input state eigvec has shape \(3,\); .* length 2"):
             phase_estimation_record(np.eye(2), np.ones(3), 3, 0.3, exact=True)
 
+    def test_dimension_cap_is_checked_first(self, monkeypatch):
+        # each block has dimension 2n, so n = 600 breaks the 1024 cap before
+        # the unitarity check or any solve
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        monkeypatch.setattr(algorithms, "require_unitary", _no_solve)
+        with pytest.raises(DomainError, match=r"dimension 1200 \(2n\) exceeds the cap 1024"):
+            phase_estimation_record(np.eye(600), np.ones(600), 3, 0.3, exact=True)
+
     def test_epsilon_cap(self):
         with pytest.raises(DomainError):
             qsvt_phase_estimation(oracle_1q(0.5), VEC1, 3, 1.5, 0.2)
@@ -254,35 +271,35 @@ class TestOrderFinding:
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "c1dad5d6c682364b85883165bb0941e4a4681f37c6d12c92b3dc80d6ffdaf406",
+        "5648b681125cc0f698986c2144bec6a9ab3a015281f85cac1777b42d68aea5b0",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "322a7c769197ac8519ec7cbc48440baaa01128494166399ab7b5b6e0f459f500",
+        "79b09dc190f69b72461a02b103afdbc151fe087ca4f1873cf45af70fe36732f1",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "310f9b19080b67291c290ff2182ed7be65f1abe4db73ca67ab6158b62bd79643",
+        "f68a3949728b72a3c539864e4786e3be381f8bb9a4d63442ec7126fd27a2f21f",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
             oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
         ),
-        "4fb210ec9e2d91e48adffb0ebb0ef5ecb47c3f60157a36e1c51c4a9dca580aa7",
+        "7540993094ce6254fa8eca0f38e13b09c89a67eed89985615c92f8a51b202237",
     ),
     "qpe_escalation": (
         lambda: phase_estimation_record(
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "fde7c047979bb945e58ff896fee598715498868b15a1b585c5befd7e574df6f0",
+        "eff7349c1e773efe04ba8b2cc876abac36f24a49a09afc555ed163918b304303",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "e5e734192c5a943d26b1a79b1d80ab481516e2c6c77a6791ea212403f106b718",
+        "dfc853b219e4858fd86161c2d4615057afafda3400dafe6ca13006d7221135b9",
     ),
 }
 

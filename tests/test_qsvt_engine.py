@@ -11,6 +11,7 @@ from qsvtsim import (
     Convention,
     DomainError,
     NotUnit,
+    NotUnitary,
     Parity,
     PhaseSequence,
     QsvtProgram,
@@ -40,6 +41,7 @@ from qsvtsim import (
 )
 from qsvtsim.block_encoding import _range_block
 from qsvtsim.qsp_core import _reflection_offsets
+from qsvtsim.qsvt_engine import _transformed
 
 
 def random_contraction(rng, dim, norm=0.95):
@@ -267,7 +269,9 @@ class TestFrameEdgeCases:
 class TestReflectionPairs:
     """The engine applies each U^dag Phi_L U pair as one rank-rank_l update
     and collects the scalar phases at the end; degrees 0, 1, 2, 3 and 41 run
-    its pair loop 0, 0, 1, 1 and 20 times, with and without the odd end."""
+    its pair loop 0, 0, 1, 1 and 20 times, with and without the odd end.
+    The state path, which starts the sweep from the columns a caller reads,
+    is checked against the block on the same programs."""
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
     @pytest.mark.parametrize("name", sorted(EDGE_ENCODINGS))
@@ -285,6 +289,12 @@ class TestReflectionPairs:
         block = transformed_block(prog)
         assert block.shape == expect.shape
         assert np.max(np.abs(block - expect), initial=0.0) <= 1e-13
+        rank_r = enc._frame_right[0]
+        for cols in (1, 3):
+            x = rng.standard_normal((rank_r, cols)) + 1j * rng.standard_normal((rank_r, cols))
+            out = _transformed(prog, x)
+            assert out.shape == (block @ x).shape
+            assert np.max(np.abs(out - block @ x), initial=0.0) <= 1e-13
 
     def test_n256_matches_svd_oracle(self):
         a = random_contraction(np.random.default_rng(256), 256)
@@ -402,6 +412,27 @@ class TestGlobalPhaseFixedness:
         assert abs(block[0, 0].imag) < 1e-8
 
 
+def literal_amplification(u, a0, b0, phases):
+    """<A0| [prod_k U B(phi_{2k}) U^dag A(phi_{2k+1})] U |B0> as a loop over
+    dense N x N rank-1 phase matrices: the engine call's reference."""
+
+    def rank1_phase(vec, phi):
+        return np.eye(len(vec), dtype=complex) + (np.exp(1j * phi) - 1.0) * np.outer(
+            vec, vec.conj()
+        )
+
+    m = np.eye(u.shape[0], dtype=complex)
+    for k in range(0, len(phases), 2):
+        m = m @ u @ rank1_phase(b0, phases[k]) @ u.conj().T @ rank1_phase(a0, phases[k + 1])
+    m = m @ u
+    return complex(a0.conj() @ m @ b0)
+
+
+def random_unit(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
 class TestAmplitudeAmplification:
     @pytest.fixture
     def search_setup(self):
@@ -459,3 +490,30 @@ class TestAmplitudeAmplification:
         vecs[which][3] = np.nan
         with pytest.raises(NotUnit, match=which):
             amplitude_amplification_matrix_element(u, vecs["A0"], vecs["B0"], [0.1, 0.2])
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_the_literal_loop_on_dense_states(self, n):
+        # A0 and B0 with no zero entry: the projectors take the dense frame
+        rng = np.random.default_rng(n)
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        a0, b0 = random_unit(rng, n), random_unit(rng, n)
+        for count in range(0, 21, 2):
+            phases = list(rng.uniform(-np.pi, np.pi, count))
+            val = amplitude_amplification_matrix_element(u, a0, b0, phases)
+            assert abs(val - literal_amplification(u, a0, b0, phases)) <= 1e-13
+
+    def test_rejects_a_non_unitary(self, search_setup):
+        u, a0, b0 = search_setup
+        with pytest.raises(NotUnitary):
+            amplitude_amplification_matrix_element(1.1 * u, a0, b0, [0.1, 0.2])
+
+    def test_rejects_mismatched_lengths(self, search_setup):
+        u, a0, b0 = search_setup
+        with pytest.raises(DomainError, match="match the unitary dimension"):
+            amplitude_amplification_matrix_element(u, a0, b0[:8], [0.1, 0.2])
+
+    def test_rejects_a_dimension_past_the_cap(self):
+        b0 = np.zeros(1025)
+        b0[0] = 1.0
+        with pytest.raises(DomainError, match="dimension 1025 exceeds the cap 1024"):
+            amplitude_amplification_matrix_element(np.eye(1025), b0, b0, [])
