@@ -7,7 +7,8 @@ a solution), so a degree-d target has (d + 2) // 2 unknowns; requiring the
 response to equal the target at as many positive Chebyshev nodes gives a
 square system, solved by damped Newton's method from (pi/4, 0, ..., 0, pi/4)
 (symmetric QSP; Dong, Lin, Ni & Wang, arXiv:2307.12468).  No restarts are
-needed.  A target whose sup comes within half the tolerance of 1 is solved
+needed.  The response and its analytic Jacobian come from one sweep in the
+signal's eigenframe, whose stored rows give every column.  A target whose sup comes within half the tolerance of 1 is solved
 scaled just inside the bound, so its residual is about that half rather
 than the rounding level.  Phase solutions are not unique, so callers should
 compare response functions rather than phase lists.
@@ -26,8 +27,9 @@ from .qsp_core import (
     CANONICAL,
     PhaseSequence,
     SignalKind,
-    _row_sweep,
-    _signal_entries,
+    _eigen_sweep,
+    _mixers,
+    _node_phases,
     response_many,
 )
 
@@ -78,37 +80,46 @@ class FixedPointParams:
 # Response and Jacobian, vectorized over signal nodes
 
 
-def _response_jacobian(phases: np.ndarray, nodes: np.ndarray, need_jac: bool = True):
+def _response_jacobian(phases: np.ndarray, nodes: np.ndarray, need_jac: bool = True,
+                       rows: np.ndarray | None = None):
     """Re<+|U|+> at each node, optionally with d/dphi_k (analytic).
 
-    U = S(phi_0) W S(phi_1) ... W S(phi_d) in the canonical Wx convention.
-    With a = (1, 1) times the prefix before S(phi_k) and b = the suffix after
-    it times (1, 1)^T, dU/dphi_k contributes Re(i e_k a_0 b_0 - i e_k^* a_1 b_1)
-    / 2.  W and S are symmetric, so b is the prefix row of the reversed
-    phases; for a palindromic list that is a itself.
+    U = S(phi_0) W S(phi_1) ... W S(phi_d) in the canonical Wx convention,
+    swept in the signal's eigenframe, where <+|U|+> = <0|R_0 D R_1 ... R_d|0>
+    (``qsp_core._eigen_sweep``).  dR_k/dphi_k = R_k iX, so with c_k the row
+    after R_k and b_k the column D R_{k+1} ... R_d|0>, the derivative is
+    Re(i c_k X b_k) = -Im(c_k1 b_k0 + c_k0 b_k1).  For k < d, c_k is the
+    stored row before R_{k+1} times D^-1 = diag(conj(e), e); c_d is the
+    final row and b_d = |0>.  R and D are symmetric, so b_k is the row before
+    R_{d-k} of the reversed sweep; for a palindromic list that is the sweep's
+    own, and c_k0 b_k1 is c_{d-1-k}1 b_{d-1-k}0 reversed.  ``rows``, a
+    (d + 1, 2, m) buffer the Newton loop reuses so that its pages are not
+    faulted in again on every call, holds the sweep and is overwritten.
     """
-    entries = _signal_entries(nodes, SignalKind.WX)
-    a = np.empty((2, len(phases), len(nodes)), dtype=complex) if need_jac else None
-    top, bot = _row_sweep(phases, entries, (1, 1), a)
-    g = 0.5 * np.real(top + bot)
+    mix = _mixers(phases)
+    e = _node_phases(nodes, SignalKind.WX)
     if not need_jac:
-        return g, None
-    b = a
-    if not np.array_equal(phases, phases[::-1]):
-        b = np.empty_like(a)
-        _row_sweep(phases[::-1], entries, (1, 1), b)
-    b = b[:, ::-1]
-    # Re(i z) = -Im z; one complex (d + 1) x m buffer serves both terms, so no
-    # large temporaries are freed and faulted in again on every Newton trial
-    e = np.exp(1j * phases)[:, None]
-    term = e * a[0]
-    term *= b[0]
-    jac = term.imag.copy()
-    np.multiply(np.conj(e), a[1], out=term)
-    term *= b[1]
-    np.subtract(term.imag, jac, out=jac)
-    jac *= 0.5
-    return g, jac.T
+        return _eigen_sweep(mix, e)[0].real, None
+    if rows is None:
+        rows = np.empty((len(phases), 2, len(nodes)), dtype=complex)
+    end = _eigen_sweep(mix, e, rows=rows)
+    # rows[1:, 1] becomes c_k1 b_k0 / e and rows[1:, 0] c_k0 b_k1, in place
+    top, bot = rows[1:, 1], rows[1:, 0]
+    if np.array_equal(phases, phases[::-1]):
+        np.multiply(top, rows[:0:-1, 0], out=top)
+        np.multiply(top[::-1], np.conj(e), out=bot)
+    else:
+        suffix = np.empty_like(rows)
+        _eigen_sweep(mix[::-1], e, rows=suffix)
+        top *= suffix[:0:-1, 0]
+        bot *= suffix[:0:-1, 1]
+        bot *= np.conj(e)
+    top *= e
+    top += bot
+    jac = np.empty((len(phases), len(nodes)))
+    np.negative(top.imag, out=jac[:-1])
+    np.negative(end[1].imag, out=jac[-1])
+    return end[0].real, jac.T
 
 
 def _expand_symmetric(sym: np.ndarray, degree: int) -> np.ndarray:
@@ -116,10 +127,11 @@ def _expand_symmetric(sym: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([sym, sym[: degree + 1 - len(sym)][::-1]])
 
 
-def _symmetric_response(sym: np.ndarray, degree: int, nodes: np.ndarray):
+def _symmetric_response(sym: np.ndarray, degree: int, nodes: np.ndarray,
+                        rows: np.ndarray | None = None):
     """Response of the palindromic expansion of ``sym`` and its Jacobian in
     the half-vector: the chain rule of the expansion mirror-sums columns."""
-    g, jac = _response_jacobian(_expand_symmetric(sym, degree), nodes)
+    g, jac = _response_jacobian(_expand_symmetric(sym, degree), nodes, rows=rows)
     half = len(sym)
     out = jac[:, :half].copy()
     out[:, : degree + 1 - half] += jac[:, half:][:, ::-1]
@@ -141,9 +153,10 @@ def _newton(target: ChebyshevPoly):
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
     targets = target(nodes)
     rounding = ROUNDING * (degree + 1)
+    rows = np.empty((degree + 1, 2, half), dtype=complex)
     sym = np.zeros(half)
     sym[0] = np.pi / 4
-    g, jac = _symmetric_response(sym, degree, nodes)
+    g, jac = _symmetric_response(sym, degree, nodes, rows)
     resid = g - targets
     size = np.linalg.norm(resid)
     steps = 0
@@ -155,7 +168,7 @@ def _newton(target: ChebyshevPoly):
         steps += 1
         for damping in DAMPINGS:
             trial = sym - damping * step
-            g, trial_jac = _symmetric_response(trial, degree, nodes)
+            g, trial_jac = _symmetric_response(trial, degree, nodes, rows)
             trial_size = np.linalg.norm(g - targets)
             if trial_size < size - rounding:
                 sym, jac, resid, size = trial, trial_jac, g - targets, trial_size

@@ -5,6 +5,11 @@ rotations.  Three signal-operator conventions are supported (an x-rotation,
 a reflection, and a z-rotation), together with the two readout bases
 ``<0|.|0>`` and ``<+|.|+>``.  The library-wide canonical convention is
 (WX, SZ, ``<+|.|+>``); solvers and the QSVT engine target it.
+
+Every evaluation is one sweep in the signal's eigenframe (``_eigen_sweep``):
+there the signal is diagonal and each processing phase is the same 2x2
+mixing at every signal value, so a phase costs two array operations on
+the rows of all values at once.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import numpy as np
 
 from .block_encoding import require_unitary
 from .errors import DomainError, ParityError, UnsupportedConversion, _json_field
-
-_Z = np.diag([1.0 + 0j, -1.0 + 0j])
 
 
 class SignalKind(Enum):
@@ -114,47 +117,82 @@ def phases_equal_mod_2pi(a, b, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(d)) <= tol)
 
 
-def _signal_entries(values: np.ndarray, signal: SignalKind):
-    """(w00, w01, w11) of the symmetric signal rotation over an array (or
-    0-d array) of signal values; w00 and w11 are real.  WZ is given in the
-    Hadamard frame (H exp(i phi X) H = exp(i phi Z)), where its signal is
-    the x-rotation by theta, keeping the sign of sin(theta/2)."""
+def _node_phases(values: np.ndarray, signal: SignalKind) -> np.ndarray:
+    """e^{i theta} at each signal value (any array shape), the diagonal of
+    the signal in its eigenframe, D = diag(e^{i theta}, e^{-i theta}).
+
+    WX and reflection take the value x = cos theta, theta in [0, pi], whose
+    signal H D H is the x-rotation by theta; WZ takes the angle theta of
+    diag(e^{i theta/2}, e^{-i theta/2}), which is diagonal already, so it
+    returns e^{i theta/2}.
+    """
     if not np.all(np.isfinite(values)):
         raise DomainError("signal values must be finite")
     if signal is SignalKind.WZ:
-        c = np.cos(0.5 * values)
-        return c, 1j * np.sin(0.5 * values), c
+        return np.cos(0.5 * values) + 1j * np.sin(0.5 * values)
     outside = values[np.abs(values) > 1.0 + 1e-12]
     if outside.size:
         raise DomainError(f"signal value {outside.flat[0]} outside [-1, 1]")
     av = np.clip(values, -1.0, 1.0)
-    s = np.sqrt(1.0 - av * av)
-    if signal is SignalKind.WX:
-        return av, 1j * s, av
-    return av, s, -av
+    return av + 1j * np.sqrt(1.0 - av * av)
 
 
-def _row_sweep(phases: np.ndarray, entries, row, prefixes: np.ndarray | None = None):
-    """The row vector ``row`` (a pair of start entries, broadcast against
-    the signal values) times S(phi_0) W S(phi_1) W ... W S(phi_d).
+def _mixers(phases: np.ndarray) -> np.ndarray:
+    """H S(phi) H = exp(i phi X) for each phase, a (d + 1, 2, 2) stack."""
+    mix = np.empty((len(phases), 2, 2), dtype=complex)
+    mix[:, 0, 0] = mix[:, 1, 1] = np.cos(phases)
+    mix[:, 0, 1] = mix[:, 1, 0] = 1j * np.sin(phases)
+    return mix
 
-    S(phi) = diag(e^{i phi}, e^{-i phi}) is a row scaling and W the
-    symmetric 2x2 of ``entries``, so each phase costs a few vector updates.
-    Returns the two final entries; ``prefixes``, of shape (2, d + 1) +
-    values shape, if given, receives the row before each S(phi_k).
+
+# start rows <0| and <0| + <1| of a sweep, as columns that broadcast over nodes
+_ZERO = np.array([[1.0], [0.0]])
+_PLUS = np.array([[1.0], [1.0]])
+
+
+def _eigen_sweep(mix: np.ndarray, nodes: np.ndarray, start=_ZERO,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Row vectors times R_0 D R_1 D ... D R_d, one per node.
+
+    In the signal's eigenframe the QSP product is R_k = ``mix[k]`` (the
+    node-independent mixing exp(i phi_k X)) alternating with D =
+    diag(e, conj(e)), e = ``nodes`` (1-D); ``start`` (2, 1) or (2, m)
+    holds the start row of each node as a column.  Each phase costs one
+    (2, 2) @ (2, m) product and one scaling.  Returns the (2, m) final
+    rows; ``rows`` (d + 1, 2, m), if given, receives the row before each R_k.
     """
-    w00, w01, w11 = entries
-    e = np.exp(1j * np.asarray(phases, dtype=float))
-    ec = np.conj(e)
-    shape = np.broadcast(w00, *row).shape
-    r0, r1 = (np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in row)
-    for k in range(len(e)):
-        if prefixes is not None:
-            prefixes[0, k], prefixes[1, k] = r0, r1
-        top, bot = r0 * e[k], r1 * ec[k]
-        if k < len(e) - 1:
-            r0, r1 = w00 * top + w01 * bot, w01 * top + w11 * bot
-    return top, bot
+    diag = np.stack([nodes, np.conj(nodes)])
+    last = len(mix) - 1
+    if rows is None:
+        row = np.empty_like(diag)
+        row[...] = start
+        for m in mix[:last]:
+            row = m @ row
+            row *= diag
+        return mix[last] @ row
+    rows[0] = start
+    views = list(rows)
+    for m, row, after in zip(mix, views, views[1:]):
+        np.multiply(m @ row, diag, out=after)
+    return mix[last] @ views[last]
+
+
+def _frame_mixers(seq: PhaseSequence) -> np.ndarray:
+    """The mixers of the frame product that seq's sweep runs.  WZ's unitary
+    is that product and WX's its H-conjugate, with the phases as they are.
+    Reflection phases less ``_reflection_offsets`` give the WX unitary times
+    a left Z at odd degree.  Its interior offsets -pi/2 are applied exactly,
+    as the right factor exp(i pi/2 X) = iX (rounded pi/2 would add up over
+    the degree), and the first, (2d - 1) pi/4, is taken mod 2 pi."""
+    phases = seq.as_array()
+    d = seq.degree
+    if seq.convention.signal is not SignalKind.REFLECTION or d == 0:
+        return _mixers(phases)
+    phases[0] -= ((2 * d - 1) % 8) * np.pi / 4
+    phases[-1] += np.pi / 4
+    mix = _mixers(phases)
+    mix[1:-1] = 1j * mix[1:-1, :, ::-1]
+    return mix
 
 
 def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -164,10 +202,13 @@ def signal_operator(a: float, convention: Convention = CANONICAL) -> np.ndarray:
     for WZ it is the rotation angle theta, with a = cos(theta/2) the
     bridging variable.
     """
-    w00, w01, w11 = _signal_entries(np.asarray(float(a)), convention.signal)
-    if convention.signal is SignalKind.WZ:  # H [[c, is], [is, c]] H = diag(c + is, c - is)
-        return require_unitary(np.diag([w00 + w01, w00 - w01]))
-    return require_unitary(np.array([[w00, w01], [w01, w11]], dtype=complex))
+    e = _node_phases(np.asarray(float(a)), convention.signal)
+    x, s = e.real, e.imag
+    if convention.signal is SignalKind.WZ:
+        return require_unitary(np.diag([e, np.conj(e)]))
+    if convention.signal is SignalKind.WX:  # H D H
+        return require_unitary(np.array([[x, 1j * s], [1j * s, x]]))
+    return require_unitary(np.array([[x, s], [s, -x]], dtype=complex))
 
 
 def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.ndarray:
@@ -185,13 +226,17 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
     """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)].
 
-    Its rows are two sweeps from the unit rows, run side by side; WZ maps
-    back out of the Hadamard frame.
+    Its rows are two sweeps from the unit rows, run side by side in the
+    signal's eigenframe; WX and reflection map back by H.H (and reflection
+    takes its left Z at odd degree, see ``_frame_mixers``).
     """
-    entries = _signal_entries(np.full(2, float(a)), seq.convention.signal)
-    u = np.array(_row_sweep(seq.as_array(), entries, ([1, 0], [0, 1]))).T
-    if seq.convention.signal is SignalKind.WZ:
+    conv = seq.convention
+    nodes = _node_phases(np.full(2, float(a)), conv.signal)
+    u = _eigen_sweep(_frame_mixers(seq), nodes, np.eye(2)).T
+    if conv.signal is not SignalKind.WZ:
         u = _H @ u @ _H
+        if conv.signal is SignalKind.REFLECTION and seq.degree % 2:
+            u[1] *= -1
     return require_unitary(u, 1e-11)
 
 
@@ -201,14 +246,21 @@ def response(seq: PhaseSequence, a: float) -> complex:
 
 
 def response_many(seq: PhaseSequence, values) -> np.ndarray:
-    """Vectorized response: one row sweep from <0| or <+| (WZ's <0| is <+|
-    in the Hadamard frame), read against the same vector."""
+    """Vectorized response: one sweep in the signal's eigenframe.
+
+    There the readout <+|.|+> of WX is <0|.|0>, and <0|.|0> of WX and
+    reflection is <+|.|+>; reflection's <+|.|+> at odd degree reads its
+    left Z, as X in the frame, from the start row <1|.  WZ is read as it is.
+    """
     conv = seq.convention
-    entries = _signal_entries(np.asarray(values, dtype=float), conv.signal)
-    if conv.basis is Basis.PLUS_PLUS or conv.signal is SignalKind.WZ:
-        top, bot = _row_sweep(seq.as_array(), entries, (1, 1))
-        return 0.5 * (top + bot)
-    return _row_sweep(seq.as_array(), entries, (1, 0))[0]
+    values = np.asarray(values, dtype=float)
+    nodes = _node_phases(values.ravel(), conv.signal)
+    mix = _frame_mixers(seq)
+    if conv.basis is Basis.ZERO_ZERO and conv.signal is not SignalKind.WZ:
+        top, bot = _eigen_sweep(mix, nodes, _PLUS)
+        return (0.5 * (top + bot)).reshape(values.shape)
+    flip = conv.signal is SignalKind.REFLECTION and seq.degree % 2
+    return _eigen_sweep(mix, nodes, _ZERO[::-1] if flip else _ZERO)[0].reshape(values.shape)
 
 
 def response_curve(seq: PhaseSequence, grid) -> list:
@@ -288,14 +340,14 @@ def pq_from_sequence(seq: PhaseSequence):
     degree the left Z factor between the two unitaries changes row 1 only).
     """
     d = seq.degree
-    phases = seq.as_array()
-    if seq.convention.signal is SignalKind.REFLECTION:
-        phases = phases - _reflection_offsets(d)
     n = 2 * (d + 2)
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
-    a = np.cos(theta)
-    # row 0 of the unitary is (P, i*Q*s), with i*Q*s = i * sum_k q_k sin(k theta)
-    p_vals, row_q = _row_sweep(phases, _signal_entries(a, SignalKind.WX), (1, 0))
+    # row 0 of the unitary, <0|H M H for the frame product M, is (P, i*Q*s)
+    # with i*Q*s = i * sum_k q_k sin(k theta); from the start <0|H, a
+    # multiple of (1, 1), it is ((top + bot) / 2, (top - bot) / 2)
+    nodes = _node_phases(np.cos(theta), SignalKind.WX)
+    top, bot = _eigen_sweep(_frame_mixers(seq), nodes, _PLUS)
+    p_vals, row_q = 0.5 * (top + bot), 0.5 * (top - bot)
     # cos(k theta) and sin(k theta), k <= d < n, are orthogonal on these angles
     k = np.arange(d + 1)
     p_coeffs = (2.0 / n) * np.cos(np.outer(k, theta)) @ p_vals

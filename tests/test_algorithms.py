@@ -265,41 +265,42 @@ class TestOrderFinding:
 # TestPhaseEstimationStrategies and a run with phase errors that reaches the
 # ones-place carry probe.  A refactor of the shared loop must keep every
 # bit, queries and p1 value of these records.  The p1 values are engine
-# output, so the digests also pin the engine's rounding: a change to the
-# order of its floating-point operations re-pins them after checking that
-# every other field is unchanged and p1 moved only in the last bits.
+# output from solved phases, so the digests also pin the rounding of the
+# engine and of the phase solver: a change to the order of their
+# floating-point operations re-pins them after checking that every other
+# field is unchanged and p1 moved only in the last bits.
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "5648b681125cc0f698986c2144bec6a9ab3a015281f85cac1777b42d68aea5b0",
+        "a7a20fabce4736876761b12f3e84f12fa177d76bc4bb41af339154930734100b",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "79b09dc190f69b72461a02b103afdbc151fe087ca4f1873cf45af70fe36732f1",
+        "33b51d07447bb02c36820c9dc658f3988730e8e02a0c502f5f8b625d74952fc7",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "f68a3949728b72a3c539864e4786e3be381f8bb9a4d63442ec7126fd27a2f21f",
+        "fec52e95db36b70b2d442d77c7ce84d59ae7008d3894fd7715cbaf48c0a6f535",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
             oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
         ),
-        "7540993094ce6254fa8eca0f38e13b09c89a67eed89985615c92f8a51b202237",
+        "d96e184f357bc9976ae9b514eed37ce2625c0db6cf0ef671e99402496219712c",
     ),
     "qpe_escalation": (
         lambda: phase_estimation_record(
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "eff7349c1e773efe04ba8b2cc876abac36f24a49a09afc555ed163918b304303",
+        "fd61ce88549214daba1c466a45719e1304d8111659c2b802e0f56a1222aad6dc",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "dfc853b219e4858fd86161c2d4615057afafda3400dafe6ca13006d7221135b9",
+        "60f2ce85735888bf9bea5bcbac1b179c7639d87c1593ab11855e177cafdb8e52",
     ),
 }
 

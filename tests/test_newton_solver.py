@@ -139,7 +139,7 @@ def test_unattainable_tolerance_fails_fast():
     assert "restart" not in message
 
 
-@pytest.mark.parametrize("degree", [6, 7])
+@pytest.mark.parametrize("degree", [0, 1, 2, 6, 7, 41])
 def test_symmetric_jacobian_matches_finite_differences(degree, rng):
     # the palindromic fast path of _response_jacobian and the mirror sum
     half = (degree + 2) // 2

@@ -1,7 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 from scipy.optimize import brentq
 from scipy.special import erf, gammaln, jv
 
@@ -29,6 +31,7 @@ from qsvtsim import (
 )
 from qsvtsim.poly_approx import (
     DEGREE_CAP,
+    _chebval,
     _erf,
     _jacobi_anger_coeffs,
     cert_grid,
@@ -53,6 +56,62 @@ def test_poly_json_roundtrip():
         poly_from_json('{"coeffs": [0.0, 1.0]}')
     with pytest.raises(DomainError, match="'coeffs'"):
         poly_from_json('{"coeffs": "x", "parity": "odd"}')
+
+
+def _random_series(degree: int, kind: str, seed: int) -> np.ndarray:
+    """Unit-normal Chebyshev coefficients, with the odd or even ones zeroed."""
+    c = np.random.default_rng(seed).standard_normal(degree + 1)
+    if kind == "even":
+        c[1::2] = 0.0
+    elif kind == "odd":
+        c[0::2] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "none"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 41, 153, 512])
+def test_evaluator_matches_chebval(kind, degree):
+    c = _random_series(degree, kind, 300 + degree)
+    rng = np.random.default_rng(400 + degree)
+    x = np.concatenate([[-1.0, 0.0, 1.0], cert_grid(), rng.uniform(-1.0, 1.0, 1000)])
+    bound = 1e-13 * np.sum(np.abs(c))
+    assert np.max(np.abs(_chebval(x, c) - cheb.chebval(x, c))) <= bound
+    poly = ChebyshevPoly(c, Parity.NONE if kind == "none" else Parity(kind))
+    assert np.max(np.abs(poly(x) - cheb.chebval(x, c))) <= bound
+    for point in (-1.0, 0.0, 1.0, 0.3):
+        value = poly(point)
+        assert np.ndim(value) == 0 and abs(value - cheb.chebval(point, c)) <= bound
+    grid = x[1:].reshape(2, -1)
+    assert poly(grid).shape == grid.shape
+
+
+def _reference_chebval(x: float, coeffs: np.ndarray) -> float:
+    """sum_k coeffs[k] T_k(x) by the three-term recurrence in 60 decimal
+    digits, from the exact decimal values of x and the coefficients."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        total, prev, cur = Decimal(coeffs[0]), Decimal(1), x
+        for ck in coeffs[1:]:
+            total += Decimal(ck) * cur
+            prev, cur = cur, 2 * x * cur - prev
+        return float(total)
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("degree", [41, 153, 512])
+def test_evaluator_is_accurate_near_the_ends_and_the_middle(kind, degree):
+    # near x = 0 and x = +-1, y = 2x^2 - 1 is near -1 or 1, where T_j(y)
+    # changes up to j^2 times faster than y: the plain recurrence at a
+    # rounded y loses 1.3e-14 to 6.8e-14 of sum |c_k| on these points at
+    # degrees 153 and 512 (numpy's chebval in x loses as much), and the
+    # Reinsch form at most 8.3e-16
+    c = _random_series(degree, kind, 500 + degree)
+    points = [-1.0, 0.0, 1.0, 1e-9, -3e-5, 2e-3, 0.2, -0.5, 2**-0.5, -(2**-0.5),
+              1.0 - 2.0**-40, -(1.0 - 1e-8), 1.0 - 3e-4, -0.99]
+    reference = np.array([_reference_chebval(p, c) for p in points])
+    err = np.max(np.abs(_chebval(np.array(points), c) - reference))
+    assert err <= 1e-14 * np.sum(np.abs(c))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
