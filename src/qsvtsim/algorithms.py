@@ -442,7 +442,7 @@ def phase_estimation_record(
     """Phase estimation with the full per-iteration trace recorded."""
     u = _square(u, NotUnitary)
     _require_dim(2 * len(u), "2n")  # checked before any work: each block has dimension 2n
-    u = require_unitary(u, 1e-10)
+    u = require_unitary(u)
     state = _unit_state(eigvec, "eigvec", len(u))
     if n < 1:
         raise DomainError("need at least one bit")

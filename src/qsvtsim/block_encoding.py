@@ -212,8 +212,8 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> Blo
     """The reflection completion [[A, R], [R, -A]] of qubitization, with
     |0><0| (x) I on both sides.  For unitary W, V and |s| <= 1, A = W diag(s)
     V^dag and R = W diag(sqrt(1 - s^2)) V^dag make it exactly unitary."""
-    a = w @ np.diag(s) @ vh
-    root = w @ np.diag(np.sqrt(1.0 - s**2)) @ vh
+    a = (w * s) @ vh
+    root = (w * np.sqrt(1.0 - s**2)) @ vh
     pi = _lift(np.eye(len(a)))
     return BlockEncoding(np.block([[a, root], [root, -a]]), pi, pi, float(alpha))
 
@@ -281,7 +281,7 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
     """
     u = _square(u, NotUnitary)
     _require_dim(2 * len(u))
-    u = require_unitary(u, 1e-10)
+    u = require_unitary(u)
     if j < 0:
         raise DomainError("power index j must be >= 0")
     return _phase_oracle(np.linalg.matrix_power(u, 2**j), theta)

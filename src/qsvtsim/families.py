@@ -15,7 +15,7 @@ from .poly_approx import (
     ChebyshevPoly,
     Parity,
     _erf,
-    _unit_interpolant,
+    _fixed_degree,
     eigenstate_filter_poly,
     gibbs_poly,
     jacobi_anger_cos,
@@ -29,20 +29,16 @@ from .qsp_core import PhaseSequence
 
 def _thresh_target(d: int, k: float) -> ChebyshevPoly:
     """Even step located at |x| = 1/2: (erf(k(x+1/2)) - erf(k(x-1/2))) / 2."""
-    if d % 2 != 0:
-        raise DomainError("threshold family degree must be even")
-    return _unit_interpolant(
-        lambda x: 0.5 * (_erf(k * (x + 0.5)) - _erf(k * (x - 0.5))), d, Parity.EVEN
+    return _fixed_degree(
+        "threshold", lambda x: 0.5 * (_erf(k * (x + 0.5)) - _erf(k * (x - 0.5))), d, Parity.EVEN
     )
 
 
 def _phase_target(d: int, k: float) -> ChebyshevPoly:
     """Even symmetric step at 1/sqrt(2), the phase-readout target."""
-    if d % 2 != 0:
-        raise DomainError("phase family degree must be even")
     c = 1.0 / math.sqrt(2.0)
-    return _unit_interpolant(
-        lambda x: 0.5 * (_erf(k * (c - x)) + _erf(k * (c + x)) - 1.0), d, Parity.EVEN
+    return _fixed_degree(
+        "phase", lambda x: 0.5 * (_erf(k * (c - x)) + _erf(k * (c + x)) - 1.0), d, Parity.EVEN
     )
 
 

@@ -197,26 +197,18 @@ def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> Ch
 
 
 def _certified_trim(poly: ChebyshevPoly, passes: Callable[[ChebyshevPoly], bool]) -> ChebyshevPoly:
-    """Smallest leading segment of coeffs that still passes certification.
-
-    Binary search on the truncation degree; the certified input is returned
-    unchanged if no truncation passes.
-    """
-    full = poly.trimmed()
-    if not passes(full):
-        return poly
+    """Smallest leading segment of a trimmed poly's coeffs that still passes
+    certification, by binary search on the truncation degree; poly passes."""
     step = 2 if poly.parity is not Parity.NONE else 1
-    lo_parity = full.degree % 2 if poly.parity is not Parity.NONE else 0
-    candidates = list(range(lo_parity, full.degree + 1, step))
+    candidates = range(poly.degree % step, poly.degree + 1, step)
     lo, hi = 0, len(candidates) - 1  # hi always passes
     while lo < hi:
         mid = (lo + hi) // 2
-        trial = ChebyshevPoly(full.coeffs[: candidates[mid] + 1], poly.parity)
-        if passes(trial):
+        if passes(ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], poly.parity)):
             hi = mid
         else:
             lo = mid + 1
-    return ChebyshevPoly(full.coeffs[: candidates[hi] + 1], poly.parity)
+    return ChebyshevPoly(poly.coeffs[: candidates[hi] + 1], poly.parity)
 
 
 def _critical_points(coeffs: np.ndarray) -> np.ndarray:
@@ -262,6 +254,14 @@ def _unit_interpolant(target: Callable, degree: int, parity: Parity) -> Chebyshe
     return ChebyshevPoly(_rescale_into_unit(coeffs, cert_grid()), parity)
 
 
+def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
+    """``_unit_interpolant`` at a degree the caller gives, which must have
+    the family's parity."""
+    if degree % 2 != (parity is Parity.ODD):
+        raise DomainError(f"{family} family degree must be {parity.value}")
+    return _unit_interpolant(target, degree, parity)
+
+
 def _certifier(keep: Callable, reference: Callable, budget: float) -> Callable:
     """Certification test on the dense grid: |p| <= 1 + 1e-12 everywhere,
     and |p - reference| <= budget on the grid points where keep holds."""
@@ -282,11 +282,11 @@ def _grow_and_certify(
     start_degree: int,
     certify: Callable[[ChebyshevPoly], bool],
 ) -> ChebyshevPoly:
-    """Grow the degree of build(degree) by ~1.5x until it certifies, then
-    trim it to the smallest certifying truncation."""
+    """Grow the degree of build(degree) by ~1.5x until its trimmed form
+    certifies, then cut that to the smallest certifying truncation."""
     degree = min(start_degree, DEGREE_CAP)
     while True:
-        poly = build(degree)
+        poly = build(degree).trimmed()
         if certify(poly):
             return _certified_trim(poly, certify)
         if degree >= DEGREE_CAP:
@@ -335,9 +335,7 @@ def sign_poly_from_steepness(degree: int, k: float) -> ChebyshevPoly:
     Family-style variant parameterized by (degree, steepness) rather than
     an accuracy budget.
     """
-    if degree % 2 == 0:
-        raise DomainError("sign family degree must be odd")
-    return _unit_interpolant(lambda x: _erf(k * x), degree, Parity.ODD)
+    return _fixed_degree("sign", lambda x: _erf(k * x), degree, Parity.ODD)
 
 
 def _symmetric_step_poly(epsilon: float, delta: float, center: float) -> ChebyshevPoly:
@@ -429,7 +427,7 @@ def solve_truncation(t: float, epsilon: float) -> TruncationSpec:
     # its terms: (t'/r)^r itself loses about r ulps at large r
     resid = abs(h(r))
     bound = 4.0 * 2.0**-53 * (r * (abs(math.log(t_arg)) + abs(math.log(r))) + abs(log_eps))
-    if not (r > t_arg and resid <= bound):
+    if not (t_arg < r < math.inf and resid <= bound):  # r, t_arg overflow near the float max
         raise ConvergenceError(
             f"truncation root rejected (residual {resid:.3e} exceeds {bound:.3e})"
         )
@@ -456,28 +454,28 @@ def _jacobi_anger_coeffs(t: float, degree: int) -> np.ndarray:
     return coeffs
 
 
-def jacobi_anger_cos(t: float, epsilon: float) -> ChebyshevPoly:
-    """Even truncation of cos(x t), rescaled by 1/(1+eps) into the unit ball.
+def _jacobi_anger(t: float, epsilon: float, parity: Parity) -> ChebyshevPoly:
+    """The parity's part of the Jacobi-Anger series (cos(xt) even, sin(xt)
+    odd) through index 2k' or 2k' + 1, rescaled by 1/(1+eps) into the unit
+    ball: the eps-accurate series becomes a 2*eps-accurate unit-bounded
+    polynomial."""
+    odd = parity is Parity.ODD
+    if t == 0.0:  # cos(0) = 1, sin(0) = 0
+        return ChebyshevPoly([0.0, 0.0] if odd else [1.0 / (1.0 + epsilon)], parity)
+    degree = 2 * solve_truncation(t, epsilon).k_prime + odd
+    _require_degree(degree)
+    coeffs = _project_parity(_jacobi_anger_coeffs(t, degree), parity)
+    return ChebyshevPoly(coeffs / (1.0 + epsilon), parity)
 
-    The truncation keeps Bessel terms through index 2k'; rescaling turns the
-    eps-accurate series into a 2*eps-accurate unit-bounded polynomial.
-    """
-    if t == 0.0:
-        return ChebyshevPoly([1.0 / (1.0 + epsilon)], Parity.EVEN)
-    kp = solve_truncation(t, epsilon).k_prime
-    _require_degree(2 * kp)
-    coeffs = _project_parity(_jacobi_anger_coeffs(t, 2 * kp), Parity.EVEN)
-    return ChebyshevPoly(coeffs / (1.0 + epsilon), Parity.EVEN)
+
+def jacobi_anger_cos(t: float, epsilon: float) -> ChebyshevPoly:
+    """Even truncation of cos(x t), rescaled by 1/(1+eps) into the unit ball."""
+    return _jacobi_anger(t, epsilon, Parity.EVEN)
 
 
 def jacobi_anger_sin(t: float, epsilon: float) -> ChebyshevPoly:
     """Odd truncation of sin(x t), rescaled by 1/(1+eps)."""
-    if t == 0.0:
-        return ChebyshevPoly([0.0, 0.0], Parity.ODD)
-    kp = solve_truncation(t, epsilon).k_prime
-    _require_degree(2 * kp + 1)
-    coeffs = _project_parity(_jacobi_anger_coeffs(t, 2 * kp + 1), Parity.ODD)
-    return ChebyshevPoly(coeffs / (1.0 + epsilon), Parity.ODD)
+    return _jacobi_anger(t, epsilon, Parity.ODD)
 
 
 # ---------------------------------------------------------------------------
@@ -532,47 +530,31 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
 
 
 def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
-    """Even unit-bounded window polynomial: ~1 outside [-1/k, 1/k], ~0 inside
-    [-1/(2k), 1/(2k)], built from two opposed erf steps at +-3/(4k).
+    """Even unit-bounded window polynomial: within [1 - eps, 1] on |x| >= 1/k
+    and within [0, eps] on |x| <= 1/(2k).
 
-    Interpolation wiggle would violate the one-sided [0, eps] constraint
-    where the target vanishes, so the interpolant is lifted by its observed
-    error and renormalized before certification.
+    Interpolates eps/2 + (1 - eps)(1 - w(x)) for the even erf window
+    w(x) = (erf(s(c - x)) + erf(s(c + x))) / 2 at c = 3/(4k), whose steepness
+    s is the (eps/4, 1/(2k)) sign construction's, so that w fills the gap
+    between the two regions; the certifier holds p within eps/2 of 1 - eps/2
+    outside and of eps/2 inside.
     """
     if kappa < 1.0:
         raise DomainError("kappa must be >= 1")
-    delta = 1.0 / (4.0 * kappa)
-    eps_build = epsilon / 2.0
-    _validate_sign_args(eps_build, delta)
-    k = erf_scale(eps_build, delta)
+    inner, outer = 1.0 / (2.0 * kappa), 1.0 / kappa
+    _validate_sign_args(epsilon / 2.0, inner)
+    s = erf_scale(epsilon / 4.0, inner)
     c = 3.0 / (4.0 * kappa)
-    norm = 1.0 / (1.0 + eps_build / 2)
 
     def target(x):
-        return norm * (1.0 + 0.5 * (_erf(k * (x - c)) + _erf(k * (-x - c))))
+        window = 0.5 * (_erf(s * (c - x)) + _erf(s * (c + x)))
+        return epsilon / 2 + (1.0 - epsilon) * (1.0 - window)
 
-    grid = cert_grid()
-    target_vals = target(grid)
-    outer = np.abs(grid) >= 1.0 / kappa
-    inner = np.abs(grid) <= 1.0 / (2.0 * kappa)
-
-    def certify(p: ChebyshevPoly) -> bool:
-        vals = p(grid)
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
-            return False
-        if np.any(vals[outer] < 1.0 - epsilon) or np.any(vals[outer] > 1.0 + 1e-12):
-            return False
-        return not (np.any(vals[inner] < -1e-12) or np.any(vals[inner] > epsilon))
-
-    def build(degree: int) -> ChebyshevPoly:
-        coeffs = _project_parity(cheb.chebinterpolate(target, degree), Parity.EVEN)
-        eta = float(np.max(np.abs(_chebval(grid, coeffs) - target_vals)))
-        lifted = coeffs / (1.0 + 2.0 * eta)
-        lifted[0] += eta / (1.0 + 2.0 * eta)
-        return ChebyshevPoly(lifted, Parity.EVEN)
-
-    start = max(int(2 * math.ceil(0.8 * k) + 2), 10)
-    return _grow_and_certify(build, start, certify)
+    certify = _certifier(lambda g: (np.abs(g) >= outer) | (np.abs(g) <= inner),
+                         lambda x: np.where(np.abs(x) >= outer, 1.0 - epsilon / 2, epsilon / 2),
+                         epsilon / 2)
+    return _grow_and_certify(lambda d: _unit_interpolant(target, d, Parity.EVEN),
+                             max(int(2 * math.ceil(0.8 * s) + 2), 10), certify)
 
 
 def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:

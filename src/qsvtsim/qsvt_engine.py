@@ -200,8 +200,8 @@ def amplitude_amplification_matrix_element(
 
     B(phi) = I + (e^{i phi} - 1)|B0><B0| is e^{i phi/2} Phi_R(phi/2) on the
     encoding (u, |B0><B0|, |A0><A0|), and A(phi) likewise with Phi_L, so this
-    is one engine product at the angles (0, phi/2, 0); u must be a unitary of
-    dimension at most 1024.
+    is one engine product at the angles (0, phi/2, 0), swept from the one
+    range(P_R) column; u must be a unitary of dimension at most 1024.
     """
     a0, b0 = (np.asarray(vec, dtype=complex).ravel() for vec in (a0, b0))
     for name, vec in (("A0", a0), ("B0", b0)):
@@ -214,5 +214,10 @@ def amplitude_amplification_matrix_element(
     enc = BlockEncoding(u, np.outer(b0, b0.conj()), np.outer(a0, a0.conj()))
     chi = np.concatenate([[0.0], phases / 2.0, [0.0]])
     canonical = PhaseSequence(tuple(chi - _reflection_offsets(len(phases) + 1)), CANONICAL)
-    v = qsvt_unitary(QsvtProgram(enc, canonical))
-    return complex(np.exp(0.5j * phases.sum()) * (a0.conj() @ v @ b0))
+    w, _, out_frame, right_frame = _sweep(enc, [canonical.as_array()], np.ones((1, 1)))
+
+    def along(frame, vec):  # <f|vec> for the frame's range vector f
+        return _into(vec[:, None], frame[..., :1], np.zeros(1, dtype=int))[0, 0]
+
+    element = np.conj(along(out_frame, a0)) * w[0, 0, 0] * along(right_frame, b0)
+    return complex(np.exp(0.5j * phases.sum()) * element)

@@ -11,6 +11,7 @@ from qsvtsim import (
     DegreeCapExceeded,
     DomainError,
     GiveUp,
+    NotUnitary,
     OrderNotFound,
     ScaleTooSmall,
     algorithms,
@@ -220,6 +221,14 @@ class TestPhaseEstimation:
         with pytest.raises(DomainError, match=r"dimension 1200 \(2n\) exceeds the cap 1024"):
             phase_estimation_record(np.eye(600), np.ones(600), 3, 0.3, exact=True)
 
+    def test_unitary_checked_at_the_block_tolerance(self, monkeypatch):
+        # every block holds U^(2^j) to 1e-12, so u is held to it too: the
+        # error names u's own defect 4e-11, not a block's, before any solve
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75]))) * (1 + 2e-11)
+        with pytest.raises(NotUnitary, match="unitarity defect 4.000e-11 exceeds 1.0e-12"):
+            phase_estimation_record(u, np.eye(4)[0], 3, 0.1)
+
     def test_epsilon_cap(self):
         with pytest.raises(DomainError):
             qsvt_phase_estimation(oracle_1q(0.5), VEC1, 3, 1.5, 0.2)
@@ -339,6 +348,10 @@ class TestHamiltonianSimulation:
         for t, eps in [(1.0, 1e-2), (5.0, 1e-3)]:
             k_prime = solve_truncation(t, eps / 4).k_prime
             assert hamsim_query_count(1.0, t, eps) == 4 * k_prime + 1
+
+    def test_query_count_at_time_zero(self):
+        # k' = 0: the cosine part is the constant, the sine part one query
+        assert hamsim_query_count(1.0, 0.0, 1e-3) == 1
 
     def test_negative_time_is_adjoint(self):
         h = np.diag([0.4, -0.2]).astype(complex)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.special import erf, gammaln, jv
 
 from qsvtsim import (
     ChebyshevPoly,
+    ConvergenceError,
     DegreeCapExceeded,
     DomainError,
     Parity,
@@ -213,8 +216,20 @@ class TestTruncation:
         with pytest.raises(DegreeCapExceeded, match="degree cap 512"):
             jacobi_anger_cos(1e6, 1e-3)
 
+    @pytest.mark.parametrize("t", [sys.float_info.max / (0.5 * math.e), 1.7e308],
+                             ids=["root_overflows", "t_arg_overflows"])
+    def test_overflowing_time_is_a_convergence_error(self, t):
+        # the only inputs found to reach the root check's raise: t' = (e/2) t
+        # at the float maximum leaves no finite root, and past it t' is inf
+        with pytest.raises(ConvergenceError, match="truncation root rejected"):
+            solve_truncation(t, 0.1)
+
 
 class TestJacobiAnger:
+    def test_time_zero_is_exact(self):
+        assert jacobi_anger_cos(0.0, 0.1).coeffs.tolist() == [1.0 / 1.1]
+        assert jacobi_anger_sin(0.0, 0.1).coeffs.tolist() == [0.0, 0.0]
+
     def test_cos_at_zero_prescale(self):
         eps = 0.1
         p = jacobi_anger_cos(5.0, eps)
@@ -273,6 +288,21 @@ class TestRectPoly:
         assert np.min(vals[outer]) >= 1 - eps
         inner = np.abs(grid) <= 1 / (2 * kappa)
         assert np.min(vals[inner]) >= -1e-12 and np.max(vals[inner]) <= eps
+
+    @pytest.mark.parametrize("eps, kappa, degree", [(0.01, 10.0, 276), (0.1, 20.0, 204),
+                                                    (0.05, 30.0, 456)])
+    def test_certifies_at_large_kappa(self, eps, kappa, degree):
+        # the window's transition fills the whole gap (1/(2 kappa), 1/kappa),
+        # which keeps these under the degree cap
+        p = rect_poly(eps, kappa)
+        assert p.parity is Parity.EVEN and p.degree == degree
+        grid = cert_grid()
+        vals = p(grid)
+        assert np.max(np.abs(vals)) <= 1 + 1e-12
+        outer = vals[np.abs(grid) >= 1 / kappa]
+        assert 1 - eps <= np.min(outer) and np.max(outer) <= 1 + 1e-12
+        inner = vals[np.abs(grid) <= 1 / (2 * kappa)]
+        assert -1e-12 <= np.min(inner) and np.max(inner) <= eps
 
 
 class TestMatrixInversionPoly:
@@ -334,6 +364,55 @@ class TestSmoothInversionTarget:
 def test_degree_cap_checked_before_work(make, degree):
     with pytest.raises(DegreeCapExceeded, match=f"degree {degree} exceeds the degree cap 512"):
         make()
+
+
+@pytest.mark.parametrize("family, degree, message", [
+    ("poly_sign", 18, "sign family degree must be odd"),
+    ("poly_thresh", 17, "threshold family degree must be even"),
+    ("poly_phase", 17, "phase family degree must be even"),
+])
+def test_fixed_degree_family_names_its_parity(family, degree, message):
+    with pytest.raises(DomainError, match=message):
+        families.family_target(family, {"d": degree})
+
+
+# (degree, sha256 of the coefficient bytes) of certified, Jacobi-Anger and
+# fixed-degree targets.  The shared builders (grow-and-certify, the unit
+# interpolant, the Jacobi-Anger and fixed-degree builders) must keep every
+# bit of these; a change to their floating-point order re-pins them after
+# checking that the coefficients moved only in the last bits.
+COEFF_DIGESTS = {
+    "sign_0.1_0.4": (lambda: sign_poly(0.1, 0.4), 19,
+                     "c83393e385f094287fcf7801b545c33fb429ce2b5f248eb1eb56659f5dbb6b35"),
+    "sign_0.01_0.1": (lambda: sign_poly(0.01, 0.1), 153,
+                      "406067767fac4e0090bfa148894e1a34d25250b51e44115e3bd61d9c0077e926"),
+    "pe_0.1_0.2": (lambda: phase_estimation_poly(0.1, 0.2), 30,
+                   "2d42ff14af1a468281937ceeeeb68fd9faa1f7ece3b416f7358c2f7b80bb4e9e"),
+    "thresh_0.05_0.2_0.5": (lambda: eigenvalue_threshold_poly(0.05, 0.2, 0.5), 48,
+                            "4895f11fe7ca0a92d4295e71f41efdb53b27a337a4ad55c636a9a6744818eb92"),
+    "thresh_0.01_0.1_0.3": (lambda: eigenvalue_threshold_poly(0.01, 0.1, 0.3), 170,
+                            "aec3d6346033d4f2d01cdc5f5b923d53b9d63616bd0c7584c6dbcc169de312da"),
+    "inv_0.05_3": (lambda: matrix_inversion_poly(0.05, 3.0), 23,
+                   "6a823977a30ce615e2c3bc9a6eeae6fbce36f0ef0157e1561ff0f61d7ce2db0c"),
+    "jacos_15_1e-3": (lambda: jacobi_anger_cos(15.0, 1e-3), 26,
+                      "98925211cc503efeb23e5012c5119f510706b2766351e44d3a3bd8559f7c9793"),
+    "jasin_15_1e-3": (lambda: jacobi_anger_sin(15.0, 1e-3), 27,
+                      "795444319812f1e420e6df07f96a3f865b7a237f28910128287c3f15fa4b24b9"),
+    "poly_sign": (lambda: families.family_target("poly_sign"), 19,
+                  "f3abecaa099bea0871e573253e5008af142da2c26e191052065a227b3ece5c8f"),
+    "poly_thresh": (lambda: families.family_target("poly_thresh"), 18,
+                    "db668b2a2dfe9c05419863d67aca34d44631e211fb75e736279eb6575dcccef5"),
+    "poly_phase": (lambda: families.family_target("poly_phase"), 18,
+                   "11f5b3cc7548ec1519e01a4b1cb7002f4f1b9cbe0ba7cc0fe9b7f3814ca190f1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_DIGESTS))
+def test_coefficient_bytes_are_pinned(name):
+    make, degree, digest = COEFF_DIGESTS[name]
+    p = make()
+    assert p.degree == degree
+    assert hashlib.sha256(p.coeffs.tobytes()).hexdigest() == digest
 
 
 class TestEigenstateFilter:
