@@ -80,29 +80,38 @@ class FixedPointParams:
 # Response and Jacobian, vectorized over signal nodes
 
 
-def _response_jacobian(phases: np.ndarray, nodes: np.ndarray, need_jac: bool = True,
-                       rows: np.ndarray | None = None):
-    """Re<+|U|+> at each node, optionally with d/dphi_k (analytic).
+def _swept(phases: np.ndarray, nodes: np.ndarray, rows: np.ndarray | None = None):
+    """Re<+|U|+> at each node, and a function that returns d/dphi_k there
+    (``_jacobian``).
 
     U = S(phi_0) W S(phi_1) ... W S(phi_d) in the canonical Wx convention,
     swept in the signal's eigenframe, where <+|U|+> = <0|R_0 D R_1 ... R_d|0>
-    (``qsp_core._eigen_sweep``).  dR_k/dphi_k = R_k iX, so with c_k the row
-    after R_k and b_k the column D R_{k+1} ... R_d|0>, the derivative is
-    Re(i c_k X b_k) = -Im(c_k1 b_k0 + c_k0 b_k1).  For k < d, c_k is the
-    stored row before R_{k+1} times D^-1 = diag(conj(e), e); c_d is the
-    final row and b_d = |0>.  R and D are symmetric, so b_k is the row before
-    R_{d-k} of the reversed sweep; for a palindromic list that is the sweep's
-    own, and c_k0 b_k1 is c_{d-1-k}1 b_{d-1-k}0 reversed.  ``rows``, a
+    (``qsp_core._eigen_sweep``).  The sweep keeps its rows in ``rows``, a
     (d + 1, 2, m) buffer the Newton loop reuses so that its pages are not
-    faulted in again on every call, holds the sweep and is overwritten.
+    faulted in again on every call, and the Jacobian is computed from them
+    on demand: it is valid until ``rows`` is swept again, so a caller pays
+    for the Jacobian only of the sweeps it keeps.
     """
     mix = _mixers(phases)
     e = _node_phases(nodes, SignalKind.WX)
-    if not need_jac:
-        return _eigen_sweep(mix, e)[0].real, None
     if rows is None:
         rows = np.empty((len(phases), 2, len(nodes)), dtype=complex)
     end = _eigen_sweep(mix, e, rows=rows)
+    return end[0].real, lambda: _jacobian(phases, mix, e, rows, end)
+
+
+def _jacobian(phases, mix, e, rows, end) -> np.ndarray:
+    """d/dphi_k of the response, (nodes, d + 1), from the rows and the final
+    row ``end`` of its sweep; ``rows`` is overwritten.
+
+    dR_k/dphi_k = R_k iX, so with c_k the row after R_k and b_k the column
+    D R_{k+1} ... R_d|0>, the derivative is Re(i c_k X b_k) =
+    -Im(c_k1 b_k0 + c_k0 b_k1).  For k < d, c_k is the stored row before
+    R_{k+1} times D^-1 = diag(conj(e), e); c_d is the final row and
+    b_d = |0>.  R and D are symmetric, so b_k is the row before R_{d-k} of
+    the reversed sweep; for a palindromic list that is the sweep's own, and
+    c_k0 b_k1 is c_{d-1-k}1 b_{d-1-k}0 reversed.
+    """
     # rows[1:, 1] becomes c_k1 b_k0 / e and rows[1:, 0] c_k0 b_k1, in place
     top, bot = rows[1:, 1], rows[1:, 0]
     if np.array_equal(phases, phases[::-1]):
@@ -116,10 +125,10 @@ def _response_jacobian(phases: np.ndarray, nodes: np.ndarray, need_jac: bool = T
         bot *= np.conj(e)
     top *= e
     top += bot
-    jac = np.empty((len(phases), len(nodes)))
+    jac = np.empty((len(phases), rows.shape[2]))
     np.negative(top.imag, out=jac[:-1])
     np.negative(end[1].imag, out=jac[-1])
-    return end[0].real, jac.T
+    return jac.T
 
 
 def _expand_symmetric(sym: np.ndarray, degree: int) -> np.ndarray:
@@ -127,15 +136,21 @@ def _expand_symmetric(sym: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([sym, sym[: degree + 1 - len(sym)][::-1]])
 
 
-def _symmetric_response(sym: np.ndarray, degree: int, nodes: np.ndarray,
-                        rows: np.ndarray | None = None):
-    """Response of the palindromic expansion of ``sym`` and its Jacobian in
-    the half-vector: the chain rule of the expansion mirror-sums columns."""
-    g, jac = _response_jacobian(_expand_symmetric(sym, degree), nodes, rows=rows)
+def _symmetric_sweep(sym: np.ndarray, degree: int, nodes: np.ndarray,
+                     rows: np.ndarray | None = None):
+    """Response of the palindromic expansion of ``sym``, and a function
+    (as in ``_swept``) that returns its Jacobian in the half-vector: the
+    chain rule of the expansion mirror-sums columns."""
+    g, jacobian = _swept(_expand_symmetric(sym, degree), nodes, rows)
     half = len(sym)
-    out = jac[:, :half].copy()
-    out[:, : degree + 1 - half] += jac[:, half:][:, ::-1]
-    return g, out
+
+    def half_jacobian():
+        jac = jacobian()
+        out = jac[:, :half].copy()
+        out[:, : degree + 1 - half] += jac[:, half:][:, ::-1]
+        return out
+
+    return g, half_jacobian
 
 
 def _newton(target: ChebyshevPoly):
@@ -144,6 +159,8 @@ def _newton(target: ChebyshevPoly):
 
     Each step is halved until it shrinks the 2-norm of the node residual
     (the Newton direction always descends it) by more than rounding can.
+    Every trial is one sweep; the Jacobian is computed from the rows of the
+    accepted one, and only when another step follows.
     Stops after ``MAX_STEPS``, once the residual is down to rounding, or
     when no damping down to 2^-10 shrinks it; returns the palindromic phases
     and the number of steps taken.
@@ -156,22 +173,22 @@ def _newton(target: ChebyshevPoly):
     rows = np.empty((degree + 1, 2, half), dtype=complex)
     sym = np.zeros(half)
     sym[0] = np.pi / 4
-    g, jac = _symmetric_response(sym, degree, nodes, rows)
+    g, jacobian = _symmetric_sweep(sym, degree, nodes, rows)
     resid = g - targets
     size = np.linalg.norm(resid)
     steps = 0
     while steps < MAX_STEPS and size > rounding:
         try:
-            step = np.linalg.solve(jac, resid)
+            step = np.linalg.solve(jacobian(), resid)
         except np.linalg.LinAlgError:
             break
         steps += 1
         for damping in DAMPINGS:
             trial = sym - damping * step
-            g, trial_jac = _symmetric_response(trial, degree, nodes, rows)
+            g, trial_jacobian = _symmetric_sweep(trial, degree, nodes, rows)
             trial_size = np.linalg.norm(g - targets)
             if trial_size < size - rounding:
-                sym, jac, resid, size = trial, trial_jac, g - targets, trial_size
+                sym, jacobian, resid, size = trial, trial_jacobian, g - targets, trial_size
                 break
         else:
             break

@@ -2,23 +2,26 @@
 
 Applies a canonical-convention phase sequence to a block encoding as an
 alternating product V(phi) of U, its inverse, and projector-controlled
-phase rotations, computed by one sweep in the projector frame where each
-rotation is a row scaling.  The sweep takes the steps in pairs: each
-U^dag Phi_L(chi) U is the phase rotation about the rotated projector
-U^dag Pi_L U, which it applies as one rank-r_L update through the r_L rows
-of U that Pi_L keeps, so a pair costs 2 r_L N multiply-adds per column
-instead of 2 N^2.  The product is linear in its start, so the sweep
-carries only the columns a caller reads: all N for the full unitary, the
-range(P_R) identity for the block, one state for a caller that reads
-block . psi.  The reflection offsets of ``qsp_core`` map the stored QSP
-phases onto projector phases, so the encoded block of V(phi) is exactly the
+phase rotations, computed in the projector frame where each rotation is a
+row scaling.  The product acts on each singular pair's two-dimensional
+invariant space, so what a caller reads of it depends only on the encoded
+block A: ``_sweep`` carries the columns a caller reads (the range(P_R)
+identity for the block, one state for a caller that reads block . psi)
+as their two projections onto range(P_R) and onto the rotated range
+U^dag range(P_L), and every step is one product by A or A^dag, so a
+reflection pair costs 2 r_L r_R multiply-adds per column.  The dense
+unitary (``_full``) carries all N columns in all N rows, an orthonormal
+frame, so that it stays unitary at any degree; each U^dag Phi_L(chi) U
+there is one rank-r_L update through the r_L rows of U that Pi_L keeps.
+The reflection offsets of ``qsp_core`` map the stored QSP phases onto
+projector phases, so the encoded block of V(phi) is exactly the
 sequence's P polynomial applied to the singular values.  The real part,
 which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
 with no ancilla; ``real_part_encoding`` builds the one-ancilla
 Hadamard-select circuit only for callers that need the full unitary.
-Amplitude amplification between two privileged states is the same product
-on rank-1 projectors.  Independent eigen- and SVD-based oracles are
-provided for verification.
+Amplitude amplification between two privileged states is the block
+product on rank-1 projectors, a scalar sweep.  Independent eigen- and
+SVD-based oracles are provided for verification.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _average, _into, _inverse, require_hermitian
+from .block_encoding import BlockEncoding, _average, _into, _inverse, _range_block, require_hermitian
 from .errors import DomainError, NotUnit
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import CANONICAL, PhaseSequence, _reflection_offsets, convert_convention
@@ -48,48 +51,107 @@ class QsvtProgram:
         return self.phases.degree
 
 
-def _sweep(encoding: BlockEncoding, phase_lists, start):
-    """The products Phi(chi_0) U Phi(chi_1) U^dag ... Phi(chi_d) of every
-    phase list at once, in the projector frame, one reflection pair per step.
-
-    U is written once as U' = F_L^dag U F_R, in the frames the encoding
-    derived at construction; the frames cancel between steps
-    (Phi_L U Phi_R = F_L D_L U' D_R F_R^dag), so each projector phase is
-    D(chi) = e^{-i chi} diag(e^{2i chi} I_rank, I): up to the scalar, a
-    scaling of the first rank rows.  Each pair U'^dag D_L(chi) U' is a
-    rotation about the rotated projector U'^dag Pi_L U', so with U_L the
-    first rank_l rows of U' it is e^{-i chi} (I + (e^{2i chi} - 1) U_L^dag U_L):
-    a rank-rank_l update W += (e^{2i chi} - 1) U_L^dag (U_L W) at 2 rank_l N
-    multiply-adds per column, where the full product costs 2 N^2.  The
-    scalars e^{-i chi} of every list are applied once, at the end.  An odd
-    degree ends with one product by U' and D_L(chi_0).
-
-    The lists share one (N, lists, cols) stack of the columns the caller
-    reads: the product is linear in ``start``, which holds them in the
-    range(P_R) basis as (rank_r, cols) and for odd degree keeps only the
-    out-range rows, so only U_L is gathered; ``None`` starts from every
-    column.  Returns (W, out_rank, out_frame, right_frame) with V_j =
-    out_frame W[:, j] right_frame^dag for ``None``; the projector angles chi
-    are the phases shifted by the reflection offsets, which leave the
-    encoded block with no stray global phase.
-    """
+def _angles(phase_lists) -> np.ndarray:
+    """The projector angles chi of each list, (lists, d + 1): the phases
+    shifted by the reflection offsets, which leave the encoded block with no
+    stray global phase."""
     chi = np.array(phase_lists, dtype=float)
     chi += _reflection_offsets(chi.shape[1] - 1)
+    return chi
+
+
+def _sweep(encoding: BlockEncoding, phase_lists, start):
+    """The output range rows of the products Phi(chi_0) U Phi(chi_1) U^dag
+    ... Phi(chi_d) applied to ``start``, for every phase list at once,
+    through the encoded block alone.
+
+    In the frames the encoding derived at construction U is U' = F_L^dag U
+    F_R, and each projector phase is D(chi) = e^{-i chi} diag(e^{2i chi} I, I)
+    on the first rank rows.  With E the range(P_R) columns of the identity
+    and U_L the rank_l range(P_L) rows of U', the sweep carries the two
+    projections R = E^dag W and G = U_L W of the columns W.  U_L has
+    orthonormal rows, so U_L U_L^dag = I and U_L E = A, the rank_l x rank_r
+    block (``_range_block``), and with t = e^{2i chi} - 1 each step reads A
+    alone:
+      Phi_R(chi) = I + t E E^dag:               G += t A R,    R *= 1 + t;
+      U'^dag Phi_L(chi) U' = I + t U_L^dag U_L:  R += t A^dag G, G *= 1 + t.
+    A pair of steps costs 2 rank_l rank_r multiply-adds a column, against
+    2 rank_l N for the pair through U_L and 2 N^2 for the dense product.  The
+    scalars e^{-i chi} of every list are applied once, at the end.
+
+    ``start`` holds the columns in the range(P_R) basis as (rank_r, cols);
+    the product is linear in it, so only the columns a caller reads are
+    swept.  The lists share (rank, lists, cols) stacks.  Returns the output
+    range rows: R at even degree, in the range(P_R) basis, and D_L(chi_0) G
+    at odd degree, in the range(P_L) basis.
+
+    R and G are coordinates in two ranges that are not orthogonal, and
+    nearly parallel on a singular pair whose value is near 1.  There the
+    rounding grows faster with the degree than in an orthonormal frame:
+    about 7e-13 of the block at degree 499 with solved phases, against
+    2e-14 for the dense product.  That is far below any solver residual,
+    but a dense product built this way is not unitary to UNITARY_TOL (its
+    defect reached 2e-11 at degree 283), so ``_full`` keeps the N rows.
+    """
+    chi = _angles(phase_lists)
     d = chi.shape[1] - 1
-    rank_r, frame_r = encoding._frame_right
-    rank_l, frame_l = encoding._frame_left
-    full_end = d % 2 == 1 and start is None  # the odd end needs every row of U'
-    u = _into(encoding.unitary, frame_l if full_end else frame_l[..., :rank_l], frame_r)
+    a = _range_block(encoding.unitary, encoding._frame_left, encoding._frame_right)
+    rank_l, rank_r = a.shape
+    a_dag = a.conj().T
+    turn = np.expm1(2j * chi)[:, :, None]  # (lists, d + 1, 1): e^{2i chi} - 1
+    phase = np.exp(2j * chi)[:, :, None]
+    r = np.empty((rank_r, len(chi), start.shape[1]), dtype=complex)
+    np.multiply(start[:, None], phase[:, d], out=r)
+    g = np.empty((rank_l,) + r.shape[1:], dtype=complex)
+    ar, ag = np.empty_like(g), np.empty_like(r)  # A R and A^dag G
+    width = r.shape[1] * r.shape[2]
+    r_stack, g_stack, ar_stack, ag_stack = (
+        m.reshape(len(m), width) for m in (r, g, ar, ag)
+    )
+    np.matmul(a, r_stack, out=g_stack)
+    for k in range(d - 1, 0, -2):
+        np.matmul(a_dag, g_stack, out=ag_stack)  # the pair about chi_k
+        ag *= turn[:, k]
+        r += ag
+        g *= phase[:, k]
+        if k > 1:  # Phi_R(chi_{k-1}); at even degree the last needs no G
+            np.matmul(a, r_stack, out=ar_stack)
+            ar *= turn[:, k - 1]
+            g += ar
+        r *= phase[:, k - 1]
+    w = g * phase[:, 0] if d % 2 else r
+    w *= np.prod(np.exp(-1j * chi), axis=1)[:, None]
+    return w
+
+
+def _full(prog: QsvtProgram, phase_lists):
+    """The dense products V of the phase lists, mapped out of the frame.
+
+    Every column of the identity is carried in all N rows of the frame,
+    which are orthonormal coordinates, so each pair U'^dag D_L(chi) U' =
+    e^{-i chi} (I + (e^{2i chi} - 1) U_L^dag U_L) is applied as one
+    rank-rank_l update W += (e^{2i chi} - 1) U_L^dag (U_L W), at 2 rank_l N
+    multiply-adds per column, and each Phi_R(chi) scales the first rank_r
+    rows; an odd degree ends with one product by U' and D_L(chi_0).  U' (at
+    even degree its rows U_L) is first taken one Newton-Schulz step to the
+    nearest matrix with orthonormal rows, so that every pair is a unitary to
+    rounding: the product's unitarity defect then grows by about 2e-16 a
+    step, not by the input's defect, and stays under 1e-13 at degree 511.
+    """
+    enc = prog.encoding
+    chi = _angles(phase_lists)
+    d = chi.shape[1] - 1
+    rank_r, frame_r = enc._frame_right
+    rank_l, frame_l = enc._frame_left
+    u = _into(enc.unitary, frame_l if d % 2 else frame_l[..., :rank_l], frame_r)
+    u = 1.5 * u - 0.5 * (u @ u.conj().T) @ u
     u_l = u[:rank_l]
     u_l_dag = u_l.conj().T
-    n = u.shape[1]
+    n = enc.dim
     turn = np.expm1(2j * chi)  # e^{2i chi} - 1, the range rows' phase less the rest's
 
-    w = np.zeros((n, len(chi), n if start is None else start.shape[1]), dtype=complex)
-    if start is None:
-        w[np.arange(n), :, np.arange(n)] = 1.0  # identity columns, per list
-    else:
-        w[:rank_r] = start[:, None]
+    w = np.zeros((n, len(chi), n), dtype=complex)
+    w[np.arange(n), :, np.arange(n)] = 1.0  # identity columns, per list
     w[:rank_r] *= 1.0 + turn[:, d, None]
     stack = w.reshape(n, -1)
     spare = np.empty_like(stack)
@@ -100,20 +162,12 @@ def _sweep(encoding: BlockEncoding, phase_lists, start):
         proj *= turn[:, k, None]
         stack += np.matmul(u_l_dag, proj_stack, out=spare)
         w[:rank_r] *= 1.0 + turn[:, k - 1, None]
-    out_rank, out_frame = rank_r, frame_r
     if d % 2:
-        w = np.matmul(u, stack, out=spare[: len(u)]).reshape(len(u), *w.shape[1:])
+        w = np.matmul(u, stack, out=spare).reshape(w.shape)
         w[:rank_l] *= 1.0 + turn[:, 0, None]
-        out_rank, out_frame = rank_l, frame_l
     w *= np.prod(np.exp(-1j * chi), axis=1)[:, None]
-    return w, out_rank, out_frame, frame_r
-
-
-def _full(prog: QsvtProgram, phase_lists):
-    """The dense products V of the phase lists, mapped out of the frame."""
-    w, _, out_frame, right_frame = _sweep(prog.encoding, phase_lists, None)
-    rows, cols = _inverse(out_frame), _inverse(right_frame)
-    return [_into(w[:, j], rows, cols) for j in range(len(phase_lists))]
+    rows, cols = _inverse(frame_l if d % 2 else frame_r), _inverse(frame_r)
+    return [_into(w[:, j], rows, cols) for j in range(len(chi))]
 
 
 def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
@@ -145,8 +199,8 @@ def _transformed(prog: QsvtProgram, x: np.ndarray) -> np.ndarray:
     """``transformed_block(prog) @ x`` without the block, for x of shape
     (rank(P_R), cols) in the range(P_R) basis: the sweep starts from x."""
     phases = prog.phases.as_array()
-    w, out_rank, _, _ = _sweep(prog.encoding, [phases, -phases], x)
-    return 0.5 * (w[:out_rank, 0] + w[:out_rank, 1])
+    w = _sweep(prog.encoding, [phases, -phases], x)
+    return 0.5 * (w[:, 0] + w[:, 1])
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
@@ -214,10 +268,10 @@ def amplitude_amplification_matrix_element(
     enc = BlockEncoding(u, np.outer(b0, b0.conj()), np.outer(a0, a0.conj()))
     chi = np.concatenate([[0.0], phases / 2.0, [0.0]])
     canonical = PhaseSequence(tuple(chi - _reflection_offsets(len(phases) + 1)), CANONICAL)
-    w, _, out_frame, right_frame = _sweep(enc, [canonical.as_array()], np.ones((1, 1)))
+    w = _sweep(enc, [canonical.as_array()], np.ones((1, 1)))
 
     def along(frame, vec):  # <f|vec> for the frame's range vector f
         return _into(vec[:, None], frame[..., :1], np.zeros(1, dtype=int))[0, 0]
 
-    element = np.conj(along(out_frame, a0)) * w[0, 0, 0] * along(right_frame, b0)
+    element = np.conj(along(enc._frame_left[1], a0)) * w[0, 0, 0] * along(enc._frame_right[1], b0)
     return complex(np.exp(0.5j * phases.sum()) * element)

@@ -281,35 +281,35 @@ class TestOrderFinding:
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "a7a20fabce4736876761b12f3e84f12fa177d76bc4bb41af339154930734100b",
+        "0371d0878bc713710d0fab9851fd7797312618dafe4d44fc5db045c25be8c127",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "33b51d07447bb02c36820c9dc658f3988730e8e02a0c502f5f8b625d74952fc7",
+        "091dbf835af0be463e3d02646a5285a6407d3231fb4a2718b6bb39b7bd57c0d5",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "fec52e95db36b70b2d442d77c7ce84d59ae7008d3894fd7715cbaf48c0a6f535",
+        "b5c3fba319b55999fb0bd607ff00e9bd19eadc1697d93f1575dc64c970cda2af",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
             oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
         ),
-        "d96e184f357bc9976ae9b514eed37ce2625c0db6cf0ef671e99402496219712c",
+        "530e628fa6baf008149ddbea76fd27ce5d5a79ad2a6e875f0ad92152d40397e8",
     ),
     "qpe_escalation": (
         lambda: phase_estimation_record(
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "fd61ce88549214daba1c466a45719e1304d8111659c2b802e0f56a1222aad6dc",
+        "b6ad95ed43fcfb555bb6cec16f00991caa5b6ddb8867625399474ebfd82a6a33",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "60f2ce85735888bf9bea5bcbac1b179c7639d87c1593ab11855e177cafdb8e52",
+        "f71c62cb14626bed830d7a9134683365cd4abb19dce365c361456a2960fa193d",
     ),
 }
 

@@ -21,7 +21,8 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.phase_solver import _newton, _nudged, _response_jacobian, _symmetric_response
+from qsvtsim import phase_solver
+from qsvtsim.phase_solver import _newton, _nudged, _swept, _symmetric_sweep
 
 
 def _interior_target(seed: int) -> ChebyshevPoly:
@@ -86,6 +87,24 @@ def test_unit_bound_steps_under_a_second(make, degree):
     assert residual(seq, target) <= 1e-6
 
 
+def test_jacobians_only_for_the_steps_taken(monkeypatch):
+    # the d-342 target rejects about two trial steps for each one it takes:
+    # every trial is one sweep, and the Jacobian is computed once per step
+    # taken, from the rows of the point that step starts from
+    calls = []
+    jacobian = phase_solver._jacobian
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return jacobian(*args)
+
+    monkeypatch.setattr(phase_solver, "_jacobian", counted)
+    target = _nudged(phase_estimation_poly(1e-4, 0.1), 1e-6)
+    _, steps = _newton(target)
+    assert steps == 57
+    assert calls == [343] * steps
+
+
 def test_threshold_newton_steps_within_budget():
     # 24 steps on one BLAS thread, far inside the budget of 100
     target = eigenvalue_threshold_poly(1e-6, 0.2, 0.5)
@@ -141,11 +160,12 @@ def test_unattainable_tolerance_fails_fast():
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 6, 7, 41])
 def test_symmetric_jacobian_matches_finite_differences(degree, rng):
-    # the palindromic fast path of _response_jacobian and the mirror sum
+    # the palindromic fast path of _jacobian and the mirror sum
     half = (degree + 2) // 2
     sym = rng.uniform(-np.pi, np.pi, half)
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
-    _, jac = _symmetric_response(sym, degree, nodes)
+    _, jacobian = _symmetric_sweep(sym, degree, nodes)
+    jac = jacobian()
     assert jac.shape == (half, half)
     step = 1e-6
     fd = np.zeros_like(jac)
@@ -153,13 +173,13 @@ def test_symmetric_jacobian_matches_finite_differences(degree, rng):
         up, down = sym.copy(), sym.copy()
         up[k] += step
         down[k] -= step
-        fd[:, k] = (_symmetric_response(up, degree, nodes)[0]
-                    - _symmetric_response(down, degree, nodes)[0]) / (2 * step)
+        fd[:, k] = (_symmetric_sweep(up, degree, nodes)[0]
+                    - _symmetric_sweep(down, degree, nodes)[0]) / (2 * step)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(jac)) < 1e-5
     # the palindromic shortcut agrees with the two-pass general path
     full = np.concatenate([sym, sym[: degree + 1 - half][::-1]])
-    _, shortcut = _response_jacobian(full, nodes)
+    shortcut = _swept(full, nodes)[1]()
     nudged = full.copy()
     nudged[0] = np.nextafter(full[0], np.inf)  # one ulp: not palindromic bitwise
-    _, general = _response_jacobian(nudged, nodes)
+    general = _swept(nudged, nodes)[1]()
     assert np.allclose(shortcut, general, atol=1e-13)

@@ -25,7 +25,9 @@ from qsvtsim import (
     encoding_from_json,
     encoding_to_json,
     extract_block,
+    grover_signal,
     hamiltonian_simulation,
+    phase_oracle_block,
     projector_phase,
     qsvt_unitary,
     real_part_encoding,
@@ -41,7 +43,8 @@ from qsvtsim import (
 )
 from qsvtsim.block_encoding import _range_block
 from qsvtsim.qsp_core import _reflection_offsets
-from qsvtsim.qsvt_engine import _transformed
+from qsvtsim import qsvt_engine
+from qsvtsim.qsvt_engine import _full, _transformed
 
 
 def random_contraction(rng, dim, norm=0.95):
@@ -302,6 +305,134 @@ class TestReflectionPairs:
         seq = solve_phases(poly)
         block = transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
         assert np.linalg.norm(block - svd_oracle(a, poly), 2) <= residual(seq, poly) + 1e-10
+
+
+def _rotated(enc, q):
+    """The encoding q U q^dag with projectors q P q^dag: dense frames."""
+    rotate = lambda m: q @ m @ q.conj().T
+    return BlockEncoding(rotate(enc.unitary), rotate(enc.proj_right), rotate(enc.proj_left))
+
+
+def _unitary_block_encoding(rng, n):
+    """A full-rank unitary block: every singular value is 1."""
+    w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    pi = np.diag([1.0] * n + [0.0] * n).astype(complex)
+    return BlockEncoding(np.kron(np.eye(2), w), pi, pi)
+
+
+class TestBlockCoordinates:
+    """The block and state paths sweep through the encoded block A alone,
+    which relies on U_L U_L^dag = I for the range(P_L) rows U_L of any
+    unitary completion; near a singular value of 1 the two projections they
+    carry are nearly parallel, so that case is checked against the dense
+    product of ``_full`` up to degree 511."""
+
+    @pytest.fixture(scope="class")
+    def completions(self):
+        rng = np.random.default_rng(19)
+        n = 5
+        enc = embed_general(random_contraction(rng, n), 1.0)
+
+        def haar(dim):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            return np.linalg.qr(g)[0]
+
+        # I on range(P_L) and range(P_R), a random unitary on each complement
+        left, right = np.eye(2 * n, dtype=complex), np.eye(2 * n, dtype=complex)
+        left[n:, n:], right[n:, n:] = haar(n), haar(n)
+        other = BlockEncoding(left @ enc.unitary @ right, enc.proj_right, enc.proj_left)
+        assert np.max(np.abs(extract_block(other) - extract_block(enc))) <= 1e-15
+        assert np.max(np.abs(other.unitary - enc.unitary)) > 0.1
+        q = haar(2 * n)
+        return {"coordinate": (enc, other), "rotated": (_rotated(enc, q), _rotated(other, q))}
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
+    @pytest.mark.parametrize("frame", ["coordinate", "rotated"])
+    def test_the_transform_reads_only_the_block(self, completions, frame, degree):
+        rng = np.random.default_rng(degree)
+        seq = PhaseSequence(tuple(rng.uniform(-np.pi, np.pi, degree + 1)), CANONICAL)
+        first, second = (QsvtProgram(enc, seq) for enc in completions[frame])
+        assert np.max(np.abs(transformed_block(first) - transformed_block(second))) <= 1e-13
+        x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        assert np.max(np.abs(_transformed(first, x) - _transformed(second, x))) <= 1e-13
+
+    @staticmethod
+    def _sigma_one_encodings():
+        rng = np.random.default_rng(511)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = 0.5 * (g + g.conj().T)
+        u = np.linalg.qr(g)[0]
+        theta = float(np.angle(np.linalg.eigvals(u)[0]) / (2 * np.pi)) % 1.0
+        return {
+            "phase_oracle": phase_oracle_block(u, 0, theta),  # one eigenvalue hits 1
+            "qubitize_at_norm": qubitize_hermitian(h, float(np.linalg.norm(h, 2))),
+            "grover_a1": grover_signal(2, 1.0),
+            "unitary_block": _unitary_block_encoding(rng, 6),
+        }
+
+    @pytest.mark.parametrize("name", ["phase_oracle", "qubitize_at_norm", "grover_a1", "unitary_block"])
+    def test_singular_value_one_up_to_degree_511(self, name):
+        enc = self._sigma_one_encodings()[name]
+        assert np.linalg.norm(extract_block(enc), 2) == pytest.approx(1.0, abs=1e-14)
+        rng = np.random.default_rng(7)
+        for degree in (40, 41, 200, 201, 510, 511):
+            phases = rng.uniform(-np.pi, np.pi, degree + 1)
+            prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
+            out_frame = enc._frame_left if degree % 2 else enc._frame_right
+            pair = _full(prog, [phases, -phases])
+            expect = _range_block(0.5 * (pair[0] + pair[1]), out_frame, enc._frame_right)
+            assert np.max(np.abs(transformed_block(prog) - expect)) <= 1e-12
+
+    def test_solved_phases_at_singular_value_one(self, family_solutions):
+        # structured phases, whose projections stay nearly parallel for the
+        # whole sweep, lose the most: about 1e-12 at degree 499 (against
+        # 2e-14 for the dense product), still far below any solver residual
+        enc = self._sigma_one_encodings()["unitary_block"]
+        _, seq, _ = family_solutions("invert", kappa=41.0, eps=0.05)
+        assert seq.degree == 499
+        w = extract_block(enc)
+        expect = response_many(seq, np.array([1.0])).real[0] * w
+        assert np.max(np.abs(transformed_block(QsvtProgram(enc, seq)) - expect)) <= 5e-12
+
+
+class TestUnitaryFullProducts:
+    """The dense products keep their unitarity at any degree: the seeded
+    n = 16 evolution encoding (dim 128) with poly_sign phases used to fail
+    the real-part circuit's UNITARY_TOL check from degree 61 on."""
+
+    @pytest.fixture(scope="class")
+    def evolution(self):
+        rng = np.random.default_rng(100)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        h = 0.5 * (g + g.conj().T)
+        h *= 0.9 / np.linalg.norm(h, 2)
+        return hamiltonian_simulation(h, 1.0, 5.0, 1e-3)
+
+    @pytest.mark.parametrize("degree", [61, 101, 201])
+    def test_real_part_encoding_passes(self, evolution, family_solutions, degree):
+        _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
+        real = real_part_encoding(QsvtProgram(evolution, seq))  # validated at UNITARY_TOL
+        assert real.dim == 256
+
+    def test_defects_stay_small_up_to_degree_511(self, evolution, family_solutions):
+        for degree in (41, 61, 101, 201, 341, 511):
+            _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
+            phases = seq.as_array()
+            for v in _full(QsvtProgram(evolution, seq), [phases, -phases]):
+                assert np.max(np.abs(v.conj().T @ v - np.eye(128))) <= 1.5e-13
+
+    def test_a_corrupted_product_still_raises(self, evolution, family_solutions, monkeypatch):
+        _, seq, _ = family_solutions("poly_sign", d=61, k=12.0)
+
+        def corrupted(prog, phase_lists):
+            pair = qsvt_engine_full(prog, phase_lists)
+            pair[0][3, 5] += 1e-11
+            return pair
+
+        qsvt_engine_full = qsvt_engine._full
+        monkeypatch.setattr(qsvt_engine, "_full", corrupted)
+        with pytest.raises(NotUnitary, match="exceeds 1.0e-12"):
+            real_part_encoding(QsvtProgram(evolution, seq))
 
 
 class TestNonSquareOracle:
