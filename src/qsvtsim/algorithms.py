@@ -20,14 +20,15 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     _average,
-    _phase_oracle,
     _require_dim,
+    _shifted_block,
     _square,
+    _squarings,
     embed_general,
+    extract_block,
     grover_signal,
     qubitize_hermitian,
     require_unitary,
-    shift_positive,
 )
 from .errors import (
     ConditionViolated,
@@ -111,7 +112,7 @@ class PhaseEstimate:
 
 @lru_cache(maxsize=512)
 def _phases(constructor, *args) -> PhaseSequence:
-    """Phases of the target ``constructor(*args)``, solved once per key."""
+    """Canonical phases of the target ``constructor(*args)``, solved once per key."""
     return solve_phases(constructor(*args), _SOLVE)
 
 
@@ -227,21 +228,21 @@ def eigenvalue_threshold(
 ) -> RunRecord:
     """Decide whether any eigenvalue lies below lambda_th - delta_lambda.
 
-    The spectrum is made positive by the shift circuit, a symmetric step
-    polynomial is applied at the shifted cut, and repeated one-qubit
-    measurements distinguish the two Bernoulli means.  Decision True means
-    "a low eigenvalue exists".
+    The spectrum is made positive by the shift circuit's block
+    (I + H/alpha)/2, a symmetric step polynomial is applied at the shifted
+    cut, and repeated one-qubit measurements distinguish the two Bernoulli
+    means.  Decision True means "a low eigenvalue exists".
     """
     h = _square(h, NotHermitian)
-    _require_dim(4 * len(h), "4n")  # checked before any work: the shifted encoding is 4n
-    enc = shift_positive(qubitize_hermitian(h, alpha))
+    _require_dim(4 * len(h), "4n")  # checked before any work: the shift circuit is 4n
+    block = _shifted_block(extract_block(qubitize_hermitian(h, alpha)))
     psi = _unit_state(psi, "psi", len(h))
     if epsilon is None:
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
     phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
-    u = _transformed(QsvtProgram(enc, phases), psi[:, None])[:, 0]
+    u = _transformed(block, phases.as_array(), psi[:, None])[:, 0]
     p0 = 0.5 * float(np.linalg.norm(psi + u) ** 2) / (1.0 + float(np.linalg.norm(u) ** 2))
 
     low_mean = zeta**2 * (1.0 - epsilon)
@@ -285,12 +286,6 @@ def bernoulli_sample_count(a_mean: float, b_mean: float, delta: float) -> int:
 # Phase estimation
 
 
-def _pe_block(power: np.ndarray, theta: Fraction, phases: PhaseSequence) -> QsvtProgram:
-    """The step transform of (I + exp(-2 pi i theta) U^(2^j)) / 2, given
-    power = U^(2^j)."""
-    return QsvtProgram(_phase_oracle(power, float(theta) % 2.0), phases)
-
-
 # resolution of the ones-place carry probe as a fraction of a full turn at
 # the amplified (j = n-1) scale; phases within this distance of an integer
 # may present as 0.00...0 instead of 1.00...0 (the two differ only by the
@@ -298,31 +293,23 @@ def _pe_block(power: np.ndarray, theta: Fraction, phases: PhaseSequence) -> Qsvt
 CARRY_RESOLUTION = Fraction(1, 256)
 
 
-def _measure(state: np.ndarray, prog: QsvtProgram, rng, exact: bool):
-    """One controlled-block measurement: returns (bit, p1, collapsed state)."""
-    out = _transformed(prog, state[:, None])[:, 0]
-    b1 = 0.5 * (state + out)
-    b0 = 0.5 * (state - out)
-    w1 = float(np.linalg.norm(b1) ** 2)
-    w0 = float(np.linalg.norm(b0) ** 2)
-    p1 = w1 / (w0 + w1)
-    if exact:
-        bit = int(p1 >= 0.5)
-    else:
-        bit = int(rng.random() < p1)
-    branch = b1 if bit else b0
-    return bit, p1, branch / np.linalg.norm(branch)
-
-
-def _voted_measure(state, prog, rng, exact, votes):
-    """Majority of repeated measurements; sensible for eigenvector inputs,
-    where each repetition is independent of the collapse history."""
+def _voted_measure(state, power, theta: Fraction, phases, rng, exact, votes):
+    """Majority of repeated controlled-block measurements of the step
+    transform (canonical ``phases``) of (I + exp(-2 pi i theta) power) / 2;
+    sensible for eigenvector inputs, where each repetition is independent of
+    the collapse history.  Returns (bit, ones, the last p1, collapsed state)."""
+    block = _shifted_block(np.exp(-2j * np.pi * (float(theta) % 2.0)) * power)
     ones = 0
-    p_last = None
     for _ in range(votes):
-        bit, p_last, state = _measure(state, prog, rng, exact)
+        out = _transformed(block, phases, state[:, None])[:, 0]
+        b1, b0 = 0.5 * (state + out), 0.5 * (state - out)
+        w1, w0 = float(np.linalg.norm(b1) ** 2), float(np.linalg.norm(b0) ** 2)
+        p1 = w1 / (w0 + w1)
+        bit = int(p1 >= 0.5) if exact else int(rng.random() < p1)
+        branch = b1 if bit else b0
+        state = branch / np.linalg.norm(branch)
         ones += bit
-    return int(2 * ones > votes), ones, p_last, state
+    return int(2 * ones > votes), ones, p1, state
 
 
 def _run_phase_estimation(
@@ -354,10 +341,8 @@ def _run_phase_estimation(
     first (and only transition-vulnerable) bit's votes come out ambiguous,
     then rounds the deeper estimate back to n bits.
     """
-    degree = phases.degree
-    powers = [u]  # U^(2^j) by successive squaring, as matrix_power forms it
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ powers[-1])
+    degree, angles = phases.degree, phases.as_array()
+    powers = list(_squarings(u, n - 1))  # powers[j] = U^(2^j)
     theta = Fraction(0)
     bits_rev = []  # theta_1..theta_n as collected, most significant last
     trace = []
@@ -367,8 +352,9 @@ def _run_phase_estimation(
         theta = theta / 2
         err = 0.0 if phase_errors is None else float(phase_errors[step])
         theta_eff = theta - Fraction(err).limit_denominator(1 << 40) if err else theta
-        prog = _pe_block(powers[j], theta_eff, phases)
-        bit, ones, p1, state = _voted_measure(state, prog, rng, exact, majority_votes)
+        bit, ones, p1, state = _voted_measure(
+            state, powers[j], theta_eff, angles, rng, exact, majority_votes
+        )
         queries += degree * majority_votes
         trace.append({"j": j, "theta": float(theta), "p1": p1, "bit": bit,
                       "votes": ones})
@@ -399,7 +385,7 @@ def _run_phase_estimation(
     if not any(bits_rev):
         probe = Fraction(1, 4) - CARRY_RESOLUTION  # theta is exactly 0 here
         ones_bit, _, p1, state = _voted_measure(
-            state, _pe_block(powers[n - 1], probe, phases), rng, exact, majority_votes
+            state, powers[n - 1], probe, angles, rng, exact, majority_votes
         )
         queries += degree * majority_votes
         trace.append({"j": n - 1, "theta": float(probe), "p1": p1, "bit": ones_bit,
@@ -441,7 +427,7 @@ def phase_estimation_record(
 ) -> RunRecord:
     """Phase estimation with the full per-iteration trace recorded."""
     u = _square(u, NotUnitary)
-    _require_dim(2 * len(u), "2n")  # checked before any work: each block has dimension 2n
+    _require_dim(2 * len(u), "2n")  # checked before any work: each controlled block is 2n
     u = require_unitary(u)
     state = _unit_state(eigvec, "eigvec", len(u))
     if n < 1:

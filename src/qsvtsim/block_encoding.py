@@ -4,9 +4,10 @@ A block encoding locates an operator A (rescaled by alpha) inside a larger
 unitary via a pair of orthogonal projectors: A / alpha = P_left U P_right
 restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
-decompositions, and build the phase-oracle and Grover-signal encodings used
-by the algorithm layer.  Every composite encoding comes from one of two
-builders: ``_complete`` or ``_average``.
+decompositions, and build the phase-oracle and Grover-signal encodings.
+Every composite encoding comes from one of two builders: ``_complete`` or
+``_average``; ``_shifted_block`` and ``_squarings`` serve callers that read
+only the block.
 """
 
 from __future__ import annotations
@@ -275,23 +276,36 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
 
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
-    """Encoding of (I + exp(-2*pi*i*theta) U^(2^j)) / 2.
-
-    The power is computed by repeated squaring; projectors are |0><0| (x) I.
-    """
+    """Encoding of (I + exp(-2*pi*i*theta) U^(2^j)) / 2, the Hadamard average
+    of I and the phased power, formed by ``_squarings``; projectors are
+    |0><0| (x) I."""
     u = _square(u, NotUnitary)
     _require_dim(2 * len(u))
     u = require_unitary(u)
     if j < 0:
         raise DomainError("power index j must be >= 0")
-    return _phase_oracle(np.linalg.matrix_power(u, 2**j), theta)
-
-
-def _phase_oracle(power: np.ndarray, theta: float) -> BlockEncoding:
-    """Encoding of (I + exp(-2*pi*i*theta) power) / 2 for a checked unitary
-    power, as the Hadamard average of I and the phased power."""
-    eye = np.eye(len(power))
+    for power in _squarings(u, j):  # U^(2^j) comes last
+        pass
+    eye = np.eye(len(u))
     return _average([eye, np.exp(-2j * np.pi * theta) * power], eye, eye, 1.0)
+
+
+def _squarings(u: np.ndarray, count: int):
+    """Yields U, U^2, ..., U^(2^count) of a checked unitary U by successive
+    squaring, as ``np.linalg.matrix_power`` forms them.  Each square is held
+    to 2 UNITARY_TOL, which its average with I (of half its defect) meets at
+    UNITARY_TOL, so a drifting power raises ``NotUnitary`` before it can
+    overflow."""
+    yield u
+    for _ in range(count):
+        u = require_unitary(u @ u, 2 * UNITARY_TOL)
+        yield u
+
+
+def _shifted_block(a: np.ndarray) -> np.ndarray:
+    """(I + a) / 2, bit for bit the block of ``_average([I, V])`` when V's
+    block is a: of ``shift_positive`` and ``phase_oracle_block``."""
+    return 0.5 * (np.eye(len(a)) + a)
 
 
 def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:

@@ -5,10 +5,10 @@ alternating product V(phi) of U, its inverse, and projector-controlled
 phase rotations, computed in the projector frame where each rotation is a
 row scaling.  The product acts on each singular pair's two-dimensional
 invariant space, so what a caller reads of it depends only on the encoded
-block A: ``_sweep`` carries the columns a caller reads (the range(P_R)
-identity for the block, one state for a caller that reads block . psi)
-as their two projections onto range(P_R) and onto the rotated range
-U^dag range(P_L), and every step is one product by A or A^dag, so a
+block A: ``_sweep`` takes A alone and carries the columns a caller reads
+(the range(P_R) identity for the block, one state for a caller that reads
+block . psi) as their two projections onto range(P_R) and onto the rotated
+range U^dag range(P_L), and every step is one product by A or A^dag, so a
 reflection pair costs 2 r_L r_R multiply-adds per column.  The dense
 unitary (``_full``) carries all N columns in all N rows, an orthonormal
 frame, so that it stays unitary at any degree; each U^dag Phi_L(chi) U
@@ -19,9 +19,9 @@ sequence's P polynomial applied to the singular values.  The real part,
 which is the solver's target, is read as 1/2 (block(phi) + block(-phi)),
 with no ancilla; ``real_part_encoding`` builds the one-ancilla
 Hadamard-select circuit only for callers that need the full unitary.
-Amplitude amplification between two privileged states is the block
-product on rank-1 projectors, a scalar sweep.  Independent eigen- and
-SVD-based oracles are provided for verification.
+Amplitude amplification between two privileged states is the scalar sweep
+of the 1x1 block <A0|U|B0>.  Independent eigen- and SVD-based oracles are
+provided for verification.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _average, _into, _inverse, _range_block, require_hermitian
-from .errors import DomainError, NotUnit
+from .block_encoding import (BlockEncoding, _average, _into, _inverse, _require_dim, _square,
+                             extract_block, require_hermitian, require_unitary)
+from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import CANONICAL, PhaseSequence, _reflection_offsets, convert_convention
 
@@ -60,19 +61,19 @@ def _angles(phase_lists) -> np.ndarray:
     return chi
 
 
-def _sweep(encoding: BlockEncoding, phase_lists, start):
+def _sweep(a: np.ndarray, phase_lists, start):
     """The output range rows of the products Phi(chi_0) U Phi(chi_1) U^dag
-    ... Phi(chi_d) applied to ``start``, for every phase list at once,
-    through the encoded block alone.
+    ... Phi(chi_d) applied to ``start``, for every canonical phase list at
+    once, through the encoded block alone: ``a`` is the rank_l x rank_r
+    matrix A of ``extract_block``, and no encoding is needed.
 
-    In the frames the encoding derived at construction U is U' = F_L^dag U
-    F_R, and each projector phase is D(chi) = e^{-i chi} diag(e^{2i chi} I, I)
-    on the first rank rows.  With E the range(P_R) columns of the identity
-    and U_L the rank_l range(P_L) rows of U', the sweep carries the two
-    projections R = E^dag W and G = U_L W of the columns W.  U_L has
-    orthonormal rows, so U_L U_L^dag = I and U_L E = A, the rank_l x rank_r
-    block (``_range_block``), and with t = e^{2i chi} - 1 each step reads A
-    alone:
+    In the projector frames U is U' = F_L^dag U F_R, and each projector phase
+    is D(chi) = e^{-i chi} diag(e^{2i chi} I, I) on the first rank rows.
+    With E the range(P_R) columns of the identity and U_L the rank_l
+    range(P_L) rows of U', the sweep carries the two projections R = E^dag W
+    and G = U_L W of the columns W.  U_L has orthonormal rows, so
+    U_L U_L^dag = I and U_L E = A, and with t = e^{2i chi} - 1 each step
+    reads A alone:
       Phi_R(chi) = I + t E E^dag:               G += t A R,    R *= 1 + t;
       U'^dag Phi_L(chi) U' = I + t U_L^dag U_L:  R += t A^dag G, G *= 1 + t.
     A pair of steps costs 2 rank_l rank_r multiply-adds a column, against
@@ -95,7 +96,6 @@ def _sweep(encoding: BlockEncoding, phase_lists, start):
     """
     chi = _angles(phase_lists)
     d = chi.shape[1] - 1
-    a = _range_block(encoding.unitary, encoding._frame_left, encoding._frame_right)
     rank_l, rank_r = a.shape
     a_dag = a.conj().T
     turn = np.expm1(2j * chi)[:, :, None]  # (lists, d + 1, 1): e^{2i chi} - 1
@@ -195,11 +195,11 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     return _average(pair, prog.encoding.proj_right, out_proj, prog.encoding.alpha)
 
 
-def _transformed(prog: QsvtProgram, x: np.ndarray) -> np.ndarray:
-    """``transformed_block(prog) @ x`` without the block, for x of shape
-    (rank(P_R), cols) in the range(P_R) basis: the sweep starts from x."""
-    phases = prog.phases.as_array()
-    w = _sweep(prog.encoding, [phases, -phases], x)
+def _transformed(a: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re(P)^(SV)(a) @ x for the block a and a canonical phase array, without
+    the transform: the sweeps of phases and -phases start from x, of shape
+    (a's columns, cols) in the range(P_R) basis."""
+    w = _sweep(a, [phases, -phases], x)
     return 0.5 * (w[:, 0] + w[:, 1])
 
 
@@ -210,7 +210,8 @@ def transformed_block(prog: QsvtProgram) -> np.ndarray:
     the ranges of the program's (already validated) encoding: the transform
     applied to the identity of range(P_R), with no ancilla circuit.
     """
-    return _transformed(prog, np.eye(prog.encoding._frame_right[0], dtype=complex))
+    a = extract_block(prog.encoding)
+    return _transformed(a, prog.phases.as_array(), np.eye(a.shape[1], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +253,10 @@ def amplitude_amplification_matrix_element(
     """<A0| [prod_k U B(phi_{2k}) U^dag A(phi_{2k+1})] U |B0>, a degree <= d+1
     polynomial in a = <A0|U|B0> realized with an even-length phase list.
 
-    B(phi) = I + (e^{i phi} - 1)|B0><B0| is e^{i phi/2} Phi_R(phi/2) on the
-    encoding (u, |B0><B0|, |A0><A0|), and A(phi) likewise with Phi_L, so this
-    is one engine product at the angles (0, phi/2, 0), swept from the one
-    range(P_R) column; u must be a unitary of dimension at most 1024.
+    B(phi) = I + (e^{i phi} - 1)|B0><B0| is e^{i phi/2} Phi_R(phi/2) for the
+    rank-1 projectors |B0><B0| and |A0><A0|, and A(phi) likewise with Phi_L,
+    so this is one engine sweep of the 1x1 block a at the angles
+    (0, phi/2, 0); u must be a unitary of dimension at most 1024.
     """
     a0, b0 = (np.asarray(vec, dtype=complex).ravel() for vec in (a0, b0))
     for name, vec in (("A0", a0), ("B0", b0)):
@@ -264,14 +265,12 @@ def amplitude_amplification_matrix_element(
     phases = np.array(list(phases), dtype=float)
     if len(phases) % 2 != 0:
         raise DomainError("the amplification product uses an even phase count")
-    a0, b0 = a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)
-    enc = BlockEncoding(u, np.outer(b0, b0.conj()), np.outer(a0, a0.conj()))
+    u = _square(u, NotUnitary)
+    _require_dim(len(u))
+    u = require_unitary(u)
+    if a0.shape != (len(u),) or b0.shape != (len(u),):
+        raise DomainError("A0 and B0 must match the unitary dimension")
+    block = np.array([[np.vdot(a0, u @ b0) / (np.linalg.norm(a0) * np.linalg.norm(b0))]])
     chi = np.concatenate([[0.0], phases / 2.0, [0.0]])
-    canonical = PhaseSequence(tuple(chi - _reflection_offsets(len(phases) + 1)), CANONICAL)
-    w = _sweep(enc, [canonical.as_array()], np.ones((1, 1)))
-
-    def along(frame, vec):  # <f|vec> for the frame's range vector f
-        return _into(vec[:, None], frame[..., :1], np.zeros(1, dtype=int))[0, 0]
-
-    element = np.conj(along(enc._frame_left[1], a0)) * w[0, 0, 0] * along(enc._frame_right[1], b0)
-    return complex(np.exp(0.5j * phases.sum()) * element)
+    w = _sweep(block, [chi - _reflection_offsets(len(phases) + 1)], np.ones((1, 1)))
+    return complex(np.exp(0.5j * phases.sum()) * w[0, 0, 0])

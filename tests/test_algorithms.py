@@ -229,6 +229,22 @@ class TestPhaseEstimation:
         with pytest.raises(NotUnitary, match="unitarity defect 4.000e-11 exceeds 1.0e-12"):
             phase_estimation_record(u, np.eye(4)[0], 3, 0.1)
 
+    def test_many_bits_fail_at_the_first_square_past_the_bound(self):
+        # each power U^(2^j) is checked as it is squared, so 100 bits on a Haar U
+        # fail near U^(2^14) with a finite defect, with no overflow on the way
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        with pytest.raises(NotUnitary, match=r"^unitarity defect [2-4]\.\d{3}e-12 exceeds 2\.0e-12$"):
+            phase_estimation_record(u, np.eye(8)[0], 100, 0.1)
+
+    def test_powers_still_amplify_the_input_defect(self):
+        # u passes its own check at 2e-13, and squaring doubles that: U^16 is at
+        # 3.197e-12, past the 2e-12 its controlled block holds it to, whose own
+        # defect is half that (a depth-aware bound for the powers is still open)
+        u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75]))) * (1 + 1e-13)
+        with pytest.raises(NotUnitary, match="unitarity defect 3.197e-12 exceeds"):
+            phase_estimation_record(u, np.eye(4)[0], 6, 0.1)
+
     def test_epsilon_cap(self):
         with pytest.raises(DomainError):
             qsvt_phase_estimation(oracle_1q(0.5), VEC1, 3, 1.5, 0.2)

@@ -34,6 +34,8 @@ from qsvtsim import (
 from qsvtsim.block_encoding import (
     _coordinate_range,
     _gram_schmidt,
+    _shifted_block,
+    _squarings,
     require_hermitian,
     require_projector,
     require_unitary,
@@ -171,6 +173,41 @@ class TestPhaseOracle:
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
             phase_oracle_block(np.diag([1.0, 0.5]), 0, 0.0)
+
+    def test_many_squarings_fail_at_the_first_square_past_the_bound(self):
+        # squaring doubles a defect: this U's passes 2e-12 near U^(2^14), where the
+        # typed error names a finite defect, long before U^(2^100) could overflow
+        u = _random_unitary(np.random.default_rng(0), 8)
+        with pytest.raises(NotUnitary, match=r"^unitarity defect [2-4]\.\d{3}e-12 exceeds 2\.0e-12$"):
+            phase_oracle_block(u, 100, 0.3)
+
+
+class TestShiftedBlocks:
+    """Callers that read only the block of a Hadamard average with I sweep
+    ``_shifted_block`` of their own block, with powers from ``_squarings``;
+    both are what the built encodings hold, bit for bit."""
+
+    def test_squarings_are_matrix_powers(self):
+        u = _random_unitary(np.random.default_rng(9), 5)
+        powers = list(_squarings(u, 8))
+        assert len(powers) == 9
+        for j, power in enumerate(powers):
+            assert power.tobytes() == np.linalg.matrix_power(u, 2**j).tobytes()
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_the_phase_oracle_block(self, j):
+        rng = np.random.default_rng(j)
+        u = _random_unitary(rng, 5)
+        theta = rng.uniform(0.0, 2.0)
+        power = np.linalg.matrix_power(u, 2**j)
+        shifted = _shifted_block(np.exp(-2j * np.pi * theta) * power)
+        assert shifted.tobytes() == extract_block(phase_oracle_block(u, j, theta)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_the_shifted_hermitian_block(self, n):
+        enc = qubitize_hermitian(random_hermitian(np.random.default_rng(n), n), 1.0)
+        shifted = _shifted_block(extract_block(enc))
+        assert shifted.tobytes() == extract_block(shift_positive(enc)).tobytes()
 
 
 class TestGroverSignal:
