@@ -21,11 +21,11 @@ from .block_encoding import (
     BlockEncoding,
     _average,
     _require_dim,
+    _scaled_eigh,
     _shifted_block,
     _square,
     _squarings,
     embed_general,
-    extract_block,
     grover_signal,
     qubitize_hermitian,
     require_unitary,
@@ -49,7 +49,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence
-from .qsvt_engine import QsvtProgram, _conjugate_pair, _transformed, real_part_encoding
+from .qsvt_engine import QsvtProgram, _conjugate_pair, _svt, real_part_encoding
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -231,18 +231,20 @@ def eigenvalue_threshold(
     The spectrum is made positive by the shift circuit's block
     (I + H/alpha)/2, a symmetric step polynomial is applied at the shifted
     cut, and repeated one-qubit measurements distinguish the two Bernoulli
-    means.  Decision True means "a low eigenvalue exists".
+    means.  Decision True means "a low eigenvalue exists".  The block is
+    read from one eigendecomposition of H: no encoding is built.
     """
     h = _square(h, NotHermitian)
     _require_dim(4 * len(h), "4n")  # checked before any work: the shift circuit is 4n
-    block = _shifted_block(extract_block(qubitize_hermitian(h, alpha)))
+    evecs, lam = _scaled_eigh(h, alpha)
     psi = _unit_state(psi, "psi", len(h))
     if epsilon is None:
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
     phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
-    u = _transformed(block, phases.as_array(), psi[:, None])[:, 0]
+    # the shifted block (I + H / alpha) / 2 = Q diag((1 + lam) / 2) Q^dag
+    u = _svt(evecs, 0.5 * (1.0 + lam), evecs.conj().T, phases.as_array()) @ psi
     p0 = 0.5 * float(np.linalg.norm(psi + u) ** 2) / (1.0 + float(np.linalg.norm(u) ** 2))
 
     low_mean = zeta**2 * (1.0 - epsilon)
@@ -299,9 +301,10 @@ def _voted_measure(state, power, theta: Fraction, phases, rng, exact, votes):
     sensible for eigenvector inputs, where each repetition is independent of
     the collapse history.  Returns (bit, ones, the last p1, collapsed state)."""
     block = _shifted_block(np.exp(-2j * np.pi * (float(theta) % 2.0)) * power)
+    transform = _svt(*np.linalg.svd(block), phases)
     ones = 0
     for _ in range(votes):
-        out = _transformed(block, phases, state[:, None])[:, 0]
+        out = transform @ state
         b1, b0 = 0.5 * (state + out), 0.5 * (state - out)
         w1, w0 = float(np.linalg.norm(b1) ** 2), float(np.linalg.norm(b0) ** 2)
         p1 = w1 / (w0 + w1)

@@ -6,8 +6,10 @@ restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
 decompositions, and build the phase-oracle and Grover-signal encodings.
 Every composite encoding comes from one of two builders: ``_complete`` or
-``_average``; ``_shifted_block`` and ``_squarings`` serve callers that read
-only the block.
+``_average``.  Callers that read only a block build no encoding:
+``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian`` encodes,
+``_shifted_block`` the block of a Hadamard average with I, and
+``_squarings`` the powers U^(2^j).
 """
 
 from __future__ import annotations
@@ -238,14 +240,25 @@ def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
     U = [[H~, sqrt(I - H~^2)], [sqrt(I - H~^2), -H~]] with H~ = H / alpha;
     the square root acts per eigenspace.  Projectors are |0><0| (x) I.
     """
-    h = require_hermitian(h)
+    h = _square(h, NotHermitian)
     _require_dim(2 * len(h))
+    evecs, lam = _scaled_eigh(h, alpha)
+    return _complete(evecs, lam, evecs.conj().T, alpha)
+
+
+def _scaled_eigh(h: np.ndarray, alpha: float):
+    """(eigenvectors, eigenvalues / alpha clipped into [-1, 1]) of a checked
+    Hermitian h: the spectrum that ``qubitize_hermitian`` encodes, for
+    callers that read only its block H / alpha.  ScaleTooSmall if alpha is
+    below the spectral norm, DomainError unless it is positive and finite."""
+    h = require_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     norm = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    if 0.0 <= alpha * (1.0 + 1e-12) < norm:  # alpha = 0 too; a negative alpha fails later
+    if 0.0 <= alpha * (1.0 + 1e-12) < norm:  # alpha = 0 too
         raise ScaleTooSmall(f"alpha {alpha} below the spectral norm {norm:.6f}")
-    lam = np.clip(evals / alpha, -1.0, 1.0)
-    return _complete(evecs, lam, evecs.conj().T, alpha)
+    if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
+        raise DomainError(f"alpha {alpha} must be positive and finite")
+    return evecs, np.clip(evals / alpha, -1.0, 1.0)
 
 
 def embed_general(a: np.ndarray, alpha: float) -> BlockEncoding:

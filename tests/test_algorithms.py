@@ -133,9 +133,9 @@ class TestThreshold:
 
     def test_dimension_cap_is_checked_first(self, monkeypatch):
         # the shifted encoding has dimension 4n, so n = 300 breaks the 1024 cap
-        # before the eigendecomposition of qubitize_hermitian or any solve
+        # before the eigendecomposition of H or any solve
         monkeypatch.setattr(algorithms, "_phases", _no_solve)
-        monkeypatch.setattr(algorithms, "qubitize_hermitian", _no_solve)
+        monkeypatch.setattr(algorithms, "_scaled_eigh", _no_solve)
         with pytest.raises(DomainError, match=r"dimension 1200 \(4n\) exceeds the cap 1024"):
             eigenvalue_threshold(0.5 * np.eye(300), 1.0, 0.5, 0.1, ZETA, 0.1, np.ones(300),
                                  exact=True)
@@ -297,35 +297,35 @@ class TestOrderFinding:
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "0371d0878bc713710d0fab9851fd7797312618dafe4d44fc5db045c25be8c127",
+        "c5c5005eaf8ccd91649506edbc4d790e234c04eb00e9f2bec4a23a88e05014cd",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "091dbf835af0be463e3d02646a5285a6407d3231fb4a2718b6bb39b7bd57c0d5",
+        "0d924de9198f65b970b5ec7f09cd2b0d4bd28d5f289b8347ec1bae88acbe11d8",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "b5c3fba319b55999fb0bd607ff00e9bd19eadc1697d93f1575dc64c970cda2af",
+        "b4776d8533673cc5f3119033f6632c60f1e9f194fae8ae33b8c28632a6384f07",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
             oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
         ),
-        "530e628fa6baf008149ddbea76fd27ce5d5a79ad2a6e875f0ad92152d40397e8",
+        "052489481671d62b42d8a97ff441a77f7ddda6d1e15bd960ce5391a55b63e61c",
     ),
     "qpe_escalation": (
         lambda: phase_estimation_record(
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "b6ad95ed43fcfb555bb6cec16f00991caa5b6ddb8867625399474ebfd82a6a33",
+        "15e3dbf6fbf3570a27c5a09ae3e21475ac51ee3129901673957f52e012fa2d10",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "f71c62cb14626bed830d7a9134683365cd4abb19dce365c361456a2960fa193d",
+        "b7357ca63f37f5ebf6969f7fb506f4c019ba2885ec479f19395a824b9eb319f2",
     ),
 }
 

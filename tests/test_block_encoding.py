@@ -183,7 +183,7 @@ class TestPhaseOracle:
 
 
 class TestShiftedBlocks:
-    """Callers that read only the block of a Hadamard average with I sweep
+    """Callers that read only the block of a Hadamard average with I transform
     ``_shifted_block`` of their own block, with powers from ``_squarings``;
     both are what the built encodings hold, bit for bit."""
 

@@ -44,7 +44,7 @@ from qsvtsim import (
 from qsvtsim.block_encoding import _range_block
 from qsvtsim.qsp_core import _reflection_offsets
 from qsvtsim import qsvt_engine
-from qsvtsim.qsvt_engine import _full, _transformed
+from qsvtsim.qsvt_engine import _full, _svt
 
 
 def random_contraction(rng, dim, norm=0.95):
@@ -270,11 +270,11 @@ class TestFrameEdgeCases:
 
 
 class TestReflectionPairs:
-    """The engine applies each U^dag Phi_L U pair as one rank-rank_l update
-    and collects the scalar phases at the end; degrees 0, 1, 2, 3 and 41 run
-    its pair loop 0, 0, 1, 1 and 20 times, with and without the odd end.
-    The state path, which starts the sweep from the columns a caller reads,
-    is checked against the block on the same programs."""
+    """The dense product applies each U^dag Phi_L U pair as one rank-rank_l
+    update and collects the scalar phases at the end; degrees 0, 1, 2, 3 and
+    41 run its pair loop 0, 0, 1, 1 and 20 times, with and without the odd
+    end.  The block read, and the transform the state reads apply to their
+    columns, are checked against the literal product on the same programs."""
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
     @pytest.mark.parametrize("name", sorted(EDGE_ENCODINGS))
@@ -295,9 +295,9 @@ class TestReflectionPairs:
         rank_r = enc._frame_right[0]
         for cols in (1, 3):
             x = rng.standard_normal((rank_r, cols)) + 1j * rng.standard_normal((rank_r, cols))
-            out = _transformed(extract_block(enc), phases, x)
-            assert out.shape == (block @ x).shape
-            assert np.max(np.abs(out - block @ x), initial=0.0) <= 1e-13
+            out = _svt(*np.linalg.svd(extract_block(enc)), phases) @ x
+            assert out.shape == (expect @ x).shape
+            assert np.max(np.abs(out - expect @ x), initial=0.0) <= 1e-13
 
     def test_n256_matches_svd_oracle(self):
         a = random_contraction(np.random.default_rng(256), 256)
@@ -321,11 +321,12 @@ def _unitary_block_encoding(rng, n):
 
 
 class TestBlockCoordinates:
-    """The block and state paths sweep through the encoded block A alone,
-    which relies on U_L U_L^dag = I for the range(P_L) rows U_L of any
-    unitary completion; near a singular value of 1 the two projections they
-    carry are nearly parallel, so that case is checked against the dense
-    product of ``_full`` up to degree 511."""
+    """The block and state reads take one SVD of the encoded block A and read
+    the QSP response at its singular values, which relies on the alternating
+    product acting on each singular pair as the 2x2 QSP product (Jordan's
+    lemma): two unitary completions of one block give the same transform, and
+    a singular value of 1, where the pair's invariant space has dimension 1,
+    is checked against the dense product of ``_full`` up to degree 511."""
 
     @pytest.fixture(scope="class")
     def completions(self):
@@ -353,10 +354,12 @@ class TestBlockCoordinates:
         seq = PhaseSequence(tuple(rng.uniform(-np.pi, np.pi, degree + 1)), CANONICAL)
         first, second = (QsvtProgram(enc, seq) for enc in completions[frame])
         assert np.max(np.abs(transformed_block(first) - transformed_block(second))) <= 1e-13
-        x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        phases = seq.as_array()
-        one, other = (_transformed(extract_block(enc), phases, x) for enc in completions[frame])
-        assert np.max(np.abs(one - other)) <= 1e-13
+        # the literal circuit on the other completion reads the same block
+        enc, phases = completions[frame][1], seq.as_array()
+        out_frame = enc._frame_left if degree % 2 else enc._frame_right
+        mean = 0.5 * (literal_product(enc, phases) + literal_product(enc, -phases))
+        expect = _range_block(mean, out_frame, enc._frame_right)
+        assert np.max(np.abs(transformed_block(first) - expect)) <= 1e-13
 
     @staticmethod
     def _sigma_one_encodings():
@@ -385,16 +388,35 @@ class TestBlockCoordinates:
             expect = _range_block(0.5 * (pair[0] + pair[1]), out_frame, enc._frame_right)
             assert np.max(np.abs(transformed_block(prog) - expect)) <= 1e-12
 
+    def test_a_block_norm_just_past_one(self):
+        # U = V (I + 3e-11 x x^T) with P = I passes the unitarity check (its
+        # defect is 9.4e-13) and the block-norm check (its norm is 1 + 3e-11).
+        # Its singular values are read clipped to 1, which is the transform of
+        # the unitary V; the literal product of U itself drifts from that, by
+        # 2e-12 at degree 41 on this draw of V and up to 5e-11 on others
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        x = np.full((64, 1), 1.0 / 8.0)
+        v = np.linalg.qr(g)[0]
+        enc = BlockEncoding(v @ (np.eye(64) + 3e-11 * (x @ x.T)), np.eye(64), np.eye(64))
+        assert np.linalg.norm(extract_block(enc), 2) > 1.0 + 2e-11
+        phases = rng.uniform(-np.pi, np.pi, 42)
+        block = transformed_block(QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL)))
+        unitary = BlockEncoding(v, np.eye(64), np.eye(64))
+        for reference, tol in ((enc, 1e-11), (unitary, 1e-13)):
+            expect = 0.5 * (literal_product(reference, phases) + literal_product(reference, -phases))
+            assert np.max(np.abs(block - expect)) <= tol
+
     def test_solved_phases_at_singular_value_one(self, family_solutions):
-        # structured phases, whose projections stay nearly parallel for the
-        # whole sweep, lose the most: about 1e-12 at degree 499 (against
-        # 2e-14 for the dense product), still far below any solver residual
+        # structured phases at degree 499 on a block whose every singular
+        # value is 1: the transform reads the QSP response at 1 once per
+        # singular value, so it meets the response to rounding
         enc = self._sigma_one_encodings()["unitary_block"]
         _, seq, _ = family_solutions("invert", kappa=41.0, eps=0.05)
         assert seq.degree == 499
         w = extract_block(enc)
         expect = response_many(seq, np.array([1.0])).real[0] * w
-        assert np.max(np.abs(transformed_block(QsvtProgram(enc, seq)) - expect)) <= 5e-12
+        assert np.max(np.abs(transformed_block(QsvtProgram(enc, seq)) - expect)) <= 1e-13
 
 
 class TestUnitaryFullProducts:
@@ -630,10 +652,16 @@ class TestAmplitudeAmplification:
         rng = np.random.default_rng(n)
         u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         a0, b0 = random_unit(rng, n), random_unit(rng, n)
+        # a cyclic shift of 16 states with A0 exactly orthogonal to U B0 (their
+        # entries are +-1/4, so every product is exact): arg a is undefined
+        shift = np.roll(np.eye(16), 1, axis=0)
+        flat, signs = np.full(16, 0.25), np.resize([0.25, -0.25], 16)
+        assert np.vdot(flat, shift @ signs) == 0.0
         for count in range(0, 21, 2):
             phases = list(rng.uniform(-np.pi, np.pi, count))
-            val = amplitude_amplification_matrix_element(u, a0, b0, phases)
-            assert abs(val - literal_amplification(u, a0, b0, phases)) <= 1e-13
+            for u_, a0_, b0_ in ((u, a0, b0), (shift, flat, signs)):
+                val = amplitude_amplification_matrix_element(u_, a0_, b0_, phases)
+                assert abs(val - literal_amplification(u_, a0_, b0_, phases)) <= 1e-13
 
     def test_rejects_a_non_unitary(self, search_setup):
         u, a0, b0 = search_setup
