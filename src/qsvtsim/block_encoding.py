@@ -50,14 +50,23 @@ def _square(m, error) -> np.ndarray:
     return m
 
 
+def _gram_defect(gram: np.ndarray) -> float:
+    """max |G - I| of a Gram matrix G, formed in place; NaN if G holds one."""
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+def _require_defect(defect: float, tol: float = UNITARY_TOL) -> None:
+    if not defect <= tol:  # a NaN or inf defect fails too
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+
+
 # In the three validators an inf entry makes a NaN defect, which fails its check;
 # numpy's warnings on the way are silenced so only the typed error surfaces.
 @np.errstate(invalid="ignore", over="ignore")
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = _square(u, NotUnitary)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not defect <= tol:  # a NaN or inf defect fails too
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+    _require_defect(_gram_defect(u.conj().T @ u), tol)
     return u
 
 
@@ -161,10 +170,20 @@ class BlockEncoding:
     Construction checks the dimension cap first, then U at UNITARY_TOL and
     both projectors at PROJECTOR_TOL; coordinate projectors (diagonal 0/1,
     which every constructor here makes) are checked exactly in O(N^2), any
-    other densely.
-    It then derives each projector's frame once (``_frame``), stored
-    read-only as ``_frame_right`` and ``_frame_left``: the norm check
-    against 1 + 1e-10, ``extract_block`` and the QSVT engine all read them.
+    other densely.  It derives each projector's frame once (``_frame``) and
+    takes the block's SVD once, and stores them read-only: ``_frame_right``
+    and ``_frame_left``, which ``extract_block`` and the QSVT engine read,
+    and ``_block_svd`` = (W, s, V^dag) with s >= 0 and W diag(s) V^dag the
+    block, which the norm check (max s against 1 + 1e-10) and
+    ``transformed_block`` read.  ``_defect`` keeps the unitarity defect the
+    check measured.
+
+    Called directly (by callers and ``encoding_from_json``) the constructor
+    measures U^dag U - I densely and takes ``np.linalg.svd`` of the block.
+    The two assemblers, ``_complete`` and ``_average``, know U's structure
+    and hand in what it gives (``_assemble``): the defect, computed from
+    their parts at the same UNITARY_TOL, and for ``_complete`` the block's
+    factors.
     """
 
     unitary: np.ndarray
@@ -172,10 +191,16 @@ class BlockEncoding:
     proj_left: np.ndarray
     alpha: float = 1.0
 
+    @np.errstate(invalid="ignore", over="ignore")  # a NaN defect fails its check
     def __post_init__(self):
+        # what an assembler measured of U's structure (``_assemble``), if any
+        defect, rounding, svd = self.__dict__.pop("_structure", (None, 0.0, None))
+        assembled = defect is not None
         u = _square(self.unitary, NotUnitary)
         _require_dim(len(u))
-        u = require_unitary(u)
+        if not assembled:
+            defect = _gram_defect(u.conj().T @ u)
+        _require_defect(defect + rounding)
         pr = require_projector(self.proj_right)
         pl = require_projector(self.proj_left)
         if pr.shape != u.shape or pl.shape != u.shape:
@@ -183,16 +208,20 @@ class BlockEncoding:
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
         right, left = _frame(pr), _frame(pl)
-        block = _range_block(u, left, right)
-        norm = np.linalg.norm(block, 2) if block.size else 0.0
+        if svd is None:
+            svd = np.linalg.svd(_range_block(u, left, right))
+        norm = float(np.max(svd[1], initial=0.0))
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
-        for name, value in (("unitary", u), ("proj_right", pr), ("proj_left", pl)):
-            value = value.copy()
+        matrices = (u, pr, pl) if assembled else (u.copy(), pr.copy(), pl.copy())
+        for value in matrices + svd:
             value.setflags(write=False)
+        for name, value in zip(("unitary", "proj_right", "proj_left"), matrices):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_frame_right", right)
         object.__setattr__(self, "_frame_left", left)
+        object.__setattr__(self, "_block_svd", tuple(svd))
+        object.__setattr__(self, "_defect", defect)
 
     @property
     def dim(self) -> int:
@@ -211,27 +240,75 @@ def _lift(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _assemble(unitary, proj_right, proj_left, alpha: float, defect: float, *,
+              rounding: float = 0.0, svd=None) -> BlockEncoding:
+    """BlockEncoding(unitary, proj_right, proj_left, alpha) from an assembler
+    that measured U's unitarity defect from its parts, to within ``rounding``
+    of the formed U's, and may hold the block's SVD: the constructor checks
+    defect + rounding at UNITARY_TOL in place of U^dag U - I, reads the norm
+    from the given singular values, and stores the freshly assembled arrays
+    without copying them.  The call runs ``__init__`` as any construction
+    does, so ``__post_init__`` stays the one place fields are checked and
+    set."""
+    enc = object.__new__(BlockEncoding)
+    object.__setattr__(enc, "_structure", (defect, rounding, svd))
+    enc.__init__(unitary, proj_right, proj_left, alpha)
+    return enc
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> BlockEncoding:
     """The reflection completion [[A, R], [R, -A]] of qubitization, with
     |0><0| (x) I on both sides.  For unitary W, V and |s| <= 1, A = W diag(s)
-    V^dag and R = W diag(sqrt(1 - s^2)) V^dag make it exactly unitary."""
+    V^dag and R = W diag(sqrt(1 - s^2)) V^dag make it exactly unitary.
+
+    U^dag U - I is [[A^dag A + R^dag R - I, A^dag R - R^dag A], [R^dag A -
+    A^dag R, A^dag A + R^dag R - I]], so its largest entry, the defect, comes
+    from three n x n products in place of the 2n x 2n Gram matrix.  The
+    block's SVD is (W sign(s), |s|, V^dag): a negative s (an eigenvalue of
+    ``qubitize_hermitian``) folds its sign into W."""
     a = (w * s) @ vh
     root = (w * np.sqrt(1.0 - s**2)) @ vh
+    cross = a.conj().T @ root
+    defect = float(np.max([_gram_defect(a.conj().T @ a + root.conj().T @ root),
+                           np.max(np.abs(cross - cross.conj().T))]))
     pi = _lift(np.eye(len(a)))
-    return BlockEncoding(np.block([[a, root], [root, -a]]), pi, pi, float(alpha))
+    svd = (w * np.copysign(1.0, s), np.abs(s), vh)
+    return _assemble(np.block([[a, root], [root, -a]]), pi, pi, float(alpha), defect, svd=svd)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     """Encoding of the mean of 2^k unitaries: (H^(x)k (x) I) diag(branches)
     (H^(x)k (x) I), Hadamards on k ancillas around their select, with both
     projectors lifted to |0..0><0..0| (x) P.  Branch i sits at ancilla index i
-    (first ancilla most significant); the cap on 2^k N is checked first."""
+    (first ancilla most significant); the cap on 2^k N is checked first.
+
+    U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
+    B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
+    E_i / 2^k: the Walsh-Hadamard transform of the branch Grams, taken by
+    half-sums as U is.  That costs N^3 / 4^k for U of dimension N.
+    U itself is formed by k rounded half-sums an entry, each entry off by at
+    most k u times the mean of its branch entries' magnitudes (u = 2^-53),
+    so its Gram matrix differs from the exact one by at most
+    2^(k/2 + 1) k u (1 + e), e the larger of the branch and average defects,
+    to first order in u; twice that bound is the ``rounding`` checked with
+    the defect."""
     _require_dim(len(branches) * len(branches[0]))
+    k, diag = len(branches).bit_length() - 1, np.arange(len(branches[0]))
+    errors = np.stack([b.conj().T @ b for b in branches])
+    errors[:, diag, diag] -= 1.0
+    branch_defect = float(np.max(np.abs(errors)))
+    for _ in range(k):
+        errors = np.concatenate([0.5 * (errors[::2] + errors[1::2]),
+                                 0.5 * (errors[::2] - errors[1::2])])
+    defect = float(np.max(np.abs(errors)))
+    rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + max(defect, branch_defect))
     while len(branches) > 1:
         halves = [(0.5 * (a + b), 0.5 * (a - b)) for a, b in zip(branches[::2], branches[1::2])]
         branches = [np.block([[mean, diff], [diff, mean]]) for mean, diff in halves]
         proj_right, proj_left = _lift(proj_right), _lift(proj_left)
-    return BlockEncoding(branches[0], proj_right, proj_left, alpha)
+    return _assemble(branches[0], proj_right, proj_left, alpha, defect, rounding=rounding)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:

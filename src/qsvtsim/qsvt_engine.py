@@ -6,13 +6,14 @@ phase rotations.  By Jordan's lemma the product acts on each singular
 pair's invariant space, of dimension 1 or 2, as the 2x2 QSP product at that
 singular value, so what a caller reads of it depends only on the encoded
 block A.  The block and state reads (``transformed_block``, the threshold,
-phase estimation and amplitude amplification) therefore take one SVD of the
-block the caller holds and read the QSP response of ``qsp_core`` at its
-singular values (``_svt``).  ``_full`` is the one dense circuit product: it
-carries all N columns in all N rows of the projector frame, where each
-rotation is a row scaling and each U^dag Phi_L(chi) U one rank-r_L update,
-so that it stays unitary at any degree; it serves the callers that need
-the unitary and is the circuit reference for the block reads.  The
+phase estimation and amplitude amplification) therefore read one SVD of the
+block the caller holds (an encoding stores its block's) and the QSP response
+of ``qsp_core`` at its singular values (``_svt``).  ``_full`` is the one
+dense circuit product: it carries all N columns in all N rows of the
+projector frame, where each rotation is a row scaling and each
+U^dag Phi_L(chi) U one rank-r_L update, so that it stays unitary at any
+degree; it serves the callers that need the unitary and is the circuit
+reference for the block reads.  The
 reflection offsets of ``qsp_core`` map the stored QSP phases onto
 projector phases, so the encoded block of V(phi) is exactly the sequence's
 P polynomial applied to the singular values.  The real part, which is the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_encoding import (BlockEncoding, _average, _into, _inverse, _require_dim, _square,
-                             extract_block, require_hermitian, require_unitary)
+                             require_hermitian, require_unitary)
 from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets,
@@ -141,9 +142,9 @@ def _svt(w: np.ndarray, s: np.ndarray, vh: np.ndarray, phases: np.ndarray) -> np
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
     """Re(P)^(SV) of the encoded block, in the projector-range bases: the
     block of the real-part circuit, 1/2 (V(phi) + V(-phi)) restricted to the
-    ranges of the program's (already validated) encoding, read from one SVD
-    of the block and the QSP response at its singular values."""
-    return _svt(*np.linalg.svd(extract_block(prog.encoding)), prog.phases.as_array())
+    ranges of the program's (already validated) encoding, read from the SVD
+    the encoding stores and the QSP response at its singular values."""
+    return _svt(*prog.encoding._block_svd, prog.phases.as_array())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import functools
 import json
 import time
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from qsvtsim import (
     BlockEncoding,
@@ -32,6 +34,9 @@ from qsvtsim import (
     solve_phases,
 )
 from qsvtsim.block_encoding import (
+    UNITARY_TOL,
+    _average,
+    _complete,
     _coordinate_range,
     _gram_schmidt,
     _shifted_block,
@@ -443,6 +448,73 @@ def test_alpha_must_be_positive_and_finite(alpha):
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(DomainError, match="alpha"):
         BlockEncoding(np.eye(2, dtype=complex), p, p, alpha)
+
+
+def _dense_defect(u):
+    return np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
+
+
+def _hadamard_average(branches):
+    """The literal circuit (H^(x)k (x) I) diag(branches) (H^(x)k (x) I)."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    k = len(branches).bit_length() - 1
+    outer = functools.reduce(np.kron, [hadamard] * k + [np.eye(len(branches[0]))])
+    return outer @ block_diag(*branches) @ outer
+
+
+class TestStructuredDefects:
+    """The assemblers check U from its parts, and a corrupted part still
+    fails UNITARY_TOL."""
+
+    def test_a_scaled_factor_of_the_completion_raises(self, rng):
+        w, s, vh = np.linalg.svd(random_hermitian(rng, 5) @ _random_unitary(rng, 5))
+        _complete(w, s, vh, 1.0)
+        with pytest.raises(NotUnitary, match="exceeds 1.0e-12"):
+            _complete(w * (1 + 1e-11), s, vh, 1.0)
+
+    def test_a_nan_factor_of_the_completion_raises(self, rng):
+        w, s, vh = np.linalg.svd(random_hermitian(rng, 3))
+        w[1, 2] = np.nan
+        with pytest.raises(NotUnitary, match="defect nan"):
+            _complete(w, s, vh, 1.0)
+
+    def test_a_scaled_branch_of_the_average_raises(self, rng):
+        branches = [_random_unitary(rng, 4) for _ in range(4)]
+        eye = np.eye(4)
+        _average(branches, eye, eye, 1.0)
+        branches[2] = branches[2] * (1 + 3e-12)  # defect 6e-12, averaged to 1.5e-12
+        assert _dense_defect(_hadamard_average(branches)) > UNITARY_TOL
+        with pytest.raises(NotUnitary, match="exceeds 1.0e-12"):
+            _average(branches, eye, eye, 1.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5, 1.9, 2.1, 2.5])
+    def test_an_average_with_i_keeps_the_dense_verdict(self, rng, scale):
+        # the power's defect in units of UNITARY_TOL; the average halves it
+        q = _random_unitary(rng, 4)
+        p = (q * np.exp(2j * np.pi * rng.random(4))) @ q.conj().T
+        p *= np.sqrt(1 + scale * UNITARY_TOL)
+        eye = np.eye(4)
+        dense = _dense_defect(_hadamard_average([eye, p])) <= UNITARY_TOL
+        assert dense == (scale < 2)
+        if dense:
+            enc = _average([eye, p], eye, eye, 1.0)
+            assert abs(enc._defect - _dense_defect(enc.unitary)) <= 1e-15
+        else:
+            with pytest.raises(NotUnitary):
+                _average([eye, p], eye, eye, 1.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5, 1.9])
+    def test_phase_oracle_accepts_a_power_within_its_squaring_bound(self, rng, scale):
+        # U^2 of a u with defect scale/2 UNITARY_TOL has about twice it, up to
+        # the 2 UNITARY_TOL ``_squarings`` allows; its average with I passes
+        # as the dense check of the same unitary does
+        q = _random_unitary(rng, 4)
+        u = (q * np.exp(2j * np.pi * rng.random(4))) @ q.conj().T
+        u *= (1 + scale * UNITARY_TOL) ** 0.25
+        assert _dense_defect(u @ u) == pytest.approx(scale * UNITARY_TOL, rel=1e-2, abs=0.0)
+        enc = phase_oracle_block(u, 1, 0.3)
+        assert _dense_defect(enc.unitary) <= UNITARY_TOL
+        assert abs(enc._defect - _dense_defect(enc.unitary)) <= 1e-15
 
 
 def test_hamiltonian_simulation_at_the_cap_is_fast(rng):

@@ -1,6 +1,7 @@
 """Property tests: the Hadamard average against its literal circuit, the
-float writer against json.dumps, and the encoding codec against every
-constructor's output, on seeded inputs."""
+float writer against json.dumps, and the encoding codec and the stored
+structure (unitarity defect, block SVD) against every constructor's output,
+on seeded inputs."""
 
 import functools
 import json
@@ -105,6 +106,23 @@ def test_encoding_json_roundtrip_is_bit_exact(name, seed, n, real):
         assert getattr(again, key).tobytes() == getattr(enc, key).tobytes()
     assert again.alpha == enc.alpha
     assert encoding_to_json(again) == text
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(CONSTRUCTORS)), seed=SEEDS, n=st.integers(1, 4),
+       real=st.booleans())
+def test_stored_structure_matches_the_dense_checks(name, seed, n, real):
+    enc = CONSTRUCTORS[name](np.random.default_rng(seed), n, real)
+    u = enc.unitary
+    assert u.dtype == complex
+    assert abs(enc._defect - np.max(np.abs(u.conj().T @ u - np.eye(len(u))))) <= 1e-15
+    w, s, vh = enc._block_svd
+    assert np.all(s >= 0.0)
+    block = extract_block(enc)
+    assert np.max(np.abs((w[:, : len(s)] * s) @ vh[: len(s)] - block), initial=0.0) <= 1e-13
+    stored = [u, enc.proj_right, enc.proj_left, *enc._block_svd,
+              enc._frame_right[1], enc._frame_left[1]]
+    assert not any(array.flags.writeable for array in stored)
 
 
 # signed zeros, the smallest subnormal, both sides of repr's switches to

@@ -525,6 +525,23 @@ class TestEigenOracle:
         block = transformed_block(QsvtProgram(qubitize_hermitian(h, 1.0), seq))
         assert np.max(np.abs(block - eigen_oracle(h, odd))) < 1e-8
 
+    @pytest.mark.parametrize("degree", [7, 8], ids=["odd", "even"])
+    def test_indefinite_hamiltonian_at_odd_and_even_degree(self, rng, degree):
+        # the stored SVD folds each eigenvalue's sign into W, so the transform
+        # reads f(lambda) on both sides of 0 at either parity
+        q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        lam = np.array([-0.9, -0.6, -0.2, 0.1, 0.5, 0.8])
+        h = (q * lam) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        poly = random_parity_poly(rng, degree)
+        seq = solve_phases(poly, SolverOptions(residual_tol=1e-9))
+        block = transformed_block(QsvtProgram(qubitize_hermitian(h, 1.0), seq))
+        assert np.max(np.abs(block - eigen_oracle(h, poly))) < 1e-8
+        # the phases' own response at |lambda|, odd in lambda at odd degree
+        lam, q = np.linalg.eigh(h)
+        f = response_many(seq, np.abs(lam)).real * np.sign(lam) ** (degree % 2)
+        assert np.max(np.abs(block - (q * f) @ q.conj().T)) <= 1e-12
+
     def test_positive_definite_special_case(self, rng):
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         h = (q * np.linspace(0.1, 0.9, 4)) @ q.T
@@ -552,6 +569,41 @@ class TestEigenOracle:
     def test_svd_oracle_requires_parity(self):
         with pytest.raises(DomainError):
             svd_oracle(np.eye(2), ChebyshevPoly([0.5, 0.5], Parity.NONE))
+
+
+class TestStoredBlockSvd:
+    """An encoding takes its block's SVD once, when it is built, and
+    ``transformed_block`` reads it."""
+
+    @staticmethod
+    def _count_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_one_svd_per_embed_and_transform(self, rng, monkeypatch):
+        a = random_contraction(rng, 16)
+        seq = solve_phases(sign_poly(0.1, 0.4))
+        calls = self._count_svds(monkeypatch)
+        enc = embed_general(a, 1.0)
+        assert calls == [(16, 16)]  # embed_general's own, of A
+        transformed_block(QsvtProgram(enc, seq))
+        assert calls == [(16, 16)]
+
+    def test_a_read_encoding_takes_its_one_svd_when_built(self, rng, monkeypatch):
+        text = encoding_to_json(embed_general(random_contraction(rng, 16), 1.0))
+        seq = solve_phases(sign_poly(0.1, 0.4))
+        calls = self._count_svds(monkeypatch)
+        enc = encoding_from_json(text)
+        assert calls == [(16, 16)]  # the constructor's, of the range block
+        transformed_block(QsvtProgram(enc, seq))
+        assert calls == [(16, 16)]
 
 
 class TestGlobalPhaseFixedness:
