@@ -10,6 +10,10 @@ Every composite encoding comes from one of two builders: ``_complete`` or
 ``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian`` encodes,
 ``_shifted_block`` the block of a Hadamard average with I, and
 ``_squarings`` the powers U^(2^j).
+
+Matrices and encodings serialize to JSON through one writer that yields the
+text in pieces of a bounded number of list entries (``_encoding_chunks``):
+``encoding_to_json`` joins them, and the CLI streams them to a file.
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ class BlockEncoding:
     which every constructor here makes) are checked exactly in O(N^2), any
     other densely.  It derives each projector's frame once (``_frame``) and
     takes the block's SVD once, and stores them read-only: ``_frame_right``
-    and ``_frame_left``, which ``extract_block`` and the QSVT engine read,
+    and ``_frame_left``, which ``extract_block`` and the QSVT engine read
+    (one projector object passed on both sides is checked and framed once,
+    and stays one object, with one frame),
     and ``_block_svd`` = (W, s, V^dag) with s >= 0 and W diag(s) V^dag the
     block, which the norm check (max s against 1 + 1e-10) and
     ``transformed_block`` read.  ``_defect`` keeps the unitarity defect the
@@ -201,19 +207,25 @@ class BlockEncoding:
         if not assembled:
             defect = _gram_defect(u.conj().T @ u)
         _require_defect(defect + rounding)
+        # one projector object on both sides is checked, framed and stored once
+        shared = self.proj_left is self.proj_right
         pr = require_projector(self.proj_right)
-        pl = require_projector(self.proj_left)
+        pl = pr if shared else require_projector(self.proj_left)
         if pr.shape != u.shape or pl.shape != u.shape:
             raise DomainError("projectors must match the unitary dimension")
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
-        right, left = _frame(pr), _frame(pl)
+        right = _frame(pr)
+        left = right if shared else _frame(pl)
         if svd is None:
             svd = np.linalg.svd(_range_block(u, left, right))
         norm = float(np.max(svd[1], initial=0.0))
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
-        matrices = (u, pr, pl) if assembled else (u.copy(), pr.copy(), pl.copy())
+        if not assembled:
+            u, pr = u.copy(), pr.copy()
+            pl = pr if shared else pl.copy()
+        matrices = (u, pr, pl)
         for value in matrices + svd:
             value.setflags(write=False)
         for name, value in zip(("unitary", "proj_right", "proj_left"), matrices):
@@ -281,7 +293,8 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> Blo
 def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     """Encoding of the mean of 2^k unitaries: (H^(x)k (x) I) diag(branches)
     (H^(x)k (x) I), Hadamards on k ancillas around their select, with both
-    projectors lifted to |0..0><0..0| (x) P.  Branch i sits at ancilla index i
+    projectors lifted to |0..0><0..0| (x) P (one lift when both sides pass the
+    same projector object).  Branch i sits at ancilla index i
     (first ancilla most significant); the cap on 2^k N is checked first.
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
@@ -307,7 +320,9 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     while len(branches) > 1:
         halves = [(0.5 * (a + b), 0.5 * (a - b)) for a, b in zip(branches[::2], branches[1::2])]
         branches = [np.block([[mean, diff], [diff, mean]]) for mean, diff in halves]
-        proj_right, proj_left = _lift(proj_right), _lift(proj_left)
+        shared = proj_left is proj_right
+        proj_right = _lift(proj_right)
+        proj_left = proj_right if shared else _lift(proj_left)
     return _assemble(branches[0], proj_right, proj_left, alpha, defect, rounding=rounding)
 
 
@@ -424,12 +439,14 @@ def projector_phase(proj: np.ndarray, phi: float) -> np.ndarray:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+_SLICE = 2**15  # list entries joined into one written piece
 
 
-def _float_list(x: np.ndarray) -> str:
-    """The text ``json.dumps(x.tolist())`` writes for a float vector, with one
-    ``float.__repr__`` per distinct bit pattern (so -0.0 and 0.0 stay apart):
-    the encodings repeat few values many times, and a 0/1 projector has two."""
+def _float_chunks(x: np.ndarray):
+    """Yields the text ``json.dumps(x.tolist())`` writes for a float vector,
+    in pieces of at most _SLICE entries, with one ``float.__repr__`` per
+    distinct bit pattern (so -0.0 and 0.0 stay apart): the encodings repeat
+    few values many times, and a 0/1 projector has two."""
     bits, inverse = np.unique(
         np.ascontiguousarray(x, dtype=float).view(np.uint64), return_inverse=True
     )
@@ -437,17 +454,28 @@ def _float_list(x: np.ndarray) -> str:
     words = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         words[i] = _NONFINITE[words[i]]
-    return "[" + ", ".join(np.array(words, dtype=object)[inverse].tolist()) + "]"
+    words = np.array(words, dtype=object)
+    yield "["
+    for start in range(0, len(inverse), _SLICE):
+        if start:
+            yield ", "
+        yield ", ".join(words[inverse[start : start + _SLICE]].tolist())
+    yield "]"
+
+
+def _matrix_chunks(m: np.ndarray):
+    m = np.asarray(m, dtype=complex)
+    yield f'{{"cols": {m.shape[1]}, "im": '
+    yield from _float_chunks(m.imag.ravel())
+    yield ', "re": '
+    yield from _float_chunks(m.real.ravel())
+    yield f', "rows": {m.shape[0]}}}'
 
 
 def matrix_to_json(m: np.ndarray) -> str:
     """JSON object of a matrix: shape and row-major real and imaginary parts,
     keys sorted as ``json.dumps(..., sort_keys=True)`` writes them."""
-    m = np.asarray(m, dtype=complex)
-    return (
-        f'{{"cols": {m.shape[1]}, "im": {_float_list(m.imag.ravel())}, '
-        f'"re": {_float_list(m.real.ravel())}, "rows": {m.shape[0]}}}'
-    )
+    return "".join(_matrix_chunks(m))
 
 
 def _matrix_from_payload(payload, what: str) -> np.ndarray:
@@ -466,11 +494,21 @@ def matrix_from_json(text: str) -> np.ndarray:
 _ENCODING_MATRICES = ("unitary", "proj_right", "proj_left")
 
 
+def _encoding_chunks(be: BlockEncoding):
+    """Yields ``encoding_to_json(be)`` in pieces of at most _SLICE list
+    entries, for a writer that never holds the whole text."""
+    yield f'{{"alpha": {json.dumps(be.alpha)}'
+    for key in sorted(_ENCODING_MATRICES):
+        yield f', "{key}": '
+        yield from _matrix_chunks(getattr(be, key))
+    yield "}"
+
+
 def encoding_to_json(be: BlockEncoding) -> str:
-    matrices = ", ".join(
-        f'"{key}": {matrix_to_json(getattr(be, key))}' for key in sorted(_ENCODING_MATRICES)
-    )
-    return f'{{"alpha": {json.dumps(be.alpha)}, {matrices}}}'
+    """JSON object of an encoding: alpha and its three matrices in the form
+    of ``matrix_to_json``, keys sorted; the joined pieces of
+    ``_encoding_chunks``, which the CLI writes to a file one by one."""
+    return "".join(_encoding_chunks(be))
 
 
 def encoding_from_json(text: str) -> BlockEncoding:

@@ -2,13 +2,15 @@
 
 Output files are byte-deterministic for a fixed invocation and seed: JSON is
 emitted with sorted keys, CSV uses 17 significant digits with LF endings,
-and the SVG emitter depends only on its input curve.
+and the SVG emitter depends only on its input curve.  Encoding files are
+written piece by piece as the codec yields them, never held whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,8 +29,8 @@ from .algorithms import (
     qsvt_search,
 )
 from .block_encoding import (
+    _encoding_chunks,
     encoding_from_json,
-    encoding_to_json,
     matrix_from_json,
     matrix_to_json,
 )
@@ -52,9 +54,10 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, pieces):
+    """Writes an iterable of strings, one after another, to the output path."""
     with open(_out_path(path), "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def _fmt(x: float) -> str:
@@ -140,7 +143,7 @@ def _load_matrix(path: str) -> np.ndarray:
 def _emit_record(record, out: str | None):
     text = record.to_json()
     if out:
-        _write_text(out, text + "\n")
+        _write_text(out, (text, "\n"))
     print(text)
 
 
@@ -150,7 +153,7 @@ def _cmd_phases(args) -> int:
     seq = families.family_phases(args.family, kv, options)
     text = phase_sequence_to_json(seq)
     if args.json:
-        _write_text(args.json, text + "\n")
+        _write_text(args.json, (text, "\n"))
     print(text)
     if args.emit_response:
         curve = response_curve(seq, _grid(args.npts))
@@ -163,13 +166,13 @@ def _cmd_poly(args) -> int:
     poly = families.family_target(args.family, kv)
     text = poly_to_json(poly)
     if args.json:
-        _write_text(args.json, text + "\n")
+        _write_text(args.json, (text, "\n"))
     print(text)
     if args.csv:
         grid = _grid(args.npts)
         vals = poly(grid)
         lines = ["a,value"] + [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(grid, vals)]
-        _write_text(args.csv, "\n".join(lines) + "\n")
+        _write_text(args.csv, ("\n".join(lines), "\n"))
     return 0
 
 
@@ -178,10 +181,10 @@ def _cmd_response(args) -> int:
         seq = phase_sequence_from_json(fh.read())
     curve = response_curve(seq, _grid(args.npts))
     if args.csv:
-        _write_text(args.csv, curve_csv(curve))
+        _write_text(args.csv, (curve_csv(curve),))
     if args.svg:
         channels = tuple(args.channels.split(","))
-        _write_text(args.svg, emit_svg(curve, channels))
+        _write_text(args.svg, (emit_svg(curve, channels),))
     if not args.csv and not args.svg:
         print(curve_csv(curve), end="")
     return 0
@@ -195,7 +198,7 @@ def _cmd_qsvt(args) -> int:
     block = transformed_block(QsvtProgram(encoding, seq))
     text = matrix_to_json(block)
     if args.emit:
-        _write_text(args.emit, text + "\n")
+        _write_text(args.emit, (text, "\n"))
     print(text)
     return 0
 
@@ -268,7 +271,7 @@ def _cmd_hamsim(args) -> int:
         )
     )
     if args.emit:
-        _write_text(args.emit, encoding_to_json(enc) + "\n")
+        _write_text(args.emit, itertools.chain(_encoding_chunks(enc), ("\n",)))
     return 0
 
 
@@ -277,7 +280,7 @@ def _cmd_invert(args) -> int:
     enc = matrix_inversion(a, args.kappa, args.epsilon)
     print(json.dumps({"alpha": enc.alpha, "dim": enc.dim}, sort_keys=True))
     if args.emit:
-        _write_text(args.emit, encoding_to_json(enc) + "\n")
+        _write_text(args.emit, itertools.chain(_encoding_chunks(enc), ("\n",)))
     return 0
 
 

@@ -23,3 +23,18 @@ def family_solutions():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture(scope="session")
+def first_difference():
+    """Index of the first item where two long texts differ, None if they are
+    equal: a failed comparison reports it at once, where pytest's own diff of
+    one long line takes minutes."""
+
+    def get(got, want):
+        if got == want:
+            return None
+        return next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+
+    return get

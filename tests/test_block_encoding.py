@@ -376,6 +376,25 @@ def test_codec_bytes_match_the_reference_form_for_every_constructor(name, rng):
     assert matrix_to_json(be.unitary) == _reference_matrix_json(be.unitary)
 
 
+@pytest.mark.parametrize("name", ["hamiltonian_simulation", "matrix_inversion",
+                                  "real_part_encoding"])
+def test_a_shared_projector_is_lifted_and_framed_once(name, rng):
+    # _complete passes one projector for both sides, and the averages keep it one
+    be = SEEDED_ENCODINGS[name](rng)
+    assert be.proj_left is be.proj_right
+    assert be._frame_left is be._frame_right
+
+
+def test_a_projector_passed_on_both_sides_is_stored_once():
+    p = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+    be = BlockEncoding(np.eye(4), p, p)
+    assert be.proj_left is be.proj_right and be.proj_right is not p
+    assert be._frame_left is be._frame_right
+    apart = BlockEncoding(np.eye(4), p, p.copy())
+    assert apart.proj_left is not apart.proj_right
+    assert np.array_equal(apart._frame_left[1], be._frame_left[1])
+
+
 def test_codec_bytes_of_an_encoding_read_with_a_dense_projector(rng):
     # a rank-1 projector off the coordinate axes, read back with a dense frame
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from qsvtsim import (
     matrix_to_json,
     phase_sequence_from_json,
 )
-from qsvtsim.cli import build_parser, curve_csv, emit_svg, main
+from qsvtsim.block_encoding import _encoding_chunks
+from qsvtsim.cli import _write_text, build_parser, curve_csv, emit_svg, main
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +166,48 @@ def test_hamsim_and_invert_commands(capsys, tmp_path):
                            "--epsilon", "0.05", "--emit", str(enc_file))
     assert code == 0
     assert json.loads(out.splitlines()[0])["alpha"] == 4.0
+
+
+@pytest.fixture(scope="module")
+def hamsim_n32():
+    """A Hermitian 32x32 matrix and its evolution encoding (dim 256): the
+    unitary's lists hold 2^16 entries, two written pieces each."""
+    s = np.random.default_rng(32).standard_normal((2, 32, 32))
+    g = s[0] + 1j * s[1]
+    h = (g + g.conj().T) / 2
+    h *= 0.9 / np.linalg.norm(h, 2)
+    return h, algorithms.hamiltonian_simulation(h, 1.0, 2.0, 0.01)
+
+
+def test_emitted_encodings_are_the_codec_bytes(capsys, tmp_path, hamsim_n32, first_difference):
+    h, enc = hamsim_n32
+    h_file, evo = tmp_path / "h.json", tmp_path / "evo.json"
+    h_file.write_text(matrix_to_json(h))
+    code, _, _ = run_cli(capsys, "hamsim", "--matrix", str(h_file), "--alpha", "1",
+                         "--t", "2", "--epsilon", "0.01", "--emit", str(evo))
+    assert code == 0
+    assert first_difference(evo.read_bytes(), (encoding_to_json(enc) + "\n").encode()) is None
+
+    a = np.array([[0.8, 0.3, 0.0], [0.0, 0.6, 0.1j], [0.2, 0.0, 0.7]])
+    a_file, inv = tmp_path / "a.json", tmp_path / "inv.json"
+    a_file.write_text(matrix_to_json(a))
+    code, _, _ = run_cli(capsys, "invert", "--matrix", str(a_file), "--kappa", "4",
+                         "--epsilon", "0.05", "--emit", str(inv))
+    assert code == 0
+    expected = encoding_to_json(algorithms.matrix_inversion(a, 4.0, 0.05)) + "\n"
+    assert first_difference(inv.read_bytes(), expected.encode()) is None
+
+
+def test_writing_an_encoding_holds_less_than_its_file(tmp_path, hamsim_n32):
+    _, enc = hamsim_n32
+    path = tmp_path / "evo.json"
+    tracemalloc.start()
+    try:
+        _write_text(str(path), itertools.chain(_encoding_chunks(enc), ("\n",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_bad_threshold_state_and_invert_matrix_exit_1(capsys, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import functools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
@@ -27,7 +28,7 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.block_encoding import _average, _float_list
+from qsvtsim.block_encoding import _SLICE, _average, _float_chunks
 
 # fixed examples (derandomize) and no example database, so runs replay
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -132,6 +133,10 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.000000000
                float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.5]
 
 
+def _float_list(x):
+    return "".join(_float_chunks(x))
+
+
 @SETTINGS
 @given(drawn=st.lists(st.floats(), max_size=8), seed=SEEDS, size=st.integers(0, 300))
 def test_float_list_writes_the_bytes_of_json_dumps(drawn, seed, size):
@@ -141,3 +146,12 @@ def test_float_list_writes_the_bytes_of_json_dumps(drawn, seed, size):
     x = rng.permutation(np.concatenate([pool, pool[rng.integers(0, len(pool), size)]]))
     assert _float_list(x) == json.dumps(x.tolist())
     assert _float_list(x[:0]) == "[]"
+
+
+@pytest.mark.parametrize("length", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+def test_float_list_writes_the_bytes_of_json_dumps_across_slices(length, first_difference):
+    # lists that end just before, at and just after a piece boundary
+    x = np.resize(np.array(EDGE_FLOATS), length)
+    pieces = list(_float_chunks(x))
+    assert first_difference("".join(pieces), json.dumps(x.tolist())) is None
+    assert len(pieces) == 2 * -(-length // _SLICE) + 1  # "[", slices and seams, "]"
