@@ -4,7 +4,8 @@ Each run is seeded and replayable; exact mode replaces measurement sampling
 with decisions taken from exactly computed outcome probabilities, which
 the deterministic correctness tests exercise.  Blocks are produced
 by the honest engine circuits (phase products, plus the real-part ancilla
-where a full unitary is used), never by the verification oracles.
+where a full unitary is used), or read as the QSP response in the block's
+eigenframe (threshold, phase estimation), never by the verification oracles.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .block_encoding import (
     _average,
     _require_dim,
     _scaled_eigh,
-    _shifted_block,
     _square,
-    _squarings,
     embed_general,
     grover_signal,
     qubitize_hermitian,
@@ -48,8 +47,8 @@ from .poly_approx import (
     sign_poly,
     solve_truncation,
 )
-from .qsp_core import PhaseSequence
-from .qsvt_engine import QsvtProgram, _conjugate_pair, _svt, real_part_encoding
+from .qsp_core import PhaseSequence, response_many
+from .qsvt_engine import QsvtProgram, _conjugate_pair, real_part_encoding
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -206,6 +205,14 @@ def _unit_state(psi, name: str, dim: int) -> np.ndarray:
     return psi / norm
 
 
+def _hadamard_test(f: np.ndarray, y: np.ndarray):
+    """(p1, b1, b0) of the Hadamard test of a transform diag(f) on the unit
+    state y in its eigenframe: p1 = 1/2 |(1 + f) y|^2 / (1 + |f y|^2)."""
+    b1, b0 = 0.5 * (y + f * y), 0.5 * (y - f * y)
+    w1, w0 = float(np.linalg.norm(b1) ** 2), float(np.linalg.norm(b0) ** 2)
+    return w1 / (w0 + w1), b1, b0
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue threshold decision
 
@@ -244,8 +251,8 @@ def eigenvalue_threshold(
     width = delta_lambda / alpha
     phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
     # the shifted block (I + H / alpha) / 2 = Q diag((1 + lam) / 2) Q^dag
-    u = _svt(evecs, 0.5 * (1.0 + lam), evecs.conj().T, phases.as_array()) @ psi
-    p0 = 0.5 * float(np.linalg.norm(psi + u) ** 2) / (1.0 + float(np.linalg.norm(u) ** 2))
+    f = response_many(phases, 0.5 * (1.0 + lam)).real
+    p0 = _hadamard_test(f, evecs.conj().T @ psi)[0]
 
     low_mean = zeta**2 * (1.0 - epsilon)
     high_mean = 0.5 * epsilon**2
@@ -293,31 +300,50 @@ def bernoulli_sample_count(a_mean: float, b_mean: float, delta: float) -> int:
 # may present as 0.00...0 instead of 1.00...0 (the two differ only by the
 # mod-1 bookkeeping of the estimate)
 CARRY_RESOLUTION = Fraction(1, 256)
+# the most bits a run takes: past 53, 2^j phi mod 1 keeps no bit of a double
+# eigenphase phi in [1/2, 1) (and 2.0**j overflows past j = 1023)
+PE_BIT_CAP = np.finfo(float).nmant + 1
 
 
-def _voted_measure(state, power, theta: Fraction, phases, rng, exact, votes):
-    """Majority of repeated controlled-block measurements of the step
-    transform (canonical ``phases``) of (I + exp(-2 pi i theta) power) / 2;
-    sensible for eigenvector inputs, where each repetition is independent of
-    the collapse history.  Returns (bit, ones, the last p1, collapsed state)."""
-    block = _shifted_block(np.exp(-2j * np.pi * (float(theta) % 2.0)) * power)
-    transform = _svt(*np.linalg.svd(block), phases)
+def _eigenframe(u: np.ndarray):
+    """(Q, phi) of a unitary u = Q diag(exp(2 pi i phi)) Q^dag, phi in [0, 1).
+    +-arccos of the eigenvalues of (u + u^dag) / 2 hold every eigenphase, so
+    -1 turned into the middle of their widest gap keeps I + V invertible;
+    ``eigh`` of the Cayley transform i (I + V)^-1 (I - V) gives Q, orthonormal
+    also on a degenerate spectrum (``np.linalg.eig`` is not).  phi comes from
+    the Rayleigh quotients q^dag u q, which carry u's rounding alone."""
+    angles = np.arccos(np.clip(np.linalg.eigvalsh(0.5 * (u + u.conj().T)), -1.0, 1.0))
+    points = np.sort(np.concatenate([angles, 2.0 * np.pi - angles]))
+    gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    v, eye = np.exp(1j * (np.pi - points[k] - 0.5 * gaps[k])) * u, np.eye(len(u))
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    q = np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+    phi = (np.angle(np.einsum("ij,ij->j", q.conj(), u @ q)) / (2.0 * np.pi)) % 1.0
+    return q, np.where(phi < 1.0, phi, 0.0)  # a rounded -0 turn lands on 1.0
+
+
+def _voted_measure(y, phi, j: int, theta: Fraction, phases, rng, exact, votes):
+    """Majority of repeated measurements of the step transform (canonical
+    ``phases``) of the normal block (I + exp(-2 pi i theta) U^(2^j)) / 2: in
+    U's eigenframe, on y, it is f = Re P at |cos(pi (2^j phi - theta))|.
+    Sensible for eigenvector inputs, where each repetition is independent of
+    the collapse history.  Returns (bit, ones, the last p1, collapsed y)."""
+    turns = np.ldexp(phi, j) % 1.0  # 2^j phi mod 1: U^(2^j) cannot drift
+    f = response_many(phases, np.abs(np.cos(np.pi * (turns - float(theta))))).real
     ones = 0
     for _ in range(votes):
-        out = transform @ state
-        b1, b0 = 0.5 * (state + out), 0.5 * (state - out)
-        w1, w0 = float(np.linalg.norm(b1) ** 2), float(np.linalg.norm(b0) ** 2)
-        p1 = w1 / (w0 + w1)
+        p1, b1, b0 = _hadamard_test(f, y)
         bit = int(p1 >= 0.5) if exact else int(rng.random() < p1)
         branch = b1 if bit else b0
-        state = branch / np.linalg.norm(branch)
+        y = branch / np.linalg.norm(branch)
         ones += bit
-    return int(2 * ones > votes), ones, p1, state
+    return int(2 * ones > votes), ones, p1, y
 
 
 def _run_phase_estimation(
-    u: np.ndarray,
-    state: np.ndarray,
+    phi: np.ndarray,
+    y0: np.ndarray,
     n: int,
     phases: PhaseSequence,
     rng,
@@ -327,8 +353,8 @@ def _run_phase_estimation(
     escalate_ambiguous: bool = False,
     _escalations: int = 0,
 ):
-    """Bit-by-bit loop of the step polynomial's ``phases`` on u; returns
-    (estimate, trace, queries, state).
+    """Bit-by-bit loop of the step polynomial's ``phases`` on the state's
+    coordinates y0 in U's ``_eigenframe``; returns (estimate, trace, queries).
 
     After the n fractional bits, the ones place records whether the nearest
     n-bit value was reached by rounding up through 1.0.  That carry is only
@@ -342,22 +368,21 @@ def _run_phase_estimation(
     measurement and takes the majority, tolerating per-shot error rates up
     to O(1); ``escalate_ambiguous`` restarts one iteration deeper when the
     first (and only transition-vulnerable) bit's votes come out ambiguous,
-    then rounds the deeper estimate back to n bits.
+    at most three times and within PE_BIT_CAP bits, then rounds the deeper
+    estimate back to n bits.
     """
-    degree, angles = phases.degree, phases.as_array()
-    powers = list(_squarings(u, n - 1))  # powers[j] = U^(2^j)
+    degree = phases.degree
     theta = Fraction(0)
     bits_rev = []  # theta_1..theta_n as collected, most significant last
     trace = []
     queries = 0
-    initial_state = state
+    y = y0
     for step, j in enumerate(range(n - 1, -1, -1)):
         theta = theta / 2
         err = 0.0 if phase_errors is None else float(phase_errors[step])
         theta_eff = theta - Fraction(err).limit_denominator(1 << 40) if err else theta
-        bit, ones, p1, state = _voted_measure(
-            state, powers[j], theta_eff, angles, rng, exact, majority_votes
-        )
+        bit, ones, p1, y = _voted_measure(y, phi, j, theta_eff, phases, rng, exact,
+                                          majority_votes)
         queries += degree * majority_votes
         trace.append({"j": j, "theta": float(theta), "p1": p1, "bit": bit,
                       "votes": ones})
@@ -366,35 +391,33 @@ def _run_phase_estimation(
             and step == 0
             and majority_votes >= 3
             and _escalations < 3
+            and n < PE_BIT_CAP
             and abs(ones / majority_votes - 0.5) <= 0.25
         ):
             # ambiguous leading bit: the transform sits near its transition;
-            # restart one iteration deeper and round back to n bits
-            est, deep_trace, deep_q, state = _run_phase_estimation(
-                u, initial_state, n + 1, phases, rng, exact, None,
+            # restart one iteration deeper and round back to n bits, mod 2
+            est, deep_trace, deep_q = _run_phase_estimation(
+                phi, y0, n + 1, phases, rng, exact, None,
                 majority_votes, escalate_ambiguous, _escalations + 1,
             )
-            rounded = (round(est.value * 2**n) / 2**n) % 2.0
-            whole = int(rounded)
-            frac = int(round((rounded - whole) * 2**n))
-            bits = (whole,) + tuple((frac >> (n - 1 - i)) & 1 for i in range(n))
+            k = round(est.value * 2**n) % 2 ** (n + 1)
             trace.append({"escalated_to": n + 1})
             trace.extend(deep_trace)
-            return PhaseEstimate(bits, n), trace, queries + deep_q, state
+            bits = tuple((k >> (n - i)) & 1 for i in range(n + 1))
+            return PhaseEstimate(bits, n), trace, queries + deep_q
         theta = Fraction(bit, 2) + theta
         bits_rev.append(bit)
 
     ones_bit = 0
     if not any(bits_rev):
         probe = Fraction(1, 4) - CARRY_RESOLUTION  # theta is exactly 0 here
-        ones_bit, _, p1, state = _voted_measure(
-            state, powers[n - 1], probe, angles, rng, exact, majority_votes
-        )
+        ones_bit, _, p1, _ = _voted_measure(y, phi, n - 1, probe, phases, rng, exact,
+                                            majority_votes)
         queries += degree * majority_votes
         trace.append({"j": n - 1, "theta": float(probe), "p1": p1, "bit": ones_bit,
                       "ones_place": True})
     theta_bits = (ones_bit,) + tuple(reversed(bits_rev))
-    return PhaseEstimate(theta_bits, n), trace, queries, state
+    return PhaseEstimate(theta_bits, n), trace, queries
 
 
 def qsvt_phase_estimation(
@@ -433,16 +456,18 @@ def phase_estimation_record(
     _require_dim(2 * len(u), "2n")  # checked before any work: each controlled block is 2n
     u = require_unitary(u)
     state = _unit_state(eigvec, "eigvec", len(u))
-    if n < 1:
-        raise DomainError("need at least one bit")
+    if not 1 <= n <= PE_BIT_CAP:  # checked before any solve or decomposition
+        raise DomainError(f"{n} bits: phase estimation takes 1 to the bit cap {PE_BIT_CAP}")
     if majority_votes < 1 or majority_votes % 2 == 0:
         raise DomainError("majority_votes must be a positive odd count")
     if majority_votes == 1 and epsilon > math.sqrt(2.0 / (n + 1)) + 1e-12:
         raise DomainError("epsilon too large for the per-iteration union bound")
     phases = _phases(phase_estimation_poly, epsilon, big_delta)
+    q, phi = _eigenframe(u)
     rng = np.random.default_rng(seed)
-    estimate, trace, queries, _ = _run_phase_estimation(
-        u, state, n, phases, rng, exact, phase_errors, majority_votes, escalate_ambiguous,
+    estimate, trace, queries = _run_phase_estimation(
+        phi, q.conj().T @ state, n, phases, rng, exact, phase_errors, majority_votes,
+        escalate_ambiguous,
     )
     params = {
         "n": n,
@@ -516,17 +541,16 @@ def order_finding_demo(
     n = int(math.ceil(2 * math.log2(n_mod))) + 1
     epsilon = pe_epsilon_for(delta, n)
     phases = _phases(phase_estimation_poly, epsilon, 0.2)
-    u = _modmul_unitary(x, n_mod)
+    q, phi = _eigenframe(_modmul_unitary(x, n_mod))  # one frame for every attempt
+    y0 = q[1 % n_mod].conj()  # the coordinates Q^dag |1> of the start state
     rng = np.random.default_rng(seed)
-    state0 = np.zeros(n_mod, dtype=complex)
-    state0[1 % n_mod] = 1.0
     shots = []
     queries = 0
     trace = []
     params = {"x": x, "modulus": n_mod, "n": n, "delta": delta, "epsilon": epsilon}
     for attempt in range(retries):
-        estimate, tr, q, _ = _run_phase_estimation(u, state0, n, phases, rng, exact=False)
-        queries += q
+        estimate, tr, q_run = _run_phase_estimation(phi, y0, n, phases, rng, exact=False)
+        queries += q_run
         shots.append([t["bit"] for t in tr])
         trace.extend(tr)
         theta = estimate.value % 1.0

@@ -6,10 +6,9 @@ restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
 decompositions, and build the phase-oracle and Grover-signal encodings.
 Every composite encoding comes from one of two builders: ``_complete`` or
-``_average``.  Callers that read only a block build no encoding:
-``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian`` encodes,
-``_shifted_block`` the block of a Hadamard average with I, and
-``_squarings`` the powers U^(2^j).
+``_average``.  A caller that reads only a Hermitian block builds no
+encoding: ``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian``
+encodes.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
@@ -382,35 +381,19 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
     """Encoding of (I + exp(-2*pi*i*theta) U^(2^j)) / 2, the Hadamard average
-    of I and the phased power, formed by ``_squarings``; projectors are
-    |0><0| (x) I."""
+    of I and the phased power, projectors |0><0| (x) I.  U^(2^j) comes from j
+    squarings, bit for bit ``np.linalg.matrix_power``'s, each held to 2
+    UNITARY_TOL (which its average with I meets at UNITARY_TOL), so a
+    drifting power raises ``NotUnitary`` before it can overflow."""
     u = _square(u, NotUnitary)
     _require_dim(2 * len(u))
-    u = require_unitary(u)
+    power = require_unitary(u)
     if j < 0:
         raise DomainError("power index j must be >= 0")
-    for power in _squarings(u, j):  # U^(2^j) comes last
-        pass
+    for _ in range(j):
+        power = require_unitary(power @ power, 2 * UNITARY_TOL)
     eye = np.eye(len(u))
     return _average([eye, np.exp(-2j * np.pi * theta) * power], eye, eye, 1.0)
-
-
-def _squarings(u: np.ndarray, count: int):
-    """Yields U, U^2, ..., U^(2^count) of a checked unitary U by successive
-    squaring, as ``np.linalg.matrix_power`` forms them.  Each square is held
-    to 2 UNITARY_TOL, which its average with I (of half its defect) meets at
-    UNITARY_TOL, so a drifting power raises ``NotUnitary`` before it can
-    overflow."""
-    yield u
-    for _ in range(count):
-        u = require_unitary(u @ u, 2 * UNITARY_TOL)
-        yield u
-
-
-def _shifted_block(a: np.ndarray) -> np.ndarray:
-    """(I + a) / 2, bit for bit the block of ``_average([I, V])`` when V's
-    block is a: of ``shift_positive`` and ``phase_oracle_block``."""
-    return 0.5 * (np.eye(len(a)) + a)
 
 
 def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:

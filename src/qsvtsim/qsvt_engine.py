@@ -5,16 +5,14 @@ alternating product V(phi) of U, its inverse, and projector-controlled
 phase rotations.  By Jordan's lemma the product acts on each singular
 pair's invariant space, of dimension 1 or 2, as the 2x2 QSP product at that
 singular value, so what a caller reads of it depends only on the encoded
-block A.  The block and state reads (``transformed_block``, the threshold,
-phase estimation and amplitude amplification) therefore read one SVD of the
-block the caller holds (an encoding stores its block's) and the QSP response
-of ``qsp_core`` at its singular values (``_svt``).  ``_full`` is the one
-dense circuit product: it carries all N columns in all N rows of the
-projector frame, where each rotation is a row scaling and each
-U^dag Phi_L(chi) U one rank-r_L update, so that it stays unitary at any
-degree; it serves the callers that need the unitary and is the circuit
-reference for the block reads.  The
-reflection offsets of ``qsp_core`` map the stored QSP phases onto
+block A: ``transformed_block`` reads the SVD its encoding stores and the QSP
+response of ``qsp_core`` at its singular values, as amplitude amplification,
+the threshold and phase estimation read their blocks' own decompositions.
+``_full`` is the one dense circuit product: it carries all N columns in all
+N rows of the projector frame, where each rotation is a row scaling and
+each U^dag Phi_L(chi) U one rank-r_L update, so that it stays unitary at
+any degree; it serves the callers that need the unitary and is the circuit
+reference for the block reads.  The reflection offsets of ``qsp_core`` map the stored QSP phases onto
 projector phases, so the encoded block of V(phi) is exactly the sequence's
 P polynomial applied to the singular values.  The real part, which is the
 solver's target, is read as 1/2 (block(phi) + block(-phi)), with no
@@ -124,27 +122,21 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     return _average(pair, prog.encoding.proj_right, out_proj, prog.encoding.alpha)
 
 
-def _svt(w: np.ndarray, s: np.ndarray, vh: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Re(P)^(SV)(A) of A = W diag(s) V^dag (vh square) for a canonical phase
-    array: on each singular pair's invariant space the alternating product is
-    the 2x2 QSP product at that singular value, so the transform is the QSP
-    response read at s, W f V^dag at odd degree and V f V^dag at even degree,
-    where f(0) sits on the null space, as in ``svd_oracle``.  s is clipped
-    into [0, 1] first: an encoding's block may reach 1 + 1e-10 in norm."""
-    values = np.zeros(len(vh))
-    values[: len(s)] = np.clip(s, 0.0, 1.0)
-    f = response_many(PhaseSequence(tuple(phases), CANONICAL), values).real
-    if len(phases) % 2 == 0:  # odd degree
-        return (w[:, : len(s)] * f[: len(s)]) @ vh[: len(s)]
-    return (vh.conj().T * f) @ vh
-
-
 def transformed_block(prog: QsvtProgram) -> np.ndarray:
     """Re(P)^(SV) of the encoded block, in the projector-range bases: the
     block of the real-part circuit, 1/2 (V(phi) + V(-phi)) restricted to the
-    ranges of the program's (already validated) encoding, read from the SVD
-    the encoding stores and the QSP response at its singular values."""
-    return _svt(*prog.encoding._block_svd, prog.phases.as_array())
+    ranges of the program's (already validated) encoding.  With the SVD the
+    encoding stores, A = W diag(s) V^dag, it is the QSP response f read at s
+    (Jordan's lemma): W f V^dag at odd degree and V f V^dag at even degree,
+    with f(0) on the null space, as in ``svd_oracle``.  s is clipped into
+    [0, 1] first: an encoding's block may reach 1 + 1e-10 in norm."""
+    w, s, vh = prog.encoding._block_svd
+    values = np.zeros(len(vh))
+    values[: len(s)] = np.clip(s, 0.0, 1.0)
+    f = response_many(prog.phases, values).real
+    if prog.degree % 2:
+        return (w[:, : len(s)] * f[: len(s)]) @ vh[: len(s)]
+    return (vh.conj().T * f) @ vh
 
 
 # ---------------------------------------------------------------------------

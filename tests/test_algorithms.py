@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qsvtsim import (
     GiveUp,
     NotUnitary,
     OrderNotFound,
+    QsvtProgram,
     ScaleTooSmall,
     algorithms,
     bernoulli_sample_count,
@@ -24,12 +27,15 @@ from qsvtsim import (
     jacobi_anger_sin,
     matrix_inversion,
     order_finding_demo,
+    phase_estimation_poly,
     phase_estimation_record,
+    phase_oracle_block,
     pe_epsilon_for,
     qsvt_phase_estimation,
     qsvt_search,
     solve_truncation,
     threshold_repetitions,
+    transformed_block,
 )
 
 ZETA = 1.0 / math.sqrt(2.0)
@@ -44,6 +50,11 @@ def oracle_1q(phi):
 
 
 VEC1 = np.array([1.0])
+
+
+def _haar(seed, dim):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
 
 
 class TestSearch:
@@ -222,28 +233,72 @@ class TestPhaseEstimation:
             phase_estimation_record(np.eye(600), np.ones(600), 3, 0.3, exact=True)
 
     def test_unitary_checked_at_the_block_tolerance(self, monkeypatch):
-        # every block holds U^(2^j) to 1e-12, so u is held to it too: the
-        # error names u's own defect 4e-11, not a block's, before any solve
+        # u is held to UNITARY_TOL on input, the tolerance of its controlled
+        # block: the error names u's own defect 4e-11 before any solve
         monkeypatch.setattr(algorithms, "_phases", _no_solve)
         u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75]))) * (1 + 2e-11)
         with pytest.raises(NotUnitary, match="unitarity defect 4.000e-11 exceeds 1.0e-12"):
             phase_estimation_record(u, np.eye(4)[0], 3, 0.1)
 
-    def test_many_bits_fail_at_the_first_square_past_the_bound(self):
-        # each power U^(2^j) is checked as it is squared, so 100 bits on a Haar U
-        # fail near U^(2^14) with a finite defect, with no overflow on the way
-        rng = np.random.default_rng(0)
-        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
-        with pytest.raises(NotUnitary, match=r"^unitarity defect [2-4]\.\d{3}e-12 exceeds 2\.0e-12$"):
-            phase_estimation_record(u, np.eye(8)[0], 100, 0.1)
+    @pytest.mark.parametrize("n", [54, 100, 2000])
+    def test_bit_cap_is_checked_before_any_work(self, monkeypatch, n):
+        # past 53 bits 2^j phi mod 1 keeps no bit of a double phi: the cap is
+        # checked before the phases are solved or u is decomposed
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        monkeypatch.setattr(algorithms, "_eigenframe", _no_solve)
+        with pytest.raises(DomainError, match=rf"^{n} bits: .* the bit cap 53$"):
+            phase_estimation_record(np.eye(8), np.eye(8)[0], n, 0.1)
+        with pytest.raises(AssertionError, match="phases solved"):
+            phase_estimation_record(np.eye(8), np.eye(8)[0], 53, 0.1)
 
-    def test_powers_still_amplify_the_input_defect(self):
-        # u passes its own check at 2e-13, and squaring doubles that: U^16 is at
-        # 3.197e-12, past the 2e-12 its controlled block holds it to, whose own
-        # defect is half that (a depth-aware bound for the powers is still open)
-        u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75]))) * (1 + 1e-13)
-        with pytest.raises(NotUnitary, match="unitarity defect 3.197e-12 exceeds"):
-            phase_estimation_record(u, np.eye(4)[0], 6, 0.1)
+    def test_escalation_stays_within_the_bit_cap(self, monkeypatch):
+        # every leading bit votes 2 of 5, so a run escalates as far as it may:
+        # from 51 bits to 52 and 53, not to 54
+        depths = []
+
+        def ambiguous(y, phi, j, theta, phases, rng, exact, votes):
+            depths.append(j + 1)
+            return 0, 2, 0.4, y
+
+        monkeypatch.setattr(algorithms, "_voted_measure", ambiguous)
+        phases = algorithms._phases(phase_estimation_poly, 0.4, 0.2)
+        est, trace, _ = algorithms._run_phase_estimation(
+            np.zeros(1), np.ones(1), 51, phases, None, True, None, 5, True,
+        )
+        assert [t["escalated_to"] for t in trace if "escalated_to" in t] == [52, 53]
+        assert max(depths) == 53 and est.n == 51
+
+    def test_a_defect_within_the_input_bound_keeps_every_bit(self):
+        # u passes its own check at 2e-13; the powers U^(2^j) are the turns
+        # 2^j phi mod 1 of its eigenframe, so no power can drift past a bound
+        phis = np.array([0.125, 0.25, 0.5, 0.75])
+        u = np.diag(np.exp(2j * np.pi * phis)) * (1 + 1e-13)
+        for k, phi in enumerate(phis):
+            assert qsvt_phase_estimation(u, np.eye(4)[k], 6, 0.1, exact=True).value == phi
+        assert phase_estimation_record(u, np.eye(4)[0], 6, 0.1).decision.value == 0.125
+
+    def test_haar_256_runs_16_bits(self):
+        # squaring a Haar 256 u sixteen times broke UNITARY_TOL; the eigenframe
+        # reads every bit of an eigenphase on the 2^-16 grid
+        q = _haar(256, 256)
+        phis = np.random.default_rng(16).integers(0, 2**16, 256) / 2**16
+        u = (q * np.exp(2j * np.pi * phis)) @ q.conj().T
+        est = qsvt_phase_estimation(u, q[:, 7], 16, 0.1, exact=True)
+        assert est.value == phis[7]
+
+    def test_memory_does_not_grow_with_the_bit_count(self):
+        # a run holds U's eigenframe and O(N) floats a bit, never a power
+        u, e0 = np.eye(256), np.eye(256)[0]
+        phase_estimation_record(u, e0, 4, 0.1, exact=True)  # the phases, memoized
+        peaks = []
+        for n in (4, 48):
+            tracemalloc.start()
+            try:
+                phase_estimation_record(u, e0, n, 0.1, exact=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20
 
     def test_epsilon_cap(self):
         with pytest.raises(DomainError):
@@ -256,6 +311,51 @@ class TestPhaseEstimation:
         u = q @ np.diag([np.exp(2j * np.pi * phi), np.exp(2j * np.pi * 0.8)]) @ q.conj().T
         est = qsvt_phase_estimation(u, q[:, 0], 3, 0.15, 0.2, exact=True)
         assert est.value == phi
+
+
+EIGENFRAME_CASES = {
+    "modmul_2_35": lambda: algorithms._modmul_unitary(2, 35),  # eigenphases s/12, degenerate
+    "modmul_7_64": lambda: algorithms._modmul_unitary(7, 64),
+    "identity": lambda: np.eye(16, dtype=complex),
+    "minus_identity": lambda: -np.eye(16, dtype=complex),
+    "exact_minus_one": lambda: np.diag([-1.0, 1j, -1j, 1.0, -1.0]).astype(complex),
+    "haar_256": lambda: _haar(256, 256),
+}
+
+
+class TestEigenframe:
+    """Phase estimation reads U once: Q orthonormal and phi in [0, 1) with
+    u = Q diag(exp(2 pi i phi)) Q^dag, and every measurement from them."""
+
+    @pytest.mark.parametrize("name", sorted(EIGENFRAME_CASES))
+    def test_orthonormal_frame_of_u(self, name):
+        u = EIGENFRAME_CASES[name]()
+        q, phi = algorithms._eigenframe(u)
+        assert np.all((0.0 <= phi) & (phi < 1.0))
+        assert np.max(np.abs(q.conj().T @ q - np.eye(len(u)))) <= 1e-14
+        assert np.max(np.abs((q * np.exp(2j * np.pi * phi)) @ q.conj().T - u)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["modmul_2_35", "haar_64"])
+    @pytest.mark.parametrize("j", range(9))
+    def test_measurement_matches_the_circuit(self, name, j):
+        # p1 of the Hadamard test of the transformed phase-oracle block T on x,
+        # 1/2 |x + T x|^2 / (1 + |T x|^2), with T read from the built encoding
+        # of (I + exp(-2 pi i theta) U^(2^j)) / 2; the two differ by at most
+        # 2.2e-14 over these cases
+        u = algorithms._modmul_unitary(2, 35) if name == "modmul_2_35" else _haar(64, 64)
+        q, phi = algorithms._eigenframe(u)
+        phases = algorithms._phases(phase_estimation_poly, pe_epsilon_for(0.1, 12), 0.2)
+        rng = np.random.default_rng(j)
+        for k in rng.integers(0, 512, 4):
+            theta = Fraction(int(k), 512)
+            x = rng.standard_normal(len(u)) + 1j * rng.standard_normal(len(u))
+            x /= np.linalg.norm(x)
+            tx = transformed_block(
+                QsvtProgram(phase_oracle_block(u, j, float(theta)), phases)
+            ) @ x
+            ref = 0.5 * np.linalg.norm(x + tx) ** 2 / (1.0 + np.linalg.norm(tx) ** 2)
+            p1 = algorithms._voted_measure(q.conj().T @ x, phi, j, theta, phases, None, True, 1)[2]
+            assert abs(p1 - ref) <= 1e-13
 
 
 class TestOrderFinding:
@@ -289,43 +389,44 @@ class TestOrderFinding:
 # factor cases of the cli benchmark, a sampled run, the escalation case of
 # TestPhaseEstimationStrategies and a run with phase errors that reaches the
 # ones-place carry probe.  A refactor of the shared loop must keep every
-# bit, queries and p1 value of these records.  The p1 values are engine
-# output from solved phases, so the digests also pin the rounding of the
-# engine and of the phase solver: a change to the order of their
-# floating-point operations re-pins them after checking that every other
-# field is unchanged and p1 moved only in the last bits.
+# bit, queries and p1 value of these records.  The p1 values are QSP
+# responses of solved phases at singular values read from U's eigenframe,
+# so the digests also pin the rounding of the eigenframe, the QSP sweep and
+# the phase solver: a change to the order of their floating-point
+# operations re-pins them after checking that every other field is
+# unchanged and p1 moved only in the last bits.
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "c5c5005eaf8ccd91649506edbc4d790e234c04eb00e9f2bec4a23a88e05014cd",
+        "aa34c74c6093dd3ca8afe17435640c7db62502b5c6ced1c1c6cf4d5d22b8e47e",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "0d924de9198f65b970b5ec7f09cd2b0d4bd28d5f289b8347ec1bae88acbe11d8",
+        "32072416d3a2621f790def625c2227209b88cd4674a34afeb88b07db1fc6e591",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "b4776d8533673cc5f3119033f6632c60f1e9f194fae8ae33b8c28632a6384f07",
+        "bd747f5a169dfca3ab1e1278b0375c55a9081973daefc06828805315c4a7d80b",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
             oracle_1q(0.3), VEC1, 6, pe_epsilon_for(0.1, 6), 0.2, seed=4
         ),
-        "052489481671d62b42d8a97ff441a77f7ddda6d1e15bd960ce5391a55b63e61c",
+        "6040c3ec790c78469cdd7d4e78192a490e656b33691204f2958a964128a4a4fd",
     ),
     "qpe_escalation": (
         lambda: phase_estimation_record(
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "15e3dbf6fbf3570a27c5a09ae3e21475ac51ee3129901673957f52e012fa2d10",
+        "d4093adf0121a48b7aca68af4345d3adce55e23bfa3e6455cd3dae038881161e",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "b7357ca63f37f5ebf6969f7fb506f4c019ba2885ec479f19395a824b9eb319f2",
+        "e2ed12fefd05e4962282fe508f68eb119b4cbf0ff72fce25345a664b0ad0bbc9",
     ),
 }
 

@@ -39,8 +39,6 @@ from qsvtsim.block_encoding import (
     _complete,
     _coordinate_range,
     _gram_schmidt,
-    _shifted_block,
-    _squarings,
     require_hermitian,
     require_projector,
     require_unitary,
@@ -188,16 +186,8 @@ class TestPhaseOracle:
 
 
 class TestShiftedBlocks:
-    """Callers that read only the block of a Hadamard average with I transform
-    ``_shifted_block`` of their own block, with powers from ``_squarings``;
-    both are what the built encodings hold, bit for bit."""
-
-    def test_squarings_are_matrix_powers(self):
-        u = _random_unitary(np.random.default_rng(9), 5)
-        powers = list(_squarings(u, 8))
-        assert len(powers) == 9
-        for j, power in enumerate(powers):
-            assert power.tobytes() == np.linalg.matrix_power(u, 2**j).tobytes()
+    """The block of a Hadamard average of I and a unitary whose block is a is
+    (I + a) / 2, bit for bit, with U^(2^j) formed as ``matrix_power`` does."""
 
     @pytest.mark.parametrize("j", range(9))
     def test_the_phase_oracle_block(self, j):
@@ -205,13 +195,13 @@ class TestShiftedBlocks:
         u = _random_unitary(rng, 5)
         theta = rng.uniform(0.0, 2.0)
         power = np.linalg.matrix_power(u, 2**j)
-        shifted = _shifted_block(np.exp(-2j * np.pi * theta) * power)
+        shifted = 0.5 * (np.eye(5) + np.exp(-2j * np.pi * theta) * power)
         assert shifted.tobytes() == extract_block(phase_oracle_block(u, j, theta)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_the_shifted_hermitian_block(self, n):
         enc = qubitize_hermitian(random_hermitian(np.random.default_rng(n), n), 1.0)
-        shifted = _shifted_block(extract_block(enc))
+        shifted = 0.5 * (np.eye(n) + extract_block(enc))
         assert shifted.tobytes() == extract_block(shift_positive(enc)).tobytes()
 
 
@@ -525,7 +515,7 @@ class TestStructuredDefects:
     @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5, 1.9])
     def test_phase_oracle_accepts_a_power_within_its_squaring_bound(self, rng, scale):
         # U^2 of a u with defect scale/2 UNITARY_TOL has about twice it, up to
-        # the 2 UNITARY_TOL ``_squarings`` allows; its average with I passes
+        # the 2 UNITARY_TOL each squaring allows; its average with I passes
         # as the dense check of the same unitary does
         q = _random_unitary(rng, 4)
         u = (q * np.exp(2j * np.pi * rng.random(4))) @ q.conj().T

@@ -245,6 +245,16 @@ def test_threshold_state_of_the_wrong_length_exits_1(capsys, tmp_path, monkeypat
     assert err.startswith("error: input state psi has shape (3,)")
 
 
+def test_qpe_past_the_bit_cap_exits_1(capsys, tmp_path):
+    u_file, e_file = tmp_path / "u.json", tmp_path / "e.json"
+    u_file.write_text(matrix_to_json(np.eye(8)))
+    e_file.write_text(matrix_to_json(np.eye(8)[:, :1]))
+    code, out, err = run_cli(capsys, "qpe", "--matrix", str(u_file), "--eigvec", str(e_file),
+                             "--n", "100", "--exact")
+    assert (code, out) == (1, "")
+    assert err == "error: 100 bits: phase estimation takes 1 to the bit cap 53\n"
+
+
 def test_search_loop_cap_is_a_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(algorithms, "_LOOP_CAP", 1)
     code, out, err = run_cli(capsys, "search", "--n-qubits", "6", "--marked", "1",
