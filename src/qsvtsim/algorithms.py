@@ -2,10 +2,11 @@
 
 Each run is seeded and replayable; exact mode replaces measurement sampling
 with decisions taken from exactly computed outcome probabilities, which
-the deterministic correctness tests exercise.  Blocks are produced
-by the honest engine circuits (phase products, plus the real-part ancilla
-where a full unitary is used), or read as the QSP response in the block's
-eigenframe (threshold, phase estimation), never by the verification oracles.
+the deterministic correctness tests exercise.  Search, Hamiltonian
+simulation and inversion build their circuits from the engine's dense
+products (one ``_eigenframe`` per call), the threshold and phase estimation
+read the QSP response in their block's own eigenframe, and none uses the
+verification oracles.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     _average,
+    _eigenframe,
     _require_dim,
     _scaled_eigh,
     _square,
@@ -48,7 +50,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence, response_many
-from .qsvt_engine import QsvtProgram, _conjugate_pair, real_part_encoding
+from .qsvt_engine import QsvtProgram, _full, real_part_encoding
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -303,24 +305,6 @@ CARRY_RESOLUTION = Fraction(1, 256)
 # the most bits a run takes: past 53, 2^j phi mod 1 keeps no bit of a double
 # eigenphase phi in [1/2, 1) (and 2.0**j overflows past j = 1023)
 PE_BIT_CAP = np.finfo(float).nmant + 1
-
-
-def _eigenframe(u: np.ndarray):
-    """(Q, phi) of a unitary u = Q diag(exp(2 pi i phi)) Q^dag, phi in [0, 1).
-    +-arccos of the eigenvalues of (u + u^dag) / 2 hold every eigenphase, so
-    -1 turned into the middle of their widest gap keeps I + V invertible;
-    ``eigh`` of the Cayley transform i (I + V)^-1 (I - V) gives Q, orthonormal
-    also on a degenerate spectrum (``np.linalg.eig`` is not).  phi comes from
-    the Rayleigh quotients q^dag u q, which carry u's rounding alone."""
-    angles = np.arccos(np.clip(np.linalg.eigvalsh(0.5 * (u + u.conj().T)), -1.0, 1.0))
-    points = np.sort(np.concatenate([angles, 2.0 * np.pi - angles]))
-    gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
-    k = int(np.argmax(gaps))
-    v, eye = np.exp(1j * (np.pi - points[k] - 0.5 * gaps[k])) * u, np.eye(len(u))
-    h = 1j * np.linalg.solve(eye + v, eye - v)
-    q = np.linalg.eigh(0.5 * (h + h.conj().T))[1]
-    phi = (np.angle(np.einsum("ij,ij->j", q.conj(), u @ q)) / (2.0 * np.pi)) % 1.0
-    return q, np.where(phi < 1.0, phi, 0.0)  # a rounded -0 turn lands on 1.0
 
 
 def _voted_measure(y, phi, j: int, theta: Fraction, phases, rng, exact, votes):
@@ -601,11 +585,11 @@ def hamiltonian_simulation(
     if not 0.0 < epsilon < 1.0 / math.e:
         raise DomainError("epsilon must lie in (0, 1/e)")
     enc = qubitize_hermitian(h, alpha)
-    cos_seq, sin_seq = _hamsim_phases(abs(alpha * t), epsilon)
-    cos_pair, out_proj = _conjugate_pair(QsvtProgram(enc, cos_seq))
-    sin_pair, _ = _conjugate_pair(QsvtProgram(enc, sin_seq))
+    cos, sin = (seq.as_array() for seq in _hamsim_phases(abs(alpha * t), epsilon))
+    branches = _full(enc, [cos, -cos, sin, -sin])
     sign = -1j if t >= 0 else 1j  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
-    return _average(cos_pair + [sign * v for v in sin_pair], enc.proj_right, out_proj, 2.0)
+    branches[2:] = [sign * v for v in branches[2:]]
+    return _average(branches, enc.proj_right, enc.proj_left, 2.0)  # here P_L is P_R
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +610,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
         raise ConditionViolated(
             f"singular values {np.round(sigma, 6)} leave [1/kappa, 1]"
         )
-    phases = _phases(matrix_inversion_poly, epsilon, kappa)
+    phases = _phases(matrix_inversion_poly, epsilon, kappa).as_array()
     enc = embed_general(a.conj().T, 1.0)
-    pair, out_proj = _conjugate_pair(QsvtProgram(enc, phases))
-    return _average(pair, enc.proj_right, out_proj, 2.0 * kappa)
+    # the real part 1/2 (V(phi) + V(-phi)) of the odd transform, read out by P_L
+    return _average(_full(enc, [phases, -phases]), enc.proj_right, enc.proj_left, 2.0 * kappa)

@@ -8,7 +8,8 @@ decompositions, and build the phase-oracle and Grover-signal encodings.
 Every composite encoding comes from one of two builders: ``_complete`` or
 ``_average``.  A caller that reads only a Hermitian block builds no
 encoding: ``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian``
-encodes.
+encodes.  ``_eigenframe`` is the one decomposition of a unitary: phase
+estimation reads U in it, and the QSVT engine its two reflections' product.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
@@ -137,6 +138,24 @@ def _range_block(u: np.ndarray, left, right) -> np.ndarray:
     """Matrix of u from range(P_R) to range(P_L), in the frames' range bases."""
     (rank_l, frame_l), (rank_r, frame_r) = left, right
     return _into(u, frame_l[..., :rank_l], frame_r[..., :rank_r])
+
+
+def _eigenframe(u: np.ndarray):
+    """(Q, phi) of a unitary u = Q diag(exp(2 pi i phi)) Q^dag, phi in [0, 1).
+    +-arccos of the eigenvalues of (u + u^dag) / 2 hold every eigenphase, so
+    -1 turned into the middle of their widest gap keeps I + V invertible;
+    ``eigh`` of the Cayley transform i (I + V)^-1 (I - V) gives Q, orthonormal
+    also on a degenerate spectrum (``np.linalg.eig`` is not).  phi comes from
+    the Rayleigh quotients q^dag u q, which carry u's rounding alone."""
+    angles = np.arccos(np.clip(np.linalg.eigvalsh(0.5 * (u + u.conj().T)), -1.0, 1.0))
+    points = np.sort(np.concatenate([angles, 2.0 * np.pi - angles]))
+    gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    v, eye = np.exp(1j * (np.pi - points[k] - 0.5 * gaps[k])) * u, np.eye(len(u))
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    q = np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+    phi = (np.angle(np.einsum("ij,ij->j", q.conj(), u @ q)) / (2.0 * np.pi)) % 1.0
+    return q, np.where(phi < 1.0, phi, 0.0)  # a rounded -0 turn lands on 1.0
 
 
 @np.errstate(invalid="ignore", over="ignore")

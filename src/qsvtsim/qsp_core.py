@@ -223,21 +223,26 @@ def processing_operator(phi: float, convention: Convention = CANONICAL) -> np.nd
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
-    """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)].
-
-    Its rows are two sweeps from the unit rows, run side by side in the
-    signal's eigenframe; WX and reflection map back by H.H (and reflection
-    takes its left Z at odd degree, see ``_frame_mixers``).
-    """
-    conv = seq.convention
-    nodes = _node_phases(np.full(2, float(a)), conv.signal)
-    u = _eigen_sweep(_frame_mixers(seq), nodes, np.eye(2)).T
+def _unitaries(seq: PhaseSequence, nodes: np.ndarray) -> np.ndarray:
+    """The sequence unitaries, an (m, 2, 2) stack, at the m signal
+    eigenvalues ``nodes`` (as ``_node_phases`` gives them).  Each one's rows
+    are two sweeps from the unit rows, run side by side in the signal's
+    eigenframe; WX and reflection map back by H.H (and reflection takes its
+    left Z at odd degree, see ``_frame_mixers``)."""
+    conv, m = seq.convention, len(nodes)
+    rows = _eigen_sweep(_frame_mixers(seq), np.repeat(nodes, 2), np.tile(np.eye(2), m))
+    u = rows.reshape(2, m, 2).transpose(1, 2, 0)
     if conv.signal is not SignalKind.WZ:
         u = _H @ u @ _H
         if conv.signal is SignalKind.REFLECTION and seq.degree % 2:
-            u[1] *= -1
-    return require_unitary(u, 1e-11)
+            u[:, 1] *= -1
+    return u
+
+
+def evaluate_sequence(seq: PhaseSequence, a: float) -> np.ndarray:
+    """Full 2x2 unitary S(phi_0) * prod_k [W(a) S(phi_k)]."""
+    nodes = _node_phases(np.array([float(a)]), seq.convention.signal)
+    return require_unitary(_unitaries(seq, nodes)[0], 1e-11)
 
 
 def response(seq: PhaseSequence, a: float) -> complex:

@@ -8,11 +8,10 @@ singular value, so what a caller reads of it depends only on the encoded
 block A: ``transformed_block`` reads the SVD its encoding stores and the QSP
 response of ``qsp_core`` at its singular values, as amplitude amplification,
 the threshold and phase estimation read their blocks' own decompositions.
-``_full`` is the one dense circuit product: it carries all N columns in all
-N rows of the projector frame, where each rotation is a row scaling and
-each U^dag Phi_L(chi) U one rank-r_L update, so that it stays unitary at
-any degree; it serves the callers that need the unitary and is the circuit
-reference for the block reads.  The reflection offsets of ``qsp_core`` map the stored QSP phases onto
+``_full``, the dense product for the callers that need the unitary, reads it
+in one eigenframe of the product of the two reflections, about range(P_R)
+and U^dag range(P_L), with ``qsp_core``'s QSP unitaries at its eigenphases.
+The reflection offsets of ``qsp_core`` map the stored QSP phases onto
 projector phases, so the encoded block of V(phi) is exactly the sequence's
 P polynomial applied to the singular values.  The real part, which is the
 solver's target, is read as 1/2 (block(phi) + block(-phi)), with no
@@ -27,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import (BlockEncoding, _average, _into, _inverse, _require_dim, _square,
-                             require_hermitian, require_unitary)
+from .block_encoding import (BlockEncoding, _average, _eigenframe, _into, _inverse, _require_dim,
+                             _square, require_hermitian, require_unitary)
 from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
-from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets,
+from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets, _unitaries,
                        convert_convention, response, response_many)
 
 
@@ -50,65 +49,53 @@ class QsvtProgram:
         return self.phases.degree
 
 
-def _full(prog: QsvtProgram, phase_lists):
-    """The dense products V of the phase lists, mapped out of the frame.
+def _full(enc: BlockEncoding, phase_lists):
+    """The dense products V of canonical phase lists, of any degrees, on the
+    encoding, mapped out of its projector frames.
 
-    Every column of the identity is carried in all N rows of the frame,
-    which are orthonormal coordinates, so each pair U'^dag D_L(chi) U' =
-    e^{-i chi} (I + (e^{2i chi} - 1) U_L^dag U_L) is applied as one
-    rank-rank_l update W += (e^{2i chi} - 1) U_L^dag (U_L W), at 2 rank_l N
-    multiply-adds per column, and each Phi_R(chi) scales the first rank_r
-    rows; an odd degree ends with one product by U' and D_L(chi_0).  U' (at
-    even degree its rows U_L) is first taken one Newton-Schulz step to the
-    nearest matrix with orthonormal rows, so that every pair is a unitary to
-    rounding: the product's unitarity defect then grows by about 2e-16 a
-    step, not by the input's defect, and stays under 1e-13 at degree 511.
+    In the frames, U' is first taken one Newton-Schulz step to the nearest
+    matrix with orthonormal rows, so that its range rows U_L give a
+    reflection 2 U_L^dag U_L - I to rounding, whatever the input's defect.
+    By Jordan's lemma, on each invariant piece of x in range(P_R) and y
+    outside it, at singular value s = cos theta, an even degree's product is
+    the reflection-convention QSP unitary E at s, and W = (2 P_R - I)
+    (2 U_L^dag U_L - I) is the rotation by -2 theta, with eigenvectors
+    (x +- i y) / sqrt 2 at e^{+-2i theta}.  So at each eigenphase omega of
+    one ``_eigenframe`` of W, with theta = |omega| / 2 and sigma = sign omega,
+    V is E00 + i sigma E01 on range(P_R) and E11 - i sigma E10 outside it.
+    Nothing is divided by sin theta, and E is diagonal at theta = 0 and
+    pi / 2, where eigenvalues cluster.  An odd degree ends with U' and
+    Phi_L(chi_0) on the left of its even part.
     """
-    enc = prog.encoding
-    chi = np.array(phase_lists, dtype=float)
-    d = chi.shape[1] - 1
-    chi += _reflection_offsets(d)  # the projector angles
     rank_r, frame_r = enc._frame_right
     rank_l, frame_l = enc._frame_left
-    u = _into(enc.unitary, frame_l if d % 2 else frame_l[..., :rank_l], frame_r)
+    u = _into(enc.unitary, frame_l, frame_r)
     u = 1.5 * u - 0.5 * (u @ u.conj().T) @ u
-    u_l = u[:rank_l]
-    u_l_dag = u_l.conj().T
-    n = enc.dim
-    turn = np.expm1(2j * chi)  # e^{2i chi} - 1, the range rows' phase less the rest's
-
-    w = np.zeros((n, len(chi), n), dtype=complex)
-    w[np.arange(n), :, np.arange(n)] = 1.0  # identity columns, per list
-    w[:rank_r] *= 1.0 + turn[:, d, None]
-    stack = w.reshape(n, -1)
-    spare = np.empty_like(stack)
-    proj = np.empty((rank_l,) + w.shape[1:], dtype=complex)
-    proj_stack = proj.reshape(rank_l, stack.shape[1])
-    for k in range(d - 1, 0, -2):
-        np.matmul(u_l, stack, out=proj_stack)
-        proj *= turn[:, k, None]
-        stack += np.matmul(u_l_dag, proj_stack, out=spare)
-        w[:rank_r] *= 1.0 + turn[:, k - 1, None]
-    if d % 2:
-        w = np.matmul(u, stack, out=spare).reshape(w.shape)
-        w[:rank_l] *= 1.0 + turn[:, 0, None]
-    w *= np.prod(np.exp(-1j * chi), axis=1)[:, None]
-    rows, cols = _inverse(frame_l if d % 2 else frame_r), _inverse(frame_r)
-    return [_into(w[:, j], rows, cols) for j in range(len(chi))]
+    w = 2.0 * (u[:rank_l].conj().T @ u[:rank_l])
+    w[np.diag_indices(enc.dim)] -= 1.0
+    w[rank_r:] *= -1.0
+    q, phi = _eigenframe(w)
+    nodes = np.exp(1j * np.pi * np.minimum(phi, 1.0 - phi))  # e^{i theta}
+    sigma = np.sign(0.5 - phi)  # E01 = E10 = 0 at phi = 0 and 1/2, where the sign is moot
+    products = []
+    for phases in phase_lists:
+        chi = np.asarray(phases, dtype=float) + _reflection_offsets(len(phases) - 1)
+        odd = len(chi) % 2 == 0
+        e = _unitaries(PhaseSequence(tuple(chi[odd:]), Convention.reflection()), nodes)
+        v = q * (e[:, 0, 0] + 1j * sigma * e[:, 0, 1])
+        v[rank_r:] = q[rank_r:] * (e[:, 1, 1] - 1j * sigma * e[:, 1, 0])
+        v = v @ q.conj().T
+        if odd:
+            v = u @ v
+            v[:rank_l] *= np.exp(1j * chi[0])
+            v[rank_l:] *= np.exp(-1j * chi[0])
+        products.append(_into(v, _inverse(frame_l if odd else frame_r), _inverse(frame_r)))
+    return products
 
 
 def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
     """Full product unitary; its block is the complex polynomial P^(SV)."""
-    return _full(prog, [prog.phases.as_array()])[0]
-
-
-def _conjugate_pair(prog: QsvtProgram):
-    """[V(phi), V(-phi)], the real-part circuit's branches, and its output
-    projector: the right one for even degree, where the transform stays in
-    the right singular vector space, else the left one."""
-    phases = prog.phases.as_array()
-    enc = prog.encoding
-    return _full(prog, [phases, -phases]), enc.proj_left if prog.degree % 2 else enc.proj_right
+    return _full(prog.encoding, [prog.phases.as_array()])[0]
 
 
 def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
@@ -116,10 +103,12 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
 
     Hadamards around a branch select of the phase sequence and its phase
     conjugate average the two complex blocks, leaving the real part; the
-    ancilla is read out in the |0> slot.
+    ancilla is read out in the |0> slot of P_R at even degree, where the
+    transform stays in the right singular vector space, else of P_L.
     """
-    pair, out_proj = _conjugate_pair(prog)
-    return _average(pair, prog.encoding.proj_right, out_proj, prog.encoding.alpha)
+    enc, phases = prog.encoding, prog.phases.as_array()
+    out_proj = enc.proj_left if prog.degree % 2 else enc.proj_right
+    return _average(_full(enc, [phases, -phases]), enc.proj_right, out_proj, enc.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:

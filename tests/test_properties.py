@@ -1,7 +1,7 @@
-"""Property tests: the Hadamard average against its literal circuit, the
-float writer against json.dumps, and the encoding codec and the stored
-structure (unitarity defect, block SVD) against every constructor's output,
-on seeded inputs."""
+"""Property tests: the Hadamard average and the engine's dense product
+against their literal circuits, the float writer against json.dumps, and
+the encoding codec and the stored structure (unitarity defect, block SVD)
+against every constructor's output, on seeded inputs."""
 
 import functools
 import json
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from qsvtsim import (
+    BlockEncoding,
+    PhaseSequence,
     QsvtProgram,
     embed_general,
     encoding_from_json,
@@ -22,6 +24,7 @@ from qsvtsim import (
     hamiltonian_simulation,
     matrix_inversion,
     phase_oracle_block,
+    qsvt_unitary,
     qubitize_hermitian,
     real_part_encoding,
     shift_positive,
@@ -29,6 +32,7 @@ from qsvtsim import (
     solve_phases,
 )
 from qsvtsim.block_encoding import _SLICE, _average, _float_chunks
+from test_qsvt_engine import literal_product
 
 # fixed examples (derandomize) and no example database, so runs replay
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -124,6 +128,27 @@ def test_stored_structure_matches_the_dense_checks(name, seed, n, real):
     stored = [u, enc.proj_right, enc.proj_left, *enc._block_svd,
               enc._frame_right[1], enc._frame_left[1]]
     assert not any(array.flags.writeable for array in stored)
+
+
+# singular values at and next to the ends of [0, 1], where the engine's
+# eigenframe has clustered eigenvalues, mixed with random ones
+SINGULAR_VALUES = (st.sampled_from([0.0, 1.0, 1e-15, 1.0 - 1e-15, 1e-8, 1.0 - 1e-8])
+                   | st.floats(0.0, 1.0))
+
+
+@SETTINGS
+@given(seed=SEEDS, sigma=st.lists(SINGULAR_VALUES, min_size=1, max_size=6),
+       degree=st.integers(0, 41), rotated=st.booleans())
+def test_the_dense_product_is_the_literal_circuit(seed, sigma, degree, rotated):
+    rng = np.random.default_rng(seed)
+    enc = embed_general(_contraction(rng, len(sigma), False, np.array(sigma)), 1.0)
+    if rotated:  # into dense projector frames
+        q = _unitary(rng, enc.dim)
+        enc = BlockEncoding(*(q @ m @ q.conj().T
+                              for m in (enc.unitary, enc.proj_right, enc.proj_left)))
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    v = qsvt_unitary(QsvtProgram(enc, PhaseSequence(tuple(phases))))
+    assert np.max(np.abs(v - literal_product(enc, phases))) <= 1e-13
 
 
 # signed zeros, the smallest subnormal, both sides of repr's switches to

@@ -27,6 +27,9 @@ from qsvtsim import (
     extract_block,
     grover_signal,
     hamiltonian_simulation,
+    matrix_inversion,
+    order_finding_demo,
+    phase_estimation_record,
     phase_oracle_block,
     projector_phase,
     qsvt_unitary,
@@ -41,9 +44,9 @@ from qsvtsim import (
     svd_oracle,
     transformed_block,
 )
-from qsvtsim.block_encoding import _range_block
+from qsvtsim.block_encoding import _eigenframe, _range_block
 from qsvtsim.qsp_core import _reflection_offsets
-from qsvtsim import qsvt_engine
+from qsvtsim import algorithms, qsvt_engine
 from qsvtsim.qsvt_engine import _full
 
 
@@ -270,10 +273,11 @@ class TestFrameEdgeCases:
 
 
 class TestReflectionPairs:
-    """The dense product applies each U^dag Phi_L U pair as one rank-rank_l
-    update and collects the scalar phases at the end; degrees 0, 1, 2, 3 and
-    41 run its pair loop 0, 0, 1, 1 and 20 times, with and without the odd
-    end.  The block read is checked against the literal product on the same
+    """The dense product reads every U^dag Phi_L U pair at once, in one
+    eigenframe of the two reflections' product, and an odd degree ends with
+    one product by U' and Phi_L(chi_0); degrees 0, 1, 2, 3 and 41 read even
+    parts of degree 0, 0, 2, 2 and 40, with and without the odd end.  The
+    block read is checked against the literal product on the same
     programs."""
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
@@ -320,7 +324,8 @@ class TestBlockCoordinates:
     product acting on each singular pair as the 2x2 QSP product (Jordan's
     lemma): two unitary completions of one block give the same transform, and
     a singular value of 1, where the pair's invariant space has dimension 1,
-    is checked against the dense product of ``_full`` up to degree 511."""
+    is checked up to degree 511 against the dense product of ``_full``, which
+    reads the lemma in its own eigenframe, of the two reflections' product."""
 
     @pytest.fixture(scope="class")
     def completions(self):
@@ -378,7 +383,7 @@ class TestBlockCoordinates:
             phases = rng.uniform(-np.pi, np.pi, degree + 1)
             prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
             out_frame = enc._frame_left if degree % 2 else enc._frame_right
-            pair = _full(prog, [phases, -phases])
+            pair = _full(prog.encoding, [phases, -phases])
             expect = _range_block(0.5 * (pair[0] + pair[1]), out_frame, enc._frame_right)
             assert np.max(np.abs(transformed_block(prog) - expect)) <= 1e-12
 
@@ -416,7 +421,9 @@ class TestBlockCoordinates:
 class TestUnitaryFullProducts:
     """The dense products keep their unitarity at any degree: the seeded
     n = 16 evolution encoding (dim 128) with poly_sign phases used to fail
-    the real-part circuit's UNITARY_TOL check from degree 61 on."""
+    the real-part circuit's UNITARY_TOL check from degree 61 on.  They also
+    match the literal product at dim 128 and on a singular value of
+    exactly 1."""
 
     @pytest.fixture(scope="class")
     def evolution(self):
@@ -436,14 +443,57 @@ class TestUnitaryFullProducts:
         for degree in (41, 61, 101, 201, 341, 511):
             _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
             phases = seq.as_array()
-            for v in _full(QsvtProgram(evolution, seq), [phases, -phases]):
+            for v in _full(evolution, [phases, -phases]):
                 assert np.max(np.abs(v.conj().T @ v - np.eye(128))) <= 1.5e-13
+
+    @pytest.mark.parametrize("degree", [3, 41, 201])
+    def test_a_near_tolerance_input(self, degree):
+        # U = V (I + 3e-11 x x^T), x the constant unit vector, has defect 9.4e-13,
+        # just under UNITARY_TOL: the products stay unitary to rounding only
+        # through the engine's Newton-Schulz step, and are off by 2.5e-12 and
+        # more without it
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        x = np.full((64, 1), 1.0 / 8.0)
+        pi = np.diag([1.0] * 32 + [0.0] * 32).astype(complex)
+        enc = BlockEncoding(np.linalg.qr(g)[0] @ (np.eye(64) + 3e-11 * (x @ x.T)), pi, pi)
+        assert enc._defect == pytest.approx(9.4e-13, abs=1e-14)
+        phases = np.random.default_rng(degree).uniform(-np.pi, np.pi, degree + 1)
+        prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
+        v = qsvt_unitary(prog)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(64))) <= 1e-13
+        assert real_part_encoding(prog).dim == 128  # validated at UNITARY_TOL
+
+    @staticmethod
+    def _inversion_input():
+        """embed_general of a 64 x 64 A^dag with one singular value exactly 1."""
+        rng = np.random.default_rng(64)
+        haar = lambda n: np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        a = np.zeros((64, 64), dtype=complex)
+        a[0, 0] = 1.0
+        a[1:, 1:] = (haar(63) * rng.uniform(0.05, 0.95, 63)) @ haar(63)
+        return embed_general(a.conj().T, 1.0)
+
+    @pytest.mark.parametrize("name, degree", [("evolution", 61), ("evolution", 201),
+                                              ("inversion", 213)])
+    def test_the_literal_product_at_scale(self, evolution, family_solutions, name, degree):
+        if name == "evolution":
+            enc = evolution
+            _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
+        else:  # the kappa = 20 inversion phases
+            enc = self._inversion_input()
+            assert np.count_nonzero(enc._block_svd[1] == 1.0) == 1
+            _, seq, _ = family_solutions("invert", kappa=20.0, eps=0.05)
+        assert seq.degree == degree
+        phases = seq.as_array()
+        for v, sign in zip(_full(enc, [phases, -phases]), (1, -1)):
+            assert np.max(np.abs(v - literal_product(enc, sign * phases))) <= 1e-12
 
     def test_a_corrupted_product_still_raises(self, evolution, family_solutions, monkeypatch):
         _, seq, _ = family_solutions("poly_sign", d=61, k=12.0)
 
-        def corrupted(prog, phase_lists):
-            pair = qsvt_engine_full(prog, phase_lists)
+        def corrupted(enc, phase_lists):
+            pair = qsvt_engine_full(enc, phase_lists)
             pair[0][3, 5] += 1e-11
             return pair
 
@@ -598,6 +648,48 @@ class TestStoredBlockSvd:
         assert calls == [(16, 16)]  # the constructor's, of the range block
         transformed_block(QsvtProgram(enc, seq))
         assert calls == [(16, 16)]
+
+
+class TestOneEigenframePerCall:
+    """A dense call takes one ``_eigenframe``, of the product of its two
+    reflections, for all its phase lists; phase estimation takes one of U per
+    run; the block read takes none."""
+
+    @staticmethod
+    def _count_eigenframes(monkeypatch):
+        calls = []
+
+        def counting(u):
+            calls.append(len(u))
+            return _eigenframe(u)
+
+        for module in (qsvt_engine, algorithms):
+            monkeypatch.setattr(module, "_eigenframe", counting)
+        return calls
+
+    def test_dense_callers(self, rng, monkeypatch):
+        h = random_contraction(rng, 4)
+        h = 0.5 * (h + h.conj().T)
+        a = np.diag([0.9, 0.7, 0.5, 0.3]) @ np.linalg.qr(random_contraction(rng, 4))[0]
+        prog = QsvtProgram(embed_general(random_contraction(rng, 4), 1.0),
+                           solve_phases(sign_poly(0.1, 0.4)))
+        calls = self._count_eigenframes(monkeypatch)
+        hamiltonian_simulation(h, 1.0, 2.0, 0.01)  # its four phase lists
+        assert calls == [8]
+        matrix_inversion(a, 4.0, 0.05)
+        assert calls == [8, 8]
+        real_part_encoding(prog)
+        assert calls == [8, 8, 8]
+        transformed_block(prog)
+        assert calls == [8, 8, 8]
+
+    def test_phase_estimation(self, monkeypatch):
+        u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75])))
+        calls = self._count_eigenframes(monkeypatch)
+        phase_estimation_record(u, np.eye(4)[1], 3, 0.1, exact=True)
+        assert calls == [4]
+        order_finding_demo(7, 15, seed=1)
+        assert calls == [4, 15]
 
 
 class TestGlobalPhaseFixedness:
