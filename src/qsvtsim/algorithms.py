@@ -589,7 +589,7 @@ def hamiltonian_simulation(
     branches = _full(enc, [cos, -cos, sin, -sin])
     sign = -1j if t >= 0 else 1j  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
     branches[2:] = [sign * v for v in branches[2:]]
-    return _average(branches, enc.proj_right, enc.proj_left, 2.0)  # here P_L is P_R
+    return _average(branches, *enc._projectors, 2.0)  # here P_L is P_R
 
 
 # ---------------------------------------------------------------------------
@@ -613,4 +613,4 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     phases = _phases(matrix_inversion_poly, epsilon, kappa).as_array()
     enc = embed_general(a.conj().T, 1.0)
     # the real part 1/2 (V(phi) + V(-phi)) of the odd transform, read out by P_L
-    return _average(_full(enc, [phases, -phases]), enc.proj_right, enc.proj_left, 2.0 * kappa)
+    return _average(_full(enc, [phases, -phases]), *enc._projectors, 2.0 * kappa)

@@ -6,14 +6,19 @@ restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
 decompositions, and build the phase-oracle and Grover-signal encodings.
 Every composite encoding comes from one of two builders: ``_complete`` or
-``_average``.  A caller that reads only a Hermitian block builds no
+``_average``.  Each writes U into one preallocated array and hands in the
+coordinate projectors |0..0><0..0| (x) I it makes as their sorted range
+indices, so no N x N projector is formed, checked or scanned; a caller
+that reads ``proj_right`` or ``proj_left`` gets the dense array, built at
+first access.  A caller that reads only a Hermitian block builds no
 encoding: ``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian``
 encodes.  ``_eigenframe`` is the one decomposition of a unitary: phase
 estimation reads U in it, and the QSVT engine its two reflections' product.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
-``encoding_to_json`` joins them, and the CLI streams them to a file.
+``encoding_to_json`` joins them, and the CLI streams them to a file.  An
+index projector's lists are written from its indices.
 """
 
 from __future__ import annotations
@@ -103,18 +108,22 @@ def _gram_schmidt(projector: np.ndarray) -> np.ndarray:
     return np.array(basis).T if basis else np.zeros((projector.shape[0], 0), dtype=complex)
 
 
-def _frame(projector: np.ndarray):
+def _frame(projector: np.ndarray, dim: int):
     """(rank, F), F read-only: a unitary whose columns are a basis of range(P)
     followed by one of its complement, so that P = F diag(I_rank, 0) F^dag
     and F[..., :rank] holds the range basis.
 
-    F is an index permutation (F = I[:, perm]) for a coordinate projector,
-    whose range basis e_j is what Gram-Schmidt gives, and otherwise a dense
+    F is an index permutation (F = I[:, perm]: the range indices, then the
+    rest ascending) for a coordinate projector, whose range basis e_j is what
+    Gram-Schmidt gives: one held as its sorted range indices (an
+    assembler's) or a dense diagonal 0/1 matrix.  Otherwise F is a dense
     matrix whose range columns are ``_gram_schmidt(P)``.
     """
-    idx = _coordinate_range(projector)
+    idx = projector if projector.ndim == 1 else _coordinate_range(projector)
     if idx is not None:
-        rank, frame = len(idx), np.concatenate([idx, np.flatnonzero(np.diagonal(projector) == 0)])
+        outside = np.ones(dim, dtype=bool)
+        outside[idx] = False
+        rank, frame = len(idx), np.concatenate([idx, np.flatnonzero(outside)])
     else:
         basis = _gram_schmidt(projector)
         rank = basis.shape[1]
@@ -181,6 +190,29 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return h
 
 
+class _DenseProjector:
+    """``proj_right`` or ``proj_left`` of a ``BlockEncoding`` held as range
+    indices: the diagonal 0/1 matrix, built read-only at first access and
+    cached on the instance (one array for a projector shared by both
+    sides).  A projector given as an array is stored on the instance and
+    read from there, so this is reached only for index projectors."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, enc, owner=None):
+        if enc is None:  # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.name)
+        right, left = enc._projectors
+        idx = right if self.name == "proj_right" else left
+        dense = np.zeros((enc.dim, enc.dim), dtype=complex)
+        dense[idx, idx] = 1.0
+        dense.setflags(write=False)
+        for name in ("proj_right", "proj_left") if right is left else (self.name,):
+            enc.__dict__[name] = dense
+        return dense
+
+
 @dataclass(frozen=True)
 class BlockEncoding:
     """Unitary plus projectors locating an encoded operator, with scale alpha.
@@ -190,29 +222,33 @@ class BlockEncoding:
     proj_left the output space.
 
     Construction checks the dimension cap first, then U at UNITARY_TOL and
-    both projectors at PROJECTOR_TOL; coordinate projectors (diagonal 0/1,
-    which every constructor here makes) are checked exactly in O(N^2), any
-    other densely.  It derives each projector's frame once (``_frame``) and
-    takes the block's SVD once, and stores them read-only: ``_frame_right``
-    and ``_frame_left``, which ``extract_block`` and the QSVT engine read
-    (one projector object passed on both sides is checked and framed once,
-    and stays one object, with one frame),
-    and ``_block_svd`` = (W, s, V^dag) with s >= 0 and W diag(s) V^dag the
-    block, which the norm check (max s against 1 + 1e-10) and
-    ``transformed_block`` read.  ``_defect`` keeps the unitarity defect the
-    check measured.
+    both projectors at PROJECTOR_TOL; coordinate projectors (diagonal 0/1)
+    given as arrays are checked exactly in O(N^2), any other densely.  It
+    derives each projector's frame once (``_frame``) and takes the block's
+    SVD once, and stores them read-only: ``_frame_right`` and
+    ``_frame_left``, which ``extract_block`` and the QSVT engine read (one
+    projector object passed on both sides is checked and framed once, and
+    stays one object, with one frame), and ``_block_svd`` = (W, s, V^dag)
+    with s >= 0 and W diag(s) V^dag the block, which the norm check (max s
+    against 1 + 1e-10) and ``transformed_block`` read.  ``_defect`` keeps
+    the unitarity defect the check measured.
 
     Called directly (by callers and ``encoding_from_json``) the constructor
-    measures U^dag U - I densely and takes ``np.linalg.svd`` of the block.
-    The two assemblers, ``_complete`` and ``_average``, know U's structure
-    and hand in what it gives (``_assemble``): the defect, computed from
-    their parts at the same UNITARY_TOL, and for ``_complete`` the block's
-    factors.
+    measures U^dag U - I densely, takes ``np.linalg.svd`` of the block and
+    stores a copy of each array as given.  The two assemblers, ``_complete``
+    and ``_average``, know U's structure and hand in what it gives
+    (``_assemble``): the defect, computed from their parts at the same
+    UNITARY_TOL, for ``_complete`` the block's factors, and the coordinate
+    projectors every constructor makes as their sorted range indices, which
+    are framed with no N x N array formed or checked.  ``_projectors`` holds
+    (right, left) as stored, indices or arrays, for the averages to lift;
+    ``proj_right`` and ``proj_left`` of an index projector are built at
+    first access (``_DenseProjector``).
     """
 
     unitary: np.ndarray
-    proj_right: np.ndarray
-    proj_left: np.ndarray
+    proj_right: np.ndarray = _DenseProjector()
+    proj_left: np.ndarray = _DenseProjector()
     alpha: float = 1.0
 
     @np.errstate(invalid="ignore", over="ignore")  # a NaN defect fails its check
@@ -225,16 +261,20 @@ class BlockEncoding:
         if not assembled:
             defect = _gram_defect(u.conj().T @ u)
         _require_defect(defect + rounding)
+
+        def checked(p):  # an assembler's coordinate projector comes as its range indices
+            return p if assembled and p.ndim == 1 else require_projector(p)
+
         # one projector object on both sides is checked, framed and stored once
         shared = self.proj_left is self.proj_right
-        pr = require_projector(self.proj_right)
-        pl = pr if shared else require_projector(self.proj_left)
-        if pr.shape != u.shape or pl.shape != u.shape:
+        pr = checked(self.proj_right)
+        pl = pr if shared else checked(self.proj_left)
+        if any(p.ndim == 2 and p.shape != u.shape for p in (pr, pl)):
             raise DomainError("projectors must match the unitary dimension")
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
-        right = _frame(pr)
-        left = right if shared else _frame(pl)
+        right = _frame(pr, len(u))
+        left = right if shared else _frame(pl, len(u))
         if svd is None:
             svd = np.linalg.svd(_range_block(u, left, right))
         norm = float(np.max(svd[1], initial=0.0))
@@ -243,11 +283,15 @@ class BlockEncoding:
         if not assembled:
             u, pr = u.copy(), pr.copy()
             pl = pr if shared else pl.copy()
-        matrices = (u, pr, pl)
-        for value in matrices + svd:
+        for value in (u, pr, pl) + svd:
             value.setflags(write=False)
-        for name, value in zip(("unitary", "proj_right", "proj_left"), matrices):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "unitary", u)
+        for name, value in (("proj_right", pr), ("proj_left", pl)):
+            if value.ndim == 1:
+                del self.__dict__[name]  # built at first access
+            else:
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "_projectors", (pr, pl))
         object.__setattr__(self, "_frame_right", right)
         object.__setattr__(self, "_frame_left", left)
         object.__setattr__(self, "_block_svd", tuple(svd))
@@ -263,9 +307,13 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return _range_block(be.unitary, be._frame_left, be._frame_right)
 
 
-def _lift(p: np.ndarray) -> np.ndarray:
-    """|0><0| (x) p: p on the first half of the doubled space."""
-    out = np.zeros((2 * len(p), 2 * len(p)), dtype=complex)
+def _lift(p: np.ndarray, copies: int) -> np.ndarray:
+    """|0..0><0..0| (x) p on ``copies`` (a power of 2) times p's space, the
+    ancillas most significant: p on the first block.  A projector held as
+    its sorted range indices keeps them; a dense one is zero-filled."""
+    if p.ndim == 1:
+        return p
+    out = np.zeros((copies * len(p), copies * len(p)), dtype=complex)
     out[: len(p), : len(p)] = p
     return out
 
@@ -277,9 +325,9 @@ def _assemble(unitary, proj_right, proj_left, alpha: float, defect: float, *,
     of the formed U's, and may hold the block's SVD: the constructor checks
     defect + rounding at UNITARY_TOL in place of U^dag U - I, reads the norm
     from the given singular values, and stores the freshly assembled arrays
-    without copying them.  The call runs ``__init__`` as any construction
-    does, so ``__post_init__`` stays the one place fields are checked and
-    set."""
+    without copying them.  A projector may be its sorted range indices.  The
+    call runs ``__init__`` as any construction does, so ``__post_init__``
+    stays the one place fields are checked and set."""
     enc = object.__new__(BlockEncoding)
     object.__setattr__(enc, "_structure", (defect, rounding, svd))
     enc.__init__(unitary, proj_right, proj_left, alpha)
@@ -289,31 +337,44 @@ def _assemble(unitary, proj_right, proj_left, alpha: float, defect: float, *,
 @np.errstate(invalid="ignore", over="ignore")
 def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> BlockEncoding:
     """The reflection completion [[A, R], [R, -A]] of qubitization, with
-    |0><0| (x) I on both sides.  For unitary W, V and |s| <= 1, A = W diag(s)
-    V^dag and R = W diag(sqrt(1 - s^2)) V^dag make it exactly unitary.
+    |0><0| (x) I on both sides, held as the indices range(n).  For unitary W,
+    V and |s| <= 1, A = W diag(s) V^dag and R = W diag(sqrt(1 - s^2)) V^dag
+    make it exactly unitary.  A and R are multiplied straight into U's
+    quadrants, and -A and R copied into the other two.
 
     U^dag U - I is [[A^dag A + R^dag R - I, A^dag R - R^dag A], [R^dag A -
     A^dag R, A^dag A + R^dag R - I]], so its largest entry, the defect, comes
-    from three n x n products in place of the 2n x 2n Gram matrix.  The
-    block's SVD is (W sign(s), |s|, V^dag): a negative s (an eigenvalue of
-    ``qubitize_hermitian``) folds its sign into W."""
-    a = (w * s) @ vh
-    root = (w * np.sqrt(1.0 - s**2)) @ vh
+    from three n x n products of the quadrants in place of the 2n x 2n Gram
+    matrix.  The block's SVD is (W sign(s), |s|, V^dag): a negative s (an
+    eigenvalue of ``qubitize_hermitian``) folds its sign into W."""
+    n = len(s)
+    u = np.empty((2 * n, 2 * n), dtype=np.result_type(w, s, vh))
+    a, root = u[:n, :n], u[:n, n:]
+    np.matmul(w * s, vh, out=a)
+    np.matmul(w * np.sqrt(1.0 - s**2), vh, out=root)
+    np.negative(a, out=u[n:, n:])
+    u[n:, :n] = root
     cross = a.conj().T @ root
     defect = float(np.max([_gram_defect(a.conj().T @ a + root.conj().T @ root),
                            np.max(np.abs(cross - cross.conj().T))]))
-    pi = _lift(np.eye(len(a)))
+    pi = np.arange(n)
     svd = (w * np.copysign(1.0, s), np.abs(s), vh)
-    return _assemble(np.block([[a, root], [root, -a]]), pi, pi, float(alpha), defect, svd=svd)
+    return _assemble(u, pi, pi, float(alpha), defect, svd=svd)
 
 
 @np.errstate(invalid="ignore", over="ignore")
 def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     """Encoding of the mean of 2^k unitaries: (H^(x)k (x) I) diag(branches)
     (H^(x)k (x) I), Hadamards on k ancillas around their select, with both
-    projectors lifted to |0..0><0..0| (x) P (one lift when both sides pass the
-    same projector object).  Branch i sits at ancilla index i
-    (first ancilla most significant); the cap on 2^k N is checked first.
+    projectors lifted to |0..0><0..0| (x) P (``_lift``: sorted range indices
+    stay as they are, and one lift serves both sides when both pass the same
+    projector object).  Branch i sits at ancilla index i (first ancilla most
+    significant); the cap on 2^k N is checked first.
+
+    U's block (p, q) is C_(p xor q), C the Walsh-Hadamard transform of the
+    branches taken by k levels of half-sums (x + y) / 2, (x - y) / 2.  The
+    levels run in place in U's first block row, and the other rows are
+    copied from it.
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
     B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
@@ -325,8 +386,9 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     2^(k/2 + 1) k u (1 + e), e the larger of the branch and average defects,
     to first order in u; twice that bound is the ``rounding`` checked with
     the defect."""
-    _require_dim(len(branches) * len(branches[0]))
-    k, diag = len(branches).bit_length() - 1, np.arange(len(branches[0]))
+    m, n = len(branches), len(branches[0])
+    _require_dim(m * n)
+    k, diag = m.bit_length() - 1, np.arange(n)
     errors = np.stack([b.conj().T @ b for b in branches])
     errors[:, diag, diag] -= 1.0
     branch_defect = float(np.max(np.abs(errors)))
@@ -335,13 +397,24 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
                                  0.5 * (errors[::2] - errors[1::2])])
     defect = float(np.max(np.abs(errors)))
     rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + max(defect, branch_defect))
-    while len(branches) > 1:
-        halves = [(0.5 * (a + b), 0.5 * (a - b)) for a, b in zip(branches[::2], branches[1::2])]
-        branches = [np.block([[mean, diff], [diff, mean]]) for mean, diff in halves]
-        shared = proj_left is proj_right
-        proj_right = _lift(proj_right)
-        proj_left = proj_right if shared else _lift(proj_left)
-    return _assemble(branches[0], proj_right, proj_left, alpha, defect, rounding=rounding)
+    u = np.empty((m * n, m * n), dtype=np.result_type(*branches))
+    head = u[:n].reshape(n, m, n)  # head[:, r] is U's block (0, r)
+    for r, branch in enumerate(branches):
+        head[:, r] = branch
+    for level in range(k):  # pairs r, r + 2^level within each run of 2^(level + 1)
+        pairs = head.reshape(n, m >> (level + 1), 2, 1 << level, n)
+        x, y = pairs[:, :, 0], pairs[:, :, 1]
+        total = x + y
+        np.subtract(x, y, out=y)
+        np.multiply(0.5, y, out=y)
+        np.multiply(0.5, total, out=x)
+    for p in range(1, m):
+        for q in range(m):
+            u[p * n : (p + 1) * n, q * n : (q + 1) * n] = head[:, p ^ q]
+    shared = proj_left is proj_right
+    proj_right = _lift(proj_right, m)
+    proj_left = proj_right if shared else _lift(proj_left, m)
+    return _assemble(u, proj_right, proj_left, alpha, defect, rounding=rounding)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -395,7 +468,7 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
     |0><0| (x) old.
     """
     # the shifted block (old_block + I)/2 is itself sub-normalized
-    return _average([np.eye(be.dim), be.unitary], be.proj_right, be.proj_left, 1.0)
+    return _average([np.eye(be.dim), be.unitary], *be._projectors, 1.0)
 
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
@@ -411,8 +484,8 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
         raise DomainError("power index j must be >= 0")
     for _ in range(j):
         power = require_unitary(power @ power, 2 * UNITARY_TOL)
-    eye = np.eye(len(u))
-    return _average([eye, np.exp(-2j * np.pi * theta) * power], eye, eye, 1.0)
+    identity = np.arange(len(u))  # the range of I
+    return _average([np.eye(len(u)), np.exp(-2j * np.pi * theta) * power], identity, identity, 1.0)
 
 
 def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
@@ -465,6 +538,24 @@ def _float_chunks(x: np.ndarray):
     yield "]"
 
 
+def _indicator_chunks(length: int, ones: np.ndarray):
+    """Yields what ``_float_chunks`` yields for the 0/1 vector of this length
+    with 1.0 at the sorted positions ``ones`` and 0.0 elsewhere, in the same
+    pieces, from the positions alone: runs of "0.0" and "1.0" entries."""
+    yield "["
+    for start in range(0, length, _SLICE):
+        stop = min(start + _SLICE, length)
+        piece, at = [], start
+        for one in ones[np.searchsorted(ones, start) : np.searchsorted(ones, stop)].tolist():
+            piece.append("0.0, " * (one - at) + "1.0, ")
+            at = one + 1
+        piece.append("0.0, " * (stop - at))
+        if start:
+            yield ", "
+        yield "".join(piece)[:-2]
+    yield "]"
+
+
 def _matrix_chunks(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     yield f'{{"cols": {m.shape[1]}, "im": '
@@ -472,6 +563,19 @@ def _matrix_chunks(m: np.ndarray):
     yield ', "re": '
     yield from _float_chunks(m.real.ravel())
     yield f', "rows": {m.shape[0]}}}'
+
+
+def _projector_chunks(p: np.ndarray, dim: int):
+    """``_matrix_chunks`` of a stored projector; one held as its sorted range
+    indices is written from them, with no dense array formed."""
+    if p.ndim == 2:
+        yield from _matrix_chunks(p)
+        return
+    yield f'{{"cols": {dim}, "im": '
+    yield from _indicator_chunks(dim * dim, p[:0])
+    yield ', "re": '
+    yield from _indicator_chunks(dim * dim, p * (dim + 1))
+    yield f', "rows": {dim}}}'
 
 
 def matrix_to_json(m: np.ndarray) -> str:
@@ -499,10 +603,14 @@ _ENCODING_MATRICES = ("unitary", "proj_right", "proj_left")
 def _encoding_chunks(be: BlockEncoding):
     """Yields ``encoding_to_json(be)`` in pieces of at most _SLICE list
     entries, for a writer that never holds the whole text."""
+    right, left = be._projectors
     yield f'{{"alpha": {json.dumps(be.alpha)}'
-    for key in sorted(_ENCODING_MATRICES):
-        yield f', "{key}": '
-        yield from _matrix_chunks(getattr(be, key))
+    yield ', "proj_left": '
+    yield from _projector_chunks(left, be.dim)
+    yield ', "proj_right": '
+    yield from _projector_chunks(right, be.dim)
+    yield ', "unitary": '
+    yield from _matrix_chunks(be.unitary)
     yield "}"
 
 

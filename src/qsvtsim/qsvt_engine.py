@@ -107,8 +107,9 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     transform stays in the right singular vector space, else of P_L.
     """
     enc, phases = prog.encoding, prog.phases.as_array()
-    out_proj = enc.proj_left if prog.degree % 2 else enc.proj_right
-    return _average(_full(enc, [phases, -phases]), enc.proj_right, out_proj, enc.alpha)
+    right, left = enc._projectors
+    return _average(_full(enc, [phases, -phases]), right, left if prog.degree % 2 else right,
+                    enc.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:

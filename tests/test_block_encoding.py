@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from qsvtsim import (
     sign_poly,
     signal_operator,
     solve_phases,
+    transformed_block,
 )
 from qsvtsim.block_encoding import (
     UNITARY_TOL,
@@ -394,6 +397,121 @@ def test_codec_bytes_of_an_encoding_read_with_a_dense_projector(rng):
     again = encoding_from_json(text)
     assert again._frame_right[1].dtype.kind == "c"  # the dense frame, not an index permutation
     assert encoding_to_json(again) == text
+
+
+def _signed_zero_encoding_json():
+    """A 4x4 encoding whose diagonal 0/1 projectors hold -0.0 in both parts."""
+    z, o = -0.0, 1.0
+
+    def matrix(re, im):
+        return {"cols": 4, "im": im, "re": re, "rows": 4}
+
+    right = matrix([o, z, 0.0, z, z, 0.0, z, z, 0.0, z, o, z, z, z, z, z],
+                   [z, z, z, 0.0, z, z, z, z, z, 0.0, z, z, z, z, z, z])
+    left = matrix([z, z, z, z, z, o, z, 0.0, z, z, o, z, 0.0, z, z, z],
+                  [0.0, z, z, z, z, z, z, z, z, z, z, z, z, z, z, 0.0])
+    # e0 and e1 swapped, e2 and e3 phased
+    unitary = matrix([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.0,
+                      -0.8],
+                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0,
+                      0.6])
+    return json.dumps({"alpha": 2.0, "proj_left": left, "proj_right": right, "unitary": unitary},
+                      sort_keys=True)
+
+
+def test_signed_zeros_of_a_read_projector_are_kept():
+    # a projector read from outside is stored as given, so its -0.0 entries are
+    # written back, framed by the index permutation, and lifted by shift_positive
+    text = _signed_zero_encoding_json()
+    enc = encoding_from_json(text)
+    assert encoding_to_json(enc) == text
+    for (rank, frame), perm in ((enc._frame_right, [0, 2, 1, 3]), (enc._frame_left, [1, 2, 0, 3])):
+        assert rank == 2 and frame.dtype.kind == "i" and frame.tolist() == perm
+    shifted = encoding_to_json(shift_positive(enc))
+    assert shifted.count("-0.0") == 51
+    assert hashlib.sha256(shifted.encode()).hexdigest() == (
+        "39cd4eb7733ea7f11a42af00969f1738ff42b4fb17fd79f867ee4a8a66e6b04e")
+
+
+def _coordinate_projector(dim, ranks):
+    """The dense diagonal 0/1 projector on range(ranks), as zero-filled lifts give it."""
+    p = np.zeros((dim, dim), dtype=complex)
+    p[:ranks, :ranks] = np.eye(ranks)
+    return p
+
+
+@pytest.fixture
+def outside_checks_fail(monkeypatch):
+    """The checks of projectors read from outside raise when called."""
+    import qsvtsim.block_encoding as block_encoding
+
+    def fail(*args):
+        raise AssertionError("an assembler's projector was checked or scanned")
+
+    monkeypatch.setattr(block_encoding, "require_projector", fail)
+    monkeypatch.setattr(block_encoding, "_coordinate_range", fail)
+
+
+def test_assembled_projectors_are_held_as_indices(rng, outside_checks_fail):
+    # no constructor forms, checks or writes a dense projector; a read builds it
+    h = random_hermitian(rng, 4)
+    seq = solve_phases(sign_poly(0.1, 0.4))
+    general = embed_general(h @ _random_unitary(rng, 4), 1.0)
+    transformed_block(QsvtProgram(general, seq))
+    evolution = hamiltonian_simulation(h, 1.0, 3.0, 1e-3)
+    encoding_to_json(evolution)
+    built = [general, evolution,
+             matrix_inversion(0.5 * _random_unitary(rng, 4) + 0.25 * h, 4.0, 0.05),
+             real_part_encoding(QsvtProgram(general, seq)), shift_positive(general),
+             phase_oracle_block(_random_unitary(rng, 4), 1, 0.3)]
+    for enc in built:  # every range is the first 4 indices, on both sides
+        assert "proj_right" not in enc.__dict__ and "proj_left" not in enc.__dict__
+        assert enc._projectors[0] is enc._projectors[1]
+        assert enc._projectors[0].tolist() == [0, 1, 2, 3]
+    for enc in built:
+        right = enc.proj_right
+        assert enc.proj_left is right and enc.proj_right is right
+        assert not right.flags.writeable
+        assert right.tobytes() == _coordinate_projector(enc.dim, 4).tobytes()
+
+
+def test_a_lifted_index_projector_on_one_side_is_built_apart(rng, outside_checks_fail):
+    # the averages lift each side's indices; the two sides build two arrays
+    enc = _average([_random_unitary(rng, 4) for _ in range(4)], np.arange(4), np.array([1, 3]),
+                   1.0)
+    assert enc._frame_left[1].tolist() == [1, 3] + [0, 2] + list(range(4, 16))
+    left = enc.proj_left
+    assert "proj_right" not in enc.__dict__
+    assert np.flatnonzero(np.diagonal(left)).tolist() == [1, 3] and np.count_nonzero(left) == 2
+    assert enc.proj_right.tobytes() == _coordinate_projector(16, 4).tobytes()
+    assert enc.proj_right is not left
+
+
+def _traced_peak_mib(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_memory_stays_within_budget():
+    # tracemalloc counts numpy's allocations, so the peaks are deterministic.
+    # Both outputs have dimension 512, where U is 4 MiB: dense projectors and
+    # np.block copies took the peaks to 19.0 and 15.6 MiB
+    rng = np.random.default_rng(256)
+    a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    a *= 0.95 / np.linalg.norm(a, 2)
+    seq = solve_phases(sign_poly(0.1, 0.4))
+
+    def transform():
+        return transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
+
+    assert _traced_peak_mib(transform) <= 12
+    h = random_hermitian(rng, 64)
+    hamiltonian_simulation(h[:2, :2], 1.0, 2.0, 0.01)  # solve the phases first
+    assert _traced_peak_mib(lambda: hamiltonian_simulation(h, 1.0, 2.0, 0.01)) <= 11
 
 
 def test_coordinate_projectors_take_the_exact_path():

@@ -31,7 +31,7 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.block_encoding import _SLICE, _average, _float_chunks
+from qsvtsim.block_encoding import _SLICE, _average, _float_chunks, _indicator_chunks
 from test_qsvt_engine import literal_product
 
 # fixed examples (derandomize) and no example database, so runs replay
@@ -180,3 +180,16 @@ def test_float_list_writes_the_bytes_of_json_dumps_across_slices(length, first_d
     pieces = list(_float_chunks(x))
     assert first_difference("".join(pieces), json.dumps(x.tolist())) is None
     assert len(pieces) == 2 * -(-length // _SLICE) + 1  # "[", slices and seams, "]"
+
+
+@pytest.mark.parametrize("length", [0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+def test_indicator_list_writes_the_pieces_of_the_float_list(length):
+    # 1.0 at random positions and at both ends of each piece, 0.0 elsewhere
+    rng = np.random.default_rng(length)
+    ends = [0, _SLICE - 1, _SLICE, 2 * _SLICE, length - 1]
+    ones = np.unique(np.concatenate([rng.integers(0, length + 1, 40), ends]))
+    ones = ones[(ones >= 0) & (ones < length)]
+    x = np.zeros(length)
+    x[ones] = 1.0
+    assert list(_indicator_chunks(length, ones)) == list(_float_chunks(x))
+    assert list(_indicator_chunks(length, ones[:0])) == list(_float_chunks(np.zeros(length)))
