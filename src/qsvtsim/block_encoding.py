@@ -6,14 +6,18 @@ restricted to the projector ranges.  Constructors here complete Hermitian
 and general square matrices into exact unitaries via eigen/singular value
 decompositions, and build the phase-oracle and Grover-signal encodings.
 Every composite encoding comes from one of two builders: ``_complete`` or
-``_average``.  Each writes U into one preallocated array and hands in the
-coordinate projectors |0..0><0..0| (x) I it makes as their sorted range
-indices, so no N x N projector is formed, checked or scanned; a caller
-that reads ``proj_right`` or ``proj_left`` gets the dense array, built at
-first access.  A caller that reads only a Hermitian block builds no
-encoding: ``_scaled_eigh`` gives the spectrum that ``qubitize_hermitian``
-encodes.  ``_eigenframe`` is the one decomposition of a unitary: phase
-estimation reads U in it, and the QSVT engine its two reflections' product.
+``_average``.  Each hands in the coordinate projectors |0..0><0..0| (x) I
+it makes as their sorted range indices, so no N x N projector is formed,
+checked or scanned; a caller that reads ``proj_right`` or ``proj_left``
+gets the dense array, built at first access.  ``_average`` writes U into
+one preallocated array.  ``_complete`` checks and keeps its block's
+factors and forms U at its first read, so a caller that reads only the
+block (``transformed_block``) never forms it; the algorithms, the dense
+products and the codec read U.  A caller that reads only a Hermitian
+block builds no encoding: ``_scaled_eigh`` gives the spectrum that
+``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one decomposition
+of a unitary: phase estimation reads U in it, and the QSVT engine its two
+reflections' product.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
@@ -65,9 +69,9 @@ def _gram_defect(gram: np.ndarray) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def _require_defect(defect: float, tol: float = UNITARY_TOL) -> None:
+def _require_defect(defect: float, tol: float = UNITARY_TOL, what: str = "unitarity") -> None:
     if not defect <= tol:  # a NaN or inf defect fails too
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+        raise NotUnitary(f"{what} defect {defect:.3e} exceeds {tol:.1e}")
 
 
 # In the three validators an inf entry makes a NaN defect, which fails its check;
@@ -213,13 +217,37 @@ class _DenseProjector:
         return dense
 
 
-@dataclass(frozen=True)
+class _FormedUnitary:
+    """``unitary`` and ``_defect`` of a ``BlockEncoding`` that holds its
+    block's factors (``_complete``): U formed from them (``_form``) at the
+    first read of either, its defect measured from the quadrants and checked
+    at UNITARY_TOL, and both cached on the instance, U read-only.  Every
+    other encoding stores both at construction, so this is reached only for
+    a completion whose U has not been read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, enc, owner=None):
+        if enc is None:  # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.name)
+        w, s = enc._factors
+        vh = enc._block_svd[2]
+        u, defect = _form(vh.conj().T if w is None else w, s, vh)
+        _require_defect(defect)
+        u = np.asarray(u, dtype=complex)
+        u.setflags(write=False)
+        enc.__dict__.update(unitary=u, _defect=defect)
+        return enc.__dict__[self.name]
+
+
+@dataclass(frozen=True, eq=False)
 class BlockEncoding:
     """Unitary plus projectors locating an encoded operator, with scale alpha.
 
     The encoded operator is alpha * (restriction of U between the projector
     ranges); proj_right selects the input (right singular vector) space and
-    proj_left the output space.
+    proj_left the output space.  Encodings compare and hash by identity.
 
     Construction checks the dimension cap first, then U at UNITARY_TOL and
     both projectors at PROJECTOR_TOL; coordinate projectors (diagonal 0/1)
@@ -231,75 +259,91 @@ class BlockEncoding:
     stays one object, with one frame), and ``_block_svd`` = (W, s, V^dag)
     with s >= 0 and W diag(s) V^dag the block, which the norm check (max s
     against 1 + 1e-10) and ``transformed_block`` read.  ``_defect`` keeps
-    the unitarity defect the check measured.
+    the unitarity defect the check measured, and ``dim`` the dimension.
 
     Called directly (by callers and ``encoding_from_json``) the constructor
     measures U^dag U - I densely, takes ``np.linalg.svd`` of the block and
     stores a copy of each array as given.  The two assemblers, ``_complete``
     and ``_average``, know U's structure and hand in what it gives
-    (``_assemble``): the defect, computed from their parts at the same
-    UNITARY_TOL, for ``_complete`` the block's factors, and the coordinate
-    projectors every constructor makes as their sorted range indices, which
-    are framed with no N x N array formed or checked.  ``_projectors`` holds
-    (right, left) as stored, indices or arrays, for the averages to lift;
-    ``proj_right`` and ``proj_left`` of an index projector are built at
-    first access (``_DenseProjector``).
+    (``_assemble``), and the coordinate projectors every constructor makes
+    as their sorted range indices, which are framed with no N x N array
+    formed or checked.  ``_average`` hands in U and its defect, computed
+    from its parts at the same UNITARY_TOL.  ``_complete`` hands in the
+    block's factors, checked unitary, and no U: ``unitary`` and ``_defect``
+    are formed from the factors at the first read of either
+    (``_FormedUnitary``), so a caller that reads only the block, its SVD,
+    the frames or ``dim`` never forms the 2n x 2n array.  ``_projectors``
+    holds (right, left) as stored, indices or arrays, for the averages to
+    lift; ``proj_right`` and ``proj_left`` of an index projector are built
+    at first access (``_DenseProjector``).
     """
 
-    unitary: np.ndarray
+    unitary: np.ndarray = _FormedUnitary()
     proj_right: np.ndarray = _DenseProjector()
     proj_left: np.ndarray = _DenseProjector()
     alpha: float = 1.0
+    _defect = _FormedUnitary()
 
     @np.errstate(invalid="ignore", over="ignore")  # a NaN defect fails its check
     def __post_init__(self):
-        # what an assembler measured of U's structure (``_assemble``), if any
-        defect, rounding, svd = self.__dict__.pop("_structure", (None, 0.0, None))
-        assembled = defect is not None
-        u = _square(self.unitary, NotUnitary)
-        _require_dim(len(u))
-        if not assembled:
+        # what an assembler knows of U's structure (``_assemble``), if anything
+        structure = self.__dict__.pop("_structure", None)
+        defect, rounding, svd, factors = structure or (None, 0.0, None, None)
+        if factors is None:
+            u = _square(self.unitary, NotUnitary)
+            dim = len(u)
+        else:  # U is formed at first read
+            dim = 2 * len(factors[1])
+        _require_dim(dim)
+        if structure is None:
             defect = _gram_defect(u.conj().T @ u)
-        _require_defect(defect + rounding)
+        if factors is None:
+            _require_defect(defect + rounding)
 
         def checked(p):  # an assembler's coordinate projector comes as its range indices
-            return p if assembled and p.ndim == 1 else require_projector(p)
+            return p if structure is not None and p.ndim == 1 else require_projector(p)
 
         # one projector object on both sides is checked, framed and stored once
         shared = self.proj_left is self.proj_right
         pr = checked(self.proj_right)
         pl = pr if shared else checked(self.proj_left)
-        if any(p.ndim == 2 and p.shape != u.shape for p in (pr, pl)):
+        if any(p.ndim == 2 and p.shape != (dim, dim) for p in (pr, pl)):
             raise DomainError("projectors must match the unitary dimension")
         if not 0.0 < self.alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {self.alpha} must be positive and finite")
-        right = _frame(pr, len(u))
-        left = right if shared else _frame(pl, len(u))
+        right = _frame(pr, dim)
+        left = right if shared else _frame(pl, dim)
         if svd is None:
             svd = np.linalg.svd(_range_block(u, left, right))
         norm = float(np.max(svd[1], initial=0.0))
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
-        if not assembled:
+        if structure is None:
             u, pr = u.copy(), pr.copy()
             pl = pr if shared else pl.copy()
-        for value in (u, pr, pl) + svd:
-            value.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
+        for value in (pr, pl, *svd, *(factors or (u,))):
+            if value is not None:  # a completion's W may be read back from V^dag
+                value.setflags(write=False)
+        if factors is None:
+            object.__setattr__(self, "unitary", u)
+            object.__setattr__(self, "_defect", defect)
+        else:
+            del self.__dict__["unitary"]  # formed at first read
+            object.__setattr__(self, "_factors", factors)
         for name, value in (("proj_right", pr), ("proj_left", pl)):
             if value.ndim == 1:
                 del self.__dict__[name]  # built at first access
             else:
                 object.__setattr__(self, name, value)
+        object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_projectors", (pr, pl))
         object.__setattr__(self, "_frame_right", right)
         object.__setattr__(self, "_frame_left", left)
         object.__setattr__(self, "_block_svd", tuple(svd))
-        object.__setattr__(self, "_defect", defect)
 
     @property
     def dim(self) -> int:
-        return self.unitary.shape[0]
+        return self._dim
 
 
 def extract_block(be: BlockEncoding) -> np.ndarray:
@@ -318,35 +362,34 @@ def _lift(p: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def _assemble(unitary, proj_right, proj_left, alpha: float, defect: float, *,
-              rounding: float = 0.0, svd=None) -> BlockEncoding:
+def _assemble(unitary, proj_right, proj_left, alpha: float, *, defect=None,
+              rounding: float = 0.0, svd=None, factors=None) -> BlockEncoding:
     """BlockEncoding(unitary, proj_right, proj_left, alpha) from an assembler
-    that measured U's unitarity defect from its parts, to within ``rounding``
-    of the formed U's, and may hold the block's SVD: the constructor checks
-    defect + rounding at UNITARY_TOL in place of U^dag U - I, reads the norm
-    from the given singular values, and stores the freshly assembled arrays
-    without copying them.  A projector may be its sorted range indices.  The
+    that knows U's structure.  Either it hands in U with the unitarity defect
+    it measured from U's parts, to within ``rounding`` of the formed U's
+    (``_average``): the constructor checks defect + rounding at UNITARY_TOL
+    in place of U^dag U - I and stores the freshly assembled U without
+    copying it.  Or it hands in no U but the block's SVD and the
+    ``factors`` = (W or None, s) that ``_FormedUnitary`` forms U from at
+    its first read (``_complete``, which has checked them): the encoding
+    holds no 2n x 2n array until then.  The norm is read from the given
+    singular values, and a projector may be its sorted range indices.  The
     call runs ``__init__`` as any construction does, so ``__post_init__``
     stays the one place fields are checked and set."""
     enc = object.__new__(BlockEncoding)
-    object.__setattr__(enc, "_structure", (defect, rounding, svd))
+    object.__setattr__(enc, "_structure", (defect, rounding, svd, factors))
     enc.__init__(unitary, proj_right, proj_left, alpha)
     return enc
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> BlockEncoding:
-    """The reflection completion [[A, R], [R, -A]] of qubitization, with
-    |0><0| (x) I on both sides, held as the indices range(n).  For unitary W,
-    V and |s| <= 1, A = W diag(s) V^dag and R = W diag(sqrt(1 - s^2)) V^dag
-    make it exactly unitary.  A and R are multiplied straight into U's
-    quadrants, and -A and R copied into the other two.
-
-    U^dag U - I is [[A^dag A + R^dag R - I, A^dag R - R^dag A], [R^dag A -
-    A^dag R, A^dag A + R^dag R - I]], so its largest entry, the defect, comes
-    from three n x n products of the quadrants in place of the 2n x 2n Gram
-    matrix.  The block's SVD is (W sign(s), |s|, V^dag): a negative s (an
-    eigenvalue of ``qubitize_hermitian``) folds its sign into W."""
+def _form(w: np.ndarray, s: np.ndarray, vh: np.ndarray):
+    """(U, defect) of the reflection completion [[A, R], [R, -A]] with
+    A = W diag(s) V^dag and R = W diag(sqrt(1 - s^2)) V^dag: A and R are
+    multiplied straight into U's quadrants, and -A and R copied into the
+    other two.  U^dag U - I is [[A^dag A + R^dag R - I, A^dag R - R^dag A],
+    [R^dag A - A^dag R, A^dag A + R^dag R - I]], so its largest entry, the
+    defect, comes from three n x n products of the quadrants in place of
+    the 2n x 2n Gram matrix."""
     n = len(s)
     u = np.empty((2 * n, 2 * n), dtype=np.result_type(w, s, vh))
     a, root = u[:n, :n], u[:n, n:]
@@ -357,9 +400,49 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray, alpha: float) -> Blo
     cross = a.conj().T @ root
     defect = float(np.max([_gram_defect(a.conj().T @ a + root.conj().T @ root),
                            np.max(np.abs(cross - cross.conj().T))]))
-    pi = np.arange(n)
-    svd = (w * np.copysign(1.0, s), np.abs(s), vh)
-    return _assemble(u, pi, pi, float(alpha), defect, svd=svd)
+    return u, defect
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and y hold the same floats, signed zeros included."""
+    return all(np.array_equal(p, q) and np.array_equal(np.signbit(p), np.signbit(q))
+               for p, q in ((x.real, y.real), (x.imag, y.imag)))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray | None,
+              alpha: float) -> BlockEncoding:
+    """The reflection completion [[A, R], [R, -A]] of qubitization, with
+    |0><0| (x) I on both sides, held as the indices range(n).  For unitary W,
+    V and |s| <= 1, A = W diag(s) V^dag and R = W diag(sqrt(1 - s^2)) V^dag
+    make it exactly unitary.  ``vh`` None means V = W (the eigenvectors of
+    ``qubitize_hermitian``).
+
+    The factors are checked in place of U: max |W^dag W - I| and
+    max |V V^dag - I| at UNITARY_TOL (one Gram when V = W), and |s| <= 1,
+    each raising ``NotUnitary`` that names it; no U is formed.  The
+    encoding holds the block's SVD (W sign(s), |s|, V^dag) (a negative s,
+    an eigenvalue of ``qubitize_hermitian``, folds its sign into W) and
+    forms U from W and s at its first read (``_form``), which also measures
+    and checks U's own defect.  W is not kept apart from the SVD's: when
+    V = W it is read back as (V^dag)^dag, and otherwise the SVD's W sign(s)
+    serves whenever it has W's bits (a complex W sign(s) can flip the sign
+    of a zero part, and a zero's sign can reach U)."""
+    hermitian = vh is None
+    if hermitian:
+        vh = w.conj().T
+    _require_defect(_gram_defect(w.conj().T @ w), what="factor W unitarity")
+    if not hermitian:
+        _require_defect(_gram_defect(vh.conj().T @ vh), what="factor V unitarity")
+    if not np.all(np.abs(s) <= 1.0):  # a NaN fails too
+        raise NotUnitary(f"factor s has |s| = {np.max(np.abs(s)):.3e} > 1")
+    folded = w * np.copysign(1.0, s)
+    if hermitian:
+        w = None  # read back from V^dag
+    elif _same_bits(folded, w):
+        w = folded
+    pi = np.arange(len(s))
+    return _assemble(None, pi, pi, float(alpha), svd=(folded, np.abs(s), vh), factors=(w, s))
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -414,7 +497,7 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     shared = proj_left is proj_right
     proj_right = _lift(proj_right, m)
     proj_left = proj_right if shared else _lift(proj_left, m)
-    return _assemble(u, proj_right, proj_left, alpha, defect, rounding=rounding)
+    return _assemble(u, proj_right, proj_left, alpha, defect=defect, rounding=rounding)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -426,7 +509,7 @@ def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
     h = _square(h, NotHermitian)
     _require_dim(2 * len(h))
     evecs, lam = _scaled_eigh(h, alpha)
-    return _complete(evecs, lam, evecs.conj().T, alpha)
+    return _complete(evecs, lam, None, alpha)
 
 
 def _scaled_eigh(h: np.ndarray, alpha: float):

@@ -499,7 +499,9 @@ def _traced_peak_mib(build):
 def test_assembly_memory_stays_within_budget():
     # tracemalloc counts numpy's allocations, so the peaks are deterministic.
     # Both outputs have dimension 512, where U is 4 MiB: dense projectors and
-    # np.block copies took the peaks to 19.0 and 15.6 MiB
+    # np.block copies took the peaks to 19.0 and 15.6 MiB.  The transform
+    # reads only the block, so its completion forms no U: 4.0 MiB, against
+    # 10.0 MiB when the completion formed it
     rng = np.random.default_rng(256)
     a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     a *= 0.95 / np.linalg.norm(a, 2)
@@ -508,7 +510,7 @@ def test_assembly_memory_stays_within_budget():
     def transform():
         return transformed_block(QsvtProgram(embed_general(a, 1.0), seq))
 
-    assert _traced_peak_mib(transform) <= 12
+    assert _traced_peak_mib(transform) <= 6
     h = random_hermitian(rng, 64)
     hamiltonian_simulation(h[:2, :2], 1.0, 2.0, 0.01)  # solve the phases first
     assert _traced_peak_mib(lambda: hamiltonian_simulation(h, 1.0, 2.0, 0.01)) <= 11
@@ -587,6 +589,133 @@ def _hadamard_average(branches):
     k = len(branches).bit_length() - 1
     outer = functools.reduce(np.kron, [hadamard] * k + [np.eye(len(branches[0]))])
     return outer @ block_diag(*branches) @ outer
+
+
+def test_encodings_compare_and_hash_by_identity():
+    first, second = grover_signal(4), grover_signal(4)
+    assert first == first and first != second and not first == second
+    assert len({first, second, first}) == 2
+    assert first in {first} and second not in {first}
+    assert "unitary" not in first.__dict__ and "unitary" not in second.__dict__
+
+
+@pytest.fixture
+def formation_fails(monkeypatch):
+    """Forming a completion's U raises when called."""
+    import qsvtsim.block_encoding as block_encoding
+
+    def fail(*args):
+        raise AssertionError("a completion's U was formed")
+
+    monkeypatch.setattr(block_encoding, "_form", fail)
+
+
+def test_a_block_read_forms_no_unitary(rng, formation_fails):
+    seq = solve_phases(sign_poly(0.1, 0.4))
+    general = embed_general(random_hermitian(rng, 4) @ _random_unitary(rng, 4), 1.0)
+    transformed_block(QsvtProgram(general, seq))
+    hermitian = qubitize_hermitian(random_hermitian(rng, 4), 1.0)
+    assert len(hermitian._block_svd) == 3 and hermitian._frame_right[0] == 4
+    assert hermitian.dim == 8 and hermitian.proj_right.shape == (8, 8)
+    for enc in (general, hermitian):
+        assert "unitary" not in enc.__dict__ and "_defect" not in enc.__dict__
+
+
+def test_the_first_read_forms_the_unitary_once(rng, monkeypatch):
+    import qsvtsim.block_encoding as block_encoding
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return form(*args)
+
+    form = block_encoding._form
+    monkeypatch.setattr(block_encoding, "_form", counted)
+    enc = qubitize_hermitian(random_hermitian(rng, 4), 1.0)
+    u = enc.unitary
+    assert enc.unitary is u and not u.flags.writeable and u.dtype == complex
+    assert enc._defect <= UNITARY_TOL and len(calls) == 1
+    defect = grover_signal(4)._defect  # a first read of the defect forms U too
+    assert len(calls) == 2 and defect <= UNITARY_TOL
+
+
+class TestCompletionCertificates:
+    """A completion checks its factors when it is built, and U, formed from
+    them when it is read, is the product of its quadrants bit for bit."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_the_formed_unitary_is_the_quadrant_products(self, rng, real, hermitian):
+        n = 6
+        g = rng.standard_normal((n, n)) + (0.0 if real else 1j * rng.standard_normal((n, n)))
+        if hermitian:  # signed s, V = W
+            s, w = np.linalg.eigh(g + g.conj().T)
+            s, vh = s / (2.0 * np.max(np.abs(s))), w.conj().T
+            enc = _complete(w, s, None, 1.0)
+        else:
+            w, s, vh = np.linalg.svd(g)
+            s = s / (2.0 * s[0])
+            enc = _complete(w, s, vh, 1.0)
+        u = enc.unitary
+        a, root = (w * s) @ vh, (w * np.sqrt(1.0 - s**2)) @ vh  # real for real factors
+        quadrants = {(0, 0): a, (0, 1): root, (1, 0): root, (1, 1): -a}
+        for (p, q), quadrant in quadrants.items():
+            formed = u[p * n : (p + 1) * n, q * n : (q + 1) * n]
+            assert formed.tobytes() == quadrant.astype(complex).tobytes()
+        assert abs(enc._defect - np.max(np.abs(u.conj().T @ u - np.eye(2 * n)))) <= 1e-15
+
+    def test_a_zero_sign_flipped_by_the_fold_keeps_w(self):
+        # W sign(s) = W (1 + 0j) turns W's -0 - 0j into +0 - 0j and 1 - 0j
+        # into 1 + 0j, and those zeros' signs reach U; U is formed from W itself
+        w = np.array([[complex(0.0, -1.0), complex(-0.0, -0.0)],
+                      [complex(-0.0, 0.0), complex(1.0, -0.0)]])
+        vh = np.array([[complex(-0.0, 0.0), complex(-1.0, 0.0)],
+                       [complex(-1.0, -0.0), complex(-0.0, -0.0)]])
+        s = np.array([0.0, 1.0])
+        folded = w * np.copysign(1.0, s)
+
+        def quadrants(w):
+            return ((w * s) @ vh).tobytes(), ((w * np.sqrt(1.0 - s**2)) @ vh).tobytes()
+
+        assert quadrants(folded) != quadrants(w)
+        enc = _complete(w, s, vh, 1.0)
+        assert enc._block_svd[0].tobytes() == folded.tobytes()
+        assert (enc.unitary[:2, :2].tobytes(), enc.unitary[:2, 2:].tobytes()) == quadrants(w)
+
+    @pytest.mark.parametrize("factor", ["W", "V", "W of a Hermitian block", "s"])
+    def test_a_factor_off_unitary_raises_at_construction(self, rng, factor, formation_fails):
+        w, s, vh = np.linalg.svd(random_hermitian(rng, 5) @ _random_unitary(rng, 5))
+        args = {"W": (w * (1 + 1e-9), s, vh), "V": (w, s, vh * (1 + 1e-9)),
+                "W of a Hermitian block": (w * (1 + 1e-9), s, None),
+                "s": (w, np.concatenate([s[:-1], [1.0 + 1e-9]]), vh)}[factor]
+        with pytest.raises(NotUnitary, match=f"^factor {factor[0]} "):
+            _complete(*args, 1.0)
+
+    def test_factors_within_the_bound_with_a_u_past_it_raise_at_the_first_read(self, rng):
+        # each factor's Gram is off by about 8e-13, U^dag U - I by about 1.6e-12
+        w, s, vh = np.linalg.svd(random_hermitian(rng, 5) @ _random_unitary(rng, 5))
+        enc = _complete(w * (1 + 4e-13), s, vh * (1 + 4e-13), 1.0)
+        with pytest.raises(NotUnitary, match="^unitarity defect 1.6"):
+            enc.unitary
+        assert "unitary" not in enc.__dict__
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_non_finite_inputs_raise_typed_errors(self, bad, real):
+        h = np.diag([0.5, -0.25, 0.125]).astype(float if real else complex)
+        entry = h.copy()
+        entry[1, 2] = bad
+        if not np.isnan(bad):  # NaN makes the SVD itself fail to converge
+            with pytest.raises(NotUnitary, match="defect nan"):
+                embed_general(entry, 1.0)
+        with pytest.raises(NotHermitian):
+            qubitize_hermitian(entry, 1.0)
+        with pytest.raises(NotUnitary if np.isnan(bad) else DomainError):
+            embed_general(h, bad)
+        with pytest.raises(DomainError, match="alpha"):
+            qubitize_hermitian(h, bad)
 
 
 class TestStructuredDefects:
