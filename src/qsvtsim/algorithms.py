@@ -24,6 +24,7 @@ from .block_encoding import (
     _average,
     _eigenframe,
     _require_dim,
+    _require_finite,
     _scaled_eigh,
     _square,
     embed_general,
@@ -605,6 +606,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     """
     a = _square(a, DomainError)
     _require_dim(4 * len(a), "4n")  # checked before any work: the output has dimension 4n
+    _require_finite(a)
     sigma = np.linalg.svd(a, compute_uv=False)
     if np.any(sigma > 1.0 + 1e-9) or np.any(sigma < 1.0 / kappa - 1e-9):
         raise ConditionViolated(

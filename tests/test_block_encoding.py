@@ -599,6 +599,48 @@ def test_encodings_compare_and_hash_by_identity():
     assert "unitary" not in first.__dict__ and "unitary" not in second.__dict__
 
 
+def test_every_construction_runs_the_store_routine_once(rng, monkeypatch):
+    # The benchmark's tracer (perfbench/tracing.py) wraps
+    # BlockEncoding.__post_init__ by that name to count and time
+    # constructions, and reads .unitary of the wrapped call's first argument;
+    # the last encoding a build constructs is the one it returns
+    h = random_hermitian(rng, 4)
+    general = embed_general(h @ _random_unitary(rng, 4), 1.0)
+    seq = solve_phases(sign_poly(0.1, 0.4))
+    text = encoding_to_json(general)
+    p = np.diag([1.0, 0.0]).astype(complex)
+    hamiltonian_simulation(h[:2, :2], 1.0, 2.0, 0.01)  # solve the phases first
+    builds = {
+        "BlockEncoding": (lambda: BlockEncoding(np.eye(2), p, p, 2.0), 1),
+        "encoding_from_json": (lambda: encoding_from_json(text), 1),
+        "embed_general": (lambda: embed_general(h, 1.0), 1),
+        "qubitize_hermitian": (lambda: qubitize_hermitian(h, 1.0), 1),
+        "grover_signal": (lambda: grover_signal(4), 1),
+        "shift_positive": (lambda: shift_positive(general), 1),
+        "phase_oracle_block": (lambda: phase_oracle_block(_random_unitary(rng, 4), 1, 0.3), 1),
+        "real_part_encoding": (lambda: real_part_encoding(QsvtProgram(general, seq)), 1),
+        "hamiltonian_simulation": (lambda: hamiltonian_simulation(h, 1.0, 2.0, 0.01), 2),
+        "matrix_inversion": (
+            lambda: matrix_inversion(0.5 * _random_unitary(rng, 4) + 0.25 * h, 4.0, 0.05), 2),
+    }
+    store, calls = BlockEncoding.__post_init__, []
+
+    @functools.wraps(store)
+    def counted(*args, **kwargs):
+        result = store(*args, **kwargs)
+        calls.append((args[0], args[0].unitary.shape[0]))
+        return result
+
+    monkeypatch.setattr(BlockEncoding, "__post_init__", counted)
+    for name, (build, count) in builds.items():
+        calls.clear()
+        enc = build()
+        assert len(calls) == count, name
+        assert calls[-1] == (enc, enc.dim), name
+        assert all(isinstance(first, BlockEncoding) and first.dim == dim
+                   for first, dim in calls), name
+
+
 @pytest.fixture
 def formation_fails(monkeypatch):
     """Forming a completion's U raises when called."""
@@ -667,7 +709,8 @@ class TestCompletionCertificates:
 
     def test_a_zero_sign_flipped_by_the_fold_keeps_w(self):
         # W sign(s) = W (1 + 0j) turns W's -0 - 0j into +0 - 0j and 1 - 0j
-        # into 1 + 0j, and those zeros' signs reach U; U is formed from W itself
+        # into 1 + 0j, and those zeros' signs reach U; with no negative s
+        # nothing is folded, and the SVD and U hold W itself
         w = np.array([[complex(0.0, -1.0), complex(-0.0, -0.0)],
                       [complex(-0.0, 0.0), complex(1.0, -0.0)]])
         vh = np.array([[complex(-0.0, 0.0), complex(-1.0, 0.0)],
@@ -680,7 +723,7 @@ class TestCompletionCertificates:
 
         assert quadrants(folded) != quadrants(w)
         enc = _complete(w, s, vh, 1.0)
-        assert enc._block_svd[0].tobytes() == folded.tobytes()
+        assert enc._block_svd[0].tobytes() == w.tobytes()
         assert (enc.unitary[:2, :2].tobytes(), enc.unitary[:2, 2:].tobytes()) == quadrants(w)
 
     @pytest.mark.parametrize("factor", ["W", "V", "W of a Hermitian block", "s"])
@@ -707,9 +750,10 @@ class TestCompletionCertificates:
         h = np.diag([0.5, -0.25, 0.125]).astype(float if real else complex)
         entry = h.copy()
         entry[1, 2] = bad
-        if not np.isnan(bad):  # NaN makes the SVD itself fail to converge
-            with pytest.raises(NotUnitary, match="defect nan"):
-                embed_general(entry, 1.0)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            embed_general(entry, 1.0)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            matrix_inversion(entry, 4.0, 0.05)
         with pytest.raises(NotHermitian):
             qubitize_hermitian(entry, 1.0)
         with pytest.raises(NotUnitary if np.isnan(bad) else DomainError):
