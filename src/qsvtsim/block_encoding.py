@@ -24,7 +24,10 @@ reflections' product.
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
 ``encoding_to_json`` joins them, and the CLI streams them to a file.  An
-index projector's lists are written from its indices.
+index projector's lists are written from its indices.  An average's U,
+whose block (p, q) is its block (0, p xor q), is written from that first
+block row (``_tiled_chunks``): each distinct value formatted and each
+row of each tile joined once, then copied into every block row.
 """
 
 from __future__ import annotations
@@ -242,6 +245,10 @@ class BlockEncoding:
     are framed with no N x N array formed or checked.  ``dim`` is the
     dimension.
 
+    ``_tiles`` is the branch count m of an average (1 for every other
+    encoding): its U is m x m tiles, block (p, q) equal to block
+    (0, p xor q), and the codec writes U's lists from that first block row.
+
     ``unitary``, its unitarity defect ``_defect``, ``proj_right`` and
     ``proj_left`` are cached properties.  The constructor and ``_average``
     store U and the defect they measured.  ``_complete`` stores the
@@ -274,11 +281,13 @@ class BlockEncoding:
     # argument, so under another name every traced round fails with
     # AttributeError.  Every construction therefore calls it by this name.
     def __post_init__(self, dim: int, right: np.ndarray, left: np.ndarray, alpha: float, *,
-                      svd=None, unitary=None, defect=None, factors=None) -> BlockEncoding:
+                      svd=None, unitary=None, defect=None, factors=None,
+                      tiles: int = 1) -> BlockEncoding:
         """Check alpha and the block norm and store the fields of a checked
         U (``unitary`` and its ``defect``) or of checked ``factors``
         (W or None, s), with projectors as arrays or range indices, one
-        object when shared; ``svd`` is the block's, when the caller has it."""
+        object when shared; ``svd`` is the block's, when the caller has it,
+        and ``tiles`` the branch count of an average's U (``_tiles``)."""
         if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {alpha} must be positive and finite")
         frame_right = _frame(right, dim)
@@ -293,7 +302,7 @@ class BlockEncoding:
                 value.setflags(write=False)
         self.__dict__.update(alpha=alpha, dim=dim, _projectors=(right, left),
                              _frame_right=frame_right, _frame_left=frame_left,
-                             _block_svd=tuple(svd), _factors=factors)
+                             _block_svd=tuple(svd), _factors=factors, _tiles=tiles)
         if unitary is not None:
             self.__dict__.update(unitary=unitary, _defect=defect)
         return self
@@ -414,7 +423,8 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     U's block (p, q) is C_(p xor q), C the Walsh-Hadamard transform of the
     branches taken by k levels of half-sums (x + y) / 2, (x - y) / 2.  The
     levels run in place in U's first block row, and the other rows are
-    copied from it.
+    copied from it.  The encoding keeps m as ``_tiles``, so the codec
+    writes U's lists from that first block row, 1/m of U's entries.
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
     B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
@@ -455,7 +465,7 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     right = _lift(proj_right, m)
     left = right if proj_left is proj_right else _lift(proj_left, m)
     return object.__new__(BlockEncoding).__post_init__(m * n, right, left, alpha, unitary=u,
-                                                       defect=defect)
+                                                       defect=defect, tiles=m)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -559,25 +569,70 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's sp
 _SLICE = 2**15  # list entries joined into one written piece
 
 
-def _float_chunks(x: np.ndarray):
-    """Yields the text ``json.dumps(x.tolist())`` writes for a float vector,
-    in pieces of at most _SLICE entries, with one ``float.__repr__`` per
-    distinct bit pattern (so -0.0 and 0.0 stay apart): the encodings repeat
-    few values many times, and a 0/1 projector has two."""
+def _joined_rows(head: np.ndarray) -> list:
+    """For each row r and tile t of head, of shape (n, m, w), an iterator
+    over the (text, entries) joins of at most _SLICE of the row's entries,
+    in json's spelling: one ``float.__repr__`` per distinct bit pattern (so
+    -0.0 and 0.0 stay apart), and json's ``NaN``, ``Infinity`` and
+    ``-Infinity``.  The word table lives as long as an iterator does."""
+    n, m, w = head.shape
     bits, inverse = np.unique(
-        np.ascontiguousarray(x, dtype=float).view(np.uint64), return_inverse=True
+        np.ascontiguousarray(head, dtype=float).view(np.uint64), return_inverse=True
     )
     values = bits.view(float)
     words = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         words[i] = _NONFINITE[words[i]]
-    words = np.array(words, dtype=object)
+    words, inverse = np.array(words, dtype=object), inverse.reshape(head.shape)
+
+    def slices(r, t):
+        for c in range(0, w, _SLICE):
+            yield ", ".join(words[inverse[r, t, c : c + _SLICE]].tolist()), min(_SLICE, w - c)
+
+    return [[slices(r, t) for t in range(m)] for r in range(n)]
+
+
+def _tiled_chunks(head: np.ndarray):
+    """Yields the text ``json.dumps`` writes for the row-major float list of
+    the (n m) x (m w) matrix whose block (p, q) is head[:, p ^ q], head of
+    shape (n, m, w): its first block row, tile q at head[:, q].
+
+    Each (row, tile) piece of head is joined once (``_joined_rows``), and
+    the matrix's row p n + r is the join of head's pieces (r, p ^ q),
+    q = 0 .. m - 1.  For m > 1 block row 0's pieces are joined first and
+    kept for the other block rows, and the word table is dropped.  With one
+    tile the rows run on into each other, so they are sliced as one row
+    (a join per row would cost a call per entry of a column vector), and
+    each slice is joined as it is written.  The joins are grouped into
+    yielded pieces of at most _SLICE entries, each seam ", " yielded apart."""
+    n, m, w = head.shape
+    if m == 1:
+        head = head.reshape(1, 1, n * w)
+    table = _joined_rows(head)
+    if m > 1:  # every block row reads block row 0's pieces
+        table = [[list(piece) for piece in row] for row in table]
     yield "["
-    for start in range(0, len(inverse), _SLICE):
-        if start:
-            yield ", "
-        yield ", ".join(words[inverse[start : start + _SLICE]].tolist())
+    group, entries = [], 0
+    for p in range(m):
+        for row in table:
+            for q in range(m):
+                for text, size in row[p ^ q]:
+                    if entries + size > _SLICE:
+                        yield ", ".join(group)
+                        yield ", "
+                        group, entries = [], 0
+                    group.append(text)
+                    entries += size
+    if group:
+        yield ", ".join(group)
     yield "]"
+
+
+def _float_chunks(x: np.ndarray):
+    """Yields the text ``json.dumps(x.tolist())`` writes for a float vector:
+    ``_tiled_chunks`` of it as one row and one tile, so in pieces of
+    _SLICE entries, the last holding the rest."""
+    yield from _tiled_chunks(np.reshape(x, (1, 1, -1)))
 
 
 def _indicator_chunks(length: int, ones: np.ndarray):
@@ -598,13 +653,19 @@ def _indicator_chunks(length: int, ones: np.ndarray):
     yield "]"
 
 
-def _matrix_chunks(m: np.ndarray):
+def _matrix_chunks(m: np.ndarray, tiles: int = 1):
+    """``matrix_to_json(m)`` in pieces, for m of ``tiles`` x ``tiles`` equal
+    blocks whose block (p, q) is block (0, p ^ q), as ``_average`` writes
+    U: each list is written from m's first block row (``_tiled_chunks``).
+    Any matrix is one such block: ``tiles`` = 1."""
     m = np.asarray(m, dtype=complex)
-    yield f'{{"cols": {m.shape[1]}, "im": '
-    yield from _float_chunks(m.imag.ravel())
+    rows, cols = m.shape
+    head = m[: rows // tiles].reshape(rows // tiles, tiles, cols // tiles)
+    yield f'{{"cols": {cols}, "im": '
+    yield from _tiled_chunks(head.imag)
     yield ', "re": '
-    yield from _float_chunks(m.real.ravel())
-    yield f', "rows": {m.shape[0]}}}'
+    yield from _tiled_chunks(head.real)
+    yield f', "rows": {rows}}}'
 
 
 def _projector_chunks(p: np.ndarray, dim: int):
@@ -652,7 +713,7 @@ def _encoding_chunks(be: BlockEncoding):
     yield ', "proj_right": '
     yield from _projector_chunks(right, be.dim)
     yield ', "unitary": '
-    yield from _matrix_chunks(be.unitary)
+    yield from _matrix_chunks(be.unitary, be._tiles)
     yield "}"
 
 

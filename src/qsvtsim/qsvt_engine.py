@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_encoding import (BlockEncoding, _average, _eigenframe, _into, _inverse, _require_dim,
-                             _square, require_hermitian, require_unitary)
+                             _require_finite, _square, require_hermitian, require_unitary)
 from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets, _unitaries,
@@ -140,10 +140,12 @@ def svd_oracle(a: np.ndarray, poly: ChebyshevPoly) -> np.ndarray:
     parity returns V f(S) V^dag, matching where the QSVT sequence leaves
     the transform.  The block may be r x c: the odd transform keeps the
     min(r, c) singular pairs, and the even one puts f(0) on the null space.
+    A NaN or infinite entry raises DomainError before the SVD.
     """
     if poly.parity is Parity.NONE:
         raise DomainError("singular value transforms need a parity-definite polynomial")
     a = np.asarray(a, dtype=complex)
+    _require_finite(a)
     w, sigma, vh = np.linalg.svd(a)
     if poly.parity is Parity.ODD:
         return w[:, : len(sigma)] @ np.diag(poly(sigma)) @ vh[: len(sigma)]

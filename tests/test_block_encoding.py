@@ -38,9 +38,11 @@ from qsvtsim import (
 )
 from qsvtsim.block_encoding import (
     UNITARY_TOL,
+    _SLICE,
     _average,
     _complete,
     _coordinate_range,
+    _encoding_chunks,
     _gram_schmidt,
     require_hermitian,
     require_projector,
@@ -367,6 +369,62 @@ def test_codec_bytes_match_the_reference_form_for_every_constructor(name, rng):
     be = SEEDED_ENCODINGS[name](rng)
     assert encoding_to_json(be) == _reference_encoding_json(be)
     assert matrix_to_json(be.unitary) == _reference_matrix_json(be.unitary)
+
+
+def _stdlib_encoding_json(be):
+    # json.dumps of each dense matrix's .tolist(): no code shared with the writer
+    def matrix(m):
+        return {"cols": m.shape[1], "im": m.imag.ravel().tolist(),
+                "re": m.real.ravel().tolist(), "rows": m.shape[0]}
+
+    return json.dumps({"alpha": be.alpha, "proj_left": matrix(be.proj_left),
+                       "proj_right": matrix(be.proj_right), "unitary": matrix(be.unitary)},
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_an_evolution_is_written_from_its_first_block_row(n, first_difference):
+    # hamiltonian_simulation averages four branches: U is 4 x 4 tiles, written
+    # from its first block row, in pieces of at most _SLICE list entries
+    be = hamiltonian_simulation(random_hermitian(np.random.default_rng(n), n), 1.0, 2.0, 0.01)
+    assert be._tiles == 4 and be.dim == 8 * n
+    pieces = list(_encoding_chunks(be))
+    assert first_difference("".join(pieces), _stdlib_encoding_json(be)) is None
+    if n == 64:  # dimension 512: each list holds 8 x _SLICE entries
+        assert max(piece.count(",") + 1 for piece in pieces) <= _SLICE
+
+
+@pytest.mark.parametrize("name", ["matrix_inversion", "phase_oracle_block",
+                                  "real_part_encoding", "shift_positive"])
+def test_a_two_branch_average_is_written_from_its_first_block_row(name, rng):
+    be = SEEDED_ENCODINGS[name](rng)
+    assert be._tiles == 2
+    assert encoding_to_json(be) == _stdlib_encoding_json(be)
+
+
+def test_an_average_keeps_the_signed_zeros_of_its_branches():
+    # the half-sums keep -0.0 as the imaginary part of a negative entry, and
+    # the writer formats its bit pattern apart from 0.0's
+    def signed(re):
+        m = np.empty((2, 2), dtype=complex)
+        m.real, m.imag = re, -0.0
+        return m
+
+    z = -0.0
+    branches = [signed([[-1.0, z], [z, -1.0]]), signed([[z, -1.0], [-1.0, z]]),
+                signed([[-1.0, z], [z, -1.0]]), signed([[z, 1.0], [1.0, z]])]
+    be = _average(branches, np.arange(2), np.arange(2), 1.0)
+    assert be._tiles == 4
+    text = encoding_to_json(be)
+    assert text == _stdlib_encoding_json(be)
+    assert text.split('"unitary"')[1].count("-0.0") == 16
+
+
+def test_an_encoding_read_back_is_written_as_one_tile(rng):
+    text = encoding_to_json(SEEDED_ENCODINGS["hamiltonian_simulation"](rng))
+    again = encoding_from_json(text)
+    assert again._tiles == 1
+    assert encoding_to_json(again) == _stdlib_encoding_json(again) == text
 
 
 @pytest.mark.parametrize("name", ["hamiltonian_simulation", "matrix_inversion",

@@ -210,6 +210,25 @@ def test_writing_an_encoding_holds_less_than_its_file(tmp_path, hamsim_n32):
     assert peak < path.stat().st_size
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_writing_an_average_holds_under_half_its_file(tmp_path, n):
+    # U's lists are joined from its first block row, whose word table is
+    # dropped before they are written: the traced peak is 0.45 and 0.38 of
+    # the file, against 0.86 and 0.78 when every entry was gathered and joined
+    s = np.random.default_rng(n).standard_normal((2, n, n))
+    g = s[0] + 1j * s[1]
+    h = (g + g.conj().T) / 2
+    enc = algorithms.hamiltonian_simulation(0.9 * h / np.linalg.norm(h, 2), 1.0, 2.0, 0.01)
+    path = tmp_path / "evo.json"
+    tracemalloc.start()
+    try:
+        _write_text(str(path), itertools.chain(_encoding_chunks(enc), ("\n",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
+
+
 def test_bad_threshold_state_and_invert_matrix_exit_1(capsys, tmp_path, monkeypatch):
     def no_solve(*args):
         raise AssertionError("phases solved before the input was checked")

@@ -131,6 +131,16 @@ class TestOracleEquivalence:
         assert block[0, 1] == pytest.approx(t3_at, abs=1e-6)
         assert np.max(np.abs(svd_oracle(a, t3) - block)) < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_oracle_of_a_non_finite_matrix_raises_a_typed_error(self, bad):
+        # a NaN made the SVD raise LinAlgError, and an inf gave an all-NaN matrix
+        a = np.diag([0.5, -0.25, 0.125]).astype(complex)
+        a[1, 2] = bad
+        poly = ChebyshevPoly([0.0, 0.6, 0.0, -0.3], Parity.ODD)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            svd_oracle(a, poly)
+
     def test_high_degree_on_hamsim_output(self, family_solutions):
         # the 128-dimensional evolution encoding with degree-61 phases: the
         # rounding of the phased products must not reject a valid input
