@@ -22,12 +22,12 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     _average,
+    _complete,
     _eigenframe,
     _require_dim,
     _require_finite,
     _scaled_eigh,
     _square,
-    embed_general,
     grover_signal,
     qubitize_hermitian,
     require_unitary,
@@ -607,12 +607,14 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     a = _square(a, DomainError)
     _require_dim(4 * len(a), "4n")  # checked before any work: the output has dimension 4n
     _require_finite(a)
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if np.any(sigma > 1.0 + 1e-9) or np.any(sigma < 1.0 / kappa - 1e-9):
+    # one SVD of A^dag serves the check and the completion, whose alpha 1
+    # bounds the largest singular value at 1 + 1e-12 (``embed_general``'s bound)
+    w, sigma, vh = np.linalg.svd(a.conj().T)
+    if np.any(sigma > 1.0 + 1e-12) or np.any(sigma < 1.0 / kappa - 1e-9):
         raise ConditionViolated(
             f"singular values {np.round(sigma, 6)} leave [1/kappa, 1]"
         )
     phases = _phases(matrix_inversion_poly, epsilon, kappa).as_array()
-    enc = embed_general(a.conj().T, 1.0)
+    enc = _complete(w, np.clip(sigma, 0.0, 1.0), vh, 1.0)
     # the real part 1/2 (V(phi) + V(-phi)) of the odd transform, read out by P_L
     return _average(_full(enc, [phases, -phases]), *enc._projectors, 2.0 * kappa)

@@ -11,10 +11,17 @@ one routine, ``BlockEncoding.__post_init__``.  The builders hand in the
 coordinate projectors |0..0><0..0| (x) I they make as their sorted range
 indices, so no N x N projector is formed, checked or scanned; a caller
 that reads ``proj_right`` or ``proj_left`` gets the dense array, built at
-first read.  ``_average`` writes U into one preallocated array.
-``_complete`` checks and keeps its block's factors and forms U at its
-first read, so a caller that reads only the block (``transformed_block``)
-never forms it; the algorithms, the dense products and the codec read U.
+first read.
+
+An encoding stores checked structure, and U is formed only when it is
+read.  A completion (``_complete``) keeps its block's checked factors and
+forms U from them at the first read (``_form``).  Every other encoding
+keeps its checked first block row, the head, of shape (n, m, n): U's
+block (p, q) is head[:, p xor q].  The constructor's U is the one-tile
+case; ``_average`` runs its half-sums in the head and stops there.  The
+block's SVD, ``extract_block`` and the codec read the head, so a caller
+that reads only those (``transformed_block``, the writer of an average)
+never forms U; the algorithms and the dense products read it.
 A caller that reads only a Hermitian
 block builds no encoding: ``_scaled_eigh`` gives the spectrum that
 ``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one decomposition
@@ -24,10 +31,9 @@ reflections' product.
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
 ``encoding_to_json`` joins them, and the CLI streams them to a file.  An
-index projector's lists are written from its indices.  An average's U,
-whose block (p, q) is its block (0, p xor q), is written from that first
-block row (``_tiled_chunks``): each distinct value formatted and each
-row of each tile joined once, then copied into every block row.
+index projector's lists are written from its indices.  U's lists are
+written from the head (``_tiled_chunks``): each distinct value formatted
+and each row of each tile joined once, then copied into every block row.
 """
 
 from __future__ import annotations
@@ -160,9 +166,12 @@ def _into(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _range_block(u: np.ndarray, left, right) -> np.ndarray:
-    """Matrix of u from range(P_R) to range(P_L), in the frames' range bases."""
+    """Matrix of u from range(P_R) to range(P_L), in the frames' range bases,
+    for u the leading block of U that holds both ranges: each frame is cut
+    to its first len(u) rows (an index frame's range indices all lie below
+    len(u), and a dense frame's range rows past it are exact zeros)."""
     (rank_l, frame_l), (rank_r, frame_r) = left, right
-    return _into(u, frame_l[..., :rank_l], frame_r[..., :rank_r])
+    return _into(u, frame_l[: len(u)][..., :rank_l], frame_r[: len(u)][..., :rank_r])
 
 
 def _eigenframe(u: np.ndarray):
@@ -229,7 +238,7 @@ class BlockEncoding:
     and both projectors at PROJECTOR_TOL (one projector object passed on
     both sides is checked once); coordinate projectors (diagonal 0/1) are
     checked exactly in O(N^2), any other densely.  It stores a copy of each
-    array as given.
+    array as given, U as a one-tile head.
 
     Every construction, the constructor's and the two assemblers'
     (``_complete`` and ``_average``), ends in one store routine,
@@ -245,19 +254,22 @@ class BlockEncoding:
     are framed with no N x N array formed or checked.  ``dim`` is the
     dimension.
 
-    ``_tiles`` is the branch count m of an average (1 for every other
-    encoding): its U is m x m tiles, block (p, q) equal to block
-    (0, p xor q), and the codec writes U's lists from that first block row.
-
-    ``unitary``, its unitarity defect ``_defect``, ``proj_right`` and
-    ``proj_left`` are cached properties.  The constructor and ``_average``
-    store U and the defect they measured.  ``_complete`` stores the
-    block's factors (``_factors``), checked unitary, and no U: U is formed
-    from them (``_form``) at the first read of either, and its defect
-    checked at UNITARY_TOL then, so a caller that reads only the block,
-    its SVD, the frames or ``dim`` never forms the 2n x 2n array.  A dense
-    projector is read as stored, and one held as indices is built at its
-    first read (one array for a projector shared by both sides).
+    One storage rule: checked structure is stored, and U is formed only
+    when read.  ``unitary``, its unitarity defect ``_defect``,
+    ``proj_right`` and ``proj_left`` are cached properties.  The
+    constructor and ``_average`` store U's checked first block row
+    ``_head``, of shape (n, m, n) with U's block (p, q) = head[:, p xor q]
+    (m = 1 and U itself for the constructor; m the branch count of an
+    average), and the defect they measured.  U is tiled from the head at
+    its first read; a one-tile head's U is a read-only view of it, with no
+    copy.  ``_complete`` stores the block's factors (``_factors``),
+    checked unitary: U is formed from them (``_form``) at the first read
+    of either, and its defect checked at UNITARY_TOL then, and its
+    ``_head`` is that U as one tile.  So a caller that reads only the
+    block, its SVD, the frames or ``dim`` never forms U, nor does the
+    codec for an average.  A dense projector is read as stored, and one
+    held as indices is built at its first read (one array for a projector
+    shared by both sides).
     """
 
     @np.errstate(invalid="ignore", over="ignore")  # a NaN defect fails its check
@@ -273,7 +285,7 @@ class BlockEncoding:
             raise DomainError("projectors must match the unitary dimension")
         right = right.copy()
         left = right if shared else left.copy()
-        self.__post_init__(len(u), right, left, alpha, unitary=u.copy(), defect=defect)
+        self.__post_init__(len(u), right, left, alpha, head=u.copy()[:, None], defect=defect)
 
     # A dataclass's hook name on a plain class: the benchmark's tracer
     # (perfbench/tracing.py) wraps BlockEncoding.__post_init__ by name to
@@ -281,30 +293,30 @@ class BlockEncoding:
     # argument, so under another name every traced round fails with
     # AttributeError.  Every construction therefore calls it by this name.
     def __post_init__(self, dim: int, right: np.ndarray, left: np.ndarray, alpha: float, *,
-                      svd=None, unitary=None, defect=None, factors=None,
-                      tiles: int = 1) -> BlockEncoding:
+                      svd=None, head=None, defect=None, factors=None) -> BlockEncoding:
         """Check alpha and the block norm and store the fields of a checked
-        U (``unitary`` and its ``defect``) or of checked ``factors``
-        (W or None, s), with projectors as arrays or range indices, one
-        object when shared; ``svd`` is the block's, when the caller has it,
-        and ``tiles`` the branch count of an average's U (``_tiles``)."""
+        first block row (``head`` and U's ``defect``) or of checked
+        ``factors`` (W or None, s), with projectors as arrays or range
+        indices, one object when shared; ``svd`` is the block's, when the
+        caller has it.  Both ranges lie in U's first n coordinates (every
+        lift is |0..0><0..0| (x) P), so the block is read from head[:, 0]."""
         if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {alpha} must be positive and finite")
         frame_right = _frame(right, dim)
         frame_left = frame_right if left is right else _frame(left, dim)
         if svd is None:
-            svd = np.linalg.svd(_range_block(unitary, frame_left, frame_right))
+            svd = np.linalg.svd(_range_block(head[:, 0], frame_left, frame_right))
         norm = float(np.max(svd[1], initial=0.0))
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
-        for value in (right, left, *svd, unitary, *(factors or ())):
+        for value in (right, left, *svd, head, *(factors or ())):
             if value is not None:  # a completion's W may be read back from V^dag
                 value.setflags(write=False)
         self.__dict__.update(alpha=alpha, dim=dim, _projectors=(right, left),
                              _frame_right=frame_right, _frame_left=frame_left,
-                             _block_svd=tuple(svd), _factors=factors, _tiles=tiles)
-        if unitary is not None:
-            self.__dict__.update(unitary=unitary, _defect=defect)
+                             _block_svd=tuple(svd), _factors=factors)
+        if head is not None:
+            self.__dict__.update(_head=head, _defect=defect)
         return self
 
     def __setattr__(self, name, value=None):
@@ -314,21 +326,34 @@ class BlockEncoding:
 
     @functools.cached_property
     def unitary(self) -> np.ndarray:
-        """U, formed for a completion from its factors at the first read,
-        which checks its defect and caches it as ``_defect``."""
-        w, s = self._factors
-        vh = self._block_svd[2]
-        u, defect = _form(vh.conj().T if w is None else w, s, vh)
-        _require_defect(defect)
+        """U, read-only, formed at the first read: tiled from the head,
+        block (p, q) = head[:, p xor q] (a one-tile head's view, no copy),
+        or for a completion from its factors, which checks its defect and
+        caches it as ``_defect``."""
+        if self._factors is None:
+            n, m = self._head.shape[:2]
+            if m == 1:
+                return self._head[:, 0]
+            u = np.empty((self.dim, self.dim), dtype=complex)
+            for p in range(m):  # block row p: its tile q is head[:, p ^ q]
+                u[p * n : (p + 1) * n] = self._head[:, np.arange(m) ^ p].reshape(n, -1)
+        else:
+            (w, s), vh = self._factors, self._block_svd[2]
+            u, defect = _form(vh.conj().T if w is None else w, s, vh)
+            _require_defect(defect)
+            self.__dict__["_defect"] = defect
         u = np.asarray(u, dtype=complex)
         u.setflags(write=False)
-        self.__dict__["_defect"] = defect
         return u
 
     @functools.cached_property
     def _defect(self) -> float:
         self.unitary  # a completion's first read of U sets it
         return self.__dict__["_defect"]
+
+    @functools.cached_property
+    def _head(self) -> np.ndarray:
+        return self.unitary[:, None]  # a completion's U, as one tile
 
     @functools.cached_property
     def proj_right(self) -> np.ndarray:
@@ -341,8 +366,9 @@ class BlockEncoding:
 
 
 def extract_block(be: BlockEncoding) -> np.ndarray:
-    """Matrix of the encoded block (A / alpha) in the projector-range bases."""
-    return _range_block(be.unitary, be._frame_left, be._frame_right)
+    """Matrix of the encoded block (A / alpha) in the projector-range bases,
+    read from U's block (0, 0), which holds both ranges."""
+    return _range_block(be._head[:, 0], be._frame_left, be._frame_right)
 
 
 def _lift(p: np.ndarray, copies: int) -> np.ndarray:
@@ -422,9 +448,10 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
 
     U's block (p, q) is C_(p xor q), C the Walsh-Hadamard transform of the
     branches taken by k levels of half-sums (x + y) / 2, (x - y) / 2.  The
-    levels run in place in U's first block row, and the other rows are
-    copied from it.  The encoding keeps m as ``_tiles``, so the codec
-    writes U's lists from that first block row, 1/m of U's entries.
+    levels run in place in U's first block row, the head of shape (n, m, n)
+    with head[:, r] = C_r, and stop there: the encoding stores the checked
+    head and forms U from it only when U is read.  The block's SVD,
+    ``extract_block`` and the codec read the head, 1/m of U's entries.
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
     B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
@@ -447,8 +474,7 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
                                  0.5 * (errors[::2] - errors[1::2])])
     defect = float(np.max(np.abs(errors)))
     rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + max(defect, branch_defect))
-    u = np.empty((m * n, m * n), dtype=complex)
-    head = u[:n].reshape(n, m, n)  # head[:, r] is U's block (0, r)
+    head = np.empty((n, m, n), dtype=complex)  # head[:, r] is U's block (0, r)
     for r, branch in enumerate(branches):
         head[:, r] = branch
     for level in range(k):  # pairs r, r + 2^level within each run of 2^(level + 1)
@@ -458,14 +484,11 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
         np.subtract(x, y, out=y)
         np.multiply(0.5, y, out=y)
         np.multiply(0.5, total, out=x)
-    for p in range(1, m):
-        for q in range(m):
-            u[p * n : (p + 1) * n, q * n : (q + 1) * n] = head[:, p ^ q]
     _require_defect(defect + rounding)
     right = _lift(proj_right, m)
     left = right if proj_left is proj_right else _lift(proj_left, m)
-    return object.__new__(BlockEncoding).__post_init__(m * n, right, left, alpha, unitary=u,
-                                                       defect=defect, tiles=m)
+    return object.__new__(BlockEncoding).__post_init__(m * n, right, left, alpha, head=head,
+                                                       defect=defect)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -628,17 +651,11 @@ def _tiled_chunks(head: np.ndarray):
     yield "]"
 
 
-def _float_chunks(x: np.ndarray):
-    """Yields the text ``json.dumps(x.tolist())`` writes for a float vector:
-    ``_tiled_chunks`` of it as one row and one tile, so in pieces of
-    _SLICE entries, the last holding the rest."""
-    yield from _tiled_chunks(np.reshape(x, (1, 1, -1)))
-
-
 def _indicator_chunks(length: int, ones: np.ndarray):
-    """Yields what ``_float_chunks`` yields for the 0/1 vector of this length
-    with 1.0 at the sorted positions ``ones`` and 0.0 elsewhere, in the same
-    pieces, from the positions alone: runs of "0.0" and "1.0" entries."""
+    """Yields what ``_tiled_chunks`` yields for the 0/1 vector of this length
+    (as one row and one tile) with 1.0 at the sorted positions ``ones`` and
+    0.0 elsewhere, in the same pieces, from the positions alone: runs of
+    "0.0" and "1.0" entries."""
     yield "["
     for start in range(0, length, _SLICE):
         stop = min(start + _SLICE, length)
@@ -653,38 +670,37 @@ def _indicator_chunks(length: int, ones: np.ndarray):
     yield "]"
 
 
-def _matrix_chunks(m: np.ndarray, tiles: int = 1):
-    """``matrix_to_json(m)`` in pieces, for m of ``tiles`` x ``tiles`` equal
-    blocks whose block (p, q) is block (0, p ^ q), as ``_average`` writes
-    U: each list is written from m's first block row (``_tiled_chunks``).
-    Any matrix is one such block: ``tiles`` = 1."""
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    head = m[: rows // tiles].reshape(rows // tiles, tiles, cols // tiles)
+def _framed(rows: int, cols: int, im, re):
+    """Yields a matrix's JSON object from the pieces of its two lists, keys
+    sorted as ``json.dumps(..., sort_keys=True)`` writes them."""
     yield f'{{"cols": {cols}, "im": '
-    yield from _tiled_chunks(head.imag)
+    yield from im
     yield ', "re": '
-    yield from _tiled_chunks(head.real)
+    yield from re
     yield f', "rows": {rows}}}'
+
+
+def _matrix_chunks(head: np.ndarray):
+    """Pieces of ``matrix_to_json`` of the (n m) x (m w) matrix whose block
+    (p, q) is head[:, p ^ q], written from the complex head of shape
+    (n, m, w) (``_tiled_chunks``); any matrix M is the one-tile M[:, None]."""
+    n, m, w = head.shape
+    return _framed(n * m, m * w, _tiled_chunks(head.imag), _tiled_chunks(head.real))
 
 
 def _projector_chunks(p: np.ndarray, dim: int):
     """``_matrix_chunks`` of a stored projector; one held as its sorted range
     indices is written from them, with no dense array formed."""
     if p.ndim == 2:
-        yield from _matrix_chunks(p)
-        return
-    yield f'{{"cols": {dim}, "im": '
-    yield from _indicator_chunks(dim * dim, p[:0])
-    yield ', "re": '
-    yield from _indicator_chunks(dim * dim, p * (dim + 1))
-    yield f', "rows": {dim}}}'
+        return _matrix_chunks(p[:, None])
+    ones = _indicator_chunks(dim * dim, p * (dim + 1))
+    return _framed(dim, dim, _indicator_chunks(dim * dim, p[:0]), ones)
 
 
 def matrix_to_json(m: np.ndarray) -> str:
     """JSON object of a matrix: shape and row-major real and imaginary parts,
     keys sorted as ``json.dumps(..., sort_keys=True)`` writes them."""
-    return "".join(_matrix_chunks(m))
+    return "".join(_matrix_chunks(np.asarray(m, dtype=complex)[:, None]))
 
 
 def _matrix_from_payload(payload, what: str) -> np.ndarray:
@@ -713,7 +729,7 @@ def _encoding_chunks(be: BlockEncoding):
     yield ', "proj_right": '
     yield from _projector_chunks(right, be.dim)
     yield ', "unitary": '
-    yield from _matrix_chunks(be.unitary, be._tiles)
+    yield from _matrix_chunks(be._head)
     yield "}"
 
 

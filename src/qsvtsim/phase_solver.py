@@ -36,7 +36,9 @@ from .qsp_core import (
 # node-residual 2-norm that rounding leaves, per factor of the (d+1)-fold
 # product (the residual of converged phases levels off at 0.3 to 0.5 times
 # this), the step fractions Newton tries in turn, and its step budget (the
-# certified targets up to degree 512 take at most 58 steps)
+# certified targets up to degree 512 take at most 58 steps at residual_tol
+# 1e-6 or above; phase_estimation_poly(1e-4, 0.1), degree 342, takes 57 at
+# 1e-6 and stops unconverged after 100 at 1e-8)
 ROUNDING = 2 * np.finfo(float).eps
 DAMPINGS = 0.5 ** np.arange(11)
 MAX_STEPS = 100

@@ -535,6 +535,25 @@ class TestMatrixInversion:
         with pytest.raises(ConditionViolated):
             matrix_inversion(np.diag([0.1, 1.0]).astype(complex), 2.0, 0.05)
 
+    def test_a_singular_value_past_the_completion_bound_violates_the_condition(self):
+        # alpha 1 bounds the largest singular value at 1 + 1e-12: one just past
+        # it is the caller's condition, not a scale the caller never passed
+        with pytest.raises(ConditionViolated):
+            matrix_inversion(np.diag([1 + 5e-10, 0.5]), 3.0, 0.05)
+        matrix_inversion(np.diag([1 + 5e-13, 0.5]), 3.0, 0.05)
+
+    def test_one_svd_of_the_input_serves_the_check_and_the_completion(self, monkeypatch):
+        # one SVD of A^dag, and the output average's own of its block
+        svd, shapes = np.linalg.svd, []
+
+        def counted(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        matrix_inversion(np.diag([0.5, 1.0, 0.75]).astype(complex), 2.0, 0.05)
+        assert shapes == [(3, 3), (3, 3)]
+
     def test_kappa_20_at_n_64(self):
         # singular values spread over [1/kappa, 1], both ends included
         rng = np.random.default_rng(64)

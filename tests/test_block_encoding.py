@@ -387,7 +387,7 @@ def test_an_evolution_is_written_from_its_first_block_row(n, first_difference):
     # hamiltonian_simulation averages four branches: U is 4 x 4 tiles, written
     # from its first block row, in pieces of at most _SLICE list entries
     be = hamiltonian_simulation(random_hermitian(np.random.default_rng(n), n), 1.0, 2.0, 0.01)
-    assert be._tiles == 4 and be.dim == 8 * n
+    assert be._head.shape[1] == 4 and be.dim == 8 * n
     pieces = list(_encoding_chunks(be))
     assert first_difference("".join(pieces), _stdlib_encoding_json(be)) is None
     if n == 64:  # dimension 512: each list holds 8 x _SLICE entries
@@ -398,7 +398,7 @@ def test_an_evolution_is_written_from_its_first_block_row(n, first_difference):
                                   "real_part_encoding", "shift_positive"])
 def test_a_two_branch_average_is_written_from_its_first_block_row(name, rng):
     be = SEEDED_ENCODINGS[name](rng)
-    assert be._tiles == 2
+    assert be._head.shape[1] == 2
     assert encoding_to_json(be) == _stdlib_encoding_json(be)
 
 
@@ -414,7 +414,7 @@ def test_an_average_keeps_the_signed_zeros_of_its_branches():
     branches = [signed([[-1.0, z], [z, -1.0]]), signed([[z, -1.0], [-1.0, z]]),
                 signed([[-1.0, z], [z, -1.0]]), signed([[z, 1.0], [1.0, z]])]
     be = _average(branches, np.arange(2), np.arange(2), 1.0)
-    assert be._tiles == 4
+    assert be._head.shape[1] == 4
     text = encoding_to_json(be)
     assert text == _stdlib_encoding_json(be)
     assert text.split('"unitary"')[1].count("-0.0") == 16
@@ -423,8 +423,22 @@ def test_an_average_keeps_the_signed_zeros_of_its_branches():
 def test_an_encoding_read_back_is_written_as_one_tile(rng):
     text = encoding_to_json(SEEDED_ENCODINGS["hamiltonian_simulation"](rng))
     again = encoding_from_json(text)
-    assert again._tiles == 1
+    assert again._head.shape[1] == 1
     assert encoding_to_json(again) == _stdlib_encoding_json(again) == text
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_simulation", "matrix_inversion",
+                                  "phase_oracle_block", "real_part_encoding",
+                                  "shift_positive"])
+def test_no_builder_forms_the_unitary_unless_it_is_read(name, rng):
+    # an average stores its first block row: the block, its SVD and the
+    # writer read that, and U is formed only when it is read
+    be = SEEDED_ENCODINGS[name](rng)
+    assert "unitary" not in be.__dict__
+    extract_block(be)
+    assert "unitary" not in be.__dict__
+    encoding_to_json(be)
+    assert "unitary" not in be.__dict__
 
 
 @pytest.mark.parametrize("name", ["hamiltonian_simulation", "matrix_inversion",

@@ -31,7 +31,7 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.block_encoding import _SLICE, _average, _float_chunks, _indicator_chunks
+from qsvtsim.block_encoding import _SLICE, _average, _indicator_chunks, _tiled_chunks
 from test_qsvt_engine import literal_product
 
 # fixed examples (derandomize) and no example database, so runs replay
@@ -62,6 +62,30 @@ def _contraction(rng, n, real, sigma):
 @functools.cache
 def _sign_phases():
     return solve_phases(sign_poly(0.1, 0.4))
+
+
+@SETTINGS
+@given(seed=SEEDS, n=st.integers(1, 6), k=st.integers(0, 3), dense=st.booleans())
+def test_a_read_average_unitary_is_its_tiled_first_block_row(seed, n, k, dense):
+    # U is formed from the stored head at its first read, block (p, q) =
+    # head[:, p ^ q], and is the literal Hadamard-conjugated select
+    rng = np.random.default_rng(seed)
+    m = 2**k
+    branches = [_unitary(rng, n) for _ in range(m)]
+    basis = _unitary(rng, n)[:, : rng.integers(0, n + 1)]
+    proj = basis @ basis.conj().T if dense else np.flatnonzero(rng.integers(0, 2, n))
+    enc = _average(branches, proj, proj, 1.0)
+    assert "unitary" not in enc.__dict__ and enc._head.shape == (n, m, n)
+
+    u = enc.unitary
+    tiled = np.block([[enc._head[:, p ^ q] for q in range(m)] for p in range(m)])
+    assert u.dtype == tiled.dtype and u.tobytes() == tiled.tobytes()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    outer = functools.reduce(np.kron, [hadamard] * k + [np.eye(n)])
+    assert np.max(np.abs(u - outer @ block_diag(*branches) @ outer)) <= 1e-14
+    assert enc.unitary is u and not u.flags.writeable
+    if m == 1:  # one tile: U is a view of the head, with no copy
+        assert np.shares_memory(u, enc._head)
 
 
 @SETTINGS
@@ -156,6 +180,11 @@ def test_the_dense_product_is_the_literal_circuit(seed, sigma, degree, rotated):
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
                1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e-4, -1e16,
                float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.5]
+
+
+def _float_chunks(x):
+    # a float vector's list pieces: the writer's one-row, one-tile case
+    return _tiled_chunks(np.reshape(x, (1, 1, -1)))
 
 
 def _float_list(x):
