@@ -19,14 +19,16 @@ forms U from them at the first read (``_form``).  Every other encoding
 keeps its checked first block row, the head, of shape (n, m, n): U's
 block (p, q) is head[:, p xor q].  The constructor's U is the one-tile
 case; ``_average`` runs its half-sums in the head and stops there.  The
-block's SVD, ``extract_block`` and the codec read the head, so a caller
-that reads only those (``transformed_block``, the writer of an average)
-never forms U; the algorithms and the dense products read it.
+block's SVD, ``extract_block`` and the codec read the head, and
+``extract_block`` and the QSVT engine's dense products read a
+completion's factors instead, so a caller that reads only those
+(``transformed_block``, the writer of an average, the algorithms' QSVT
+circuits on a completion) never forms U.
 A caller that reads only a Hermitian
 block builds no encoding: ``_scaled_eigh`` gives the spectrum that
 ``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one decomposition
-of a unitary: phase estimation reads U in it, and the QSVT engine its two
-reflections' product.
+of a unitary: phase estimation reads U in it, and the QSVT engine the
+product of any other encoding's two reflections.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
@@ -338,8 +340,7 @@ class BlockEncoding:
             for p in range(m):  # block row p: its tile q is head[:, p ^ q]
                 u[p * n : (p + 1) * n] = self._head[:, np.arange(m) ^ p].reshape(n, -1)
         else:
-            (w, s), vh = self._factors, self._block_svd[2]
-            u, defect = _form(vh.conj().T if w is None else w, s, vh)
+            u, defect = _form(*_completion_factors(self))
             _require_defect(defect)
             self.__dict__["_defect"] = defect
         u = np.asarray(u, dtype=complex)
@@ -365,9 +366,20 @@ class BlockEncoding:
         return self.proj_right if left is right else _dense_projector(left, self.dim)
 
 
+def _completion_factors(be: BlockEncoding):
+    """(W, s, V^dag) of a completion, A = W diag(s) V^dag with s signed, W
+    read back from V^dag when V = W."""
+    (w, s), vh = be._factors, be._block_svd[2]
+    return vh.conj().T if w is None else w, s, vh
+
+
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """Matrix of the encoded block (A / alpha) in the projector-range bases,
-    read from U's block (0, 0), which holds both ranges."""
+    read from U's block (0, 0), which holds both ranges; a completion's is
+    the product that ``_form`` writes into that block, with no U formed."""
+    if be._factors is not None:
+        w, s, vh = _completion_factors(be)
+        return np.asarray((w * s) @ vh, dtype=complex)  # real factors, as U holds them
     return _range_block(be._head[:, 0], be._frame_left, be._frame_right)
 
 

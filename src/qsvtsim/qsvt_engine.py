@@ -8,9 +8,12 @@ singular value, so what a caller reads of it depends only on the encoded
 block A: ``transformed_block`` reads the SVD its encoding stores and the QSP
 response of ``qsp_core`` at its singular values, as amplitude amplification,
 the threshold and phase estimation read their blocks' own decompositions.
-``_full``, the dense product for the callers that need the unitary, reads it
-in one eigenframe of the product of the two reflections, about range(P_R)
-and U^dag range(P_L), with ``qsp_core``'s QSP unitaries at its eigenphases.
+``_full``, the dense product for the callers that need the unitary, reads a
+reflection completion's in closed form from the factors it stores, four
+n x n products a phase list with the QSP unitaries at its singular values,
+and any other encoding's in one eigenframe of the product of the two
+reflections, about range(P_R) and U^dag range(P_L), with ``qsp_core``'s QSP
+unitaries at its eigenphases.
 The reflection offsets of ``qsp_core`` map the stored QSP phases onto
 projector phases, so the encoded block of V(phi) is exactly the sequence's
 P polynomial applied to the singular values.  The real part, which is the
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import (BlockEncoding, _average, _eigenframe, _into, _inverse, _require_dim,
-                             _require_finite, _square, require_hermitian, require_unitary)
+from .block_encoding import (BlockEncoding, _average, _completion_factors, _eigenframe, _into,
+                             _inverse, _require_dim, _require_finite, _square, require_hermitian,
+                             require_unitary)
 from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets, _unitaries,
@@ -53,20 +57,38 @@ def _full(enc: BlockEncoding, phase_lists):
     """The dense products V of canonical phase lists, of any degrees, on the
     encoding, mapped out of its projector frames.
 
-    In the frames, U' is first taken one Newton-Schulz step to the nearest
-    matrix with orthonormal rows, so that its range rows U_L give a
-    reflection 2 U_L^dag U_L - I to rounding, whatever the input's defect.
-    By Jordan's lemma, on each invariant piece of x in range(P_R) and y
-    outside it, at singular value s = cos theta, an even degree's product is
-    the reflection-convention QSP unitary E at s, and W = (2 P_R - I)
-    (2 U_L^dag U_L - I) is the rotation by -2 theta, with eigenvectors
-    (x +- i y) / sqrt 2 at e^{+-2i theta}.  So at each eigenphase omega of
-    one ``_eigenframe`` of W, with theta = |omega| / 2 and sigma = sign omega,
-    V is E00 + i sigma E01 on range(P_R) and E11 - i sigma E10 outside it.
-    Nothing is divided by sin theta, and E is diagonal at theta = 0 and
-    pi / 2, where eigenvalues cluster.  An odd degree ends with U' and
-    Phi_L(chi_0) on the left of its even part.
+    Each kind of input has one route.  A reflection completion (``_complete``)
+    is read in closed form from its stored factors A = W diag(s) V^dag,
+    s signed, which were checked at UNITARY_TOL when it was built, so it
+    takes no Newton-Schulz step and forms no U.  By Jordan's lemma
+    U = [[A, R], [R, -A]] maps each pair (e_0 (x) v_k, e_1 (x) v_k) to
+    (e_0 (x) w_k, e_1 (x) w_k) by the 2x2 reflection [[s_k, c_k], [c_k,
+    -s_k]], c = sqrt(1 - s^2), and Phi_R and Phi_L are diagonal in those
+    pairs.  So an even degree's product has quadrant (i, j) =
+    V diag(E_ij) V^dag, E the reflection-convention QSP unitaries of the
+    phases at the nodes of s; an odd degree's has e^{i chi_0} W diag(s E_0j +
+    c E_1j) V^dag in block row 0 and e^{-i chi_0} W diag(c E_0j - s E_1j)
+    V^dag in block row 1.  That is four n x n products a list and no
+    decomposition.  (One route for every input was the rule while no
+    encoding held its factors.)
+
+    Any other encoding (a caller's dense U, one read from JSON, an average)
+    is read in one eigenframe.  In the frames, U' is first taken one
+    Newton-Schulz step to the nearest matrix with orthonormal rows, so that
+    its range rows U_L give a reflection 2 U_L^dag U_L - I to rounding,
+    whatever the input's defect.  On each invariant piece of x in range(P_R)
+    and y outside it, at singular value s = cos theta, an even degree's
+    product is E at s, and W = (2 P_R - I) (2 U_L^dag U_L - I) is the
+    rotation by -2 theta, with eigenvectors (x +- i y) / sqrt 2 at
+    e^{+-2i theta}.  So at each eigenphase omega of one ``_eigenframe`` of W,
+    with theta = |omega| / 2 and sigma = sign omega, V is E00 + i sigma E01
+    on range(P_R) and E11 - i sigma E10 outside it.  Nothing is divided by
+    sin theta, and E is diagonal at theta = 0 and pi / 2, where eigenvalues
+    cluster.  An odd degree ends with U' and Phi_L(chi_0) on the left of its
+    even part.
     """
+    if enc._factors is not None:
+        return _reflection_products(enc, phase_lists)
     rank_r, frame_r = enc._frame_right
     rank_l, frame_l = enc._frame_left
     u = _into(enc.unitary, frame_l, frame_r)
@@ -79,17 +101,46 @@ def _full(enc: BlockEncoding, phase_lists):
     sigma = np.sign(0.5 - phi)  # E01 = E10 = 0 at phi = 0 and 1/2, where the sign is moot
     products = []
     for phases in phase_lists:
-        chi = np.asarray(phases, dtype=float) + _reflection_offsets(len(phases) - 1)
-        odd = len(chi) % 2 == 0
-        e = _unitaries(PhaseSequence(tuple(chi[odd:]), Convention.reflection()), nodes)
+        chi0, odd, e = _even_part(phases, nodes)
         v = q * (e[:, 0, 0] + 1j * sigma * e[:, 0, 1])
         v[rank_r:] = q[rank_r:] * (e[:, 1, 1] - 1j * sigma * e[:, 1, 0])
         v = v @ q.conj().T
         if odd:
             v = u @ v
-            v[:rank_l] *= np.exp(1j * chi[0])
-            v[rank_l:] *= np.exp(-1j * chi[0])
+            v[:rank_l] *= np.exp(1j * chi0)
+            v[rank_l:] *= np.exp(-1j * chi0)
         products.append(_into(v, _inverse(frame_l if odd else frame_r), _inverse(frame_r)))
+    return products
+
+
+def _even_part(phases, nodes):
+    """(chi_0, odd, E) of a canonical phase list: its first projector angle,
+    whether its degree is odd, and the reflection-convention QSP unitaries
+    of its even part, the angles after chi_0 at odd degree, at ``nodes``."""
+    chi = np.asarray(phases, dtype=float) + _reflection_offsets(len(phases) - 1)
+    odd = len(chi) % 2 == 0
+    return chi[0], odd, _unitaries(PhaseSequence(tuple(chi[odd:]), Convention.reflection()), nodes)
+
+
+def _reflection_products(enc: BlockEncoding, phase_lists):
+    """``_full`` of a reflection completion, from its factors: each quadrant
+    of each product is one n x n product written straight into it.  Both
+    projectors are |0><0| (x) I, so the frames are the identity."""
+    w, s, vh = _completion_factors(enc)
+    n, c = len(s), np.sqrt(1.0 - s**2)
+    reflections = np.array([[s, c], [c, -s]]).transpose(2, 0, 1)
+    v = vh.conj().T
+    products = []
+    for phases in phase_lists:
+        chi0, odd, e = _even_part(phases, s + 1j * c)  # the nodes e^{i theta}, s = cos theta
+        if odd:  # U', then Phi_L(chi_0): a phase on each block row
+            e = (reflections @ e) * np.exp([[1j * chi0], [-1j * chi0]])
+        left = w if odd else v
+        out = np.empty((2 * n, 2 * n), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                np.matmul(left * e[:, i, j], vh, out=out[i * n : (i + 1) * n, j * n : (j + 1) * n])
+        products.append(out)
     return products
 
 

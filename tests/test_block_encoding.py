@@ -779,6 +779,17 @@ class TestCompletionCertificates:
             assert formed.tobytes() == quadrant.astype(complex).tobytes()
         assert abs(enc._defect - np.max(np.abs(u.conj().T @ u - np.eye(2 * n)))) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["embed_general", "qubitize_hermitian", "grover_signal"])
+    def test_the_block_is_read_from_the_factors(self, rng, name):
+        # with no U formed, and bit for bit the block U holds once it is formed
+        enc = {"embed_general": lambda: embed_general(random_hermitian(rng, 5) @ _random_unitary(rng, 5), 4.0),
+               "qubitize_hermitian": lambda: qubitize_hermitian(random_hermitian(rng, 5), 4.0),
+               "grover_signal": lambda: grover_signal(4)}[name]()
+        block = extract_block(enc)
+        assert "unitary" not in enc.__dict__
+        n = enc.dim // 2
+        assert block.tobytes() == enc.unitary[:n, :n].tobytes()
+
     def test_a_zero_sign_flipped_by_the_fold_keeps_w(self):
         # W sign(s) = W (1 + 0j) turns W's -0 - 0j into +0 - 0j and 1 - 0j
         # into 1 + 0j, and those zeros' signs reach U; with no negative s

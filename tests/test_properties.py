@@ -166,10 +166,11 @@ SINGULAR_VALUES = (st.sampled_from([0.0, 1.0, 1e-15, 1.0 - 1e-15, 1e-8, 1.0 - 1e
 def test_the_dense_product_is_the_literal_circuit(seed, sigma, degree, rotated):
     rng = np.random.default_rng(seed)
     enc = embed_general(_contraction(rng, len(sigma), False, np.array(sigma)), 1.0)
-    if rotated:  # into dense projector frames
+    if rotated:  # into dense projector frames: the eigenframe route, not the factors'
         q = _unitary(rng, enc.dim)
         enc = BlockEncoding(*(q @ m @ q.conj().T
                               for m in (enc.unitary, enc.proj_right, enc.proj_left)))
+    assert (enc._factors is None) == rotated
     phases = rng.uniform(-np.pi, np.pi, degree + 1)
     v = qsvt_unitary(QsvtProgram(enc, PhaseSequence(tuple(phases))))
     assert np.max(np.abs(v - literal_product(enc, phases))) <= 1e-13

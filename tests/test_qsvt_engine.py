@@ -32,6 +32,7 @@ from qsvtsim import (
     phase_estimation_record,
     phase_oracle_block,
     projector_phase,
+    qsvt_search,
     qsvt_unitary,
     real_part_encoding,
     residual,
@@ -46,7 +47,7 @@ from qsvtsim import (
 )
 from qsvtsim.block_encoding import _eigenframe, _range_block
 from qsvtsim.qsp_core import _reflection_offsets
-from qsvtsim import algorithms, qsvt_engine
+from qsvtsim import algorithms, block_encoding, qsvt_engine
 from qsvtsim.qsvt_engine import _full
 
 
@@ -66,6 +67,20 @@ def literal_product(enc, phases):
         op = enc.unitary if odd else enc.unitary.conj().T
         v = projector_phase(enc.proj_left if odd else enc.proj_right, chi[k]) @ op @ v
     return v
+
+
+def count_eigenframes(monkeypatch):
+    """The dimension of each ``_eigenframe`` the engine and the algorithms
+    take from here on, in call order."""
+    calls = []
+
+    def counting(u):
+        calls.append(len(u))
+        return _eigenframe(u)
+
+    for module in (qsvt_engine, algorithms):
+        monkeypatch.setattr(module, "_eigenframe", counting)
+    return calls
 
 
 def random_parity_poly(rng, degree, sup=0.9):
@@ -222,7 +237,10 @@ def _edge_encodings():
     unequal ranks, whose blocks are not square: as coordinate projectors and
     rotated by a random unitary q.  q 0 q^dag is still the zero (coordinate)
     projector; q I q^dag is not, so the rotated full-rank sides take the
-    dense frame, with an empty complement."""
+    dense frame, with an empty complement.  Three reflection completions,
+    whose dense products ``_full`` reads from their factors (one with signed
+    singular values and V = W, one with a 1 x 1 block), and an average,
+    read in the eigenframe as the rest are, cover each route."""
     rng = np.random.default_rng(12)
     n = 6
     unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
@@ -235,6 +253,12 @@ def _edge_encodings():
         cases[f"coordinate-{ranks[0]}-{ranks[1]}"] = (BlockEncoding(unitary, pr, pl), ranks)
         enc = BlockEncoding(rotate(unitary), rotate(pr), rotate(pl))
         cases[f"rotated-{ranks[0]}-{ranks[1]}"] = (enc, ranks)
+    h = random_contraction(rng, 3)
+    h = 0.5 * (h + h.conj().T)
+    cases["completion-embed"] = (embed_general(random_contraction(rng, 3), 1.0), (3, 3))
+    cases["completion-qubitize"] = (qubitize_hermitian(h, 1.0), (3, 3))
+    cases["completion-grover"] = (grover_signal(4), (1, 1))
+    cases["average-shift"] = (shift_positive(qubitize_hermitian(h, 1.0)), (3, 3))
     return cases
 
 
@@ -283,22 +307,26 @@ class TestFrameEdgeCases:
 
 
 class TestReflectionPairs:
-    """The dense product reads every U^dag Phi_L U pair at once, in one
-    eigenframe of the two reflections' product, and an odd degree ends with
-    one product by U' and Phi_L(chi_0); degrees 0, 1, 2, 3 and 41 read even
-    parts of degree 0, 0, 2, 2 and 40, with and without the odd end.  The
-    block read is checked against the literal product on the same
+    """The dense product reads every U^dag Phi_L U pair at once: a
+    completion's from its factors, with no decomposition, and any other
+    encoding's in one eigenframe of the two reflections' product.  An odd
+    degree ends with U' and Phi_L(chi_0); degrees 0, 1, 2, 3 and 41 read
+    even parts of degree 0, 0, 2, 2 and 40, with and without the odd end.
+    The block read is checked against the literal product on the same
     programs."""
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41])
     @pytest.mark.parametrize("name", sorted(EDGE_ENCODINGS))
-    def test_matches_the_literal_product(self, name, degree):
+    def test_matches_the_literal_product(self, name, degree, monkeypatch):
         enc, _ = EDGE_ENCODINGS[name]
         rng = np.random.default_rng(degree)
         phases = rng.uniform(-np.pi, np.pi, degree + 1)
         prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
+        calls = count_eigenframes(monkeypatch)
+        v = qsvt_unitary(prog)
+        assert calls == ([] if name.startswith("completion") else [enc.dim])
         literal = literal_product(enc, phases)
-        assert np.max(np.abs(qsvt_unitary(prog) - literal)) <= 1e-13
+        assert np.max(np.abs(v - literal)) <= 1e-13
         # the real-part block between the projector ranges, out of the literal pair
         out_frame = enc._frame_left if degree % 2 else enc._frame_right
         mean = 0.5 * (literal + literal_product(enc, -phases))
@@ -335,7 +363,8 @@ class TestBlockCoordinates:
     lemma): two unitary completions of one block give the same transform, and
     a singular value of 1, where the pair's invariant space has dimension 1,
     is checked up to degree 511 against the dense product of ``_full``, which
-    reads the lemma in its own eigenframe, of the two reflections' product."""
+    reads the lemma from a completion's factors and in its own eigenframe, of
+    the two reflections' product, for any other encoding."""
 
     @pytest.fixture(scope="class")
     def completions(self):
@@ -386,8 +415,12 @@ class TestBlockCoordinates:
 
     @pytest.mark.parametrize("name", ["phase_oracle", "qubitize_at_norm", "grover_a1", "unitary_block"])
     def test_singular_value_one_up_to_degree_511(self, name):
+        # a completion's products also match those of its U read in the
+        # eigenframe; the literal product itself drifts by 2e-13 at degree 510
         enc = self._sigma_one_encodings()[name]
         assert np.linalg.norm(extract_block(enc), 2) == pytest.approx(1.0, abs=1e-14)
+        dense = BlockEncoding(enc.unitary, enc.proj_right, enc.proj_left)
+        assert (enc._factors is not None) == (name in ("qubitize_at_norm", "grover_a1"))
         rng = np.random.default_rng(7)
         for degree in (40, 41, 200, 201, 510, 511):
             phases = rng.uniform(-np.pi, np.pi, degree + 1)
@@ -395,7 +428,11 @@ class TestBlockCoordinates:
             out_frame = enc._frame_left if degree % 2 else enc._frame_right
             pair = _full(prog.encoding, [phases, -phases])
             expect = _range_block(0.5 * (pair[0] + pair[1]), out_frame, enc._frame_right)
-            assert np.max(np.abs(transformed_block(prog) - expect)) <= 1e-12
+            assert np.max(np.abs(transformed_block(prog) - expect)) <= 1e-13
+            for v, w in zip(pair, _full(dense, [phases, -phases])):
+                assert np.max(np.abs(v - w)) <= 1e-13
+            if degree < 200:
+                assert np.max(np.abs(pair[0] - literal_product(enc, phases))) <= 1e-13
 
     def test_a_block_norm_just_past_one(self):
         # U = V (I + 3e-11 x x^T) with P = I passes the unitarity check (its
@@ -432,8 +469,8 @@ class TestUnitaryFullProducts:
     """The dense products keep their unitarity at any degree: the seeded
     n = 16 evolution encoding (dim 128) with poly_sign phases used to fail
     the real-part circuit's UNITARY_TOL check from degree 61 on.  They also
-    match the literal product at dim 128 and on a singular value of
-    exactly 1."""
+    match the literal product at dim 128, on an average and on two
+    completions with a singular value of exactly 1."""
 
     @pytest.fixture(scope="class")
     def evolution(self):
@@ -457,7 +494,7 @@ class TestUnitaryFullProducts:
                 assert np.max(np.abs(v.conj().T @ v - np.eye(128))) <= 1.5e-13
 
     @pytest.mark.parametrize("degree", [3, 41, 201])
-    def test_a_near_tolerance_input(self, degree):
+    def test_a_near_tolerance_input(self, degree, monkeypatch):
         # U = V (I + 3e-11 x x^T), x the constant unit vector, has defect 9.4e-13,
         # just under UNITARY_TOL: the products stay unitary to rounding only
         # through the engine's Newton-Schulz step, and are off by 2.5e-12 and
@@ -470,7 +507,9 @@ class TestUnitaryFullProducts:
         assert enc._defect == pytest.approx(9.4e-13, abs=1e-14)
         phases = np.random.default_rng(degree).uniform(-np.pi, np.pi, degree + 1)
         prog = QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL))
+        calls = count_eigenframes(monkeypatch)
         v = qsvt_unitary(prog)
+        assert calls == [64]  # a dense U takes the eigenframe route
         assert np.max(np.abs(v.conj().T @ v - np.eye(64))) <= 1e-13
         assert real_part_encoding(prog).dim == 128  # validated at UNITARY_TOL
 
@@ -484,20 +523,37 @@ class TestUnitaryFullProducts:
         a[1:, 1:] = (haar(63) * rng.uniform(0.05, 0.95, 63)) @ haar(63)
         return embed_general(a.conj().T, 1.0)
 
+    @staticmethod
+    def _qubitized_input():
+        """qubitize_hermitian of a 64 x 64 H at its norm: signed singular
+        values, one of them 1."""
+        rng = np.random.default_rng(64)
+        g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        h = 0.5 * (g + g.conj().T)
+        return qubitize_hermitian(h, float(np.linalg.norm(h, 2)))
+
     @pytest.mark.parametrize("name, degree", [("evolution", 61), ("evolution", 201),
-                                              ("inversion", 213)])
+                                              ("inversion", 213), ("qubitized", 201)])
     def test_the_literal_product_at_scale(self, evolution, family_solutions, name, degree):
+        # the evolution encoding (an average) at degree 201 is held to 1e-12:
+        # there the literal product's own rounding reaches 1.7e-13
+        tol = 1e-12 if (name, degree) == ("evolution", 201) else 1e-13
         if name == "evolution":
             enc = evolution
+            _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
+        elif name == "qubitized":
+            enc = self._qubitized_input()
+            assert np.signbit(enc._factors[1]).any()
             _, seq, _ = family_solutions("poly_sign", d=degree, k=12.0)
         else:  # the kappa = 20 inversion phases
             enc = self._inversion_input()
             assert np.count_nonzero(enc._block_svd[1] == 1.0) == 1
             _, seq, _ = family_solutions("invert", kappa=20.0, eps=0.05)
         assert seq.degree == degree
+        assert (enc._factors is None) == (name == "evolution")
         phases = seq.as_array()
         for v, sign in zip(_full(enc, [phases, -phases]), (1, -1)):
-            assert np.max(np.abs(v - literal_product(enc, sign * phases))) <= 1e-12
+            assert np.max(np.abs(v - literal_product(enc, sign * phases))) <= tol
 
     def test_a_corrupted_product_still_raises(self, evolution, family_solutions, monkeypatch):
         _, seq, _ = family_solutions("poly_sign", d=61, k=12.0)
@@ -661,21 +717,10 @@ class TestStoredBlockSvd:
 
 
 class TestOneEigenframePerCall:
-    """A dense call takes one ``_eigenframe``, of the product of its two
-    reflections, for all its phase lists; phase estimation takes one of U per
-    run; the block read takes none."""
-
-    @staticmethod
-    def _count_eigenframes(monkeypatch):
-        calls = []
-
-        def counting(u):
-            calls.append(len(u))
-            return _eigenframe(u)
-
-        for module in (qsvt_engine, algorithms):
-            monkeypatch.setattr(module, "_eigenframe", counting)
-        return calls
+    """A dense call on a completion takes no ``_eigenframe`` and on any other
+    encoding one, of the product of its two reflections, for all its phase
+    lists; phase estimation takes one of U per run; the block read takes
+    none."""
 
     def test_dense_callers(self, rng, monkeypatch):
         h = random_contraction(rng, 4)
@@ -683,23 +728,66 @@ class TestOneEigenframePerCall:
         a = np.diag([0.9, 0.7, 0.5, 0.3]) @ np.linalg.qr(random_contraction(rng, 4))[0]
         prog = QsvtProgram(embed_general(random_contraction(rng, 4), 1.0),
                            solve_phases(sign_poly(0.1, 0.4)))
-        calls = self._count_eigenframes(monkeypatch)
-        hamiltonian_simulation(h, 1.0, 2.0, 0.01)  # its four phase lists
-        assert calls == [8]
+        enc = prog.encoding
+        dense = QsvtProgram(BlockEncoding(enc.unitary, enc.proj_right, enc.proj_left),
+                            prog.phases)
+        calls = count_eigenframes(monkeypatch)
+        hamiltonian_simulation(h, 1.0, 2.0, 0.01)  # its four phase lists, on a completion
         matrix_inversion(a, 4.0, 0.05)
-        assert calls == [8, 8]
         real_part_encoding(prog)
-        assert calls == [8, 8, 8]
         transformed_block(prog)
-        assert calls == [8, 8, 8]
+        assert calls == []
+        real_part_encoding(dense)
+        assert calls == [8]
+        qsvt_unitary(dense)
+        transformed_block(dense)
+        assert calls == [8, 8]
 
     def test_phase_estimation(self, monkeypatch):
         u = np.diag(np.exp(2j * np.pi * np.array([0.125, 0.25, 0.5, 0.75])))
-        calls = self._count_eigenframes(monkeypatch)
+        calls = count_eigenframes(monkeypatch)
         phase_estimation_record(u, np.eye(4)[1], 3, 0.1, exact=True)
         assert calls == [4]
         order_finding_demo(7, 15, seed=1)
         assert calls == [4, 15]
+
+
+class TestNoUnitaryFormed:
+    """The pipelines read a completion's dense products from its factors, so
+    none of them forms the completion's U."""
+
+    @staticmethod
+    def _spy_completions(monkeypatch):
+        built = []
+
+        def spying(*args):
+            built.append(complete(*args))
+            return built[-1]
+
+        complete = block_encoding._complete
+        for module in (block_encoding, algorithms):
+            monkeypatch.setattr(module, "_complete", spying)
+        return built
+
+    def test_the_pipelines(self, rng, monkeypatch):
+        h = random_contraction(rng, 4)
+        h = 0.5 * (h + h.conj().T)
+        a = np.diag([0.9, 0.7, 0.5, 0.3]) @ np.linalg.qr(random_contraction(rng, 4))[0]
+        built = self._spy_completions(monkeypatch)
+        hamiltonian_simulation(h, 1.0, 2.0, 0.01)
+        matrix_inversion(a, 4.0, 0.05)
+        qsvt_search(3, 5, delta=0.1, seed=1, exact=True)
+        assert len(built) == 3
+        assert not any("unitary" in enc.__dict__ for enc in built)
+
+    def test_qsvt_unitary_of_a_completion(self, rng):
+        enc = embed_general(random_contraction(rng, 8), 1.0)
+        seq = solve_phases(sign_poly(0.1, 0.4))
+        prog = QsvtProgram(enc, seq)
+        v = qsvt_unitary(prog)
+        real_part_encoding(prog)
+        assert "unitary" not in enc.__dict__
+        assert np.max(np.abs(v - literal_product(enc, seq.as_array()))) <= 1e-13
 
 
 class TestGlobalPhaseFixedness:
