@@ -2,15 +2,15 @@
 
 Usage, from anywhere:
 
-    python3 tools/time_products.py --parent DIR --change DIR [--out TIMES.json] [--pairs 10]
+    python3 tools/time_products.py --parent DIR --change DIR [--out TIMES.json]
 
-Each case runs in a fresh child process per side, with BLAS and OpenMP
-pinned to one thread and the checkout's own `src` on PYTHONPATH; pair i runs
-the parent first on even i and the change first on odd i.  A child builds its
-seeded input untimed, and for `matrix_inversion` makes one untimed call first,
-so the phase solve (memoized per process) is not timed.  The JSON holds each
-side's times per case, their median, least and greatest, and how many pairs
-the change won.
+Each case runs `bench_pairs.PAIRS` times a side, in a fresh child process
+with `bench_pairs.child_env` (BLAS and OpenMP pinned to one thread, the
+checkout's own `src` on PYTHONPATH); pair i runs the parent first on even i
+and the change first on odd i.  A child builds its seeded input untimed, and
+for `matrix_inversion` makes one untimed call first, so the phase solve
+(memoized per process) is not timed.  The JSON holds each side's times per
+case with their median and quartiles, and how many pairs the change won.
 
 Cases: `qsvt_unitary` of `embed_general` of a seeded 512 x 512 contraction
 (dimension 1024) with 506 seeded phases (degree 505) and of a 256 x 256 one
@@ -24,12 +24,10 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+from bench_pairs import PAIRS, child_env, summary
 
 SETUP = """
 import time, numpy as np, qsvtsim
@@ -59,12 +57,8 @@ TIMED = "start = time.perf_counter()\ncall()\nprint(time.perf_counter() - start)
 
 
 def time_case(root: str, case: str) -> float:
-    env = {k: v for k, v in os.environ.items() if k != "QSVTSIM_OUTPUT_DIR"}
-    env.update({var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    script = SETUP + CASES[case] + "\n" + TIMED
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", SETUP + CASES[case] + "\n" + TIMED],
+                          env=child_env(root), capture_output=True, text=True, check=True)
     return float(proc.stdout.strip().splitlines()[-1])
 
 
@@ -73,12 +67,11 @@ def main() -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     order = (("parent", "change"), ("change", "parent"))
     times = {case: {"parent": [], "change": []} for case in CASES}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for case in CASES:
             for side in order[i % 2]:
                 times[case][side].append(time_case(sides[side], case))
@@ -86,16 +79,8 @@ def main() -> int:
     record = {
         "environment": {"nproc": os.cpu_count(), "blas_threads": 1,
                         "python": platform.python_version(), "machine": platform.machine()},
-        "cases": {
-            case: {
-                **{side: {"median": statistics.median(values), "min": min(values),
-                          "max": max(values), "values": values}
-                   for side, values in by_side.items()},
-                "change_wins": sum(c < p for p, c in zip(by_side["parent"], by_side["change"])),
-                "pairs": args.pairs,
-            }
-            for case, by_side in times.items()
-        },
+        "cases": {case: summary(by_side["parent"], by_side["change"])
+                  for case, by_side in times.items()},
     }
     text = json.dumps(record, indent=1, sort_keys=True)
     if args.out:
