@@ -4,7 +4,8 @@ Each run is seeded and replayable; exact mode replaces measurement sampling
 with decisions taken from exactly computed outcome probabilities, which
 the deterministic correctness tests exercise.  Search, Hamiltonian
 simulation and inversion build their circuits from the engine's dense
-products (one ``_eigenframe`` per call), the threshold and phase estimation
+products on a completion, read from its factors and averaged under their
+defect bounds (``_average_products``), the threshold and phase estimation
 read the QSP response in their block's own eigenframe, and none uses the
 verification oracles.
 """
@@ -21,7 +22,6 @@ import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
-    _average,
     _complete,
     _eigenframe,
     _require_dim,
@@ -51,7 +51,7 @@ from .poly_approx import (
     solve_truncation,
 )
 from .qsp_core import PhaseSequence, response_many
-from .qsvt_engine import QsvtProgram, _full, real_part_encoding
+from .qsvt_engine import QsvtProgram, _average_products, real_part_encoding
 
 # every algorithm here budgets polynomial error >= 5e-3, so the internal
 # tolerance stays far below any consumer's epsilon; step-like targets touch
@@ -587,10 +587,10 @@ def hamiltonian_simulation(
         raise DomainError("epsilon must lie in (0, 1/e)")
     enc = qubitize_hermitian(h, alpha)
     cos, sin = (seq.as_array() for seq in _hamsim_phases(abs(alpha * t), epsilon))
-    branches = _full(enc, [cos, -cos, sin, -sin])
     sign = -1j if t >= 0 else 1j  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
-    branches[2:] = [sign * v for v in branches[2:]]
-    return _average(branches, *enc._projectors, 2.0)  # here P_L is P_R
+    # here P_L is P_R, and V = W: one left factor at both parities
+    return _average_products(enc, [cos, -cos, sin, -sin], enc._projectors[1], 2.0,
+                             (1, 1, sign, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -617,4 +617,4 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     phases = _phases(matrix_inversion_poly, epsilon, kappa).as_array()
     enc = _complete(w, np.clip(sigma, 0.0, 1.0), vh, 1.0)
     # the real part 1/2 (V(phi) + V(-phi)) of the odd transform, read out by P_L
-    return _average(_full(enc, [phases, -phases]), *enc._projectors, 2.0 * kappa)
+    return _average_products(enc, [phases, -phases], enc._projectors[1], 2.0 * kappa)

@@ -18,12 +18,13 @@ read.  A completion (``_complete``) keeps its block's checked factors and
 forms U from them at the first read (``_form``).  Every other encoding
 keeps its checked first block row, the head, of shape (n, m, n): U's
 block (p, q) is head[:, p xor q].  The constructor's U is the one-tile
-case; ``_average`` runs its half-sums in the head and stops there.  The
-block's SVD, ``extract_block`` and the codec read the head, and
-``extract_block`` and the QSVT engine's dense products read a
-completion's factors instead, so a caller that reads only those
-(``transformed_block``, the writer of an average, the algorithms' QSVT
-circuits on a completion) never forms U.
+case; ``_average`` runs its half-sums in the head and stops there, and
+for a completion's products it reads their defect bounds and its
+block's SVD from their factors, with no Gram and no decomposition.
+``extract_block`` and the codec read the head, and ``extract_block`` and
+the QSVT engine's dense products read a completion's factors instead, so
+a caller that reads only those (``transformed_block``, the writer of an
+average, the algorithms' QSVT circuits on a completion) never forms U.
 A caller that reads only a Hermitian
 block builds no encoding: ``_scaled_eigh`` gives the spectrum that
 ``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one decomposition
@@ -34,8 +35,10 @@ Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
 ``encoding_to_json`` joins them, and the CLI streams them to a file.  An
 index projector's lists are written from its indices.  U's lists are
-written from the head (``_tiled_chunks``): each distinct value formatted
-and each row of each tile joined once, then copied into every block row.
+written from the head (``_tiled_chunks``), one tile at a time: each
+distinct value of the tile formatted and each of its rows joined once,
+then copied into every block row.  The reader turns each matrix's lists
+into arrays as soon as it is parsed (``_float_lists``).
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ def _gram_defect(gram: np.ndarray) -> float:
 def _require_defect(defect: float, tol: float = UNITARY_TOL, what: str = "unitarity") -> None:
     if not defect <= tol:  # a NaN or inf defect fails too
         raise NotUnitary(f"{what} defect {defect:.3e} exceeds {tol:.1e}")
+
+
+def _factor_defect(gram: np.ndarray, name: str) -> float:
+    """||G - I||_F of a factor's Gram matrix G, formed in place, once
+    max |G - I| is checked at UNITARY_TOL (``NotUnitary`` naming the factor)."""
+    _require_defect(_gram_defect(gram), what=f"factor {name} unitarity")
+    return float(np.linalg.norm(gram))
 
 
 # In the three validators an inf entry makes a NaN defect, which fails its check;
@@ -262,9 +272,10 @@ class BlockEncoding:
     constructor and ``_average`` store U's checked first block row
     ``_head``, of shape (n, m, n) with U's block (p, q) = head[:, p xor q]
     (m = 1 and U itself for the constructor; m the branch count of an
-    average), and the defect they measured.  U is tiled from the head at
-    its first read; a one-tile head's U is a read-only view of it, with no
-    copy.  ``_complete`` stores the block's factors (``_factors``),
+    average), and the defect they measured, or for an average of a
+    completion's products the bound it was checked at.  U is tiled from the
+    head at its first read; a one-tile head's U is a read-only view of it,
+    with no copy.  ``_complete`` stores the block's factors (``_factors``),
     checked unitary: U is formed from them (``_form``) at the first read
     of either, and its defect checked at UNITARY_TOL then, and its
     ``_head`` is that U as one tile.  So a caller that reads only the
@@ -297,10 +308,10 @@ class BlockEncoding:
     def __post_init__(self, dim: int, right: np.ndarray, left: np.ndarray, alpha: float, *,
                       svd=None, head=None, defect=None, factors=None) -> BlockEncoding:
         """Check alpha and the block norm and store the fields of a checked
-        first block row (``head`` and U's ``defect``) or of checked
-        ``factors`` (W or None, s), with projectors as arrays or range
-        indices, one object when shared; ``svd`` is the block's, when the
-        caller has it.  Both ranges lie in U's first n coordinates (every
+        first block row (``head`` and U's ``defect``, or a bound on it) or
+        of checked ``factors`` (W or None, s, their Frobenius defect), with
+        projectors as arrays or range indices, one object when shared;
+        ``svd`` is the block's, when the caller has it.  Both ranges lie in U's first n coordinates (every
         lift is |0..0><0..0| (x) P), so the block is read from head[:, 0]."""
         if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {alpha} must be positive and finite")
@@ -312,7 +323,7 @@ class BlockEncoding:
         if norm > 1.0 + 1e-10:
             raise DomainError(f"encoded block has operator norm {norm:.6f} > 1")
         for value in (right, left, *svd, head, *(factors or ())):
-            if value is not None:  # a completion's W may be read back from V^dag
+            if isinstance(value, np.ndarray):  # not a completion's W read back from V^dag
                 value.setflags(write=False)
         self.__dict__.update(alpha=alpha, dim=dim, _projectors=(right, left),
                              _frame_right=frame_right, _frame_left=frame_left,
@@ -369,7 +380,7 @@ class BlockEncoding:
 def _completion_factors(be: BlockEncoding):
     """(W, s, V^dag) of a completion, A = W diag(s) V^dag with s signed, W
     read back from V^dag when V = W."""
-    (w, s), vh = be._factors, be._block_svd[2]
+    (w, s, _), vh = be._factors, be._block_svd[2]
     return vh.conj().T if w is None else w, s, vh
 
 
@@ -426,9 +437,11 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray | None,
 
     The factors are checked in place of U: max |W^dag W - I| and
     max |V V^dag - I| at UNITARY_TOL (one Gram when V = W), and |s| <= 1,
-    each raising ``NotUnitary`` that names it; no U is formed.  The
-    encoding holds the block's SVD (W sign(s), |s|, V^dag) (a negative s,
-    an eigenvalue of ``qubitize_hermitian``, folds its sign into W) and
+    each raising ``NotUnitary`` that names it; no U is formed.  The larger
+    Frobenius norm of the two defects is kept with the factors, for the
+    QSVT engine's bounds on its products.  The encoding holds the block's
+    SVD (W sign(s), |s|, V^dag) (a negative s, an eigenvalue of
+    ``qubitize_hermitian``, folds its sign into W) and
     forms U from W and s at its first read (``_form``), which also measures
     and checks U's own defect.  The sign is folded only when some s has its
     sign bit set, so the SVD's W is W itself when none has (a complex
@@ -437,20 +450,21 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray | None,
     hermitian = vh is None
     if hermitian:
         vh = w.conj().T
-    _require_defect(_gram_defect(w.conj().T @ w), what="factor W unitarity")
+    delta = _factor_defect(w.conj().T @ w, "W")
     if not hermitian:
-        _require_defect(_gram_defect(vh.conj().T @ vh), what="factor V unitarity")
+        delta = max(delta, _factor_defect(vh.conj().T @ vh, "V"))
     if not np.all(np.abs(s) <= 1.0):  # a NaN fails too
         raise NotUnitary(f"factor s has |s| = {np.max(np.abs(s)):.3e} > 1")
     folded = w * np.copysign(1.0, s) if np.signbit(s).any() else w
     pi = np.arange(len(s))
     return object.__new__(BlockEncoding).__post_init__(
         2 * len(s), pi, pi, float(alpha), svd=(folded, np.abs(s), vh),
-        factors=(None if hermitian else w, s))  # V = W is read back from V^dag
+        factors=(None if hermitian else w, s, delta))  # V = W is read back from V^dag
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
+def _average(branches, proj_right, proj_left, alpha: float, bounds=None,
+             factors=None) -> BlockEncoding:
     """Encoding of the mean of 2^k unitaries: (H^(x)k (x) I) diag(branches)
     (H^(x)k (x) I), Hadamards on k ancillas around their select, with both
     projectors lifted to |0..0><0..0| (x) P (``_lift``: sorted range indices
@@ -462,33 +476,55 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
     branches taken by k levels of half-sums (x + y) / 2, (x - y) / 2.  The
     levels run in place in U's first block row, the head of shape (n, m, n)
     with head[:, r] = C_r, and stop there: the encoding stores the checked
-    head and forms U from it only when U is read.  The block's SVD,
-    ``extract_block`` and the codec read the head, 1/m of U's entries.
+    head and forms U from it only when U is read.  ``extract_block`` and the
+    codec read the head, 1/m of U's entries.  ``branches`` is a sequence of
+    the m branches, laid into a new head, or a head that holds them as its
+    tiles, head[:, i] = B_i, which a caller has written them into (its
+    dimension checked first) and which is overwritten.
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
     B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
-    E_i / 2^k: the Walsh-Hadamard transform of the branch Grams, taken by
-    half-sums as U is.  That costs N^3 / 4^k for U of dimension N.
+    E_i / 2^k, and its spectral norm is the largest of the E_i's.  With no
+    ``bounds`` the defect is measured: the Walsh-Hadamard transform of the
+    branch Grams, taken by half-sums as U is, at N^3 / 4^k for U of
+    dimension N.  ``bounds``, one a branch, bound the spectral norms of the
+    E_i (``_reflection_products``), so the largest of them bounds U's
+    defect, and no Gram is formed.
     U itself is formed by k rounded half-sums an entry, each entry off by at
     most k u times the mean of its branch entries' magnitudes (u = 2^-53),
     so its Gram matrix differs from the exact one by at most
     2^(k/2 + 1) k u (1 + e), e the larger of the branch and average defects,
     to first order in u; twice that bound is the ``rounding`` checked with
-    the defect."""
-    m, n = len(branches), len(branches[0])
+    the defect.  The stored ``_defect`` is the measured one, or with bounds
+    the largest bound plus ``rounding``.
+
+    The block's SVD is taken of the head's block, unless ``factors`` =
+    (L, G, V^dag) give each branch's block between the ranges as
+    L diag(G[i]) V^dag: then the average's is L diag(g) V^dag, g the same
+    half-sums of the rows of G, whose SVD (L e^(i arg g), |g|, V^dag) is
+    read off with no decomposition."""
+    if isinstance(branches, np.ndarray):  # laid out in the head, overwritten
+        head, (n, m) = branches, branches.shape[:2]
+        branches = [head[:, r] for r in range(m)]
+    else:
+        head, m, n = None, len(branches), len(branches[0])
     _require_dim(m * n)
     k, diag = m.bit_length() - 1, np.arange(n)
-    errors = np.stack([b.conj().T @ b for b in branches])
-    errors[:, diag, diag] -= 1.0
-    branch_defect = float(np.max(np.abs(errors)))
-    for _ in range(k):
-        errors = np.concatenate([0.5 * (errors[::2] + errors[1::2]),
-                                 0.5 * (errors[::2] - errors[1::2])])
-    defect = float(np.max(np.abs(errors)))
+    if bounds is None:
+        errors = np.stack([b.conj().T @ b for b in branches])
+        errors[:, diag, diag] -= 1.0
+        branch_defect = float(np.max(np.abs(errors)))
+        for _ in range(k):
+            errors = np.concatenate([0.5 * (errors[::2] + errors[1::2]),
+                                     0.5 * (errors[::2] - errors[1::2])])
+        defect = float(np.max(np.abs(errors)))
+    else:
+        defect = branch_defect = float(max(bounds))
     rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + max(defect, branch_defect))
-    head = np.empty((n, m, n), dtype=complex)  # head[:, r] is U's block (0, r)
-    for r, branch in enumerate(branches):
-        head[:, r] = branch
+    if head is None:
+        head = np.empty((n, m, n), dtype=complex)  # head[:, r] is U's block (0, r)
+        for r, branch in enumerate(branches):
+            head[:, r] = branch
     for level in range(k):  # pairs r, r + 2^level within each run of 2^(level + 1)
         pairs = head.reshape(n, m >> (level + 1), 2, 1 << level, n)
         x, y = pairs[:, :, 0], pairs[:, :, 1]
@@ -496,11 +532,23 @@ def _average(branches, proj_right, proj_left, alpha: float) -> BlockEncoding:
         np.subtract(x, y, out=y)
         np.multiply(0.5, y, out=y)
         np.multiply(0.5, total, out=x)
+        del total  # before the next level's, so one is held at a time
     _require_defect(defect + rounding)
+    if bounds is not None:
+        defect += rounding
+    svd = None
+    if factors is not None:
+        left, g, vh = factors
+        for _ in range(k):
+            g = 0.5 * (g[::2] + g[1::2])
+        s = np.abs(g[0])
+        phase = np.ones(len(s), dtype=complex)
+        np.divide(g[0], s, out=phase, where=s > 0.0)
+        svd = (left * phase, s, vh)
     right = _lift(proj_right, m)
     left = right if proj_left is proj_right else _lift(proj_left, m)
-    return object.__new__(BlockEncoding).__post_init__(m * n, right, left, alpha, head=head,
-                                                       defect=defect)
+    return object.__new__(BlockEncoding).__post_init__(m * n, right, left, alpha, svd=svd,
+                                                       head=head, defect=defect)
 
 
 def qubitize_hermitian(h: np.ndarray, alpha: float) -> BlockEncoding:
@@ -604,27 +652,27 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's sp
 _SLICE = 2**15  # list entries joined into one written piece
 
 
-def _joined_rows(head: np.ndarray) -> list:
-    """For each row r and tile t of head, of shape (n, m, w), an iterator
-    over the (text, entries) joins of at most _SLICE of the row's entries,
-    in json's spelling: one ``float.__repr__`` per distinct bit pattern (so
-    -0.0 and 0.0 stay apart), and json's ``NaN``, ``Infinity`` and
-    ``-Infinity``.  The word table lives as long as an iterator does."""
-    n, m, w = head.shape
+def _joined_rows(tile: np.ndarray) -> list:
+    """For each row r of ``tile``, of shape (n, w), an iterator over the
+    (text, entries) joins of at most _SLICE of the row's entries, in json's
+    spelling: one ``float.__repr__`` per distinct bit pattern of the tile
+    (so -0.0 and 0.0 stay apart), and json's ``NaN``, ``Infinity`` and
+    ``-Infinity``.  The tile's word table lives as long as an iterator does."""
+    n, w = tile.shape
     bits, inverse = np.unique(
-        np.ascontiguousarray(head, dtype=float).view(np.uint64), return_inverse=True
+        np.ascontiguousarray(tile, dtype=float).view(np.uint64), return_inverse=True
     )
     values = bits.view(float)
     words = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         words[i] = _NONFINITE[words[i]]
-    words, inverse = np.array(words, dtype=object), inverse.reshape(head.shape)
+    words, inverse = np.array(words, dtype=object), inverse.reshape(tile.shape)
 
-    def slices(r, t):
+    def slices(r):
         for c in range(0, w, _SLICE):
-            yield ", ".join(words[inverse[r, t, c : c + _SLICE]].tolist()), min(_SLICE, w - c)
+            yield ", ".join(words[inverse[r, c : c + _SLICE]].tolist()), min(_SLICE, w - c)
 
-    return [[slices(r, t) for t in range(m)] for r in range(n)]
+    return [slices(r) for r in range(n)]
 
 
 def _tiled_chunks(head: np.ndarray):
@@ -634,18 +682,21 @@ def _tiled_chunks(head: np.ndarray):
 
     Each (row, tile) piece of head is joined once (``_joined_rows``), and
     the matrix's row p n + r is the join of head's pieces (r, p ^ q),
-    q = 0 .. m - 1.  For m > 1 block row 0's pieces are joined first and
-    kept for the other block rows, and the word table is dropped.  With one
-    tile the rows run on into each other, so they are sliced as one row
-    (a join per row would cost a call per entry of a column vector), and
-    each slice is joined as it is written.  The joins are grouped into
-    yielded pieces of at most _SLICE entries, each seam ", " yielded apart."""
+    q = 0 .. m - 1.  For m > 1 the pieces are joined one tile at a time,
+    with that tile's word table, which is dropped before the next tile's is
+    made, and kept for every block row.  With one tile the rows run on into
+    each other, so they are sliced as one row under one table (a join per
+    row would cost a call per entry of a column vector), and each slice is
+    joined as it is written.  The joins are grouped into yielded pieces of
+    at most _SLICE entries, each seam ", " yielded apart."""
     n, m, w = head.shape
     if m == 1:
-        head = head.reshape(1, 1, n * w)
-    table = _joined_rows(head)
-    if m > 1:  # every block row reads block row 0's pieces
-        table = [[list(piece) for piece in row] for row in table]
+        table = [_joined_rows(head.reshape(1, n * w))]
+    else:  # every block row reads block row 0's pieces
+        table = [[None] * m for _ in range(n)]
+        for t in range(m):
+            for r, piece in enumerate(_joined_rows(head[:, t])):
+                table[r][t] = list(piece)
     yield "["
     group, entries = [], 0
     for p in range(m):
@@ -718,10 +769,25 @@ def matrix_to_json(m: np.ndarray) -> str:
 def _matrix_from_payload(payload, what: str) -> np.ndarray:
     rows, cols = (_json_field(payload, key, int, what) for key in ("rows", "cols"))
     re, im = (
-        _json_field(payload, key, lambda v: np.array(v, dtype=float).reshape(rows, cols), what)
+        _json_field(payload, key, lambda v: np.asarray(v, dtype=float).reshape(rows, cols), what)
         for key in ("re", "im")
     )
     return np.stack([re, im], axis=-1).view(complex)[..., 0]  # exact, signed zeros included
+
+
+def _float_lists(obj: dict) -> dict:
+    """``json.loads``'s object hook: an object's "re" and "im" lists, read
+    as float arrays as soon as the object is parsed, so that one matrix's
+    Python floats are alive at a time.  A list that does not convert is
+    kept as it is, for ``_matrix_from_payload`` to reject with its message;
+    one that does converts there to the same array."""
+    for key in ("re", "im"):
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = np.array(obj[key], dtype=float)
+            except (TypeError, ValueError, OverflowError):  # raised again there
+                pass
+    return obj
 
 
 def matrix_from_json(text: str) -> np.ndarray:
@@ -753,9 +819,14 @@ def encoding_to_json(be: BlockEncoding) -> str:
 
 
 def encoding_from_json(text: str) -> BlockEncoding:
-    payload = json.loads(text)
-    matrices = [
-        _matrix_from_payload(_json_field(payload, key, lambda v: v, "encoding"), f"encoding {key}")
-        for key in _ENCODING_MATRICES
-    ]
+    """The encoding of ``encoding_to_json``'s text.  Each matrix's lists
+    turn into float arrays as soon as it is parsed (``_float_lists``), so
+    one matrix's Python floats are alive at a time, and its arrays are
+    dropped once it is read."""
+    payload = json.loads(text, object_hook=_float_lists)
+    matrices = []
+    for key in _ENCODING_MATRICES:
+        fields = _json_field(payload, key, lambda v: v, "encoding")
+        matrices.append(_matrix_from_payload(fields, f"encoding {key}"))
+        fields.clear()
     return BlockEncoding(*matrices, _json_field(payload, "alpha", float, "encoding"))

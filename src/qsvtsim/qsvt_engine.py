@@ -13,7 +13,10 @@ reflection completion's in closed form from the factors it stores, four
 n x n products a phase list with the QSP unitaries at its singular values,
 and any other encoding's in one eigenframe of the product of the two
 reflections, about range(P_R) and U^dag range(P_L), with ``qsp_core``'s QSP
-unitaries at its eigenphases.
+unitaries at its eigenphases.  A completion's products carry a bound on
+their unitarity defect from its checked factors, which the Hadamard
+averages of ``real_part_encoding`` and the algorithms read in place of
+their Grams (``_average_products``).
 The reflection offsets of ``qsp_core`` map the stored QSP phases onto
 projector phases, so the encoded block of V(phi) is exactly the sequence's
 P polynomial applied to the singular values.  The real part, which is the
@@ -88,7 +91,7 @@ def _full(enc: BlockEncoding, phase_lists):
     even part.
     """
     if enc._factors is not None:
-        return _reflection_products(enc, phase_lists)
+        return [product[0] for product in _reflection_products(enc, phase_lists)]
     rank_r, frame_r = enc._frame_right
     rank_l, frame_l = enc._frame_left
     u = _into(enc.unitary, frame_l, frame_r)
@@ -122,26 +125,77 @@ def _even_part(phases, nodes):
     return chi[0], odd, _unitaries(PhaseSequence(tuple(chi[odd:]), Convention.reflection()), nodes)
 
 
-def _reflection_products(enc: BlockEncoding, phase_lists):
-    """``_full`` of a reflection completion, from its factors: each quadrant
-    of each product is one n x n product written straight into it.  Both
-    projectors are |0><0| (x) I, so the frames are the identity."""
+def _reflection_products(enc: BlockEncoding, phase_lists, out=None):
+    """``_full`` of a reflection completion, from its factors, each product
+    B with its certificate: a list of (B, bound, L, g).  Both projectors
+    are |0><0| (x) I, so the frames are the identity.  Product r is
+    written into out[r] when ``out`` is given, else into a new array.
+
+    Quadrant (i, j) of B is L diag(E_ij) V^dag, one n x n product written
+    straight into it, with L = V at even degree and W at odd (one array at
+    either parity when V = W), so quadrant (0, 0), the block between the
+    ranges, is L diag(g) V^dag with g = E_00.
+
+    ``bound`` bounds B's unitarity defect max |B^dag B - I| by the spectral
+    norm of B^dag B - I, to first order in the rounding.  The exact B is
+    L~ E~ V~^dag, with L~ = I_2 (x) L, V~ = I_2 (x) V and E~ the direct sum
+    of the 2 x 2 E_k as multiplied in, so B^dag B - I is
+    (V~ V~^dag - I) + V~ (E~^dag E~ - I) V~^dag + V~ E~^dag (L~^dag L~ - I)
+    E~ V~^dag, of norm at most d + (1 + d) (e + (1 + e) d): d the larger of
+    ``_complete``'s Frobenius factor defects ||W^dag W - I|| and
+    ||V V^dag - I|| (Frobenius, so no factor of n enters), e the largest
+    Frobenius defect of the E_k.  Each quadrant is one length-n product,
+    whose rounding moves it by about (n + 1) u in norm (u = 2^-53, the
+    first-order normwise estimate with L, V and E of norm 1), so the Gram
+    moves by at most 4 (n + 1) u more."""
     w, s, vh = _completion_factors(enc)
+    delta = enc._factors[2]
     n, c = len(s), np.sqrt(1.0 - s**2)
     reflections = np.array([[s, c], [c, -s]]).transpose(2, 0, 1)
-    v = vh.conj().T
+    v = w if enc._factors[0] is None else vh.conj().T
+    rounding = 2.0 * (n + 1) * np.finfo(float).eps
     products = []
-    for phases in phase_lists:
+    for r, phases in enumerate(phase_lists):
         chi0, odd, e = _even_part(phases, s + 1j * c)  # the nodes e^{i theta}, s = cos theta
         if odd:  # U', then Phi_L(chi_0): a phase on each block row
             e = (reflections @ e) * np.exp([[1j * chi0], [-1j * chi0]])
+        gram = e.conj().transpose(0, 2, 1) @ e - np.eye(2)
+        worst = float(np.max(np.linalg.norm(gram, axis=(1, 2)), initial=0.0))
         left = w if odd else v
-        out = np.empty((2 * n, 2 * n), dtype=complex)
+        b = np.empty((2 * n, 2 * n), dtype=complex) if out is None else out[r]
         for i in range(2):
             for j in range(2):
-                np.matmul(left * e[:, i, j], vh, out=out[i * n : (i + 1) * n, j * n : (j + 1) * n])
-        products.append(out)
+                np.matmul(left * e[:, i, j], vh, out=b[i * n : (i + 1) * n, j * n : (j + 1) * n])
+        bound = delta + (1.0 + delta) * (worst + (1.0 + worst) * delta) + rounding
+        products.append((b, bound, left, e[:, 0, 0]))
     return products
+
+
+def _average_products(enc: BlockEncoding, phase_lists, proj_left, alpha: float, scales=None):
+    """``_average`` of the dense products of ``phase_lists`` on ``enc``,
+    from enc's P_R to ``proj_left``.  A completion's products (product i
+    times scales[i] when scales are given, as hamsim's are) are written
+    straight into the average's head, with their bounds
+    (``_reflection_products``), which ``_average`` reads in place of their
+    Grams, and, when their blocks share one left factor L (one parity, or
+    V = W), with the factors (L, g_i, V^dag) of their blocks
+    L diag(g_i) V^dag, from which ``_average`` reads its block's SVD.  Any
+    other encoding's products are measured there."""
+    right, m = enc._projectors[0], len(phase_lists)
+    if enc._factors is None:
+        return _average(_full(enc, phase_lists), right, proj_left, alpha)
+    _require_dim(m * enc.dim)
+    head = np.empty((enc.dim, m, enc.dim), dtype=complex)  # branch r at head[:, r]
+    products = _reflection_products(enc, phase_lists, [head[:, r] for r in range(m)])
+    for c, (v, _, _, g) in zip(scales or (), products):
+        if c != 1:  # scaled in place, as c * v
+            np.multiply(c, v, out=v)
+            np.multiply(c, g, out=g)
+    _, bounds, lefts, diagonals = zip(*products)
+    factors = None
+    if all(left is lefts[0] for left in lefts):
+        factors = (lefts[0], np.array(diagonals), enc._block_svd[2])
+    return _average(head, right, proj_left, alpha, bounds=bounds, factors=factors)
 
 
 def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
@@ -159,8 +213,8 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     """
     enc, phases = prog.encoding, prog.phases.as_array()
     right, left = enc._projectors
-    return _average(_full(enc, [phases, -phases]), right, left if prog.degree % 2 else right,
-                    enc.alpha)
+    return _average_products(enc, [phases, -phases], left if prog.degree % 2 else right,
+                             enc.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:

@@ -543,7 +543,8 @@ class TestMatrixInversion:
         matrix_inversion(np.diag([1 + 5e-13, 0.5]), 3.0, 0.05)
 
     def test_one_svd_of_the_input_serves_the_check_and_the_completion(self, monkeypatch):
-        # one SVD of A^dag, and the output average's own of its block
+        # one SVD of A^dag; the output average's block SVD is read from the
+        # completion's factors, W diag(Re P(s)) V^dag, with no decomposition
         svd, shapes = np.linalg.svd, []
 
         def counted(m, *args, **kwargs):
@@ -552,7 +553,7 @@ class TestMatrixInversion:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         matrix_inversion(np.diag([0.5, 1.0, 0.75]).astype(complex), 2.0, 0.05)
-        assert shapes == [(3, 3), (3, 3)]
+        assert shapes == [(3, 3)]
 
     def test_kappa_20_at_n_64(self):
         # singular values spread over [1/kappa, 1], both ends included

@@ -45,7 +45,7 @@ from qsvtsim import (
     svd_oracle,
     transformed_block,
 )
-from qsvtsim.block_encoding import _eigenframe, _range_block
+from qsvtsim.block_encoding import UNITARY_TOL, _eigenframe, _range_block
 from qsvtsim.qsp_core import _reflection_offsets
 from qsvtsim import algorithms, block_encoding, qsvt_engine
 from qsvtsim.qsvt_engine import _full
@@ -567,6 +567,135 @@ class TestUnitaryFullProducts:
         monkeypatch.setattr(qsvt_engine, "_full", corrupted)
         with pytest.raises(NotUnitary, match="exceeds 1.0e-12"):
             real_part_encoding(QsvtProgram(evolution, seq))
+
+
+def _dense_defect(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+
+
+class TestProductCertificates:
+    """A completion's dense products carry a first-order bound on their
+    unitarity defect, from its factors' Frobenius defects, the 2 x 2 QSP
+    unitaries' and the products' rounding (``_reflection_products``).  The
+    averages of ``hamiltonian_simulation``, ``matrix_inversion`` and
+    ``real_part_encoding`` of a completion read those bounds in place of
+    Grams, and their block's SVD from the products' diagonals."""
+
+    @staticmethod
+    def _completion(name, rng, n=12):
+        if name == "embed_general":
+            return embed_general(random_contraction(rng, n), 1.0)
+        if name == "grover_signal":
+            return grover_signal(16)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = 0.5 * (g + g.conj().T)
+        norm = float(np.linalg.norm(h, 2))
+        return qubitize_hermitian(h, norm if name == "qubitize_at_norm" else 1.25 * norm)
+
+    @pytest.mark.parametrize("name", ["embed_general", "qubitize_hermitian", "qubitize_at_norm",
+                                      "grover_signal"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 41, 505, 511])
+    def test_the_bound_holds_each_product_and_their_average(self, name, degree):
+        rng = np.random.default_rng(degree)
+        enc = self._completion(name, rng)
+        if name.startswith("qubitize"):
+            assert np.signbit(enc._factors[1]).any()
+        phases = rng.uniform(-np.pi, np.pi, degree + 1)
+        products = qsvt_engine._reflection_products(enc, [phases, -phases])
+        for v, bound, _, _ in products:
+            assert _dense_defect(v) <= bound <= UNITARY_TOL / 2
+        real = real_part_encoding(QsvtProgram(enc, PhaseSequence(tuple(phases), CANONICAL)))
+        assert max(bound for _, bound, _, _ in products) <= real._defect <= UNITARY_TOL / 2
+        assert _dense_defect(real.unitary) <= real._defect
+        # the block's SVD, read from the diagonals, is the block's
+        w, s, vh = real._block_svd
+        block = extract_block(real)
+        assert np.all(s >= 0.0)
+        assert np.max(np.abs((w * s) @ vh - block)) <= 1e-13
+        assert np.max(np.abs(np.sort(s) - np.linalg.svd(block, compute_uv=False)[::-1])) <= 1e-13
+
+    @staticmethod
+    def _at_the_cap(case):
+        """An average of dimension 1024 from a completion's products."""
+        rng = np.random.default_rng(1024)
+        if case == "hamiltonian_simulation":
+            g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+            h = 0.5 * (g + g.conj().T)
+            return lambda: hamiltonian_simulation(h / np.linalg.norm(h, 2), 1.0, 2.0, 0.01)
+        if case == "matrix_inversion":
+            haar = lambda: np.linalg.qr(rng.standard_normal((256, 256))
+                                        + 1j * rng.standard_normal((256, 256)))[0]
+            a = (haar() * rng.uniform(0.1, 1.0, 256)) @ haar()
+            return lambda: matrix_inversion(a, 10.0, 0.01)
+        enc = embed_general(random_contraction(rng, 256), 1.0)
+        seq = PhaseSequence(tuple(rng.uniform(-np.pi, np.pi, 506)), CANONICAL)
+        return lambda: real_part_encoding(QsvtProgram(enc, seq))
+
+    @pytest.mark.parametrize("case", ["hamiltonian_simulation", "matrix_inversion",
+                                      "real_part_encoding"])
+    def test_the_bound_at_the_dimension_cap(self, case, monkeypatch):
+        # the bounds are 1e-13 to 3e-13 against measured defects near 1e-14:
+        # the factor defects and the rounding estimate dominate them
+        build, seen = self._at_the_cap(case), []
+
+        def spy(head, *args, bounds, factors):  # the branches, laid out in the head
+            seen.extend((_dense_defect(head[:, r]), bound) for r, bound in enumerate(bounds))
+            return average(head, *args, bounds=bounds, factors=factors)
+
+        average = qsvt_engine._average
+        monkeypatch.setattr(qsvt_engine, "_average", spy)
+        enc = build()
+        assert enc.dim == 1024 and len(seen) in (2, 4)
+        assert all(measured <= bound for measured, bound in seen)
+        assert max(bound for _, bound in seen) <= enc._defect <= UNITARY_TOL / 2
+        assert _dense_defect(enc.unitary) <= enc._defect
+
+    @pytest.mark.parametrize("case", ["hamiltonian_simulation", "real_part_encoding",
+                                      "a dense encoding"])
+    def test_no_gram_and_no_svd_for_a_completion(self, case, rng, monkeypatch):
+        # a completion's products are certified by its factors: the average
+        # forms no Gram (no conj of a branch) and takes no SVD of its block;
+        # a dense encoding's products keep the measured route
+        g = random_contraction(rng, 6)
+        h = 0.5 * (g + g.conj().T)
+        seq = solve_phases(sign_poly(0.1, 0.4))
+        completion = embed_general(random_contraction(rng, 6), 1.0)
+        dense = BlockEncoding(completion.unitary, completion.proj_right, completion.proj_left)
+        hamiltonian_simulation(h, 1.0, 2.0, 0.01)  # solve the phases first
+        build = {"hamiltonian_simulation": lambda: hamiltonian_simulation(h, 1.0, 2.0, 0.01),
+                 "real_part_encoding": lambda: real_part_encoding(QsvtProgram(completion, seq)),
+                 "a dense encoding": lambda: real_part_encoding(QsvtProgram(dense, seq))}[case]
+
+        class Watched(np.ndarray):
+            grams = []
+
+            def conj(self):
+                Watched.grams.append(self.shape)
+                return np.asarray(self).conj()
+
+        def watched(branches, *args, **kwargs):  # a list of branches, or the head
+            return average(branches.view(Watched) if isinstance(branches, np.ndarray)
+                           else [b.view(Watched) for b in branches], *args, **kwargs)
+
+        average = qsvt_engine._average
+        monkeypatch.setattr(qsvt_engine, "_average", watched)
+        svd, svds = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svds.append(np.shape(m))
+                            or svd(m, *a, **k))
+        build()
+        measured = case == "a dense encoding"
+        assert (Watched.grams, svds) == (([(12, 12)] * 2, [(6, 6)]) if measured else ([], []))
+
+    def test_factors_within_their_check_can_fail_the_average(self, rng):
+        # each factor's Gram is off by about 8e-13 in its largest entry, which
+        # passes the factor check, and by about 8e-13 sqrt(5) in Frobenius
+        # norm, so the products' bounds pass UNITARY_TOL and the average raises
+        w, s, vh = np.linalg.svd(random_contraction(rng, 5))
+        enc = block_encoding._complete(w * (1 + 4e-13), s, vh * (1 + 4e-13), 1.0)
+        seq = PhaseSequence((0.3, -0.2, 0.5), CANONICAL)
+        assert _dense_defect(qsvt_unitary(QsvtProgram(enc, seq))) > UNITARY_TOL
+        with pytest.raises(NotUnitary, match="exceeds 1.0e-12"):
+            real_part_encoding(QsvtProgram(enc, seq))
 
 
 class TestNonSquareOracle:

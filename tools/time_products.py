@@ -8,14 +8,16 @@ Each case runs `bench_pairs.PAIRS` times a side, in a fresh child process
 with `bench_pairs.child_env` (BLAS and OpenMP pinned to one thread, the
 checkout's own `src` on PYTHONPATH); pair i runs the parent first on even i
 and the change first on odd i.  A child builds its seeded input untimed, and
-for `matrix_inversion` makes one untimed call first, so the phase solve
-(memoized per process) is not timed.  The JSON holds each side's times per
+for `matrix_inversion` and `hamiltonian_simulation` makes one untimed call
+first, so the phase solve (memoized per process) is not timed.  The JSON holds each side's times per
 case with their median and quartiles, and how many pairs the change won.
 
 Cases: `qsvt_unitary` of `embed_general` of a seeded 512 x 512 contraction
 (dimension 1024) with 506 seeded phases (degree 505) and of a 256 x 256 one
-(dimension 512) with 4 (degree 3), and `matrix_inversion` of a 256 x 256
-matrix with singular values in [0.1, 1] at kappa = 10, epsilon = 0.01.
+(dimension 512) with 4 (degree 3), `matrix_inversion` of a 256 x 256
+matrix with singular values in [0.1, 1] at kappa = 10, epsilon = 0.01, and
+`hamiltonian_simulation` of a seeded 128 x 128 Hermitian matrix of norm 1
+at alpha = 1, t = 2, epsilon = 0.01 (dimension 1024).
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def inversion_input(n):
     rng = np.random.default_rng(n)
     haar = lambda: np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     return (haar() * rng.uniform(0.1, 1.0, n)) @ haar()
+def hermitian_input(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2
+    return h / np.linalg.norm(h, 2)
 """
 
 CASES = {
@@ -51,6 +58,9 @@ CASES = {
     "matrix_inversion_n256_k10": ("a = inversion_input(256)\n"
                                   "call = lambda: qsvtsim.matrix_inversion(a, 10.0, 0.01)\n"
                                   "call()"),
+    "hamiltonian_simulation_n128": ("h = hermitian_input(128)\n"
+                                    "call = lambda: qsvtsim.hamiltonian_simulation(h, 1.0, 2.0, 0.01)\n"
+                                    "call()"),
 }
 
 TIMED = "start = time.perf_counter()\ncall()\nprint(time.perf_counter() - start)\n"
