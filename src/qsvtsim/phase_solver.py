@@ -30,6 +30,7 @@ from .qsp_core import (
     _eigen_sweep,
     _mixers,
     _node_phases,
+    _sweep_diagonal,
     response_many,
 )
 
@@ -82,27 +83,32 @@ class FixedPointParams:
 # Response and Jacobian, vectorized over signal nodes
 
 
-def _swept(phases: np.ndarray, nodes: np.ndarray, rows: np.ndarray | None = None):
+def _swept(phases: np.ndarray, diag: np.ndarray, rows: np.ndarray | None = None):
     """Re<+|U|+> at each node, and a function that returns d/dphi_k there
     (``_jacobian``).
 
     U = S(phi_0) W S(phi_1) ... W S(phi_d) in the canonical Wx convention,
     swept in the signal's eigenframe, where <+|U|+> = <0|R_0 D R_1 ... R_d|0>
-    (``qsp_core._eigen_sweep``).  The sweep keeps its rows in ``rows``, a
-    (d + 1, 2, m) buffer the Newton loop reuses so that its pages are not
-    faulted in again on every call, and the Jacobian is computed from them
-    on demand: it is valid until ``rows`` is swept again, so a caller pays
-    for the Jacobian only of the sweeps it keeps.
+    (``qsp_core._eigen_sweep``); ``diag`` is D at the nodes
+    (``_wx_diagonal``), which a solve forms once.  The sweep keeps its rows
+    in ``rows``, a (d + 1, 2, m) buffer the Newton loop reuses so that its
+    pages are not faulted in again on every call, and the Jacobian is
+    computed from them on demand: it is valid until ``rows`` is swept
+    again, so a caller pays for the Jacobian only of the sweeps it keeps.
     """
     mix = _mixers(phases)
-    e = _node_phases(nodes, SignalKind.WX)
     if rows is None:
-        rows = np.empty((len(phases), 2, len(nodes)), dtype=complex)
-    end = _eigen_sweep(mix, e, rows=rows)
-    return end[0].real, lambda: _jacobian(phases, mix, e, rows, end)
+        rows = np.empty((len(phases),) + diag.shape, dtype=complex)
+    end = _eigen_sweep(mix, diag, rows=rows)
+    return end[0].real, lambda: _jacobian(phases, mix, diag, rows, end)
 
 
-def _jacobian(phases, mix, e, rows, end) -> np.ndarray:
+def _wx_diagonal(nodes: np.ndarray) -> np.ndarray:
+    """The sweep diagonal of the canonical signal at the values ``nodes``."""
+    return _sweep_diagonal(_node_phases(nodes, SignalKind.WX))
+
+
+def _jacobian(phases, mix, diag, rows, end) -> np.ndarray:
     """d/dphi_k of the response, (nodes, d + 1), from the rows and the final
     row ``end`` of its sweep; ``rows`` is overwritten.
 
@@ -112,19 +118,21 @@ def _jacobian(phases, mix, e, rows, end) -> np.ndarray:
     R_{k+1} times D^-1 = diag(conj(e), e); c_d is the final row and
     b_d = |0>.  R and D are symmetric, so b_k is the row before R_{d-k} of
     the reversed sweep; for a palindromic list that is the sweep's own, and
-    c_k0 b_k1 is c_{d-1-k}1 b_{d-1-k}0 reversed.
+    c_k0 b_k1 is c_{d-1-k}1 b_{d-1-k}0 reversed.  ``diag`` holds e and
+    conj(e).
     """
+    e, conj_e = diag
     # rows[1:, 1] becomes c_k1 b_k0 / e and rows[1:, 0] c_k0 b_k1, in place
     top, bot = rows[1:, 1], rows[1:, 0]
     if np.array_equal(phases, phases[::-1]):
         np.multiply(top, rows[:0:-1, 0], out=top)
-        np.multiply(top[::-1], np.conj(e), out=bot)
+        np.multiply(top[::-1], conj_e, out=bot)
     else:
         suffix = np.empty_like(rows)
-        _eigen_sweep(mix[::-1], e, rows=suffix)
+        _eigen_sweep(mix[::-1], diag, rows=suffix)
         top *= suffix[:0:-1, 0]
         bot *= suffix[:0:-1, 1]
-        bot *= np.conj(e)
+        bot *= conj_e
     top *= e
     top += bot
     jac = np.empty((len(phases), rows.shape[2]))
@@ -138,12 +146,12 @@ def _expand_symmetric(sym: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([sym, sym[: degree + 1 - len(sym)][::-1]])
 
 
-def _symmetric_sweep(sym: np.ndarray, degree: int, nodes: np.ndarray,
+def _symmetric_sweep(sym: np.ndarray, degree: int, diag: np.ndarray,
                      rows: np.ndarray | None = None):
     """Response of the palindromic expansion of ``sym``, and a function
     (as in ``_swept``) that returns its Jacobian in the half-vector: the
     chain rule of the expansion mirror-sums columns."""
-    g, jacobian = _swept(_expand_symmetric(sym, degree), nodes, rows)
+    g, jacobian = _swept(_expand_symmetric(sym, degree), diag, rows)
     half = len(sym)
 
     def half_jacobian():
@@ -171,11 +179,12 @@ def _newton(target: ChebyshevPoly):
     half = (degree + 2) // 2
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
     targets = target(nodes)
+    diag = _wx_diagonal(nodes)
     rounding = ROUNDING * (degree + 1)
     rows = np.empty((degree + 1, 2, half), dtype=complex)
     sym = np.zeros(half)
     sym[0] = np.pi / 4
-    g, jacobian = _symmetric_sweep(sym, degree, nodes, rows)
+    g, jacobian = _symmetric_sweep(sym, degree, diag, rows)
     resid = g - targets
     size = np.linalg.norm(resid)
     steps = 0
@@ -187,7 +196,7 @@ def _newton(target: ChebyshevPoly):
         steps += 1
         for damping in DAMPINGS:
             trial = sym - damping * step
-            g, trial_jacobian = _symmetric_sweep(trial, degree, nodes, rows)
+            g, trial_jacobian = _symmetric_sweep(trial, degree, diag, rows)
             trial_size = np.linalg.norm(g - targets)
             if trial_size < size - rounding:
                 sym, jacobian, resid, size = trial, trial_jacobian, g - targets, trial_size
@@ -216,8 +225,8 @@ def _nudged(target: ChebyshevPoly, residual_tol: float) -> ChebyshevPoly:
     sup = target.sup_norm()
     if sup > 1.0 + 1e-9:
         raise DomainError(f"target sup norm {sup:.6f} exceeds 1")
-    # the grid sup already covers the grid; the endpoints complete the true sup
-    sup = max(sup, _true_sup(np.asarray(target.coeffs), np.array([-1.0, 1.0])))
+    # the grid holds both ends; the critical points complete the true sup
+    sup = _true_sup(target.coeffs, sup)
     if sup > 1.0 + residual_tol:
         raise DomainError(
             f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "

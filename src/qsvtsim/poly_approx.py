@@ -6,10 +6,26 @@ on a dense certification grid against the bounds stated in its contract
 windows).  Certification is the contract: every result is re-checked rather
 than trusted by construction.  Polynomials are evaluated by ``_chebval``,
 which sums a parity-definite series at half its length.
+
+The grown families (sign, both steps, inversion, rect) pay one grid pass
+for each degree they try and one for each candidate they certify in full;
+a certified polynomial keeps its grid values, so its ``sup_norm()`` costs
+no further pass.  Two rules reject a candidate before its full pass
+(``_Certifier``), and each rejects only what the full test rejects.  The
+trim's screen tests its probes on every 16th grid point, where their
+values are bit-equal to the full grid's, so failing there is failing on
+the grid.  The undershoot rule skips a degree, before the unit rescale and
+its eigensolve, when at a checked point with |r| > budget + 1e-9 the
+unscaled interpolant p has sign(r) p < |r| - budget - 1e-9: the rescale
+only shrinks p, so the certified candidate would miss r by more than the
+budget.  The 1e-9 covers the coefficients that trimming drops (under
+2.6e-12) and the rounding of both evaluations (1e-14 sum |c_k| each, under
+5e-14 for these families).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +44,11 @@ from .errors import (
 )
 
 CERT_GRID_SIZE = 4096
+# the trim's screen reads every SCREEN_STRIDE-th certification grid point;
+# the grow loop skips a degree whose interpolant undershoots its reference by
+# UNDERSHOOT_MARGIN more than the budget (see _Certifier)
+SCREEN_STRIDE = 16
+UNDERSHOOT_MARGIN = 1e-9
 PARITY_TOL = 1e-14
 DEGREE_CAP = 512
 
@@ -96,9 +117,16 @@ class ChebyshevPoly:
         return ChebyshevPoly(self.coeffs * factor, self.parity)
 
     def sup_norm(self, grid=None) -> float:
-        if grid is None:
-            grid = cert_grid()
-        return float(np.max(np.abs(self(grid))))
+        values = self._grid_values if grid is None else self(grid)
+        return float(np.max(np.abs(values)))
+
+    @functools.cached_property
+    def _grid_values(self) -> np.ndarray:
+        """p on the certification grid, read-only: evaluated once, by the
+        certification that accepts p or by the first ``sup_norm()``."""
+        values = _chebval(cert_grid(), self.coeffs)
+        values.setflags(write=False)
+        return values
 
 
 def cert_grid(n: int = CERT_GRID_SIZE) -> np.ndarray:
@@ -125,10 +153,14 @@ def _reinsch(a: np.ndarray, mu: np.ndarray, end: float):
     form about y = end (+1 or -1), from mu = 2(y - end): the differences
     d_k = b_k - end * b_{k+1} obey d_k = a_k + mu b_{k+1} + end * d_{k+1}
     and carry y only through mu, which stays exact near the end where
-    rounding y itself would cost O(j^2) ulps.  Returns d_0 and b_1."""
-    b = np.zeros_like(mu)  # b_{k+1}
-    d = np.full_like(mu, a[-1])  # d_k
-    t = np.empty_like(mu)
+    rounding y itself would cost O(j^2) ulps.  The coefficients run along
+    a's first axis; its other axes broadcast against mu, so a batch of
+    series runs as one.  Returns d_0 and b_1."""
+    shape = np.broadcast_shapes(a.shape[1:], mu.shape)
+    b = np.zeros(shape)  # b_{k+1}
+    d = np.empty(shape)  # d_k
+    d[...] = a[-1]
+    t = np.empty(shape)
     if end > 0:
         for ak in a[-2::-1]:
             b += d
@@ -156,22 +188,30 @@ def _chebval(x, coeffs: np.ndarray):
     4x^2, and about y = 1 elsewhere, where 2(y - 1) = -4(1 - x)(1 + x): the
     plain recurrence at a rounded y is up to 100 times less accurate than
     numpy's chebval on steep targets.  A series of mixed parity is chebval.
+
+    Coefficient rows (k, n) of one parity give k rows of values in one
+    pass, each bit-equal to its row's own: a row zero-padded at the top
+    keeps d = b = 0 in ``_reinsch`` up to its top coefficient, the state
+    its unpadded form starts from.
     """
     c = np.asarray(coeffs)
-    even = not np.any(c[1::2])
-    if not even and np.any(c[0::2]):
-        return cheb.chebval(x, c)
-    a = c[0::2] if even else c[1::2]
+    even = not np.any(c[..., 1::2])
+    if not even and np.any(c[..., 0::2]):
+        return cheb.chebval(x, c.T)
+    a = c[..., 0::2] if even else c[..., 1::2]
+    if a.ndim > 1:  # one coefficient of every row at a time, a column against mu
+        a = a.T[..., None]
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    inner = np.abs(x) < math.sqrt(0.5)
+    points = x.ravel()
+    out = np.empty(points.shape + c.shape[:-1])  # the rows last, so parts index it plainly
+    inner = np.abs(points) < math.sqrt(0.5)
     for end, part in ((-1.0, inner), (1.0, ~inner)):
-        xs = x[part]
+        xs = points[part]
         mu = 4.0 * xs * xs if end < 0 else -4.0 * (1.0 - xs) * (1.0 + xs)
         d0, b1 = _reinsch(a, mu, end)
         # b_0 - y b_1 = d_0 - (mu / 2) b_1 and b_0 - b_1 = d_0 + (end - 1) b_1
-        out[part] = d0 - 0.5 * mu * b1 if even else xs * (d0 + (end - 1.0) * b1)
-    return out[()]
+        out[part] = (d0 - 0.5 * mu * b1 if even else xs * (d0 + (end - 1.0) * b1)).T
+    return out.T.reshape(c.shape[:-1] + x.shape)[()]
 
 
 def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
@@ -196,19 +236,39 @@ def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> Ch
     return ChebyshevPoly(_project_parity(coeffs, parity), parity)
 
 
-def _certified_trim(poly: ChebyshevPoly, passes: Callable[[ChebyshevPoly], bool]) -> ChebyshevPoly:
-    """Smallest leading segment of a trimmed poly's coeffs that still passes
-    certification, by binary search on the truncation degree; poly passes."""
-    step = 2 if poly.parity is not Parity.NONE else 1
-    candidates = range(poly.degree % step, poly.degree + 1, step)
-    lo, hi = 0, len(candidates) - 1  # hi always passes
+def _certified_trim(poly: ChebyshevPoly, certifier: _Certifier) -> ChebyshevPoly:
+    """Smallest leading segment of a trimmed, parity-definite poly's coeffs
+    that still certifies, by binary search on the truncation degree; poly
+    certifies.  Returns the certified object itself, whose grid values the
+    certification cached.
+
+    The probes the search makes while every probe fails are screened
+    together, in one pass of ``_chebval`` over their coefficient rows,
+    zero-padded to poly's length, on every SCREEN_STRIDE-th grid point
+    (``_Certifier.screen``).  Only a probe that passes the screen is
+    certified in full; once one certifies, the search goes on from the
+    narrowed bracket with a fresh screen.
+    """
+    candidates = range(poly.degree % 2, poly.degree + 1, 2)
+    lo, hi = 0, len(candidates) - 1  # candidates[hi] certifies, as best
+    best = poly
+    sub_grid = cert_grid()[::SCREEN_STRIDE]
     while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], poly.parity)):
-            hi = mid
-        else:
+        path = [(lo + hi) // 2]
+        while path[-1] + 1 < hi:
+            path.append((path[-1] + 1 + hi) // 2)
+        rows = np.zeros((len(path), len(poly.coeffs)))
+        for row, mid in zip(rows, path):
+            row[: candidates[mid] + 1] = poly.coeffs[: candidates[mid] + 1]
+        screened = certifier.screen(_chebval(sub_grid, rows))
+        for mid, hopeful in zip(path, screened):
+            if hopeful:
+                probe = ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], poly.parity)
+                if certifier(probe):
+                    hi, best = mid, probe
+                    break
             lo = mid + 1
-    return ChebyshevPoly(poly.coeffs[: candidates[hi] + 1], poly.parity)
+    return best
 
 
 def _critical_points(coeffs: np.ndarray) -> np.ndarray:
@@ -232,63 +292,116 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     return np.clip(cheb.chebroots(der).real, -1.0, 1.0)
 
 
-def _true_sup(coeffs: np.ndarray, grid: np.ndarray) -> float:
-    """max |p| on [-1, 1]: the grid maximum together with |p| at the real
-    critical points of p, which the grid can step over."""
-    points = np.concatenate([grid, _critical_points(coeffs)])
-    return float(np.max(np.abs(_chebval(points, coeffs))))
+def _true_sup(coeffs: np.ndarray, grid_sup: float) -> float:
+    """max |p| on [-1, 1]: grid_sup, the maximum of |p| on a grid that holds
+    both ends, together with |p| at the real critical points of p, which the
+    grid can step over."""
+    points = _critical_points(coeffs)
+    return float(np.max(np.abs(_chebval(points, coeffs)), initial=grid_sup))
 
 
-def _rescale_into_unit(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Scale coefficients so the sup norm on [-1, 1] is at most 1."""
-    sup = _true_sup(coeffs, grid)
+def _rescale_into_unit(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Scale coefficients so the sup norm on [-1, 1] is at most 1, given
+    their values on a grid that holds both ends."""
+    sup = _true_sup(coeffs, float(np.max(np.abs(values))))
     if sup > 1.0:
         coeffs = coeffs / (sup * (1.0 + 1e-12))
     return coeffs
 
 
-def _unit_interpolant(target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
-    """Parity-projected interpolant of target, scaled into the unit ball on
-    [-1, 1]."""
-    coeffs = interpolate(target, degree, parity).coeffs
-    return ChebyshevPoly(_rescale_into_unit(coeffs, cert_grid()), parity)
-
-
 def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
-    """``_unit_interpolant`` at a degree the caller gives, which must have
-    the family's parity."""
+    """Parity-projected interpolant of target at a degree the caller gives,
+    which must have the family's parity, scaled into the unit ball on
+    [-1, 1]."""
     if degree % 2 != (parity is Parity.ODD):
         raise DomainError(f"{family} family degree must be {parity.value}")
-    return _unit_interpolant(target, degree, parity)
+    coeffs = interpolate(target, degree, parity).coeffs
+    return ChebyshevPoly(_rescale_into_unit(coeffs, _chebval(cert_grid(), coeffs)), parity)
 
 
-def _certifier(keep: Callable, reference: Callable, budget: float) -> Callable:
-    """Certification test on the dense grid: |p| <= 1 + 1e-12 everywhere,
-    and |p - reference| <= budget on the grid points where keep holds."""
+class _Certifier:
+    """Certification test on the dense grid: p certifies when |p| <= 1 +
+    1e-12 everywhere and |p - r| <= budget on the grid points where keep
+    holds, r the reference there (``__call__``, on p's cached grid values).
+
+    Two cheaper tests reject only candidates that the full test rejects.
+
+    * The screen, ``screen``, is the full test on every SCREEN_STRIDE-th
+      grid point.  ``_chebval`` gives a point the same value bit for bit
+      whatever other points it is evaluated with and whether the series
+      is zero-padded at the top, so failing there is failing on the grid.
+    * The undershoot rule, ``undershoots``, reads the grid values of an
+      unscaled interpolant p.  The unit rescale makes it p' = p / s with
+      s = max(1, sup |p|), which only moves p towards 0: at a checked point
+      with |r| > budget, sign(r) p' <= max(sign(r) p, 0), so where
+      sign(r) p < |r| - budget, |p' - r| > budget too.  The rule asks this
+      with UNDERSHOOT_MARGIN = 1e-9 to spare, for the difference between
+      the values it reads and those the full test reads: the top
+      coefficients that trimming drops from p' (fewer than 257, each at
+      most PARITY_TOL = 1e-14: under 2.6e-12) and the rounding of the two
+      evaluations, each within 1e-14 sum |c_k| (the evaluator's tested
+      accuracy up to degree 512).  As |c_k| <= 2 sup |p|, that is at most
+      5.2e-12 (s + 1) + 2.6e-12, inside the margin while s < 190; the
+      families' interpolants have s < 1.13 and sum |c_k| < 4.5.
+    """
+
+    def __init__(self, keep: Callable, reference: Callable, budget: float):
+        grid, sub_grid = cert_grid(), cert_grid()[::SCREEN_STRIDE]
+        # the checked points and r there, on the grid and on the sub-grid
+        self.checked = np.flatnonzero(keep(grid))
+        self.ref = ref = reference(grid[self.checked])
+        sub = np.flatnonzero(keep(sub_grid))
+        self._sub = sub, reference(sub_grid[sub])
+        self.budget = budget
+        self._sign = np.sign(ref)
+        far = np.abs(ref) > budget + UNDERSHOOT_MARGIN
+        self._floor = np.where(far, np.abs(ref) - budget - UNDERSHOOT_MARGIN, -np.inf)
+
+    def __call__(self, p: ChebyshevPoly) -> bool:
+        return bool(self._passes(p._grid_values, self.checked, self.ref))
+
+    def screen(self, values: np.ndarray) -> np.ndarray:
+        """The test on every SCREEN_STRIDE-th grid point, for each row of
+        values there."""
+        return self._passes(values, *self._sub)
+
+    def _passes(self, values, checked, ref):
+        err = np.abs(np.take(values, checked, axis=-1) - ref)
+        return (np.abs(values).max(-1) <= 1.0 + 1e-12) & (err.max(-1, initial=0.0) <= self.budget)
+
+    def undershoots(self, values: np.ndarray) -> bool:
+        """Whether an unscaled interpolant with these grid values fails
+        after any unit rescale (see the class docstring)."""
+        return bool(np.any(self._sign * values[self.checked] < self._floor))
+
+
+def _grow_and_certify(target: Callable, parity: Parity, start_degree: int,
+                      certifier: _Certifier) -> ChebyshevPoly:
+    """Grow the degree of target's parity-projected interpolant by ~1.5x
+    until, scaled into the unit ball and trimmed, it certifies, then cut
+    that to the smallest certifying truncation (``_certified_trim``).
+
+    Each degree's unscaled interpolant p is evaluated on the grid once.
+    The undershoot rule (``_Certifier.undershoots``) skips a degree, with
+    no rescale and so no eigensolve for the critical points, when at a
+    checked point with |r| > budget + 1e-9, sign(r) p < |r| - budget -
+    1e-9.  It is exact: the rescale only shrinks p, so the candidate would
+    miss r by more than the budget, and the 1e-9 covers the coefficients
+    trimming drops and the rounding of both evaluations, under 1.4e-11 for
+    the families' interpolants.  Otherwise those values give the rescale
+    its grid maximum, and the rescaled candidate is certified on the grid,
+    its one further pass.  The trim's screen rejects a probe only when it
+    fails on a subset of the grid (``_certified_trim``).
+    """
     grid = cert_grid()
-    mask = keep(grid)
-    ref = reference(grid[mask])
-
-    def certify(p: ChebyshevPoly) -> bool:
-        vals = p(grid)
-        return bool(np.max(np.abs(vals)) <= 1.0 + 1e-12
-                    and np.max(np.abs(vals[mask] - ref), initial=0.0) <= budget)
-
-    return certify
-
-
-def _grow_and_certify(
-    build: Callable[[int], ChebyshevPoly],
-    start_degree: int,
-    certify: Callable[[ChebyshevPoly], bool],
-) -> ChebyshevPoly:
-    """Grow the degree of build(degree) by ~1.5x until its trimmed form
-    certifies, then cut that to the smallest certifying truncation."""
     degree = min(start_degree, DEGREE_CAP)
     while True:
-        poly = build(degree).trimmed()
-        if certify(poly):
-            return _certified_trim(poly, certify)
+        coeffs = interpolate(target, degree, parity).coeffs
+        values = _chebval(grid, coeffs)
+        if not certifier.undershoots(values):
+            poly = ChebyshevPoly(_rescale_into_unit(coeffs, values), parity).trimmed()
+            if certifier(poly):
+                return _certified_trim(poly, certifier)
         if degree >= DEGREE_CAP:
             raise DegreeCapExceeded(f"certification failed at degree cap {DEGREE_CAP}")
         degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.5)))
@@ -321,12 +434,9 @@ def sign_poly(epsilon: float, delta: float) -> ChebyshevPoly:
     """
     _validate_sign_args(epsilon, delta)
     k = erf_scale(epsilon, delta)
-    certify = _certifier(lambda g: np.abs(g) > delta / 2, np.sign, epsilon)
+    certifier = _Certifier(lambda g: np.abs(g) > delta / 2, np.sign, epsilon)
     start = int(2 * math.ceil(0.8 * k) + 1)
-    return _grow_and_certify(
-        lambda d: _unit_interpolant(lambda x: _erf(k * x), d, Parity.ODD),
-        max(start, 9), certify,
-    )
+    return _grow_and_certify(lambda x: _erf(k * x), Parity.ODD, max(start, 9), certifier)
 
 
 def sign_poly_from_steepness(degree: int, k: float) -> ChebyshevPoly:
@@ -353,12 +463,10 @@ def _symmetric_step_poly(epsilon: float, delta: float, center: float) -> Chebysh
     def target(x):
         return norm * (-1.0 + epsilon / 4 + _erf(k * (center - x)) + _erf(k * (center + x)))
 
-    certify = _certifier(lambda g: (g >= 0.0) & (np.abs(g - center) > delta / 2),
-                         lambda x: np.sign(center - x), epsilon)
+    certifier = _Certifier(lambda g: (g >= 0.0) & (np.abs(g - center) > delta / 2),
+                           lambda x: np.sign(center - x), epsilon)
     start = int(2 * math.ceil(0.8 * k) + 2)
-    return _grow_and_certify(
-        lambda d: _unit_interpolant(target, d, Parity.EVEN), max(start, 10), certify
-    )
+    return _grow_and_certify(target, Parity.EVEN, max(start, 10), certifier)
 
 
 def eigenvalue_threshold_poly(epsilon: float, delta: float, threshold: float) -> ChebyshevPoly:
@@ -550,11 +658,11 @@ def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
         window = 0.5 * (_erf(s * (c - x)) + _erf(s * (c + x)))
         return epsilon / 2 + (1.0 - epsilon) * (1.0 - window)
 
-    certify = _certifier(lambda g: (np.abs(g) >= outer) | (np.abs(g) <= inner),
-                         lambda x: np.where(np.abs(x) >= outer, 1.0 - epsilon / 2, epsilon / 2),
-                         epsilon / 2)
-    return _grow_and_certify(lambda d: _unit_interpolant(target, d, Parity.EVEN),
-                             max(int(2 * math.ceil(0.8 * s) + 2), 10), certify)
+    certifier = _Certifier(lambda g: (np.abs(g) >= outer) | (np.abs(g) <= inner),
+                           lambda x: np.where(np.abs(x) >= outer, 1.0 - epsilon / 2, epsilon / 2),
+                           epsilon / 2)
+    return _grow_and_certify(target, Parity.EVEN, max(int(2 * math.ceil(0.8 * s) + 2), 10),
+                             certifier)
 
 
 def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
@@ -579,10 +687,9 @@ def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     def target(x):  # h(0) = 0, as -expm1(0) / inf
         return -np.expm1(-((s * x) ** 2)) / (2.0 * kappa * np.where(x == 0.0, np.inf, x))
 
-    certify = _certifier(lambda g: np.abs(g) > 1.0 / kappa,
-                         lambda x: 1.0 / (2.0 * kappa * x), epsilon / (2.0 * kappa))
-    return _grow_and_certify(lambda d: _unit_interpolant(target, d, Parity.ODD),
-                             2 * math.ceil(s) + 1, certify)
+    certifier = _Certifier(lambda g: np.abs(g) > 1.0 / kappa,
+                           lambda x: 1.0 / (2.0 * kappa * x), epsilon / (2.0 * kappa))
+    return _grow_and_certify(target, Parity.ODD, 2 * math.ceil(s) + 1, certifier)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +741,7 @@ def _even_fit(target: Callable, degree: int, grid_size: int = 2001) -> FitResult
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     coeffs = np.zeros(degree + 1)
     coeffs[::2] = sol
-    coeffs = _rescale_into_unit(coeffs, grid)
+    coeffs = _rescale_into_unit(coeffs, _chebval(grid, coeffs))
     poly = ChebyshevPoly(coeffs, Parity.EVEN)
     residual = float(np.max(np.abs(poly(grid) - vals)))
     return FitResult(poly, residual)

@@ -150,18 +150,24 @@ _ZERO = np.array([[1.0], [0.0]])
 _PLUS = np.array([[1.0], [1.0]])
 
 
-def _eigen_sweep(mix: np.ndarray, nodes: np.ndarray, start=_ZERO,
+def _sweep_diagonal(nodes: np.ndarray) -> np.ndarray:
+    """The signal's eigenvalues (e, conj(e)) at each node e (1-D), a (2, m)
+    array: the diagonal D that ``_eigen_sweep`` scales by."""
+    return np.stack([nodes, np.conj(nodes)])
+
+
+def _eigen_sweep(mix: np.ndarray, diag: np.ndarray, start=_ZERO,
                  rows: np.ndarray | None = None) -> np.ndarray:
     """Row vectors times R_0 D R_1 D ... D R_d, one per node.
 
     In the signal's eigenframe the QSP product is R_k = ``mix[k]`` (the
     node-independent mixing exp(i phi_k X)) alternating with D =
-    diag(e, conj(e)), e = ``nodes`` (1-D); ``start`` (2, 1) or (2, m)
-    holds the start row of each node as a column.  Each phase costs one
-    (2, 2) @ (2, m) product and one scaling.  Returns the (2, m) final
-    rows; ``rows`` (d + 1, 2, m), if given, receives the row before each R_k.
+    diag(e, conj(e)), held as ``diag`` = ``_sweep_diagonal`` of the nodes
+    e; ``start`` (2, 1) or (2, m) holds the start row of each node as a
+    column.  Each phase costs one (2, 2) @ (2, m) product and one scaling.
+    Returns the (2, m) final rows; ``rows`` (d + 1, 2, m), if given,
+    receives the row before each R_k.
     """
-    diag = np.stack([nodes, np.conj(nodes)])
     last = len(mix) - 1
     if rows is None:
         row = np.empty_like(diag)
@@ -230,7 +236,8 @@ def _unitaries(seq: PhaseSequence, nodes: np.ndarray) -> np.ndarray:
     eigenframe; WX and reflection map back by H.H (and reflection takes its
     left Z at odd degree, see ``_frame_mixers``)."""
     conv, m = seq.convention, len(nodes)
-    rows = _eigen_sweep(_frame_mixers(seq), np.repeat(nodes, 2), np.tile(np.eye(2), m))
+    rows = _eigen_sweep(_frame_mixers(seq), _sweep_diagonal(np.repeat(nodes, 2)),
+                        np.tile(np.eye(2), m))
     u = rows.reshape(2, m, 2).transpose(1, 2, 0)
     if conv.signal is not SignalKind.WZ:
         u = _H @ u @ _H
@@ -259,13 +266,13 @@ def response_many(seq: PhaseSequence, values) -> np.ndarray:
     """
     conv = seq.convention
     values = np.asarray(values, dtype=float)
-    nodes = _node_phases(values.ravel(), conv.signal)
+    diag = _sweep_diagonal(_node_phases(values.ravel(), conv.signal))
     mix = _frame_mixers(seq)
     if conv.basis is Basis.ZERO_ZERO and conv.signal is not SignalKind.WZ:
-        top, bot = _eigen_sweep(mix, nodes, _PLUS)
+        top, bot = _eigen_sweep(mix, diag, _PLUS)
         return (0.5 * (top + bot)).reshape(values.shape)
     flip = conv.signal is SignalKind.REFLECTION and seq.degree % 2
-    return _eigen_sweep(mix, nodes, _ZERO[::-1] if flip else _ZERO)[0].reshape(values.shape)
+    return _eigen_sweep(mix, diag, _ZERO[::-1] if flip else _ZERO)[0].reshape(values.shape)
 
 
 def response_curve(seq: PhaseSequence, grid) -> list:
@@ -350,8 +357,8 @@ def pq_from_sequence(seq: PhaseSequence):
     # row 0 of the unitary, <0|H M H for the frame product M, is (P, i*Q*s)
     # with i*Q*s = i * sum_k q_k sin(k theta); from the start <0|H, a
     # multiple of (1, 1), it is ((top + bot) / 2, (top - bot) / 2)
-    nodes = _node_phases(np.cos(theta), SignalKind.WX)
-    top, bot = _eigen_sweep(_frame_mixers(seq), nodes, _PLUS)
+    diag = _sweep_diagonal(_node_phases(np.cos(theta), SignalKind.WX))
+    top, bot = _eigen_sweep(_frame_mixers(seq), diag, _PLUS)
     p_vals, row_q = 0.5 * (top + bot), 0.5 * (top - bot)
     # cos(k theta) and sin(k theta), k <= d < n, are orthogonal on these angles
     k = np.arange(d + 1)

@@ -22,7 +22,7 @@ from qsvtsim import (
     solve_phases,
 )
 from qsvtsim import phase_solver
-from qsvtsim.phase_solver import _newton, _nudged, _swept, _symmetric_sweep
+from qsvtsim.phase_solver import _newton, _nudged, _swept, _symmetric_sweep, _wx_diagonal
 
 
 def _interior_target(seed: int) -> ChebyshevPoly:
@@ -163,7 +163,7 @@ def test_symmetric_jacobian_matches_finite_differences(degree, rng):
     # the palindromic fast path of _jacobian and the mirror sum
     half = (degree + 2) // 2
     sym = rng.uniform(-np.pi, np.pi, half)
-    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    nodes = _wx_diagonal(np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half)))
     _, jacobian = _symmetric_sweep(sym, degree, nodes)
     jac = jacobian()
     assert jac.shape == (half, half)

@@ -17,7 +17,7 @@ from qsvtsim import (
     response_many,
     solve_phases,
 )
-from qsvtsim.phase_solver import _swept
+from qsvtsim.phase_solver import _swept, _wx_diagonal
 
 # closed-form fixed-point list for d=10, delta=0.5, frozen to 8 decimals and
 # cross-checked by the palindrome and response-range properties below
@@ -138,7 +138,7 @@ def test_gradient_matches_finite_differences(rng):
     for _ in range(5):
         d = 6
         phases = rng.uniform(-np.pi, np.pi, d + 1)
-        nodes = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (2 * (d + 1)))
+        nodes = _wx_diagonal(np.cos((2 * np.arange(d + 1) + 1) * np.pi / (2 * (d + 1))))
         jac = _swept(phases, nodes)[1]()
         step = 1e-6
         fd = np.zeros_like(jac)

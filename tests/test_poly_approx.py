@@ -32,12 +32,16 @@ from qsvtsim import (
     sign_poly,
     solve_truncation,
 )
+from qsvtsim import poly_approx, solve_phases
 from qsvtsim.poly_approx import (
+    CERT_GRID_SIZE,
     DEGREE_CAP,
     _chebval,
+    _critical_points,
     _erf,
     _jacobi_anger_coeffs,
     cert_grid,
+    interpolate,
     inverse_poly_params,
 )
 
@@ -86,6 +90,21 @@ def test_evaluator_matches_chebval(kind, degree):
         assert np.ndim(value) == 0 and abs(value - cheb.chebval(point, c)) <= bound
     grid = x[1:].reshape(2, -1)
     assert poly(grid).shape == grid.shape
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+def test_batched_rows_match_single_rows_bit_for_bit(kind):
+    # the trim screens its probes as zero-padded rows of one call
+    c = _random_series(154, kind, 600)
+    x = np.concatenate([[-1.0, 0.0, 1.0], cert_grid()[::16], np.linspace(-0.71, 0.71, 9)])
+    lengths = [d + 1 for d in (0, 1, 2, 3, 40, 41, 100, 101, 153, 154) if d % 2 == (kind == "odd")]
+    rows = np.zeros((len(lengths), len(c)))
+    for row, n in zip(rows, lengths):
+        row[:n] = c[:n]
+    batched = _chebval(x, rows)
+    assert batched.shape == (len(lengths), len(x))
+    for got, n in zip(batched, lengths):
+        assert got.tobytes() == _chebval(x, c[:n]).tobytes()
 
 
 def _reference_chebval(x: float, coeffs: np.ndarray) -> float:
@@ -533,3 +552,111 @@ class TestScipyReferences:
 ], ids=["phase_estimation", "threshold", "jacobi_anger_cos", "jacobi_anger_sin"])
 def test_certified_degrees(make, degree):
     assert make().degree == degree
+
+
+def _reference_grow_and_certify(target, parity, start_degree, keep, reference, budget, undershoots):
+    """The grow-and-certify loop with the unscreened binary search, as the
+    builders ran before the screen and the undershoot rule: every degree is
+    rescaled (its sup taken on the grid and at its critical points) and
+    certified on the whole grid, and so is every probe of the trim.  Checks
+    on the way that each degree the undershoot rule would skip fails here."""
+    grid = cert_grid()
+    mask = keep(grid)
+    ref = reference(grid[mask])
+
+    def certify(p):
+        vals = _chebval(grid, p.coeffs)
+        return bool(np.max(np.abs(vals)) <= 1.0 + 1e-12
+                    and np.max(np.abs(vals[mask] - ref), initial=0.0) <= budget)
+
+    degree, skipped = min(start_degree, DEGREE_CAP), 0
+    while True:
+        coeffs = interpolate(target, degree, parity).coeffs
+        points = np.concatenate([grid, _critical_points(coeffs)])
+        sup = np.max(np.abs(_chebval(points, coeffs)))
+        poly = ChebyshevPoly(coeffs / (sup * (1.0 + 1e-12)) if sup > 1.0 else coeffs,
+                             parity).trimmed()
+        certified = certify(poly)
+        if undershoots(_chebval(grid, coeffs)):
+            assert not certified, f"degree {degree} skipped but certifies"
+            skipped += 1
+        if certified:
+            break
+        assert degree < DEGREE_CAP
+        degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.5)))
+    candidates = range(poly.degree % 2, poly.degree + 1, 2)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if certify(ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], parity)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ChebyshevPoly(poly.coeffs[: candidates[hi] + 1], parity), poly.degree, skipped
+
+
+# every grow-and-certify family; the last two trim 511 -> 499 and 512 -> 456
+GROWN_BUILDS = {
+    "sign_0.1_0.4": lambda: sign_poly(0.1, 0.4),
+    "sign_0.01_0.1": lambda: sign_poly(0.01, 0.1),
+    "thresh_0.05_0.2_0.5": lambda: eigenvalue_threshold_poly(0.05, 0.2, 0.5),
+    "pe_0.1_0.2": lambda: phase_estimation_poly(0.1, 0.2),
+    "inv_0.05_3": lambda: matrix_inversion_poly(0.05, 3.0),
+    "rect_0.1_5": lambda: rect_poly(0.1, 5.0),
+    "inv_0.05_41": lambda: matrix_inversion_poly(0.05, 41.0),
+    "rect_0.05_30": lambda: rect_poly(0.05, 30.0),
+}
+TRIMMED = {"inv_0.05_41": (511, 499), "rect_0.05_30": (512, 456)}
+
+
+@pytest.mark.parametrize("name", list(GROWN_BUILDS))
+def test_screened_build_matches_the_full_reference(name, monkeypatch):
+    calls = []
+
+    class Recording(poly_approx._Certifier):
+        def __init__(self, keep, reference, budget):
+            super().__init__(keep, reference, budget)
+            self.args = (keep, reference, budget)
+
+    real_grow = poly_approx._grow_and_certify
+
+    def grow(target, parity, start_degree, certifier):
+        calls.append((target, parity, start_degree, certifier))
+        return real_grow(target, parity, start_degree, certifier)
+
+    monkeypatch.setattr(poly_approx, "_Certifier", Recording)
+    monkeypatch.setattr(poly_approx, "_grow_and_certify", grow)
+    got = GROWN_BUILDS[name]()
+    (target, parity, start_degree, certifier), = calls
+    want, grown, skipped = _reference_grow_and_certify(
+        target, parity, start_degree, *certifier.args, certifier.undershoots)
+    assert got.parity is want.parity and got.coeffs.tobytes() == want.coeffs.tobytes()
+    # the certified object keeps the grid values it was certified on
+    assert got._grid_values.tobytes() == _chebval(cert_grid(), want.coeffs).tobytes()
+    if name in TRIMMED:
+        assert (grown, got.degree) == TRIMMED[name]
+    if name == "sign_0.01_0.1":
+        assert skipped == 2
+
+
+def test_sign_build_costs_four_grid_passes_and_one_eigensolve(monkeypatch):
+    passes, eigensolves = [], []
+    real_chebval, real_eigvals = poly_approx._chebval, np.linalg.eigvals
+
+    def chebval(x, coeffs):
+        if np.size(x) >= CERT_GRID_SIZE:
+            passes.append(np.shape(coeffs))
+        return real_chebval(x, coeffs)
+
+    def eigvals(a):
+        eigensolves.append(np.shape(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(poly_approx, "_chebval", chebval)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    p = sign_poly(0.01, 0.1)  # 12 passes and 3 eigensolves without the screen and the rule
+    assert p.degree == 153
+    assert len(passes) <= 4 and len(eigensolves) <= 1
+    passes.clear()
+    solve_phases(p)  # its sup norm reads the grid values the certification cached
+    assert passes == []
