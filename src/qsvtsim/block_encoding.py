@@ -19,17 +19,22 @@ forms U from them at the first read (``_form``).  Every other encoding
 keeps its checked first block row, the head, of shape (n, m, n): U's
 block (p, q) is head[:, p xor q].  The constructor's U is the one-tile
 case; ``_average`` runs its half-sums in the head and stops there, and
-for a completion's products it reads their defect bounds and its
-block's SVD from their factors, with no Gram and no decomposition.
-``extract_block`` and the codec read the head, and ``extract_block`` and
-the QSVT engine's dense products read a completion's factors instead, so
-a caller that reads only those (``transformed_block``, the writer of an
-average, the algorithms' QSVT circuits on a completion) never forms U.
-A caller that reads only a Hermitian
-block builds no encoding: ``_scaled_eigh`` gives the spectrum that
-``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one decomposition
-of a unitary: phase estimation reads U in it, and the QSVT engine the
-product of any other encoding's two reflections.
+for a completion's products it reads their block's SVD from their
+factors, with no decomposition.  ``extract_block`` and the codec read
+the head, and ``extract_block`` and the QSVT engine's dense products
+read a completion's factors instead, so a caller that reads only those
+(``transformed_block``, the writer of an average, the algorithms' QSVT
+circuits on a completion) never forms U.  A caller that reads only a
+Hermitian block builds no encoding: ``_scaled_eigh`` gives the spectrum
+that ``qubitize_hermitian`` encodes.  ``_eigenframe`` is the one
+decomposition of a unitary: phase estimation reads U in it, and the QSVT
+engine the product of any other encoding's two reflections.
+
+Each encoding's unitarity defect max |U^dag U - I|, ``_defect``, is
+certified once, when it is built: the constructor measures U's, a
+completion bounds its U's from its checked factors (``_product_bound``),
+and an average's is the mean of its branches' defects, each a bound
+handed in or one measurement of the branch, plus its half-sums' rounding.
 
 Matrices and encodings serialize to JSON through one writer that yields the
 text in pieces of a bounded number of list entries (``_encoding_chunks``):
@@ -37,7 +42,7 @@ text in pieces of a bounded number of list entries (``_encoding_chunks``):
 index projector's lists are written from its indices.  U's lists are
 written from the head (``_tiled_chunks``), one tile at a time: each
 distinct value of the tile formatted and each of its rows joined once,
-then copied into every block row.  The reader turns each matrix's lists
+then joined into every block row, one U row a piece.  The reader turns each matrix's lists
 into arrays as soon as it is parsed (``_float_lists``).
 """
 
@@ -104,12 +109,41 @@ def _factor_defect(gram: np.ndarray, name: str) -> float:
     return float(np.linalg.norm(gram))
 
 
+def _product_bound(delta: float, e: np.ndarray, n: int) -> float:
+    """Bound on max |B^dag B - I| for a 2n x 2n B with quadrants
+    L diag(E_ij) V^dag, one length-n product each, L and V a completion's
+    factors and ``e`` the n 2 x 2 blocks E_k as multiplied in: the
+    reflections [[s_k, c_k], [c_k, -s_k]] for its U (``_complete``), or
+    the QSP unitaries of one of its dense products (``_reflection_products``).
+
+    The exact B is L~ E~ V~^dag, with L~ = I_2 (x) L, V~ = I_2 (x) V and E~
+    the direct sum of the E_k, so B^dag B - I is (V~ V~^dag - I) +
+    V~ (E~^dag E~ - I) V~^dag + V~ E~^dag (L~^dag L~ - I) E~ V~^dag, whose
+    spectral norm, which bounds its largest entry, is at most
+    d + (1 + d) (e + (1 + e) d) to first order: d = ``delta``, the larger
+    Frobenius factor defect ||W^dag W - I|| or ||V V^dag - I|| (so no
+    factor of n enters), e the largest Frobenius defect of the E_k.  Each
+    quadrant's product moves it by about (n + 1) u in norm (u = 2^-53, the
+    first-order normwise estimate), so the Gram moves by 4 (n + 1) u more."""
+    gram = e.conj().transpose(0, 2, 1) @ e - np.eye(2)
+    worst = float(np.max(np.linalg.norm(gram, axis=(1, 2)), initial=0.0))
+    rounding = 2.0 * (n + 1) * np.finfo(float).eps
+    return delta + (1.0 + delta) * (worst + (1.0 + worst) * delta) + rounding
+
+
 # In the three validators an inf entry makes a NaN defect, which fails its check;
 # numpy's warnings on the way are silenced so only the typed error surfaces.
 @np.errstate(invalid="ignore", over="ignore")
+def _unitary_defect(u: np.ndarray, tol: float = UNITARY_TOL) -> float:
+    """max |U^dag U - I| of a square complex u, once checked at ``tol``."""
+    defect = _gram_defect(u.conj().T @ u)
+    _require_defect(defect, tol)
+    return defect
+
+
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = _square(u, NotUnitary)
-    _require_defect(_gram_defect(u.conj().T @ u), tol)
+    _unitary_defect(u, tol)
     return u
 
 
@@ -267,30 +301,27 @@ class BlockEncoding:
     dimension.
 
     One storage rule: checked structure is stored, and U is formed only
-    when read.  ``unitary``, its unitarity defect ``_defect``,
-    ``proj_right`` and ``proj_left`` are cached properties.  The
-    constructor and ``_average`` store U's checked first block row
-    ``_head``, of shape (n, m, n) with U's block (p, q) = head[:, p xor q]
-    (m = 1 and U itself for the constructor; m the branch count of an
-    average), and the defect they measured, or for an average of a
-    completion's products the bound it was checked at.  U is tiled from the
-    head at its first read; a one-tile head's U is a read-only view of it,
-    with no copy.  ``_complete`` stores the block's factors (``_factors``),
+    when read.  ``unitary``, ``proj_right`` and ``proj_left`` are cached
+    properties, and ``_defect``, U's certified unitarity defect, is stored
+    with the structure.  The constructor and ``_average`` store U's
+    checked first block row ``_head``, of shape (n, m, n) with U's block
+    (p, q) = head[:, p xor q] (m = 1 and U itself for the constructor; m
+    the branch count of an average).  U is tiled from the head at its
+    first read; a one-tile head's U is a read-only view of it, with no
+    copy.  ``_complete`` stores the block's factors (``_factors``),
     checked unitary: U is formed from them (``_form``) at the first read
-    of either, and its defect checked at UNITARY_TOL then, and its
-    ``_head`` is that U as one tile.  So a caller that reads only the
-    block, its SVD, the frames or ``dim`` never forms U, nor does the
-    codec for an average.  A dense projector is read as stored, and one
-    held as indices is built at its first read (one array for a projector
-    shared by both sides).
+    of either, once their bound on U's defect is checked at UNITARY_TOL,
+    and its ``_head`` is that U as one tile.  So a caller that reads only
+    the block, its SVD, the frames, ``_defect`` or ``dim`` never forms U,
+    nor does the codec for an average.  A dense projector is read as
+    stored, and one held as indices is built at its first read (one array
+    for a projector shared by both sides).
     """
 
-    @np.errstate(invalid="ignore", over="ignore")  # a NaN defect fails its check
     def __init__(self, unitary, proj_right, proj_left, alpha: float = 1.0):
         u = _square(unitary, NotUnitary)
         _require_dim(len(u))
-        defect = _gram_defect(u.conj().T @ u)
-        _require_defect(defect)
+        defect = _unitary_defect(u)
         shared = proj_left is proj_right
         right = require_projector(proj_right)
         left = right if shared else require_projector(proj_left)
@@ -307,12 +338,13 @@ class BlockEncoding:
     # AttributeError.  Every construction therefore calls it by this name.
     def __post_init__(self, dim: int, right: np.ndarray, left: np.ndarray, alpha: float, *,
                       svd=None, head=None, defect=None, factors=None) -> BlockEncoding:
-        """Check alpha and the block norm and store the fields of a checked
-        first block row (``head`` and U's ``defect``, or a bound on it) or
-        of checked ``factors`` (W or None, s, their Frobenius defect), with
+        """Check alpha and the block norm and store U's certified ``defect``
+        with the fields of a checked first block row (``head``) or of
+        checked ``factors`` (W or None, s, their Frobenius defect), with
         projectors as arrays or range indices, one object when shared;
-        ``svd`` is the block's, when the caller has it.  Both ranges lie in U's first n coordinates (every
-        lift is |0..0><0..0| (x) P), so the block is read from head[:, 0]."""
+        ``svd`` is the block's, when the caller has it.  Both ranges lie in
+        U's first n coordinates (every lift is |0..0><0..0| (x) P), so the
+        block is read from head[:, 0]."""
         if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
             raise DomainError(f"alpha {alpha} must be positive and finite")
         frame_right = _frame(right, dim)
@@ -327,9 +359,9 @@ class BlockEncoding:
                 value.setflags(write=False)
         self.__dict__.update(alpha=alpha, dim=dim, _projectors=(right, left),
                              _frame_right=frame_right, _frame_left=frame_left,
-                             _block_svd=tuple(svd), _factors=factors)
+                             _block_svd=tuple(svd), _factors=factors, _defect=defect)
         if head is not None:
-            self.__dict__.update(_head=head, _defect=defect)
+            self.__dict__["_head"] = head
         return self
 
     def __setattr__(self, name, value=None):
@@ -341,8 +373,8 @@ class BlockEncoding:
     def unitary(self) -> np.ndarray:
         """U, read-only, formed at the first read: tiled from the head,
         block (p, q) = head[:, p xor q] (a one-tile head's view, no copy),
-        or for a completion from its factors, which checks its defect and
-        caches it as ``_defect``."""
+        or for a completion from its factors, once its defect bound is
+        checked."""
         if self._factors is None:
             n, m = self._head.shape[:2]
             if m == 1:
@@ -351,17 +383,11 @@ class BlockEncoding:
             for p in range(m):  # block row p: its tile q is head[:, p ^ q]
                 u[p * n : (p + 1) * n] = self._head[:, np.arange(m) ^ p].reshape(n, -1)
         else:
-            u, defect = _form(*_completion_factors(self))
-            _require_defect(defect)
-            self.__dict__["_defect"] = defect
+            _require_defect(self._defect)
+            u = _form(*_completion_factors(self))
         u = np.asarray(u, dtype=complex)
         u.setflags(write=False)
         return u
-
-    @functools.cached_property
-    def _defect(self) -> float:
-        self.unitary  # a completion's first read of U sets it
-        return self.__dict__["_defect"]
 
     @functools.cached_property
     def _head(self) -> np.ndarray:
@@ -405,14 +431,11 @@ def _lift(p: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def _form(w: np.ndarray, s: np.ndarray, vh: np.ndarray):
-    """(U, defect) of the reflection completion [[A, R], [R, -A]] with
-    A = W diag(s) V^dag and R = W diag(sqrt(1 - s^2)) V^dag: A and R are
-    multiplied straight into U's quadrants, and -A and R copied into the
-    other two.  U^dag U - I is [[A^dag A + R^dag R - I, A^dag R - R^dag A],
-    [R^dag A - A^dag R, A^dag A + R^dag R - I]], so its largest entry, the
-    defect, comes from three n x n products of the quadrants in place of
-    the 2n x 2n Gram matrix."""
+def _form(w: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """U = [[A, R], [R, -A]], the reflection completion of A = W diag(s) V^dag
+    with R = W diag(sqrt(1 - s^2)) V^dag: A and R are multiplied straight
+    into U's quadrants, and -A and R copied into the other two.  Nothing is
+    measured: ``_complete`` bounded U's defect from the checked factors."""
     n = len(s)
     u = np.empty((2 * n, 2 * n), dtype=np.result_type(w, s, vh))
     a, root = u[:n, :n], u[:n, n:]
@@ -420,10 +443,7 @@ def _form(w: np.ndarray, s: np.ndarray, vh: np.ndarray):
     np.matmul(w * np.sqrt(1.0 - s**2), vh, out=root)
     np.negative(a, out=u[n:, n:])
     u[n:, :n] = root
-    cross = a.conj().T @ root
-    defect = float(np.max([_gram_defect(a.conj().T @ a + root.conj().T @ root),
-                           np.max(np.abs(cross - cross.conj().T))]))
-    return u, defect
+    return u
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -438,15 +458,16 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray | None,
     The factors are checked in place of U: max |W^dag W - I| and
     max |V V^dag - I| at UNITARY_TOL (one Gram when V = W), and |s| <= 1,
     each raising ``NotUnitary`` that names it; no U is formed.  The larger
-    Frobenius norm of the two defects is kept with the factors, for the
-    QSVT engine's bounds on its products.  The encoding holds the block's
+    Frobenius norm of the two defects is kept with the factors, and bounds
+    U's defect (``_defect``) and the QSVT engine's products' by one rule
+    (``_product_bound``).  U's bound is checked at UNITARY_TOL when U is
+    formed from W and s at its first read (``_form``), which measures
+    nothing.  The encoding holds the block's
     SVD (W sign(s), |s|, V^dag) (a negative s, an eigenvalue of
-    ``qubitize_hermitian``, folds its sign into W) and
-    forms U from W and s at its first read (``_form``), which also measures
-    and checks U's own defect.  The sign is folded only when some s has its
-    sign bit set, so the SVD's W is W itself when none has (a complex
-    W (1 + 0j) can flip the sign of a zero part, and a zero's sign can
-    reach U); when V = W, W is read back as (V^dag)^dag."""
+    ``qubitize_hermitian``, folds its sign into W).  The sign is folded
+    only when some s has its sign bit set, so the SVD's W is W itself when
+    none has (a complex W (1 + 0j) can flip the sign of a zero part, and a
+    zero's sign can reach U); when V = W, W is read back as (V^dag)^dag."""
     hermitian = vh is None
     if hermitian:
         vh = w.conj().T
@@ -455,10 +476,12 @@ def _complete(w: np.ndarray, s: np.ndarray, vh: np.ndarray | None,
         delta = max(delta, _factor_defect(vh.conj().T @ vh, "V"))
     if not np.all(np.abs(s) <= 1.0):  # a NaN fails too
         raise NotUnitary(f"factor s has |s| = {np.max(np.abs(s)):.3e} > 1")
+    c = np.sqrt(1.0 - s**2)
+    defect = _product_bound(delta, np.array([[s, c], [c, -s]]).transpose(2, 0, 1), len(s))
     folded = w * np.copysign(1.0, s) if np.signbit(s).any() else w
     pi = np.arange(len(s))
     return object.__new__(BlockEncoding).__post_init__(
-        2 * len(s), pi, pi, float(alpha), svd=(folded, np.abs(s), vh),
+        2 * len(s), pi, pi, float(alpha), svd=(folded, np.abs(s), vh), defect=defect,
         factors=(None if hermitian else w, s, delta))  # V = W is read back from V^dag
 
 
@@ -484,19 +507,18 @@ def _average(branches, proj_right, proj_left, alpha: float, bounds=None,
 
     U^dag U - I = (H^(x)k (x) I) diag(E_i) (H^(x)k (x) I) with E_i = B_i^dag
     B_i - I, so its block (p, q) is sum_i (-1)^(popcount((p xor q) and i))
-    E_i / 2^k, and its spectral norm is the largest of the E_i's.  With no
-    ``bounds`` the defect is measured: the Walsh-Hadamard transform of the
-    branch Grams, taken by half-sums as U is, at N^3 / 4^k for U of
-    dimension N.  ``bounds``, one a branch, bound the spectral norms of the
-    E_i (``_reflection_products``), so the largest of them bounds U's
-    defect, and no Gram is formed.
+    E_i / 2^k, and its largest entry is at most the mean of the largest
+    entries of the E_i, the branches' defects.  That mean is the one
+    certificate of an average.  Each branch's defect is ``bounds[i]``, a
+    bound its builder hands in (0 for I, an encoding's ``_defect``, a
+    completion's product bound from ``_reflection_products``), or with no
+    ``bounds`` one measurement of the branch's Gram.
     U itself is formed by k rounded half-sums an entry, each entry off by at
     most k u times the mean of its branch entries' magnitudes (u = 2^-53),
     so its Gram matrix differs from the exact one by at most
-    2^(k/2 + 1) k u (1 + e), e the larger of the branch and average defects,
-    to first order in u; twice that bound is the ``rounding`` checked with
-    the defect.  The stored ``_defect`` is the measured one, or with bounds
-    the largest bound plus ``rounding``.
+    2^(k/2 + 1) k u (1 + e), e the largest branch defect, to first order
+    in u; twice that bound is the ``rounding``.  The stored ``_defect`` is
+    the mean plus ``rounding``, checked at UNITARY_TOL.
 
     The block's SVD is taken of the head's block, unless ``factors`` =
     (L, G, V^dag) give each branch's block between the ranges as
@@ -509,18 +531,12 @@ def _average(branches, proj_right, proj_left, alpha: float, bounds=None,
     else:
         head, m, n = None, len(branches), len(branches[0])
     _require_dim(m * n)
-    k, diag = m.bit_length() - 1, np.arange(n)
+    k = m.bit_length() - 1
     if bounds is None:
-        errors = np.stack([b.conj().T @ b for b in branches])
-        errors[:, diag, diag] -= 1.0
-        branch_defect = float(np.max(np.abs(errors)))
-        for _ in range(k):
-            errors = np.concatenate([0.5 * (errors[::2] + errors[1::2]),
-                                     0.5 * (errors[::2] - errors[1::2])])
-        defect = float(np.max(np.abs(errors)))
-    else:
-        defect = branch_defect = float(max(bounds))
-    rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + max(defect, branch_defect))
+        bounds = [_gram_defect(b.conj().T @ b) for b in branches]
+    rounding = 2.0 ** (k / 2 + 1) * k * np.finfo(float).eps * (1.0 + float(np.max(bounds)))
+    defect = float(np.mean(bounds)) + rounding
+    _require_defect(defect)
     if head is None:
         head = np.empty((n, m, n), dtype=complex)  # head[:, r] is U's block (0, r)
         for r, branch in enumerate(branches):
@@ -533,9 +549,6 @@ def _average(branches, proj_right, proj_left, alpha: float, bounds=None,
         np.multiply(0.5, y, out=y)
         np.multiply(0.5, total, out=x)
         del total  # before the next level's, so one is held at a time
-    _require_defect(defect + rounding)
-    if bounds is not None:
-        defect += rounding
     svd = None
     if factors is not None:
         left, g, vh = factors
@@ -600,10 +613,11 @@ def shift_positive(be: BlockEncoding) -> BlockEncoding:
     One ancilla dimension doubles the size: U' = (H (x) I) diag(I, U)
     (H (x) I), whose top-left block is (I + U)/2; restricted to the old
     projectors that is the affine map (block + I)/2.  New projectors are
-    |0><0| (x) old.
+    |0><0| (x) old.  The branches' defects are known, 0 and be's own, so
+    none is measured.
     """
     # the shifted block (old_block + I)/2 is itself sub-normalized
-    return _average([np.eye(be.dim), be.unitary], *be._projectors, 1.0)
+    return _average([np.eye(be.dim), be.unitary], *be._projectors, 1.0, bounds=(0.0, be._defect))
 
 
 def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
@@ -611,16 +625,19 @@ def phase_oracle_block(u: np.ndarray, j: int, theta: float) -> BlockEncoding:
     of I and the phased power, projectors |0><0| (x) I.  U^(2^j) comes from j
     squarings, bit for bit ``np.linalg.matrix_power``'s, each held to 2
     UNITARY_TOL (which its average with I meets at UNITARY_TOL), so a
-    drifting power raises ``NotUnitary`` before it can overflow."""
+    drifting power raises ``NotUnitary`` before it can overflow.  The
+    average reads the defect the last check measured, with I's 0."""
     u = _square(u, NotUnitary)
     _require_dim(2 * len(u))
-    power = require_unitary(u)
+    power, defect = u, _unitary_defect(u)
     if j < 0:
         raise DomainError("power index j must be >= 0")
     for _ in range(j):
-        power = require_unitary(power @ power, 2 * UNITARY_TOL)
+        power = power @ power
+        defect = _unitary_defect(power, 2 * UNITARY_TOL)
     identity = np.arange(len(u))  # the range of I
-    return _average([np.eye(len(u)), np.exp(-2j * np.pi * theta) * power], identity, identity, 1.0)
+    return _average([np.eye(len(u)), np.exp(-2j * np.pi * theta) * power], identity, identity, 1.0,
+                    bounds=(0.0, defect))
 
 
 def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
@@ -680,37 +697,30 @@ def _tiled_chunks(head: np.ndarray):
     the (n m) x (m w) matrix whose block (p, q) is head[:, p ^ q], head of
     shape (n, m, w): its first block row, tile q at head[:, q].
 
-    Each (row, tile) piece of head is joined once (``_joined_rows``), and
-    the matrix's row p n + r is the join of head's pieces (r, p ^ q),
-    q = 0 .. m - 1.  For m > 1 the pieces are joined one tile at a time,
-    with that tile's word table, which is dropped before the next tile's is
-    made, and kept for every block row.  With one tile the rows run on into
-    each other, so they are sliced as one row under one table (a join per
-    row would cost a call per entry of a column vector), and each slice is
-    joined as it is written.  The joins are grouped into yielded pieces of
-    at most _SLICE entries, each seam ", " yielded apart."""
+    With one tile the rows run on into each other, so they are sliced as
+    one row under one table (a join per row would cost a call per entry of
+    a column vector), each slice and each seam ", " yielded apart.  For
+    m > 1 each (row, tile) piece of head is joined once (``_joined_rows``),
+    one tile at a time under that tile's word table, dropped before the
+    next tile's is made, and the matrix's row p n + r, the join of head's
+    pieces (r, p ^ q), q = 0 .. m - 1, is yielded with its seam."""
     n, m, w = head.shape
+    yield "["
     if m == 1:
-        table = [_joined_rows(head.reshape(1, n * w))]
+        for c, (text, _) in enumerate(_joined_rows(head.reshape(1, n * w))[0]):
+            if c:
+                yield ", "
+            yield text
     else:  # every block row reads block row 0's pieces
         table = [[None] * m for _ in range(n)]
         for t in range(m):
             for r, piece in enumerate(_joined_rows(head[:, t])):
-                table[r][t] = list(piece)
-    yield "["
-    group, entries = [], 0
-    for p in range(m):
-        for row in table:
-            for q in range(m):
-                for text, size in row[p ^ q]:
-                    if entries + size > _SLICE:
-                        yield ", ".join(group)
-                        yield ", "
-                        group, entries = [], 0
-                    group.append(text)
-                    entries += size
-    if group:
-        yield ", ".join(group)
+                table[r][t] = ", ".join(text for text, _ in piece)
+        for p in range(m):
+            for r, row in enumerate(table):
+                if p or r:
+                    yield ", "
+                yield ", ".join([row[p ^ q] for q in range(m)])
     yield "]"
 
 

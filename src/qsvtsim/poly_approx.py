@@ -185,9 +185,10 @@ def _chebval(x, coeffs: np.ndarray):
     2y V_{j-1} - V_{j-2}, the recurrence of T_j.  Clenshaw's sum is then
     b_0 - y b_1 for the T_j and b_0 - b_1 for the V_j.  It runs in Reinsch's
     form (``_reinsch``) about y = -1 for |x| < 1/sqrt(2), where 2(y + 1) =
-    4x^2, and about y = 1 elsewhere, where 2(y - 1) = -4(1 - x)(1 + x): the
-    plain recurrence at a rounded y is up to 100 times less accurate than
-    numpy's chebval on steep targets.  A series of mixed parity is chebval.
+    4x^2, and about y = 1 elsewhere, where 2(y - 1) = -4(1 - x)(1 + x), a
+    region that holds no point skipped: the plain recurrence at a rounded y
+    is up to 100 times less accurate than numpy's chebval on steep
+    targets.  A series of mixed parity is chebval.
 
     Coefficient rows (k, n) of one parity give k rows of values in one
     pass, each bit-equal to its row's own: a row zero-padded at the top
@@ -206,6 +207,8 @@ def _chebval(x, coeffs: np.ndarray):
     out = np.empty(points.shape + c.shape[:-1])  # the rows last, so parts index it plainly
     inner = np.abs(points) < math.sqrt(0.5)
     for end, part in ((-1.0, inner), (1.0, ~inner)):
+        if not part.any():  # a region with no point costs no recurrence
+            continue
         xs = points[part]
         mu = 4.0 * xs * xs if end < 0 else -4.0 * (1.0 - xs) * (1.0 + xs)
         d0, b1 = _reinsch(a, mu, end)

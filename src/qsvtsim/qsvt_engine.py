@@ -14,12 +14,13 @@ n x n products a phase list with the QSP unitaries at its singular values,
 and any other encoding's in one eigenframe of the product of the two
 reflections, about range(P_R) and U^dag range(P_L), with ``qsp_core``'s QSP
 unitaries at its eigenphases.  A completion's products carry a bound on
-their unitarity defect from its checked factors, which the Hadamard
-averages of ``real_part_encoding`` and the algorithms read in place of
-their Grams (``_average_products``).
-The reflection offsets of ``qsp_core`` map the stored QSP phases onto
-projector phases, so the encoded block of V(phi) is exactly the sequence's
-P polynomial applied to the singular values.  The real part, which is the
+their unitarity defect from its checked factors, by the rule that bounds
+its own U's (``block_encoding._product_bound``), and the Hadamard averages
+of ``real_part_encoding`` and the algorithms take the mean of their
+branches' bounds (``_average_products``).  The reflection offsets of
+``qsp_core`` map the stored QSP phases onto projector phases, so the
+encoded block of V(phi) is exactly the sequence's P polynomial applied to
+the singular values.  The real part, which is the
 solver's target, is read as 1/2 (block(phi) + block(-phi)), with no
 ancilla; ``real_part_encoding`` builds the one-ancilla Hadamard-select
 circuit only for callers that need the full unitary.  Independent eigen-
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_encoding import (BlockEncoding, _average, _completion_factors, _eigenframe, _into,
-                             _inverse, _require_dim, _require_finite, _square, require_hermitian,
-                             require_unitary)
+                             _inverse, _product_bound, _require_dim, _require_finite, _square,
+                             require_hermitian, require_unitary)
 from .errors import DomainError, NotUnit, NotUnitary
 from .poly_approx import ChebyshevPoly, Parity
 from .qsp_core import (CANONICAL, Convention, PhaseSequence, _reflection_offsets, _unitaries,
@@ -136,38 +137,24 @@ def _reflection_products(enc: BlockEncoding, phase_lists, out=None):
     either parity when V = W), so quadrant (0, 0), the block between the
     ranges, is L diag(g) V^dag with g = E_00.
 
-    ``bound`` bounds B's unitarity defect max |B^dag B - I| by the spectral
-    norm of B^dag B - I, to first order in the rounding.  The exact B is
-    L~ E~ V~^dag, with L~ = I_2 (x) L, V~ = I_2 (x) V and E~ the direct sum
-    of the 2 x 2 E_k as multiplied in, so B^dag B - I is
-    (V~ V~^dag - I) + V~ (E~^dag E~ - I) V~^dag + V~ E~^dag (L~^dag L~ - I)
-    E~ V~^dag, of norm at most d + (1 + d) (e + (1 + e) d): d the larger of
-    ``_complete``'s Frobenius factor defects ||W^dag W - I|| and
-    ||V V^dag - I|| (Frobenius, so no factor of n enters), e the largest
-    Frobenius defect of the E_k.  Each quadrant is one length-n product,
-    whose rounding moves it by about (n + 1) u in norm (u = 2^-53, the
-    first-order normwise estimate with L, V and E of norm 1), so the Gram
-    moves by at most 4 (n + 1) u more."""
+    ``bound`` bounds B's unitarity defect by the rule that bounds the
+    completion's own U (``_product_bound``)."""
     w, s, vh = _completion_factors(enc)
     delta = enc._factors[2]
     n, c = len(s), np.sqrt(1.0 - s**2)
     reflections = np.array([[s, c], [c, -s]]).transpose(2, 0, 1)
     v = w if enc._factors[0] is None else vh.conj().T
-    rounding = 2.0 * (n + 1) * np.finfo(float).eps
     products = []
     for r, phases in enumerate(phase_lists):
         chi0, odd, e = _even_part(phases, s + 1j * c)  # the nodes e^{i theta}, s = cos theta
         if odd:  # U', then Phi_L(chi_0): a phase on each block row
             e = (reflections @ e) * np.exp([[1j * chi0], [-1j * chi0]])
-        gram = e.conj().transpose(0, 2, 1) @ e - np.eye(2)
-        worst = float(np.max(np.linalg.norm(gram, axis=(1, 2)), initial=0.0))
         left = w if odd else v
         b = np.empty((2 * n, 2 * n), dtype=complex) if out is None else out[r]
         for i in range(2):
             for j in range(2):
                 np.matmul(left * e[:, i, j], vh, out=b[i * n : (i + 1) * n, j * n : (j + 1) * n])
-        bound = delta + (1.0 + delta) * (worst + (1.0 + worst) * delta) + rounding
-        products.append((b, bound, left, e[:, 0, 0]))
+        products.append((b, _product_bound(delta, e, n), left, e[:, 0, 0]))
     return products
 
 
@@ -176,11 +163,11 @@ def _average_products(enc: BlockEncoding, phase_lists, proj_left, alpha: float, 
     from enc's P_R to ``proj_left``.  A completion's products (product i
     times scales[i] when scales are given, as hamsim's are) are written
     straight into the average's head, with their bounds
-    (``_reflection_products``), which ``_average`` reads in place of their
-    Grams, and, when their blocks share one left factor L (one parity, or
-    V = W), with the factors (L, g_i, V^dag) of their blocks
+    (``_reflection_products``), whose mean ``_average`` takes as its
+    certificate, and, when their blocks share one left factor L (one
+    parity, or V = W), with the factors (L, g_i, V^dag) of their blocks
     L diag(g_i) V^dag, from which ``_average`` reads its block's SVD.  Any
-    other encoding's products are measured there."""
+    other encoding's products are measured there, once each."""
     right, m = enc._projectors[0], len(phase_lists)
     if enc._factors is None:
         return _average(_full(enc, phase_lists), right, proj_left, alpha)

@@ -43,6 +43,7 @@ from qsvtsim.block_encoding import (
     _complete,
     _coordinate_range,
     _encoding_chunks,
+    _form,
     _gram_schmidt,
     require_hermitian,
     require_projector,
@@ -715,6 +716,46 @@ def test_every_construction_runs_the_store_routine_once(rng, monkeypatch):
                    for first, dim in calls), name
 
 
+def test_no_builder_measures_a_defect_twice(rng, monkeypatch):
+    # every unitarity measurement is a Gram's, through _gram_defect: each
+    # builder measures each input matrix it must check once, hands every
+    # defect it knows on as a bound, and reading U and its defect
+    # afterwards measures nothing
+    import qsvtsim.block_encoding as block_encoding
+
+    h = random_hermitian(rng, 4)
+    u = _random_unitary(rng, 4)
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    seq = solve_phases(sign_poly(0.1, 0.4))
+    general = embed_general(h @ u, 1.0)
+    dense = BlockEncoding(general.unitary, general.proj_right, general.proj_left)
+    hamiltonian_simulation(h, 1.0, 2.0, 0.01)  # solve the phases first
+    builds = {  # the Grams each build measures, by shape
+        "BlockEncoding": (lambda: BlockEncoding(u, p, p), [(4, 4)]),
+        "embed_general": (lambda: embed_general(h @ u, 1.0), [(4, 4)] * 2),  # W and V
+        "qubitize_hermitian": (lambda: qubitize_hermitian(h, 1.0), [(4, 4)]),  # V = W
+        "grover_signal": (lambda: grover_signal(4), [(1, 1)] * 2),
+        "shift_positive": (lambda: shift_positive(general), []),
+        "shift_positive of a dense encoding": (lambda: shift_positive(dense), []),
+        "phase_oracle_block": (lambda: phase_oracle_block(u, 2, 0.3), [(4, 4)] * 3),  # u, u^2, u^4
+        "hamiltonian_simulation": (lambda: hamiltonian_simulation(h, 1.0, 2.0, 0.01), [(4, 4)]),
+        "matrix_inversion": (lambda: matrix_inversion(0.5 * u + 0.25 * h, 4.0, 0.05), [(4, 4)] * 2),
+        "real_part_encoding": (lambda: real_part_encoding(QsvtProgram(general, seq)), []),
+        # the eigenframe route's products, one Gram each
+        "real_part_encoding of a dense encoding": (
+            lambda: real_part_encoding(QsvtProgram(dense, seq)), [(8, 8)] * 2),
+    }
+    gram_defect, grams = block_encoding._gram_defect, []
+    monkeypatch.setattr(block_encoding, "_gram_defect",
+                        lambda gram: grams.append(gram.shape) or gram_defect(gram))
+    for name, (build, expected) in builds.items():
+        grams.clear()
+        enc = build()
+        assert grams == expected, name
+        enc.unitary
+        assert enc._defect <= UNITARY_TOL and grams == expected, name
+
+
 @pytest.fixture
 def formation_fails(monkeypatch):
     """Forming a completion's U raises when called."""
@@ -733,8 +774,8 @@ def test_a_block_read_forms_no_unitary(rng, formation_fails):
     hermitian = qubitize_hermitian(random_hermitian(rng, 4), 1.0)
     assert len(hermitian._block_svd) == 3 and hermitian._frame_right[0] == 4
     assert hermitian.dim == 8 and hermitian.proj_right.shape == (8, 8)
-    for enc in (general, hermitian):
-        assert "unitary" not in enc.__dict__ and "_defect" not in enc.__dict__
+    for enc in (general, hermitian):  # the defect bound is read with no U formed
+        assert enc._defect <= UNITARY_TOL and "unitary" not in enc.__dict__
 
 
 def test_the_first_read_forms_the_unitary_once(rng, monkeypatch):
@@ -752,13 +793,14 @@ def test_the_first_read_forms_the_unitary_once(rng, monkeypatch):
     u = enc.unitary
     assert enc.unitary is u and not u.flags.writeable and u.dtype == complex
     assert enc._defect <= UNITARY_TOL and len(calls) == 1
-    defect = grover_signal(4)._defect  # a first read of the defect forms U too
-    assert len(calls) == 2 and defect <= UNITARY_TOL
+    defect = grover_signal(4)._defect  # a bound from the factors: no U is formed
+    assert len(calls) == 1 and defect <= UNITARY_TOL
 
 
 class TestCompletionCertificates:
-    """A completion checks its factors when it is built, and U, formed from
-    them when it is read, is the product of its quadrants bit for bit."""
+    """A completion checks its factors when it is built and bounds U's defect
+    from them, and U, formed from them when it is read, is the product of
+    its quadrants bit for bit."""
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("hermitian", [False, True])
@@ -779,7 +821,7 @@ class TestCompletionCertificates:
         for (p, q), quadrant in quadrants.items():
             formed = u[p * n : (p + 1) * n, q * n : (q + 1) * n]
             assert formed.tobytes() == quadrant.astype(complex).tobytes()
-        assert abs(enc._defect - np.max(np.abs(u.conj().T @ u - np.eye(2 * n)))) <= 1e-15
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * n))) <= enc._defect <= UNITARY_TOL
 
     @pytest.mark.parametrize("name", ["embed_general", "qubitize_hermitian", "grover_signal"])
     def test_the_block_is_read_from_the_factors(self, rng, name):
@@ -821,12 +863,16 @@ class TestCompletionCertificates:
             _complete(*args, 1.0)
 
     def test_factors_within_the_bound_with_a_u_past_it_raise_at_the_first_read(self, rng):
-        # each factor's Gram is off by about 8e-13, U^dag U - I by about 1.6e-12
+        # each factor's Gram is off by about 8e-13, U^dag U - I by about
+        # 1.6e-12; U's bound, twice the Frobenius factor defect
+        # 8e-13 sqrt(5), is 3.6e-12 and fails when U is read
         w, s, vh = np.linalg.svd(random_hermitian(rng, 5) @ _random_unitary(rng, 5))
         enc = _complete(w * (1 + 4e-13), s, vh * (1 + 4e-13), 1.0)
-        with pytest.raises(NotUnitary, match="^unitarity defect 1.6"):
+        with pytest.raises(NotUnitary, match="^unitarity defect 3.58"):
             enc.unitary
         assert "unitary" not in enc.__dict__
+        u = _form(w * (1 + 4e-13), s, vh * (1 + 4e-13))
+        assert 1.6e-12 < _dense_defect(u) <= enc._defect
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -231,15 +231,16 @@ def _traced_peak(run):
 @pytest.mark.parametrize("n", [32, 64])
 def test_writing_an_average_holds_under_half_its_file(tmp_path, n):
     # U's lists are joined from its first block row, one tile's word table
-    # at a time, each dropped before the next is made: the traced peak is
-    # 0.45 and 0.18 of the file (at n = 32 the written pieces dominate),
-    # against 0.45 and 0.36 with one table for the whole row, and 0.86 and
+    # at a time, each dropped before the next is made, and written one U
+    # row at a time: the traced peak is 0.17 and 0.16 of the file, against
+    # 0.45 and 0.18 when the rows were regrouped into pieces of _SLICE
+    # entries, 0.45 and 0.36 with one table for the whole row, and 0.86 and
     # 0.78 when every entry was gathered and joined
     enc = _evolution(n)
     path = tmp_path / "evo.json"
     peak = _traced_peak(
         lambda: _write_text(str(path), itertools.chain(_encoding_chunks(enc), ("\n",))))
-    assert peak < {32: 0.5, 64: 0.25}[n] * path.stat().st_size
+    assert peak < 0.25 * path.stat().st_size
 
 
 def test_reading_an_average_holds_under_two_and_a_half_times_its_file():

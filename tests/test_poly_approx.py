@@ -107,6 +107,24 @@ def test_batched_rows_match_single_rows_bit_for_bit(kind):
         assert got.tobytes() == _chebval(x, c[:n]).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("points, regions", [
+    (0.3, 1), (-0.9, 1), ([0.1, -0.2, 2**-0.5 - 1e-16], 1), ([0.8, -1.0, -(2**-0.5)], 1),
+    ([], 0), ([[0.1], [0.9]], 2)])
+def test_a_region_with_no_point_runs_no_recurrence(kind, points, regions, monkeypatch):
+    # a scalar, a one-sided and an empty input run Reinsch's loop only for
+    # the regions that hold a point, and each value is bit for bit the one
+    # it gets beside a point of either region
+    c = _random_series(77, kind, 700)
+    ends, reinsch = [], poly_approx._reinsch
+    monkeypatch.setattr(poly_approx, "_reinsch",
+                        lambda a, mu, end: ends.append(end) or reinsch(a, mu, end))
+    got = _chebval(points, c)
+    assert np.shape(got) == np.shape(points) and len(ends) == regions
+    both = _chebval(np.append(points, [0.0, 1.0]), c)[:-2]
+    assert np.ravel(got).tobytes() == both.tobytes()
+
+
 def _reference_chebval(x: float, coeffs: np.ndarray) -> float:
     """sum_k coeffs[k] T_k(x) by the three-term recurrence in 60 decimal
     digits, from the exact decimal values of x and the coefficients."""

@@ -138,11 +138,6 @@ def test_encoding_json_roundtrip_is_bit_exact(name, seed, n, real):
     assert encoding_to_json(again) == text
 
 
-# averages of a completion's products, whose defect is bounded from the
-# completion's factors (``_reflection_products``) rather than measured
-CERTIFIED = ("hamiltonian_simulation", "matrix_inversion", "real_part_encoding")
-
-
 @SETTINGS
 @given(name=st.sampled_from(sorted(CONSTRUCTORS)), seed=SEEDS, n=st.integers(1, 4),
        real=st.booleans())
@@ -150,11 +145,9 @@ def test_stored_structure_matches_the_dense_checks(name, seed, n, real):
     enc = CONSTRUCTORS[name](np.random.default_rng(seed), n, real)
     u = enc.unitary
     assert u.dtype == complex
+    # every builder's certificate bounds the dense measurement
     dense = np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
-    if name in CERTIFIED:  # an average of a completion's products stores its bound
-        assert dense <= enc._defect <= UNITARY_TOL
-    else:
-        assert abs(enc._defect - dense) <= 1e-15
+    assert dense <= enc._defect <= UNITARY_TOL
     w, s, vh = enc._block_svd
     assert np.all(s >= 0.0)
     block = extract_block(enc)
