@@ -37,13 +37,15 @@ and an average's is the mean of its branches' defects, each a bound
 handed in or one measurement of the branch, plus its half-sums' rounding.
 
 Matrices and encodings serialize to JSON through one writer that yields the
-text in pieces of a bounded number of list entries (``_encoding_chunks``):
-``encoding_to_json`` joins them, and the CLI streams them to a file.  An
-index projector's lists are written from its indices.  U's lists are
-written from the head (``_tiled_chunks``), one tile at a time: each
-distinct value of the tile formatted and each of its rows joined once,
-then joined into every block row, one U row a piece.  The reader turns each matrix's lists
-into arrays as soon as it is parsed (``_float_lists``).
+text one matrix row a piece (``_encoding_chunks``): ``encoding_to_json``
+joins the pieces, and the CLI streams them to a file.  Each list is "[",
+the matrix's rows with ", " between them, and "]" (``_matrix_chunks``).
+The rows of U, and of any dense matrix as one tile, are written from the
+head (``_tiled_rows``), one tile at a time: each distinct value of the
+tile formatted and each of its rows joined once, then joined into every
+block row.  An index projector's rows are written from its indices
+(``_index_rows``).  The reader turns each matrix's lists into arrays as
+soon as it is parsed (``_float_lists``).
 """
 
 from __future__ import annotations
@@ -666,16 +668,14 @@ def projector_phase(proj: np.ndarray, phi: float) -> np.ndarray:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
-_SLICE = 2**15  # list entries joined into one written piece
 
 
 def _joined_rows(tile: np.ndarray) -> list:
-    """For each row r of ``tile``, of shape (n, w), an iterator over the
-    (text, entries) joins of at most _SLICE of the row's entries, in json's
-    spelling: one ``float.__repr__`` per distinct bit pattern of the tile
-    (so -0.0 and 0.0 stay apart), and json's ``NaN``, ``Infinity`` and
-    ``-Infinity``.  The tile's word table lives as long as an iterator does."""
-    n, w = tile.shape
+    """The text of each row of ``tile``, of shape (n, w): its entries in
+    json's spelling with ", " between them.  The tile's word table holds one
+    ``float.__repr__`` per distinct bit pattern (so -0.0 and 0.0 stay
+    apart), json's ``NaN``, ``Infinity`` and ``-Infinity`` in place of the
+    non-finite ones, and is dropped on return."""
     bits, inverse = np.unique(
         np.ascontiguousarray(tile, dtype=float).view(np.uint64), return_inverse=True
     )
@@ -683,91 +683,56 @@ def _joined_rows(tile: np.ndarray) -> list:
     words = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         words[i] = _NONFINITE[words[i]]
-    words, inverse = np.array(words, dtype=object), inverse.reshape(tile.shape)
-
-    def slices(r):
-        for c in range(0, w, _SLICE):
-            yield ", ".join(words[inverse[r, c : c + _SLICE]].tolist()), min(_SLICE, w - c)
-
-    return [slices(r) for r in range(n)]
+    words = np.array(words, dtype=object)
+    return [", ".join(words[row].tolist()) for row in inverse.reshape(tile.shape)]
 
 
-def _tiled_chunks(head: np.ndarray):
-    """Yields the text ``json.dumps`` writes for the row-major float list of
-    the (n m) x (m w) matrix whose block (p, q) is head[:, p ^ q], head of
-    shape (n, m, w): its first block row, tile q at head[:, q].
+def _tiled_rows(head: np.ndarray):
+    """Yields the row texts of the (n m) x (m w) matrix whose block (p, q) is
+    head[:, p ^ q], head of shape (n, m, w): its first block row, tile q at
+    head[:, q].  Each tile's rows are joined once (``_joined_rows``), one
+    tile's word table at a time, and the matrix's row p n + r is the join
+    of the tiles' rows r, tile p ^ q in column block q."""
+    n, m = head.shape[:2]
+    tiles = [_joined_rows(head[:, t]) for t in range(m)]
+    for p in range(m):
+        for r in range(n):
+            yield ", ".join([tiles[p ^ q][r] for q in range(m)])
 
-    With one tile the rows run on into each other, so they are sliced as
-    one row under one table (a join per row would cost a call per entry of
-    a column vector), each slice and each seam ", " yielded apart.  For
-    m > 1 each (row, tile) piece of head is joined once (``_joined_rows``),
-    one tile at a time under that tile's word table, dropped before the
-    next tile's is made, and the matrix's row p n + r, the join of head's
-    pieces (r, p ^ q), q = 0 .. m - 1, is yielded with its seam."""
-    n, m, w = head.shape
-    yield "["
-    if m == 1:
-        for c, (text, _) in enumerate(_joined_rows(head.reshape(1, n * w))[0]):
-            if c:
+
+def _index_rows(dim: int, ones):
+    """Yields the row texts of the dim x dim diagonal 0/1 matrix with 1.0 at
+    the coordinates ``ones``, from them alone: one shared row of "0.0"
+    entries, with "1.0" spliced in at column r for each r in ones."""
+    zeros, ones = ", ".join(["0.0"] * dim), set(ones)
+    for r in range(dim):
+        yield zeros[: 5 * r] + "1.0" + zeros[5 * r + 3 :] if r in ones else zeros
+
+
+def _matrix_chunks(stored: np.ndarray, dim: int = 0):
+    """Yields ``matrix_to_json``'s text, one matrix row a piece, of the
+    (n m) x (m w) matrix of the complex head ``stored`` of shape (n, m, w)
+    (``_tiled_rows``; any matrix M is the one tile M[:, None]), or, stored
+    1-d, of the dim x dim projector onto these sorted coordinates
+    (``_index_rows``), with no dense array formed.  Each list is "[", the
+    rows with ", " between them, and "]"; a matrix with no entries reads no
+    rows and writes "[]"."""
+    if stored.ndim == 1:
+        rows = cols = dim
+        parts = _index_rows(dim, ()), _index_rows(dim, stored.tolist())
+    else:
+        n, m, w = stored.shape
+        rows, cols = n * m, m * w
+        parts = _tiled_rows(stored.imag), _tiled_rows(stored.real)
+    yield f'{{"cols": {cols}'
+    for key, part in zip(("im", "re"), parts):
+        yield f', "{key}": ['
+        for r, row in enumerate(part if rows * cols else ()):
+            if r:
                 yield ", "
-            yield text
-    else:  # every block row reads block row 0's pieces
-        table = [[None] * m for _ in range(n)]
-        for t in range(m):
-            for r, piece in enumerate(_joined_rows(head[:, t])):
-                table[r][t] = ", ".join(text for text, _ in piece)
-        for p in range(m):
-            for r, row in enumerate(table):
-                if p or r:
-                    yield ", "
-                yield ", ".join([row[p ^ q] for q in range(m)])
-    yield "]"
-
-
-def _indicator_chunks(length: int, ones: np.ndarray):
-    """Yields what ``_tiled_chunks`` yields for the 0/1 vector of this length
-    (as one row and one tile) with 1.0 at the sorted positions ``ones`` and
-    0.0 elsewhere, in the same pieces, from the positions alone: runs of
-    "0.0" and "1.0" entries."""
-    yield "["
-    for start in range(0, length, _SLICE):
-        stop = min(start + _SLICE, length)
-        piece, at = [], start
-        for one in ones[np.searchsorted(ones, start) : np.searchsorted(ones, stop)].tolist():
-            piece.append("0.0, " * (one - at) + "1.0, ")
-            at = one + 1
-        piece.append("0.0, " * (stop - at))
-        if start:
-            yield ", "
-        yield "".join(piece)[:-2]
-    yield "]"
-
-
-def _framed(rows: int, cols: int, im, re):
-    """Yields a matrix's JSON object from the pieces of its two lists, keys
-    sorted as ``json.dumps(..., sort_keys=True)`` writes them."""
-    yield f'{{"cols": {cols}, "im": '
-    yield from im
-    yield ', "re": '
-    yield from re
+            yield row
+        yield "]"
     yield f', "rows": {rows}}}'
-
-
-def _matrix_chunks(head: np.ndarray):
-    """Pieces of ``matrix_to_json`` of the (n m) x (m w) matrix whose block
-    (p, q) is head[:, p ^ q], written from the complex head of shape
-    (n, m, w) (``_tiled_chunks``); any matrix M is the one-tile M[:, None]."""
-    n, m, w = head.shape
-    return _framed(n * m, m * w, _tiled_chunks(head.imag), _tiled_chunks(head.real))
-
-
-def _projector_chunks(p: np.ndarray, dim: int):
-    """``_matrix_chunks`` of a stored projector; one held as its sorted range
-    indices is written from them, with no dense array formed."""
-    if p.ndim == 2:
-        return _matrix_chunks(p[:, None])
-    ones = _indicator_chunks(dim * dim, p * (dim + 1))
-    return _framed(dim, dim, _indicator_chunks(dim * dim, p[:0]), ones)
 
 
 def matrix_to_json(m: np.ndarray) -> str:
@@ -808,14 +773,14 @@ _ENCODING_MATRICES = ("unitary", "proj_right", "proj_left")
 
 
 def _encoding_chunks(be: BlockEncoding):
-    """Yields ``encoding_to_json(be)`` in pieces of at most _SLICE list
-    entries, for a writer that never holds the whole text."""
+    """Yields ``encoding_to_json(be)`` in pieces of at most one matrix row,
+    for a writer that never holds the whole text.  A projector held as its
+    range indices is written from them, one stored dense from its array."""
     right, left = be._projectors
     yield f'{{"alpha": {json.dumps(be.alpha)}'
-    yield ', "proj_left": '
-    yield from _projector_chunks(left, be.dim)
-    yield ', "proj_right": '
-    yield from _projector_chunks(right, be.dim)
+    for key, p in (("proj_left", left), ("proj_right", right)):
+        yield f', "{key}": '
+        yield from _matrix_chunks(p[:, None] if p.ndim == 2 else p, be.dim)
     yield ', "unitary": '
     yield from _matrix_chunks(be._head)
     yield "}"

@@ -60,6 +60,12 @@ def _write_text(path: str, pieces):
         fh.writelines(pieces)
 
 
+def _write_encoding(path: str, enc) -> None:
+    """Writes ``encoding_to_json(enc)`` and a newline to the output path,
+    piece by piece, so the file's text is never held whole."""
+    _write_text(path, itertools.chain(_encoding_chunks(enc), ("\n",)))
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -271,7 +277,7 @@ def _cmd_hamsim(args) -> int:
         )
     )
     if args.emit:
-        _write_text(args.emit, itertools.chain(_encoding_chunks(enc), ("\n",)))
+        _write_encoding(args.emit, enc)
     return 0
 
 
@@ -280,7 +286,7 @@ def _cmd_invert(args) -> int:
     enc = matrix_inversion(a, args.kappa, args.epsilon)
     print(json.dumps({"alpha": enc.alpha, "dim": enc.dim}, sort_keys=True))
     if args.emit:
-        _write_text(args.emit, itertools.chain(_encoding_chunks(enc), ("\n",)))
+        _write_encoding(args.emit, enc)
     return 0
 
 

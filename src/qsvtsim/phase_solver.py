@@ -52,8 +52,8 @@ class SolverOptions:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise DomainError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < math.inf:  # a NaN fails too
+            raise DomainError("residual_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from qsvtsim import (
 )
 from qsvtsim.block_encoding import (
     UNITARY_TOL,
-    _SLICE,
     _average,
     _complete,
     _coordinate_range,
@@ -386,13 +385,12 @@ def _stdlib_encoding_json(be):
 @pytest.mark.parametrize("n", [16, 64])
 def test_an_evolution_is_written_from_its_first_block_row(n, first_difference):
     # hamiltonian_simulation averages four branches: U is 4 x 4 tiles, written
-    # from its first block row, in pieces of at most _SLICE list entries
+    # from its first block row, in pieces of at most one U row each
     be = hamiltonian_simulation(random_hermitian(np.random.default_rng(n), n), 1.0, 2.0, 0.01)
     assert be._head.shape[1] == 4 and be.dim == 8 * n
     pieces = list(_encoding_chunks(be))
     assert first_difference("".join(pieces), _stdlib_encoding_json(be)) is None
-    if n == 64:  # dimension 512: each list holds 8 x _SLICE entries
-        assert max(piece.count(",") + 1 for piece in pieces) <= _SLICE
+    assert max(piece.count(",") + 1 for piece in pieces) <= be.dim
 
 
 @pytest.mark.parametrize("name", ["matrix_inversion", "phase_oracle_block",

@@ -425,13 +425,22 @@ def test_all_family_names_reachable(capsys):
             "part must be cos or sin, got 'cosine'; hamsim takes t=5.0, eps=0.1, part=cos",
         ),
         ("poly", "hamsim", "part=sine", "part must be cos or sin, got 'sine'"),
+        ("poly", "poly_sign", "k=abc", "poly_sign argument k must be a finite number, got 'abc'"),
+        ("poly", "invert", "eps=abc", "invert argument eps must be a finite number, got 'abc'"),
+        ("poly", "gibbs", "d=inf", "gibbs argument d must be a finite integer, got inf"),
+        ("poly", "poly_sign", "d=7.5", "poly_sign argument d must be a finite integer, got 7.5"),
+        ("poly", "efilter", "d=31", "efilter degree d must be even, got 31"),
+        ("phases", "fpsearch", "d=2.7", "fpsearch argument d must be a finite integer, got 2.7"),
     ],
-    ids=["phases-kapa", "poly-kapa", "fpsearch-detla", "phases-cosine", "poly-sine"],
+    ids=["phases-kapa", "poly-kapa", "fpsearch-detla", "phases-cosine", "poly-sine",
+         "sign-k-text", "invert-eps-text", "gibbs-d-inf", "sign-d-fraction", "efilter-d-odd",
+         "fpsearch-d-fraction"],
 )
 def test_family_arguments_are_checked(capsys, command, family, args, message):
-    # a misspelt key or part must not fall back silently to a default
+    # a misspelt key or part must not fall back silently to a default, and a
+    # value must not be truncated or handed on unchecked to the builder
     code, out, err = run_cli(capsys, command, "--family", family, "--args", args)
-    assert code == 1 and out == "" and message in err
+    assert code == 1 and out == "" and message in err and "Traceback" not in err
 
 
 def test_family_help_lists_every_argument(capsys):

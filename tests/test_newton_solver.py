@@ -158,6 +158,13 @@ def test_unattainable_tolerance_fails_fast():
     assert "restart" not in message
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_a_residual_tolerance_must_be_positive_and_finite(tol):
+    # a NaN passed the old "<= 0" check, and the solve failed later naming no bound
+    with pytest.raises(DomainError, match="residual_tol must be positive and finite"):
+        SolverOptions(residual_tol=tol)
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2, 6, 7, 41])
 def test_symmetric_jacobian_matches_finite_differences(degree, rng):
     # the palindromic fast path of _jacobian and the mirror sum

@@ -31,8 +31,7 @@ from qsvtsim import (
     sign_poly,
     solve_phases,
 )
-from qsvtsim.block_encoding import (UNITARY_TOL, _SLICE, _average, _indicator_chunks,
-                                    _tiled_chunks)
+from qsvtsim.block_encoding import UNITARY_TOL, _average, _matrix_chunks, matrix_to_json
 from test_qsvt_engine import literal_product
 
 # fixed examples (derandomize) and no example database, so runs replay
@@ -131,6 +130,10 @@ CONSTRUCTORS = {
 def test_encoding_json_roundtrip_is_bit_exact(name, seed, n, real):
     enc = CONSTRUCTORS[name](np.random.default_rng(seed), n, real)
     text = encoding_to_json(enc)
+    # the stdlib's bytes for the dense matrices, which share no code with the writer
+    dense = {key: _stdlib_matrix(getattr(enc, key))
+             for key in ("unitary", "proj_right", "proj_left")}
+    assert text == json.dumps({"alpha": enc.alpha, **dense}, sort_keys=True)
     again = encoding_from_json(text)
     for key in ("unitary", "proj_right", "proj_left"):
         assert getattr(again, key).tobytes() == getattr(enc, key).tobytes()
@@ -186,43 +189,68 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.000000000
                float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.5]
 
 
-def _float_chunks(x):
-    # a float vector's list pieces: the writer's one-row, one-tile case
-    return _tiled_chunks(np.reshape(x, (1, 1, -1)))
+def _stdlib_matrix(m):
+    # a dense matrix in the writer's form, from .tolist(): no code shared with the writer
+    return {"cols": m.shape[1], "im": m.imag.ravel().tolist(), "re": m.real.ravel().tolist(),
+            "rows": m.shape[0]}
 
 
-def _float_list(x):
-    return "".join(_float_chunks(x))
+def _complex(re, im):
+    # re + i im bit for bit: arithmetic would turn inf * 1j into nan
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+def _row_pieces(part):
+    # json.dumps's text of each row of a real matrix, with the ", " pieces between them
+    return [piece for row in part.tolist() for piece in (", ", json.dumps(row)[1:-1])][1:]
 
 
 @SETTINGS
 @given(drawn=st.lists(st.floats(), max_size=8), seed=SEEDS, size=st.integers(0, 300))
 def test_float_list_writes_the_bytes_of_json_dumps(drawn, seed, size):
-    # every edge value, and heavy repetition: `size` more draws from the same pool
+    # every edge value, and heavy repetition: `size` more draws from the same pool,
+    # written as one row, as one entry a row, and with no rows
     pool = np.array(EDGE_FLOATS + drawn)
     rng = np.random.default_rng(seed)
     x = rng.permutation(np.concatenate([pool, pool[rng.integers(0, len(pool), size)]]))
-    assert _float_list(x) == json.dumps(x.tolist())
-    assert _float_list(x[:0]) == "[]"
+    row = _complex(x[None], x[None, ::-1])
+    for m in (row, row.T, row[:0]):
+        assert matrix_to_json(m) == json.dumps(_stdlib_matrix(m), sort_keys=True)
 
 
-@pytest.mark.parametrize("length", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
-def test_float_list_writes_the_bytes_of_json_dumps_across_slices(length, first_difference):
-    # lists that end just before, at and just after a piece boundary
-    x = np.resize(np.array(EDGE_FLOATS), length)
-    pieces = list(_float_chunks(x))
-    assert first_difference("".join(pieces), json.dumps(x.tolist())) is None
-    assert len(pieces) == 2 * -(-length // _SLICE) + 1  # "[", slices and seams, "]"
+@pytest.mark.parametrize("shape", [(1, 2**15 - 1), (1, 2**15 + 1), (2**15 + 1, 1), (181, 181)])
+def test_float_list_writes_the_bytes_of_json_dumps_one_row_a_piece(shape, first_difference):
+    # a long row, a long column and a square: each list is "[", its rows with
+    # ", " between them and "]", one matrix row a piece
+    x = np.resize(np.array(EDGE_FLOATS), shape)
+    m = _complex(x, x[::-1, ::-1])
+    pieces = list(_matrix_chunks(m[:, None]))
+    assert first_difference("".join(pieces), json.dumps(_stdlib_matrix(m), sort_keys=True)) is None
+    rows = [f'{{"cols": {shape[1]}', ', "im": [', *_row_pieces(m.imag), "]",
+            ', "re": [', *_row_pieces(m.real), "]", f', "rows": {shape[0]}}}']
+    assert first_difference(pieces, rows) is None
 
 
-@pytest.mark.parametrize("length", [0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
-def test_indicator_list_writes_the_pieces_of_the_float_list(length):
-    # 1.0 at random positions and at both ends of each piece, 0.0 elsewhere
-    rng = np.random.default_rng(length)
-    ends = [0, _SLICE - 1, _SLICE, 2 * _SLICE, length - 1]
-    ones = np.unique(np.concatenate([rng.integers(0, length + 1, 40), ends]))
-    ones = ones[(ones >= 0) & (ones < length)]
-    x = np.zeros(length)
-    x[ones] = 1.0
-    assert list(_indicator_chunks(length, ones)) == list(_float_chunks(x))
-    assert list(_indicator_chunks(length, ones[:0])) == list(_float_chunks(np.zeros(length)))
+@pytest.mark.parametrize("dim", [0, 1, 2, 7, 64, 181])
+def test_an_index_projector_writes_the_pieces_of_its_dense_matrix(dim, first_difference):
+    # 1.0 at random coordinates and at both ends, 0.0 elsewhere; and no coordinate
+    rng = np.random.default_rng(dim)
+    ones = np.unique(np.concatenate([rng.integers(0, dim + 1, 40), [0, dim - 1]]))
+    for ones in (ones[(ones >= 0) & (ones < dim)], ones[:0]):
+        dense = np.zeros((dim, dim), dtype=complex)
+        dense[ones, ones] = 1.0
+        pieces = list(_matrix_chunks(ones, dim))
+        assert first_difference(pieces, list(_matrix_chunks(dense[:, None]))) is None
+        stdlib = json.dumps(_stdlib_matrix(dense), sort_keys=True)
+        assert first_difference("".join(pieces), stdlib) is None
+
+
+@SETTINGS
+@given(seed=SEEDS, n=st.integers(0, 4), k=st.integers(0, 2), w=st.integers(0, 4))
+def test_a_head_is_written_as_its_tiled_dense_matrix(seed, n, k, w):
+    # every entry from the edge values; a head with no rows or no columns writes "[]"
+    m = 2**k
+    edge = np.random.default_rng(seed).choice(EDGE_FLOATS, (2, n, m, w))
+    head = _complex(*edge)
+    tiled = np.block([[head[:, p ^ q] for q in range(m)] for p in range(m)]).reshape(n * m, m * w)
+    assert "".join(_matrix_chunks(head)) == json.dumps(_stdlib_matrix(tiled), sort_keys=True)
