@@ -220,8 +220,22 @@ def _hadamard_test(f: np.ndarray, y: np.ndarray):
 # Eigenvalue threshold decision
 
 
+# the most shots a sampled threshold run draws: zeta = 0.05 at delta = 0.1
+# needs 1.66e6, zeta = 1e-3 needs 1.04e13, whose draws would fill 75 TiB
+SHOT_CAP = 10**7
+
+
 def threshold_repetitions(zeta: float, delta: float) -> int:
-    return int(math.ceil(9.0 / (2.0 * zeta**4) * math.log(1.0 / delta)))
+    """Shots that tell the two Bernoulli means apart with failure
+    probability delta, for zeta in (0, 1] and delta in (0, 1)."""
+    if not 0.0 < zeta <= 1.0:
+        raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    try:
+        return int(math.ceil(9.0 / (2.0 * zeta**4) * math.log(1.0 / delta)))
+    except (ZeroDivisionError, OverflowError):  # zeta**4 underflows, or the count overflows
+        raise DomainError(f"zeta = {zeta} needs more shots than a float can count") from None
 
 
 def eigenvalue_threshold(
@@ -242,8 +256,14 @@ def eigenvalue_threshold(
     (I + H/alpha)/2, a symmetric step polynomial is applied at the shifted
     cut, and repeated one-qubit measurements distinguish the two Bernoulli
     means.  Decision True means "a low eigenvalue exists".  The block is
-    read from one eigendecomposition of H: no encoding is built.
+    read from one eigendecomposition of H: no encoding is built.  A sampled
+    run draws at most SHOT_CAP shots; an exact run draws none.
     """
+    reps = threshold_repetitions(zeta, delta)  # checked before any work
+    if not exact and reps > SHOT_CAP:
+        raise DomainError(
+            f"zeta = {zeta}, delta = {delta} needs {reps} shots, past the shot cap {SHOT_CAP}"
+        )
     h = _square(h, NotHermitian)
     _require_dim(4 * len(h), "4n")  # checked before any work: the shift circuit is 4n
     evecs, lam = _scaled_eigh(h, alpha)
@@ -259,7 +279,6 @@ def eigenvalue_threshold(
 
     low_mean = zeta**2 * (1.0 - epsilon)
     high_mean = 0.5 * epsilon**2
-    reps = threshold_repetitions(zeta, delta)
     params = {
         "alpha": alpha,
         "lambda_th": lambda_th,

@@ -79,10 +79,12 @@ def _require_dim(dim: int, factor: str = "") -> None:
 
 
 def _square(m, error) -> np.ndarray:
-    """m as a complex array; ``error`` unless it is a square matrix."""
+    """m as a complex array; ``error`` unless it is a nonempty square matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise error(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise error(f"expected a nonempty matrix, got shape {m.shape}")
     return m
 
 

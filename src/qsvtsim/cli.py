@@ -2,8 +2,12 @@
 
 Output files are byte-deterministic for a fixed invocation and seed: JSON is
 emitted with sorted keys, CSV uses 17 significant digits with LF endings,
-and the SVG emitter depends only on its input curve.  Encoding files are
-written piece by piece as the codec yields them, never held whole.
+and the SVG emitter depends only on its input curve.  Every input file is
+read by ``_read``, and every JSON result but an encoding is written by
+``_emit``: to its file, when the command names one, and then to stdout.
+Encoding files are written by ``_write_encoding`` piece by piece as the
+codec yields them, never held whole.  Flags that several commands share
+are declared once, in parent parsers.
 """
 
 from __future__ import annotations
@@ -141,15 +145,18 @@ def _grid(npts: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, npts)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _read(path: str, parse):
+    """``parse`` of the text of the input file at ``path``: the one reader."""
     with open(path) as fh:
-        return matrix_from_json(fh.read())
+        return parse(fh.read())
 
 
-def _emit_record(record, out: str | None):
-    text = record.to_json()
-    if out:
-        _write_text(out, (text, "\n"))
+def _emit(text: str, path: str | None) -> None:
+    """Writes ``text`` and a newline to the output path when one is given,
+    then prints ``text``: the one emitter of every JSON result but an
+    encoding's."""
+    if path:
+        _write_text(path, (text, "\n"))
     print(text)
 
 
@@ -157,10 +164,7 @@ def _cmd_phases(args) -> int:
     kv = _parse_args_kv(args.args)
     options = SolverOptions(residual_tol=args.residual_tol)
     seq = families.family_phases(args.family, kv, options)
-    text = phase_sequence_to_json(seq)
-    if args.json:
-        _write_text(args.json, (text, "\n"))
-    print(text)
+    _emit(phase_sequence_to_json(seq), args.json)
     if args.emit_response:
         curve = response_curve(seq, _grid(args.npts))
         _write_text(args.emit_response, curve_csv(curve))
@@ -170,10 +174,7 @@ def _cmd_phases(args) -> int:
 def _cmd_poly(args) -> int:
     kv = _parse_args_kv(args.args)
     poly = families.family_target(args.family, kv)
-    text = poly_to_json(poly)
-    if args.json:
-        _write_text(args.json, (text, "\n"))
-    print(text)
+    _emit(poly_to_json(poly), args.json)
     if args.csv:
         grid = _grid(args.npts)
         vals = poly(grid)
@@ -183,8 +184,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_response(args) -> int:
-    with open(args.phases) as fh:
-        seq = phase_sequence_from_json(fh.read())
+    seq = _read(args.phases, phase_sequence_from_json)
     curve = response_curve(seq, _grid(args.npts))
     if args.csv:
         _write_text(args.csv, (curve_csv(curve),))
@@ -197,92 +197,80 @@ def _cmd_response(args) -> int:
 
 
 def _cmd_qsvt(args) -> int:
-    with open(args.encoding) as fh:
-        encoding = encoding_from_json(fh.read())
-    with open(args.phases) as fh:
-        seq = phase_sequence_from_json(fh.read())
-    block = transformed_block(QsvtProgram(encoding, seq))
-    text = matrix_to_json(block)
-    if args.emit:
-        _write_text(args.emit, (text, "\n"))
-    print(text)
+    encoding = _read(args.encoding, encoding_from_json)
+    seq = _read(args.phases, phase_sequence_from_json)
+    _emit(matrix_to_json(transformed_block(QsvtProgram(encoding, seq))), args.emit)
     return 0
 
 
-def _require_seed(args, parser_name: str):
+def _require_seed(args):
     if getattr(args, "exact", False):
         return 0
     if args.seed is None:
-        raise DomainError(f"{parser_name}: --seed is mandatory in sampled mode")
+        raise DomainError(f"{args.command}: --seed is mandatory in sampled mode")
     return args.seed
 
 
 def _cmd_search(args) -> int:
-    seed = _require_seed(args, "search")
+    seed = _require_seed(args)
     record = qsvt_search(
         args.n_qubits, args.marked, args.delta, args.transition, seed, args.exact
     )
-    _emit_record(record, args.emit)
+    _emit(record.to_json(), args.emit)
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    seed = _require_seed(args, "threshold")
-    h = _load_matrix(args.matrix)
-    psi = _load_matrix(args.psi).ravel()
+    seed = _require_seed(args)
+    h = _read(args.matrix, matrix_from_json)
+    psi = _read(args.psi, matrix_from_json).ravel()
     record = eigenvalue_threshold(
         h, args.alpha, args.lambda_th, args.delta_lambda,
         args.zeta, args.delta, psi, seed, args.exact,
     )
-    _emit_record(record, args.emit)
+    _emit(record.to_json(), args.emit)
     return 0
 
 
 def _cmd_qpe(args) -> int:
+    if (args.matrix is None) != (args.eigvec is None):
+        raise DomainError("qpe: --matrix needs --eigvec, its eigenvector, and --phi takes none")
     if args.phi is not None:
         u = np.array([[np.exp(2j * np.pi * args.phi)]])
         vec = np.array([1.0 + 0j])
     else:
-        u = _load_matrix(args.matrix)
-        vec = _load_matrix(args.eigvec).ravel()
-    seed = _require_seed(args, "qpe")
+        u = _read(args.matrix, matrix_from_json)
+        vec = _read(args.eigvec, matrix_from_json).ravel()
+    seed = _require_seed(args)
     epsilon = args.epsilon if args.epsilon is not None else pe_epsilon_for(args.delta, args.n)
     record = phase_estimation_record(
         u, vec, args.n, epsilon, args.transition, seed, args.exact
     )
     print(f"theta={record.decision.value:.10g}")
-    _emit_record(record, args.emit)
+    _emit(record.to_json(), args.emit)
     return 0
 
 
 def _cmd_factor(args) -> int:
-    seed = _require_seed(args, "factor")
+    seed = _require_seed(args)
     record = order_finding_demo(args.x, args.modulus, args.delta, seed)
     print(f"order={record.decision}")
-    _emit_record(record, args.emit)
+    _emit(record.to_json(), args.emit)
     return 0
 
 
 def _cmd_hamsim(args) -> int:
-    h = _load_matrix(args.matrix)
+    h = _read(args.matrix, matrix_from_json)
     enc = hamiltonian_simulation(h, args.alpha, args.t, args.epsilon)
-    print(
-        json.dumps(
-            {
-                "queries": hamsim_query_count(args.alpha, args.t, args.epsilon),
-                "alpha": enc.alpha,
-                "dim": enc.dim,
-            },
-            sort_keys=True,
-        )
-    )
+    queries = hamsim_query_count(args.alpha, args.t, args.epsilon)
+    print(json.dumps({"queries": queries, "alpha": enc.alpha, "dim": enc.dim}, sort_keys=True))
     if args.emit:
         _write_encoding(args.emit, enc)
     return 0
 
 
 def _cmd_invert(args) -> int:
-    a = _load_matrix(args.matrix)
+    a = _read(args.matrix, matrix_from_json)
     enc = matrix_inversion(a, args.kappa, args.epsilon)
     print(json.dumps({"alpha": enc.alpha, "dim": enc.dim}, sort_keys=True))
     if args.emit:
@@ -298,51 +286,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="QSP phase synthesis and QSVT algorithm simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several commands share, each declared once in a parent parser
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="one of, with its --args and their "
+                        "defaults: " + families.family_usage())
+    family.add_argument("--args", default="", help="comma-separated key=value family arguments")
+    family.add_argument("--json", metavar="FILE")
+    family.add_argument("--npts", type=int, default=400)
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", metavar="FILE")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--exact", action="store_true")
 
-    family_help = "one of, with its --args and their defaults: " + families.family_usage()
-    args_help = "comma-separated key=value family arguments"
-    p = sub.add_parser("phases", help="synthesize phases for a named family")
-    p.add_argument("--family", required=True, help=family_help)
-    p.add_argument("--args", default="", help=args_help)
+    def command(name, func, help, *parents, **kwargs):
+        p = sub.add_parser(name, help=help, parents=parents, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("phases", _cmd_phases, "synthesize phases for a named family", family)
     p.add_argument("--emit-response", metavar="CSV")
-    p.add_argument("--json", metavar="FILE")
-    p.add_argument("--npts", type=int, default=400)
     p.add_argument("--residual-tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_phases)
 
-    p = sub.add_parser("poly", help="emit a family target polynomial")
-    p.add_argument("--family", required=True, help=family_help + "; fpsearch has phases but no target")
-    p.add_argument("--args", default="", help=args_help)
+    p = command("poly", _cmd_poly, "emit a family target polynomial", family,
+                description="Emit a family target polynomial; fpsearch has phases but no target.")
     p.add_argument("--csv", metavar="FILE")
-    p.add_argument("--json", metavar="FILE")
-    p.add_argument("--npts", type=int, default=400)
-    p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("response", help="sample the response of stored phases")
+    p = command("response", _cmd_response, "sample the response of stored phases")
     p.add_argument("--phases", required=True)
     p.add_argument("--npts", type=int, default=400)
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--svg", metavar="FILE")
     p.add_argument("--channels", default="re")
-    p.set_defaults(func=_cmd_response)
 
-    p = sub.add_parser("qsvt", help="apply stored phases to a stored encoding")
+    p = command("qsvt", _cmd_qsvt, "apply stored phases to a stored encoding", emit)
     p.add_argument("--encoding", required=True)
     p.add_argument("--phases", required=True)
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_qsvt)
 
-    p = sub.add_parser("search", help="unstructured search demo")
+    p = command("search", _cmd_search, "unstructured search demo", seed, exact, emit)
     p.add_argument("--n-qubits", type=int, required=True)
     p.add_argument("--marked", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--transition", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("threshold", help="eigenvalue threshold decision demo")
+    p = command("threshold", _cmd_threshold, "eigenvalue threshold decision demo",
+                seed, exact, emit)
     p.add_argument("--matrix", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -350,46 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-lambda", type=float, required=True)
     p.add_argument("--zeta", type=float, default=2**-0.5)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("qpe", help="phase estimation demo")
-    p.add_argument("--phi", type=float, default=None, help="eigenphase of a 1x1 oracle")
-    p.add_argument("--matrix", help="unitary JSON (alternative to --phi)")
+    p = command("qpe", _cmd_qpe, "phase estimation demo", seed, exact, emit)
+    oracle = p.add_mutually_exclusive_group(required=True)
+    oracle.add_argument("--phi", type=float, default=None, help="eigenphase of a 1x1 oracle")
+    oracle.add_argument("--matrix", help="unitary JSON, with its eigenvector in --eigvec")
     p.add_argument("--eigvec", help="eigenvector JSON for --matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--transition", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_qpe)
 
-    p = sub.add_parser("factor", help="order finding demo")
+    p = command("factor", _cmd_factor, "order finding demo", seed, emit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("hamsim", help="Hamiltonian evolution encoding")
+    p = command("hamsim", _cmd_hamsim, "Hamiltonian evolution encoding", emit)
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_hamsim)
 
-    p = sub.add_parser("invert", help="matrix inversion encoding")
+    p = command("invert", _cmd_invert, "matrix inversion encoding", emit)
     p.add_argument("--matrix", required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=_cmd_invert)
 
     return parser
 

@@ -66,6 +66,7 @@ class FixedPointParams:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("d must be >= 1")
+        _require_degree(2 * self.d - 1)  # 2d phases, checked before any is formed
         if not 0.0 < self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
 

@@ -227,7 +227,10 @@ def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
 
 
 def _require_degree(degree: int):
-    """Reject a polynomial degree past the cap before any work is spent on it."""
+    """Reject a negative polynomial degree, or one past the cap, before any
+    work is spent on it."""
+    if degree < 0:
+        raise DomainError(f"polynomial degree must be >= 0, got {degree}")
     if degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
 
@@ -424,7 +427,7 @@ def _validate_sign_args(epsilon: float, delta: float):
         raise DomainError(
             f"epsilon must lie in (0, {SIGN_EPSILON_MAX:.6f}], got {epsilon}"
         )
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("transition width delta must be positive")
 
 
@@ -597,8 +600,8 @@ def inverse_poly_params(epsilon: float, kappa: float) -> tuple:
     """(b, D) integer parameters of the truncated 1/x expansion."""
     if not 0.0 < epsilon < 0.5:
         raise DomainError("epsilon must lie in (0, 1/2)")
-    if kappa < 1.0:
-        raise DomainError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError("kappa must be >= 1 and finite")
     b = int(math.ceil(kappa**2 * math.log(kappa / epsilon)))
     b = max(b, 1)
     d_cap = int(math.ceil(math.sqrt(b * math.log(4.0 * b / epsilon))))
@@ -650,7 +653,7 @@ def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     between the two regions; the certifier holds p within eps/2 of 1 - eps/2
     outside and of eps/2 inside.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise DomainError("kappa must be >= 1")
     inner, outer = 1.0 / (2.0 * kappa), 1.0 / kappa
     _validate_sign_args(epsilon / 2.0, inner)
@@ -752,15 +755,17 @@ def _even_fit(target: Callable, degree: int, grid_size: int = 2001) -> FitResult
 
 def gibbs_poly(beta: float, degree: int) -> FitResult:
     """Even least-squares fit of exp(-beta * |x|), with reported residual."""
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite")
     return _even_fit(lambda x: np.exp(-beta * np.abs(x)), degree)
 
 
 def relu_poly(delta: float, steepness: float, degree: int) -> FitResult:
     """Even softplus fit log(1 + exp(k(|x| - delta))) / k, residual reported."""
-    if steepness <= 0.0:
-        raise DomainError("steepness must be positive")
+    if not 0.0 < steepness < math.inf:
+        raise DomainError("steepness must be positive and finite")
+    if not math.isfinite(delta):
+        raise DomainError("delta must be finite")
 
     def target(x):
         return np.logaddexp(0.0, steepness * (np.abs(x) - delta)) / steepness

@@ -9,20 +9,27 @@ import numpy as np
 import pytest
 
 from qsvtsim import (
+    BlockEncoding,
     ConditionViolated,
     DegreeCapExceeded,
     DomainError,
+    FixedPointParams,
     GiveUp,
     NotUnitary,
     OrderNotFound,
     QsvtProgram,
+    QsvtSimError,
     ScaleTooSmall,
     algorithms,
     bernoulli_sample_count,
     eigenvalue_threshold,
+    eigenvalue_threshold_poly,
+    embed_general,
     extract_block,
+    gibbs_poly,
     hamiltonian_simulation,
     hamsim_query_count,
+    inverse_poly,
     jacobi_anger_cos,
     jacobi_anger_sin,
     matrix_inversion,
@@ -33,6 +40,11 @@ from qsvtsim import (
     pe_epsilon_for,
     qsvt_phase_estimation,
     qsvt_search,
+    qubitize_hermitian,
+    rect_poly,
+    relu_poly,
+    sign_poly,
+    sign_poly_from_steepness,
     solve_truncation,
     threshold_repetitions,
     transformed_block,
@@ -122,6 +134,19 @@ class TestThreshold:
 
     def test_repetition_count(self):
         assert threshold_repetitions(ZETA, 0.1) == math.ceil(18 * math.log(10))
+
+    def test_sampled_runs_past_the_shot_cap_are_rejected_before_any_solve(self, monkeypatch):
+        assert threshold_repetitions(0.05, 0.1) == 1657862 <= algorithms.SHOT_CAP
+        rec = eigenvalue_threshold(np.diag([0.2, 0.8]), 1.0, 0.5, 0.1, 0.05, 0.1, self.PSI,
+                                   seed=1)
+        assert len(rec.shots) == 1657862
+        # zeta = 0.02 needs 6.5e7 shots: an exact run draws none and is not capped
+        rec = eigenvalue_threshold(np.diag([0.2, 0.8]), 1.0, 0.5, 0.1, 0.02, 0.1, self.PSI,
+                                   exact=True)
+        assert rec.params["repetitions"] == 64760206 and rec.shots == []
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        with pytest.raises(DomainError, match="needs 10361632918474 shots, past the shot cap"):
+            eigenvalue_threshold(np.diag([0.2, 0.8]), 1.0, 0.5, 0.1, 1e-3, 0.1, self.PSI, seed=1)
 
     def test_negative_eigenvalues_handled_by_shift(self):
         h = np.diag([-0.9, 0.8]).astype(complex)
@@ -621,3 +646,43 @@ class TestPhaseEstimationStrategies:
         rec = phase_estimation_record(oracle_1q(0.625), VEC1, 3, 0.15, 0.2, exact=True)
         assert rec.params["majority_votes"] == 1
         assert rec.params["escalate_ambiguous"] is False
+
+
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sign_poly(0.1, math.nan),
+        lambda: eigenvalue_threshold_poly(0.1, math.nan, 0.5),
+        lambda: inverse_poly(0.1, math.nan),
+        lambda: rect_poly(0.1, math.nan),
+        lambda: gibbs_poly(math.nan, 10),
+        lambda: gibbs_poly(math.inf, 10),
+        lambda: relu_poly(0.5, math.nan, 10),
+        lambda: relu_poly(math.nan, 5.0, 10),
+        lambda: sign_poly_from_steepness(-3, 4.0),
+        lambda: FixedPointParams(10**12, 0.5),
+        lambda: threshold_repetitions(0.7, 2.0),
+        lambda: threshold_repetitions(0.7, 0.0),
+        lambda: threshold_repetitions(math.nan, 0.1),
+        lambda: threshold_repetitions(1e-100, 0.1),
+        lambda: embed_general(_EMPTY, 1.0),
+        lambda: qubitize_hermitian(_EMPTY, 1.0),
+        lambda: BlockEncoding(_EMPTY, _EMPTY, _EMPTY, 1.0),
+        lambda: hamiltonian_simulation(_EMPTY, 1.0, 1.0, 0.01),
+        lambda: matrix_inversion(_EMPTY, 2.0, 0.1),
+        lambda: eigenvalue_threshold(_EMPTY, 1.0, 0.5, 0.1, ZETA, 0.1, np.ones(0), exact=True),
+        lambda: phase_estimation_record(_EMPTY, np.ones(0), 3, 0.1, 0.2, 0, True),
+    ],
+    ids=["sign-delta-nan", "step-delta-nan", "inverse-kappa-nan", "rect-kappa-nan",
+         "gibbs-beta-nan", "gibbs-beta-inf", "relu-steepness-nan", "relu-delta-nan",
+         "sign-degree-negative", "fpsearch-d-huge", "reps-delta-2", "reps-delta-0",
+         "reps-zeta-nan", "reps-zeta-underflow", "embed-0x0", "qubitize-0x0",
+         "encoding-0x0", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0"],
+)
+def test_unusable_arguments_raise_a_typed_error(call):
+    # each of these once reached numpy or the float conversions unchecked
+    with np.errstate(all="raise"), pytest.raises(QsvtSimError):
+        call()

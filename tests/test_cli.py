@@ -309,6 +309,51 @@ def test_search_loop_cap_is_a_typed_error(capsys, monkeypatch):
     assert err.startswith("error: search loop cap")
 
 
+_THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
+              "--delta-lambda 0.1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("qpe --matrix {u} --n 3 --exact", "qpe: --matrix needs --eigvec"),
+        ("qpe --phi 0.3 --eigvec {u} --n 3 --exact", "--phi takes none"),
+        ("search --n-qubits 4 --marked 1 --transition nan --exact",
+         "transition width delta must be positive"),
+        ("poly --family poly_phase --args d=-2", "polynomial degree must be >= 0, got -2"),
+        (_THRESHOLD + " --delta 0 --exact", "delta must lie in (0, 1), got 0.0"),
+        (_THRESHOLD + " --zeta 1e-3 --seed 1",
+         "needs 10361632918474 shots, past the shot cap 10000000"),
+        ("hamsim --matrix {empty} --alpha 1 --t 1 --epsilon 0.01", "nonempty matrix"),
+        ("invert --matrix {empty} --kappa 2 --epsilon 0.1", "nonempty matrix"),
+        ("threshold --matrix {empty} --psi {empty} --alpha 1 --lambda-th 0.5 "
+         "--delta-lambda 0.1 --exact", "nonempty matrix"),
+        ("qpe --matrix {empty} --eigvec {empty} --n 3 --exact", "nonempty matrix"),
+    ],
+    ids=["qpe-no-eigvec", "qpe-phi-eigvec", "search-transition-nan", "poly-phase-d-negative", "threshold-delta-0",
+         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0"],
+)
+def test_bad_inputs_exit_1_with_a_typed_message(capsys, tmp_path, argv, message):
+    # each of these once ended in a traceback or in numpy's own message
+    files = {"h": np.diag([0.2, 0.8]), "psi": np.ones((2, 1)), "u": np.eye(2),
+             "empty": np.zeros((0, 0))}
+    for name, m in files.items():
+        (tmp_path / f"{name}.json").write_text(matrix_to_json(m))
+    argv = argv.format(**{name: tmp_path / f"{name}.json" for name in files}).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("oracle", [[], ["--phi", "0.3", "--matrix", "u.json"]],
+                         ids=["neither", "both"])
+def test_qpe_takes_exactly_one_of_phi_and_matrix(capsys, oracle):
+    with pytest.raises(SystemExit) as exc:
+        main(["qpe", *oracle, "--n", "3", "--exact"])
+    assert exc.value.code == 2
+    assert "--phi" in capsys.readouterr().err
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 
@@ -431,10 +476,12 @@ def test_all_family_names_reachable(capsys):
         ("poly", "poly_sign", "d=7.5", "poly_sign argument d must be a finite integer, got 7.5"),
         ("poly", "efilter", "d=31", "efilter degree d must be even, got 31"),
         ("phases", "fpsearch", "d=2.7", "fpsearch argument d must be a finite integer, got 2.7"),
+        ("phases", "fpsearch", "d=1e12", "degree 1999999999999 exceeds the degree cap 512"),
+        ("poly", "poly_sign", "d=-3", "polynomial degree must be >= 0, got -3"),
     ],
     ids=["phases-kapa", "poly-kapa", "fpsearch-detla", "phases-cosine", "poly-sine",
          "sign-k-text", "invert-eps-text", "gibbs-d-inf", "sign-d-fraction", "efilter-d-odd",
-         "fpsearch-d-fraction"],
+         "fpsearch-d-fraction", "fpsearch-d-huge", "sign-d-negative"],
 )
 def test_family_arguments_are_checked(capsys, command, family, args, message):
     # a misspelt key or part must not fall back silently to a default, and a
