@@ -70,6 +70,12 @@ def _write_encoding(path: str, enc) -> None:
     _write_text(path, itertools.chain(_encoding_chunks(enc), ("\n",)))
 
 
+# the most points a response or polynomial grid takes (--npts), and the
+# curves a response SVG can draw (--channels)
+NPTS_CAP = 10**6
+CHANNELS = ("re", "im", "abs2")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -84,7 +90,12 @@ def curve_csv(curve) -> str:
 
 
 def emit_svg(curve, channels=("re",), width: int = 640, height: int = 400) -> str:
-    """Standalone SVG with axes and one polyline per requested channel."""
+    """Standalone SVG with axes and one polyline per requested channel,
+    each one of CHANNELS."""
+    bad = [chan for chan in channels if chan not in CHANNELS]
+    if bad:
+        raise DomainError(f"unknown channel {', '.join(map(repr, bad))}; "
+                          f"the channels are {', '.join(CHANNELS)}")
     if not curve:
         raise EmptyCurve("cannot render an empty curve")
     extract = {
@@ -145,6 +156,12 @@ def _grid(npts: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, npts)
 
 
+def _require_npts(npts: int) -> None:
+    """Rejects a grid size outside 1 to NPTS_CAP, before any output."""
+    if not 1 <= npts <= NPTS_CAP:
+        raise DomainError(f"--npts must lie in 1 to {NPTS_CAP}, got {npts}")
+
+
 def _read(path: str, parse):
     """``parse`` of the text of the input file at ``path``: the one reader."""
     with open(path) as fh:
@@ -186,11 +203,12 @@ def _cmd_poly(args) -> int:
 def _cmd_response(args) -> int:
     seq = _read(args.phases, phase_sequence_from_json)
     curve = response_curve(seq, _grid(args.npts))
+    # the SVG is rendered first, so a bad channel stops the command before any output
+    svg = emit_svg(curve, tuple(args.channels.split(","))) if args.svg else None
     if args.csv:
         _write_text(args.csv, (curve_csv(curve),))
-    if args.svg:
-        channels = tuple(args.channels.split(","))
-        _write_text(args.svg, (emit_svg(curve, channels),))
+    if svg is not None:
+        _write_text(args.svg, (svg,))
     if not args.csv and not args.svg:
         print(curve_csv(curve), end="")
     return 0
@@ -292,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "defaults: " + families.family_usage())
     family.add_argument("--args", default="", help="comma-separated key=value family arguments")
     family.add_argument("--json", metavar="FILE")
-    family.add_argument("--npts", type=int, default=400)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--npts", type=int, default=400,
+                      help=f"grid points on [-1, 1], 1 to {NPTS_CAP}")
     emit = argparse.ArgumentParser(add_help=False)
     emit.add_argument("--emit", metavar="FILE")
     seed = argparse.ArgumentParser(add_help=False)
@@ -305,20 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("phases", _cmd_phases, "synthesize phases for a named family", family)
+    p = command("phases", _cmd_phases, "synthesize phases for a named family", family, grid)
     p.add_argument("--emit-response", metavar="CSV")
     p.add_argument("--residual-tol", type=float, default=1e-6)
 
-    p = command("poly", _cmd_poly, "emit a family target polynomial", family,
+    p = command("poly", _cmd_poly, "emit a family target polynomial", family, grid,
                 description="Emit a family target polynomial; fpsearch has phases but no target.")
     p.add_argument("--csv", metavar="FILE")
 
-    p = command("response", _cmd_response, "sample the response of stored phases")
+    p = command("response", _cmd_response, "sample the response of stored phases", grid)
     p.add_argument("--phases", required=True)
-    p.add_argument("--npts", type=int, default=400)
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--svg", metavar="FILE")
-    p.add_argument("--channels", default="re")
+    p.add_argument("--channels", default="re",
+                   help="comma-separated SVG curves, of " + ", ".join(CHANNELS))
 
     p = command("qsvt", _cmd_qsvt, "apply stored phases to a stored encoding", emit)
     p.add_argument("--encoding", required=True)
@@ -373,6 +393,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "npts" in args:  # one check for every command that takes a grid
+            _require_npts(args.npts)
         return args.func(args)
     except (QsvtSimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

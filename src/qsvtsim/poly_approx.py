@@ -5,7 +5,8 @@ on a dense certification grid against the bounds stated in its contract
 (boundedness on [-1, 1] and approximation accuracy outside the transition
 windows).  Certification is the contract: every result is re-checked rather
 than trusted by construction.  Polynomials are evaluated by ``_chebval``,
-which sums a parity-definite series at half its length.
+which sums a parity-definite series at half its length, in one Reinsch
+loop over every point, each point about its own end of [-1, 1].
 
 The grown families (sign, both steps, inversion, rect) pay one grid pass
 for each degree they try and one for each candidate they certify in full;
@@ -148,52 +149,32 @@ def poly_from_json(text: str) -> ChebyshevPoly:
     )
 
 
-def _reinsch(a: np.ndarray, mu: np.ndarray, end: float):
-    """Clenshaw's recurrence b_k = a_k + 2y b_{k+1} - b_{k+2} in Reinsch's
-    form about y = end (+1 or -1), from mu = 2(y - end): the differences
-    d_k = b_k - end * b_{k+1} obey d_k = a_k + mu b_{k+1} + end * d_{k+1}
-    and carry y only through mu, which stays exact near the end where
-    rounding y itself would cost O(j^2) ulps.  The coefficients run along
-    a's first axis; its other axes broadcast against mu, so a batch of
-    series runs as one.  Returns d_0 and b_1."""
-    shape = np.broadcast_shapes(a.shape[1:], mu.shape)
-    b = np.zeros(shape)  # b_{k+1}
-    d = np.empty(shape)  # d_k
-    d[...] = a[-1]
-    t = np.empty(shape)
-    if end > 0:
-        for ak in a[-2::-1]:
-            b += d
-            np.multiply(mu, b, out=t)
-            d += t
-            d += ak
-    else:
-        for ak in a[-2::-1]:
-            np.subtract(d, b, out=b)
-            np.multiply(mu, b, out=t)
-            np.subtract(t, d, out=d)
-            d += ak
-    return d, b
-
-
 def _chebval(x, coeffs: np.ndarray):
     """sum_k coeffs[k] T_k(x), a parity-definite series at half length.
 
     In y = 2x^2 - 1, T_2j(x) = T_j(y) and T_2j+1(x) = x V_j(y), where V_j
     are the Chebyshev polynomials of the third kind, V_j(cos t) =
     cos((j + 1/2) t) / cos(t / 2): V_0 = 1, V_1 = 2y - 1 and V_j =
-    2y V_{j-1} - V_{j-2}, the recurrence of T_j.  Clenshaw's sum is then
-    b_0 - y b_1 for the T_j and b_0 - b_1 for the V_j.  It runs in Reinsch's
-    form (``_reinsch``) about y = -1 for |x| < 1/sqrt(2), where 2(y + 1) =
-    4x^2, and about y = 1 elsewhere, where 2(y - 1) = -4(1 - x)(1 + x), a
-    region that holds no point skipped: the plain recurrence at a rounded y
-    is up to 100 times less accurate than numpy's chebval on steep
-    targets.  A series of mixed parity is chebval.
+    2y V_{j-1} - V_{j-2}, the recurrence of T_j.  Clenshaw's sum b_k = a_k
+    + 2y b_{k+1} - b_{k+2} is then b_0 - y b_1 for the T_j and b_0 - b_1
+    for the V_j.  It runs in Reinsch's form about an end e of [-1, 1],
+    whose differences d_k = b_k - e b_{k+1} carry y only through mu =
+    2(y - e), exact near that end, where the plain recurrence at a rounded
+    y is up to 100 times less accurate than numpy's chebval on steep
+    targets.  Each point takes its own end, e = -1 and mu = 4x^2 for
+    |x| < 1/sqrt(2), e = 1 and mu = -4(1 - x)(1 + x) elsewhere, and one
+    loop runs every point at once: b <- e b + d, d <- (e d + mu b) + a_k.
+    The factor e = +-1 is exact and each sum keeps the operands of the
+    recurrence written for its end alone (d + b or d - b, d + mu b or
+    mu b - d), so each value is bit for bit the same whatever points share
+    the call.  mu is even in x and the odd sum is x times an even one, so
+    p(-x) is -p(x) for an odd series and p(x) for an even one, bit for
+    bit.  A series of mixed parity is chebval.
 
     Coefficient rows (k, n) of one parity give k rows of values in one
     pass, each bit-equal to its row's own: a row zero-padded at the top
-    keeps d = b = 0 in ``_reinsch`` up to its top coefficient, the state
-    its unpadded form starts from.
+    keeps d = b = 0 up to its top coefficient, the state its unpadded form
+    starts from.
     """
     c = np.asarray(coeffs)
     even = not np.any(c[..., 1::2])
@@ -203,18 +184,25 @@ def _chebval(x, coeffs: np.ndarray):
     if a.ndim > 1:  # one coefficient of every row at a time, a column against mu
         a = a.T[..., None]
     x = np.asarray(x, dtype=float)
-    points = x.ravel()
-    out = np.empty(points.shape + c.shape[:-1])  # the rows last, so parts index it plainly
-    inner = np.abs(points) < math.sqrt(0.5)
-    for end, part in ((-1.0, inner), (1.0, ~inner)):
-        if not part.any():  # a region with no point costs no recurrence
-            continue
-        xs = points[part]
-        mu = 4.0 * xs * xs if end < 0 else -4.0 * (1.0 - xs) * (1.0 + xs)
-        d0, b1 = _reinsch(a, mu, end)
-        # b_0 - y b_1 = d_0 - (mu / 2) b_1 and b_0 - b_1 = d_0 + (end - 1) b_1
-        out[part] = (d0 - 0.5 * mu * b1 if even else xs * (d0 + (end - 1.0) * b1)).T
-    return out.T.reshape(c.shape[:-1] + x.shape)[()]
+    xs = x.ravel()
+    inner = np.abs(xs) < math.sqrt(0.5)
+    end = np.where(inner, -1.0, 1.0)
+    mu = np.where(inner, 4.0 * xs * xs, -4.0 * (1.0 - xs) * (1.0 + xs))
+    shape = np.broadcast_shapes(a.shape[1:], mu.shape)
+    b = np.zeros(shape)  # b_{k+1}
+    d = np.empty(shape)  # d_k
+    d[...] = a[-1]
+    t = np.empty(shape)
+    for ak in a[-2::-1]:
+        b *= end
+        b += d
+        d *= end
+        np.multiply(mu, b, out=t)
+        d += t
+        d += ak
+    # b_0 - y b_1 = d_0 - (mu / 2) b_1 and b_0 - b_1 = d_0 + (e - 1) b_1
+    out = d - 0.5 * mu * b if even else xs * (d + (end - 1.0) * b)
+    return out.reshape(c.shape[:-1] + x.shape)[()]
 
 
 def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
@@ -283,16 +271,17 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     Every root is clipped onto the interval, so complex roots only add
     harmless extra points.  A parity-definite p is handled at half size
     through y = 2x^2 - 1, since T_2j(x) = T_j(y): an even p' is r(y), with
-    roots at both signs of x, and an even p is p(x) = r(y), symmetric and
-    stationary at x = 0 and wherever r' vanishes.
+    roots at both signs of x, of which only the nonnegative ones are
+    returned, since ``_chebval`` gives |p(-x)| = |p(x)| bit for bit for an
+    odd p; and an even p is p(x) = r(y), symmetric and stationary at x = 0
+    and wherever r' vanishes.
     """
     def to_x(y_roots):
         return np.sqrt(0.5 * (1.0 + np.clip(y_roots.real, -1.0, 1.0)))
 
     der = cheb.chebder(coeffs)
     if not np.any(der[1::2]):
-        x = to_x(cheb.chebroots(der[::2]))
-        return np.concatenate([x, -x])
+        return to_x(cheb.chebroots(der[::2]))
     if not np.any(coeffs[1::2]):
         return np.append(to_x(cheb.chebroots(cheb.chebder(coeffs[::2]))), 0.0)
     return np.clip(cheb.chebroots(der).real, -1.0, 1.0)
@@ -352,12 +341,13 @@ class _Certifier:
     """
 
     def __init__(self, keep: Callable, reference: Callable, budget: float):
-        grid, sub_grid = cert_grid(), cert_grid()[::SCREEN_STRIDE]
-        # the checked points and r there, on the grid and on the sub-grid
+        grid = cert_grid()
+        # the checked points and r there, on the grid and, for the screen,
+        # on its every SCREEN_STRIDE-th point
         self.checked = np.flatnonzero(keep(grid))
         self.ref = ref = reference(grid[self.checked])
-        sub = np.flatnonzero(keep(sub_grid))
-        self._sub = sub, reference(sub_grid[sub])
+        on_sub = self.checked % SCREEN_STRIDE == 0
+        self._sub = self.checked[on_sub] // SCREEN_STRIDE, ref[on_sub]
         self.budget = budget
         self._sign = np.sign(ref)
         far = np.abs(ref) > budget + UNDERSHOOT_MARGIN
@@ -602,9 +592,13 @@ def inverse_poly_params(epsilon: float, kappa: float) -> tuple:
         raise DomainError("epsilon must lie in (0, 1/2)")
     if not 1.0 <= kappa < math.inf:
         raise DomainError("kappa must be >= 1 and finite")
-    b = int(math.ceil(kappa**2 * math.log(kappa / epsilon)))
-    b = max(b, 1)
-    d_cap = int(math.ceil(math.sqrt(b * math.log(4.0 * b / epsilon))))
+    try:  # from about kappa = 1e154 the degree, far past the cap, overflows a float
+        b = max(int(math.ceil(kappa**2 * math.log(kappa / epsilon))), 1)
+        d_cap = int(math.ceil(math.sqrt(b * math.log(4.0 * b / epsilon))))
+    except OverflowError:
+        raise DegreeCapExceeded(
+            f"kappa = {kappa}, epsilon = {epsilon} need a degree past the degree cap {DEGREE_CAP}"
+        ) from None
     _require_degree(2 * d_cap + 1)
     return b, d_cap
 

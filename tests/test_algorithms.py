@@ -49,6 +49,7 @@ from qsvtsim import (
     threshold_repetitions,
     transformed_block,
 )
+from qsvtsim.poly_approx import inverse_poly_params
 
 ZETA = 1.0 / math.sqrt(2.0)
 
@@ -675,12 +676,15 @@ _EMPTY = np.zeros((0, 0))
         lambda: matrix_inversion(_EMPTY, 2.0, 0.1),
         lambda: eigenvalue_threshold(_EMPTY, 1.0, 0.5, 0.1, ZETA, 0.1, np.ones(0), exact=True),
         lambda: phase_estimation_record(_EMPTY, np.ones(0), 3, 0.1, 0.2, 0, True),
+        lambda: inverse_poly_params(0.1, 1e160),
+        lambda: inverse_poly(0.1, 1e160),
     ],
     ids=["sign-delta-nan", "step-delta-nan", "inverse-kappa-nan", "rect-kappa-nan",
          "gibbs-beta-nan", "gibbs-beta-inf", "relu-steepness-nan", "relu-delta-nan",
          "sign-degree-negative", "fpsearch-d-huge", "reps-delta-2", "reps-delta-0",
          "reps-zeta-nan", "reps-zeta-underflow", "embed-0x0", "qubitize-0x0",
-         "encoding-0x0", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0"],
+         "encoding-0x0", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0",
+         "inverse-params-kappa-huge", "inverse-kappa-huge"],
 )
 def test_unusable_arguments_raise_a_typed_error(call):
     # each of these once reached numpy or the float conversions unchecked

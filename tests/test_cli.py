@@ -329,20 +329,39 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
         ("threshold --matrix {empty} --psi {empty} --alpha 1 --lambda-th 0.5 "
          "--delta-lambda 0.1 --exact", "nonempty matrix"),
         ("qpe --matrix {empty} --eigvec {empty} --n 3 --exact", "nonempty matrix"),
+        ("response --phases {sign} --svg {out}/o.svg --csv {out}/o.csv --channels foo",
+         "unknown channel 'foo'; the channels are re, im, abs2"),
+        ("response --phases {sign} --svg {out}/o.svg --csv {out}/o.csv --channels=",
+         "unknown channel ''; the channels are re, im, abs2"),
+        ("phases --family poly_sign --args d=11,k=4 --json {out}/s.json "
+         "--emit-response {out}/r.csv --npts -1", "--npts must lie in 1 to 1000000, got -1"),
+        ("poly --family poly_sign --csv {out}/p.csv --npts 0",
+         "--npts must lie in 1 to 1000000, got 0"),
+        ("response --phases {sign} --csv {out}/o.csv --npts 1000000000000",
+         "--npts must lie in 1 to 1000000, got 1000000000000"),
     ],
     ids=["qpe-no-eigvec", "qpe-phi-eigvec", "search-transition-nan", "poly-phase-d-negative", "threshold-delta-0",
-         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0"],
+         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0",
+         "response-channel-unknown", "response-channel-empty", "phases-npts-negative",
+         "poly-npts-0", "response-npts-past-cap"],
 )
 def test_bad_inputs_exit_1_with_a_typed_message(capsys, tmp_path, argv, message):
-    # each of these once ended in a traceback or in numpy's own message
+    # each of these once ended in a traceback or in numpy's own message,
+    # some after writing output; none writes any now
     files = {"h": np.diag([0.2, 0.8]), "psi": np.ones((2, 1)), "u": np.eye(2),
              "empty": np.zeros((0, 0))}
     for name, m in files.items():
         (tmp_path / f"{name}.json").write_text(matrix_to_json(m))
-    argv = argv.format(**{name: tmp_path / f"{name}.json" for name in files}).split()
+    sign = tmp_path / "sign.json"
+    sign.write_text(_PHASES)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = argv.format(sign=sign, out=out_dir,
+                       **{name: tmp_path / f"{name}.json" for name in files}).split()
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("oracle", [[], ["--phi", "0.3", "--matrix", "u.json"]],

@@ -108,21 +108,31 @@ def test_batched_rows_match_single_rows_bit_for_bit(kind):
 
 
 @pytest.mark.parametrize("kind", ["even", "odd"])
-@pytest.mark.parametrize("points, regions", [
-    (0.3, 1), (-0.9, 1), ([0.1, -0.2, 2**-0.5 - 1e-16], 1), ([0.8, -1.0, -(2**-0.5)], 1),
-    ([], 0), ([[0.1], [0.9]], 2)])
-def test_a_region_with_no_point_runs_no_recurrence(kind, points, regions, monkeypatch):
-    # a scalar, a one-sided and an empty input run Reinsch's loop only for
-    # the regions that hold a point, and each value is bit for bit the one
-    # it gets beside a point of either region
+@pytest.mark.parametrize("points", [
+    0.3, -0.9, [0.1, -0.2, 2**-0.5 - 1e-16], [0.8, -1.0, -(2**-0.5)], [], [[0.1], [0.9]]])
+def test_a_value_is_the_same_beside_points_of_both_regions(kind, points):
+    # a scalar, a one-sided, an empty and a 2-d input keep their shape, and
+    # each value is bit for bit the one it gets beside a point of either
+    # region (|x| < 1/sqrt(2) and the rest)
     c = _random_series(77, kind, 700)
-    ends, reinsch = [], poly_approx._reinsch
-    monkeypatch.setattr(poly_approx, "_reinsch",
-                        lambda a, mu, end: ends.append(end) or reinsch(a, mu, end))
     got = _chebval(points, c)
-    assert np.shape(got) == np.shape(points) and len(ends) == regions
+    assert np.shape(got) == np.shape(points)
     both = _chebval(np.append(points, [0.0, 1.0]), c)[:-2]
     assert np.ravel(got).tobytes() == both.tobytes()
+
+
+def test_a_series_keeps_its_parity_bit_for_bit():
+    # _critical_points returns one sign of the critical points of an odd p,
+    # as |p(-x)| = |p(x)| bit for bit
+    s = 2**-0.5
+    rng = np.random.default_rng(801)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, s, np.nextafter(s, 0.0), np.nextafter(s, 1.0)],
+                        rng.uniform(-1.0, 1.0, 40)])
+    x = np.concatenate([x, -x])
+    for degree in range(1, 513):
+        c = _random_series(degree, "odd" if degree % 2 else "even", 900 + degree)
+        sign = -1.0 if degree % 2 else 1.0
+        assert _chebval(-x, c).tobytes() == (sign * _chebval(x, c)).tobytes(), degree
 
 
 def _reference_chebval(x: float, coeffs: np.ndarray) -> float:

@@ -6,7 +6,8 @@ Usage, from anywhere:
         [--seed 101]
 
 Pair i of PAIRS runs `perfbench/run.py --seed SEED+i --seconds SECONDS` on
-every workload, in each checkout's own directory, parent first on even i and
+every workload that this checkout's BENCHMARK.json declares, in each
+checkout's own directory, parent first on even i and
 change first on odd i.  The cold start is `python -m qsvtsim.cli --help`
 timed from spawn to exit, COLD_RUNS times a side, alternating sides; the
 import RSS is ru_maxrss after `import qsvtsim.cli`.
@@ -27,7 +28,8 @@ import sys
 import time
 from importlib.metadata import version
 
-WORKLOADS = ("synth", "transform", "cli")
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                              "BENCHMARK.json")
 PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 SECONDS = 10
 COLD_RUNS = 20
@@ -42,6 +44,12 @@ def child_env(root: str) -> dict:
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.path.join(root, "src")
     return env
+
+
+def declared_workloads() -> tuple:
+    """The workload names BENCHMARK.json declares, in its order."""
+    with open(BENCHMARK_JSON) as fh:
+        return tuple(w["name"] for w in json.load(fh)["workloads"])
 
 
 def run_workload(root: str, workload: str, seed: int) -> dict:
@@ -85,10 +93,11 @@ def main() -> int:
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     order = (("parent", "change"), ("change", "parent"))
 
-    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    names = declared_workloads()
+    runs = {w: {"parent": [], "change": []} for w in names}
     seeds = [args.seed + i for i in range(PAIRS)]
     for i, seed in enumerate(seeds):
-        for workload in WORKLOADS:
+        for workload in names:
             for side in order[i % 2]:
                 runs[workload][side].append(run_workload(sides[side], workload, seed))
                 print(f"pair {i} {workload} {side}: {runs[workload][side][-1]}",
