@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -53,10 +54,6 @@ from .poly_approx import (
 from .qsp_core import PhaseSequence, response_many
 from .qsvt_engine import QsvtProgram, _average_products, real_part_encoding
 
-# every algorithm here budgets polynomial error >= 5e-3, so the internal
-# tolerance stays far below any consumer's epsilon; step-like targets touch
-# the unit bound and certify at about half this tolerance
-_SOLVE = SolverOptions(residual_tol=1e-4)
 _LOOP_CAP = 1000
 
 
@@ -82,16 +79,7 @@ class RunRecord:
                 return {"theta_bits": obj.theta_bits, "n": obj.n, "value": obj.value}
             raise TypeError(f"not serializable: {type(obj)}")
 
-        payload = {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "seed": self.seed,
-            "shots": self.shots,
-            "decision": self.decision,
-            "queries": self.queries,
-            "trace": self.trace,
-        }
-        return json.dumps(payload, sort_keys=True, default=default)
+        return json.dumps(vars(self), sort_keys=True, default=default)
 
 
 @dataclass(frozen=True)
@@ -112,17 +100,26 @@ class PhaseEstimate:
 # Cached phase synthesis (deterministic, so safe to memoize)
 
 
+def _solve_tol(budget: float) -> float:
+    """Residual tolerance of the phases of a run whose result may be off by
+    ``budget``: an eighth of it, and 1e-4 at most (a step-like target
+    touches the unit bound and certifies at about half its tolerance)."""
+    return min(1e-4, budget / 8.0)
+
+
 @lru_cache(maxsize=512)
-def _phases(constructor, *args) -> PhaseSequence:
-    """Canonical phases of the target ``constructor(*args)``, solved once per key."""
-    return solve_phases(constructor(*args), _SOLVE)
+def _phases(tol: float, constructor, *args) -> PhaseSequence:
+    """Canonical phases of the target ``constructor(*args)`` solved to the
+    residual ``tol``, once per key."""
+    return solve_phases(constructor(*args), SolverOptions(residual_tol=tol))
 
 
 def _hamsim_phases(t: float, epsilon: float):
     # quarter-budget truncations: each rescaled component is epsilon/2
     # accurate, so the cos - i sin combination meets epsilon overall
-    return (_phases(jacobi_anger_cos, t, epsilon / 4.0),
-            _phases(jacobi_anger_sin, t, epsilon / 4.0))
+    tol = _solve_tol(epsilon)
+    return (_phases(tol, jacobi_anger_cos, t, epsilon / 4.0),
+            _phases(tol, jacobi_anger_sin, t, epsilon / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +144,11 @@ def qsvt_search(
     n = 2**n_qubits
     if not 0 <= marked < n:
         raise DomainError("marked index out of range")
-    a = 1.0 / math.sqrt(n)
     if big_delta is None:
         big_delta = 1.5 / math.sqrt(n)
     if big_delta > 2.0 / math.sqrt(n) + 1e-12:
         raise DomainError("the transition width must satisfy Delta <= 2/sqrt(N)")
-    phases = _phases(sign_poly, delta / 2.0, big_delta)
+    phases = _phases(_solve_tol(delta), sign_poly, delta / 2.0, big_delta)
     prog = QsvtProgram(grover_signal(n), phases)
     enc = real_part_encoding(prog)
     # basis order: (ancilla 0/1) x (marked, unmarked); input is the start state
@@ -272,7 +268,7 @@ def eigenvalue_threshold(
         epsilon = zeta / 4.0
     cut = 0.5 * (lambda_th / alpha + 1.0)
     width = delta_lambda / alpha
-    phases = _phases(eigenvalue_threshold_poly, epsilon, width, cut)
+    phases = _phases(_solve_tol(epsilon), eigenvalue_threshold_poly, epsilon, width, cut)
     # the shifted block (I + H / alpha) / 2 = Q diag((1 + lam) / 2) Q^dag
     f = response_many(phases, 0.5 * (1.0 + lam)).real
     p0 = _hadamard_test(f, evecs.conj().T @ psi)[0]
@@ -325,6 +321,12 @@ CARRY_RESOLUTION = Fraction(1, 256)
 # the most bits a run takes: past 53, 2^j phi mod 1 keeps no bit of a double
 # eigenphase phi in [1/2, 1) (and 2.0**j overflows past j = 1023)
 PE_BIT_CAP = np.finfo(float).nmant + 1
+# the most votes a measurement takes, and the most phase-estimation runs order
+# finding makes: on a 2-core x86-64 machine with one BLAS thread, a vote of a
+# bit takes about 20 us (53 bits of 1001 votes about 1 s), and a 13-bit run at
+# modulus 61 about 2 ms (1000 runs about 2 s)
+VOTE_CAP = 1001
+RETRY_CAP = 1000
 
 
 def _voted_measure(y, phi, j: int, theta: Fraction, phases, rng, exact, votes):
@@ -424,6 +426,20 @@ def _run_phase_estimation(
     return PhaseEstimate(theta_bits, n), trace, queries
 
 
+def _phase_errors(phase_errors, n: int):
+    """The caller's per-bit phase errors as n finite floats (None stays
+    None); DomainError naming the count otherwise."""
+    if phase_errors is None:
+        return None
+    try:
+        errors = np.asarray(phase_errors, dtype=float)
+    except (TypeError, ValueError):
+        errors = None
+    if errors is None or errors.shape != (n,) or not np.all(np.isfinite(errors)):
+        raise DomainError(f"phase_errors must be {n} finite numbers, one for each of the {n} bits")
+    return errors
+
+
 def qsvt_phase_estimation(
     u: np.ndarray,
     eigvec: np.ndarray,
@@ -460,13 +476,17 @@ def phase_estimation_record(
     _require_dim(2 * len(u), "2n")  # checked before any work: each controlled block is 2n
     u = require_unitary(u)
     state = _unit_state(eigvec, "eigvec", len(u))
-    if not 1 <= n <= PE_BIT_CAP:  # checked before any solve or decomposition
+    if not (isinstance(n, Integral) and 1 <= n <= PE_BIT_CAP):  # before any solve or frame
         raise DomainError(f"{n} bits: phase estimation takes 1 to the bit cap {PE_BIT_CAP}")
-    if majority_votes < 1 or majority_votes % 2 == 0:
-        raise DomainError("majority_votes must be a positive odd count")
+    if not (isinstance(majority_votes, Integral) and 1 <= majority_votes <= VOTE_CAP
+            and majority_votes % 2):
+        raise DomainError(
+            f"majority_votes = {majority_votes}: a positive odd count up to the vote cap {VOTE_CAP}"
+        )
+    phase_errors = _phase_errors(phase_errors, n)
     if majority_votes == 1 and epsilon > math.sqrt(2.0 / (n + 1)) + 1e-12:
         raise DomainError("epsilon too large for the per-iteration union bound")
-    phases = _phases(phase_estimation_poly, epsilon, big_delta)
+    phases = _phases(_solve_tol(epsilon), phase_estimation_poly, epsilon, big_delta)
     q, phi = _eigenframe(u)
     rng = np.random.default_rng(seed)
     estimate, trace, queries = _run_phase_estimation(
@@ -540,11 +560,13 @@ def order_finding_demo(
     """
     if n_mod > 64:
         raise DomainError("demo supports moduli up to 64")
+    if not (isinstance(retries, Integral) and 1 <= retries <= RETRY_CAP):
+        raise DomainError(f"retries = {retries}: order finding takes 1 to the retry cap {RETRY_CAP}")
     if math.gcd(x, n_mod) != 1:
         raise DomainError("x must be coprime to the modulus")
     n = int(math.ceil(2 * math.log2(n_mod))) + 1
     epsilon = pe_epsilon_for(delta, n)
-    phases = _phases(phase_estimation_poly, epsilon, 0.2)
+    phases = _phases(_solve_tol(epsilon), phase_estimation_poly, epsilon, 0.2)
     q, phi = _eigenframe(_modmul_unitary(x, n_mod))  # one frame for every attempt
     y0 = q[1 % n_mod].conj()  # the coordinates Q^dag |1> of the start state
     rng = np.random.default_rng(seed)
@@ -576,16 +598,12 @@ def order_finding_demo(
 # Hamiltonian simulation
 
 
-def hamsim_truncation_index(alpha: float, t: float, epsilon: float) -> int:
-    """Shared cos/sin truncation index k' for the evolution construction."""
-    if t == 0.0:
-        return 0
-    return solve_truncation(alpha * abs(t), epsilon / 4.0).k_prime
-
-
 def hamsim_query_count(alpha: float, t: float, epsilon: float) -> int:
-    """Total encoding applications: 2k' for cosine plus 2k'+1 for sine."""
-    return 4 * hamsim_truncation_index(alpha, t, epsilon) + 1
+    """Total encoding applications: 2k' for cosine plus 2k'+1 for sine, k'
+    the shared cos/sin truncation index (0 at t = 0)."""
+    if t == 0.0:
+        return 1
+    return 4 * solve_truncation(alpha * abs(t), epsilon / 4.0).k_prime + 1
 
 
 def hamiltonian_simulation(
@@ -605,11 +623,9 @@ def hamiltonian_simulation(
     if not 0.0 < epsilon < 1.0 / math.e:
         raise DomainError("epsilon must lie in (0, 1/e)")
     enc = qubitize_hermitian(h, alpha)
-    cos, sin = (seq.as_array() for seq in _hamsim_phases(abs(alpha * t), epsilon))
-    sign = -1j if t >= 0 else 1j  # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0
-    # here P_L is P_R, and V = W: one left factor at both parities
-    return _average_products(enc, [cos, -cos, sin, -sin], enc._projectors[1], 2.0,
-                             (1, 1, sign, sign))
+    phases = [seq.as_array() for seq in _hamsim_phases(abs(alpha * t), epsilon)]
+    # cos(Ht) - i sin(Ht) = exp(-iHt) for t > 0; V = W: one left factor at both parities
+    return _average_products(enc, phases, 2.0, (1, -1j if t >= 0 else 1j))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +649,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
         raise ConditionViolated(
             f"singular values {np.round(sigma, 6)} leave [1/kappa, 1]"
         )
-    phases = _phases(matrix_inversion_poly, epsilon, kappa).as_array()
+    # the output is scaled by 2 kappa, so its budget is epsilon / kappa
+    phases = _phases(_solve_tol(epsilon / kappa), matrix_inversion_poly, epsilon, kappa)
     enc = _complete(w, np.clip(sigma, 0.0, 1.0), vh, 1.0)
-    # the real part 1/2 (V(phi) + V(-phi)) of the odd transform, read out by P_L
-    return _average_products(enc, [phases, -phases], enc._projectors[1], 2.0 * kappa)
+    return _average_products(enc, [phases.as_array()], 2.0 * kappa)

@@ -89,13 +89,20 @@ def curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(curve, channels=("re",), width: int = 640, height: int = 400) -> str:
-    """Standalone SVG with axes and one polyline per requested channel,
-    each one of CHANNELS."""
+def _require_channels(channels) -> tuple:
+    """``channels`` as a tuple; DomainError naming each one that is not one
+    of CHANNELS."""
     bad = [chan for chan in channels if chan not in CHANNELS]
     if bad:
         raise DomainError(f"unknown channel {', '.join(map(repr, bad))}; "
                           f"the channels are {', '.join(CHANNELS)}")
+    return tuple(channels)
+
+
+def emit_svg(curve, channels=("re",), width: int = 640, height: int = 400) -> str:
+    """Standalone SVG with axes and one polyline per requested channel,
+    each one of CHANNELS."""
+    _require_channels(channels)
     if not curve:
         raise EmptyCurve("cannot render an empty curve")
     extract = {
@@ -201,14 +208,13 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_response(args) -> int:
+    channels = _require_channels(args.channels.split(","))  # with or without --svg
     seq = _read(args.phases, phase_sequence_from_json)
     curve = response_curve(seq, _grid(args.npts))
-    # the SVG is rendered first, so a bad channel stops the command before any output
-    svg = emit_svg(curve, tuple(args.channels.split(","))) if args.svg else None
     if args.csv:
         _write_text(args.csv, (curve_csv(curve),))
-    if svg is not None:
-        _write_text(args.svg, (svg,))
+    if args.svg:
+        _write_text(args.svg, (emit_svg(curve, channels),))
     if not args.csv and not args.svg:
         print(curve_csv(curve), end="")
     return 0

@@ -30,6 +30,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -219,8 +220,9 @@ def _require_degree(degree: int):
     work is spent on it."""
     if degree < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {degree}")
-    if degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
+    if degree > DEGREE_CAP:  # past 15 digits, its magnitude
+        shown = degree if degree < 10**15 else format(Decimal(degree), ".3g")
+        raise DegreeCapExceeded(f"degree {shown} exceeds the degree cap {DEGREE_CAP}")
 
 
 def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> ChebyshevPoly:

@@ -15,9 +15,11 @@ and any other encoding's in one eigenframe of the product of the two
 reflections, about range(P_R) and U^dag range(P_L), with ``qsp_core``'s QSP
 unitaries at its eigenphases.  A completion's products carry a bound on
 their unitarity defect from its checked factors, by the rule that bounds
-its own U's (``block_encoding._product_bound``), and the Hadamard averages
-of ``real_part_encoding`` and the algorithms take the mean of their
-branches' bounds (``_average_products``).  The reflection offsets of
+its own U's (``block_encoding._product_bound``).  ``_average_products``
+is the one real-part circuit, of ``real_part_encoding`` and of search,
+Hamiltonian simulation and inversion: it pairs each phase list with its
+negation, reads out at P_L at odd degree and P_R at even, and takes the
+mean of its branches' bounds.  The reflection offsets of
 ``qsp_core`` map the stored QSP phases onto projector phases, so the
 encoded block of V(phi) is exactly the sequence's P polynomial applied to
 the singular values.  The real part, which is the
@@ -158,31 +160,41 @@ def _reflection_products(enc: BlockEncoding, phase_lists, out=None):
     return products
 
 
-def _average_products(enc: BlockEncoding, phase_lists, proj_left, alpha: float, scales=None):
-    """``_average`` of the dense products of ``phase_lists`` on ``enc``,
-    from enc's P_R to ``proj_left``.  A completion's products (product i
-    times scales[i] when scales are given, as hamsim's are) are written
-    straight into the average's head, with their bounds
-    (``_reflection_products``), whose mean ``_average`` takes as its
-    certificate, and, when their blocks share one left factor L (one
-    parity, or V = W), with the factors (L, g_i, V^dag) of their blocks
-    L diag(g_i) V^dag, from which ``_average`` reads its block's SVD.  Any
-    other encoding's products are measured there, once each."""
-    right, m = enc._projectors[0], len(phase_lists)
+def _average_products(enc: BlockEncoding, phase_lists, alpha: float, weights=()):
+    """The real-part circuit, the one QSVT circuit of search, Hamiltonian
+    simulation and inversion: ``_average`` of the dense products V(phi_0),
+    V(-phi_0), V(phi_1), V(-phi_1), ... of the canonical ``phase_lists`` on
+    ``enc``, pair i times weights[i] when weights are given, so its block is
+    the weighted mean of the real parts 1/2 (V(phi_i) + V(-phi_i)).  One
+    readout rule: the ancillas are read out from enc's P_R to its P_L when
+    the first list's degree is odd, where an odd transform leaves the right
+    singular space, else to its P_R.
+
+    A completion's products are written straight into the average's head,
+    with their bounds (``_reflection_products``), whose mean ``_average``
+    takes as its certificate, and, when their blocks share one left factor
+    L (one parity, or V = W), with the factors (L, g_i, V^dag) of their
+    blocks L diag(g_i) V^dag, from which ``_average`` reads its block's SVD.
+    Any other encoding's products are measured there, once each."""
+    (right, left), m = enc._projectors, 2 * len(phase_lists)
+    readout = left if len(phase_lists[0]) % 2 == 0 else right  # odd degree: even length
+    lists = [branch for phases in phase_lists for branch in (phases, -phases)]
+    scales = [c for c in weights or (1,) * len(phase_lists) for _ in range(2)]
     if enc._factors is None:
-        return _average(_full(enc, phase_lists), right, proj_left, alpha)
+        products = [v if c == 1 else c * v for c, v in zip(scales, _full(enc, lists))]
+        return _average(products, right, readout, alpha)
     _require_dim(m * enc.dim)
     head = np.empty((enc.dim, m, enc.dim), dtype=complex)  # branch r at head[:, r]
-    products = _reflection_products(enc, phase_lists, [head[:, r] for r in range(m)])
-    for c, (v, _, _, g) in zip(scales or (), products):
+    products = _reflection_products(enc, lists, [head[:, r] for r in range(m)])
+    for c, (v, _, _, g) in zip(scales, products):
         if c != 1:  # scaled in place, as c * v
             np.multiply(c, v, out=v)
             np.multiply(c, g, out=g)
     _, bounds, lefts, diagonals = zip(*products)
     factors = None
-    if all(left is lefts[0] for left in lefts):
+    if all(factor is lefts[0] for factor in lefts):
         factors = (lefts[0], np.array(diagonals), enc._block_svd[2])
-    return _average(head, right, proj_left, alpha, bounds=bounds, factors=factors)
+    return _average(head, right, readout, alpha, bounds=bounds, factors=factors)
 
 
 def qsvt_unitary(prog: QsvtProgram) -> np.ndarray:
@@ -194,14 +206,12 @@ def real_part_encoding(prog: QsvtProgram) -> BlockEncoding:
     """One-ancilla circuit whose block is Re(P) applied to singular values.
 
     Hadamards around a branch select of the phase sequence and its phase
-    conjugate average the two complex blocks, leaving the real part; the
-    ancilla is read out in the |0> slot of P_R at even degree, where the
-    transform stays in the right singular vector space, else of P_L.
+    conjugate average the two complex blocks, leaving the real part; by
+    the one readout rule of ``_average_products`` the ancilla is read out
+    in the |0> slot of P_L at odd degree, where the transform leaves the
+    right singular vector space, else of P_R.
     """
-    enc, phases = prog.encoding, prog.phases.as_array()
-    right, left = enc._projectors
-    return _average_products(enc, [phases, -phases], left if prog.degree % 2 else right,
-                             enc.alpha)
+    return _average_products(prog.encoding, [prog.phases.as_array()], prog.encoding.alpha)
 
 
 def transformed_block(prog: QsvtProgram) -> np.ndarray:

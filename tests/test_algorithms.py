@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsvtsim import (
     BlockEncoding,
@@ -266,10 +267,11 @@ class TestPhaseEstimation:
         with pytest.raises(NotUnitary, match="unitarity defect 4.000e-11 exceeds 1.0e-12"):
             phase_estimation_record(u, np.eye(4)[0], 3, 0.1)
 
-    @pytest.mark.parametrize("n", [54, 100, 2000])
+    @pytest.mark.parametrize("n", [54, 100, 2000, 3.5])
     def test_bit_cap_is_checked_before_any_work(self, monkeypatch, n):
-        # past 53 bits 2^j phi mod 1 keeps no bit of a double phi: the cap is
-        # checked before the phases are solved or u is decomposed
+        # past 53 bits 2^j phi mod 1 keeps no bit of a double phi: the cap (and
+        # an integer count) is checked before the phases are solved or u is
+        # decomposed
         monkeypatch.setattr(algorithms, "_phases", _no_solve)
         monkeypatch.setattr(algorithms, "_eigenframe", _no_solve)
         with pytest.raises(DomainError, match=rf"^{n} bits: .* the bit cap 53$"):
@@ -287,7 +289,7 @@ class TestPhaseEstimation:
             return 0, 2, 0.4, y
 
         monkeypatch.setattr(algorithms, "_voted_measure", ambiguous)
-        phases = algorithms._phases(phase_estimation_poly, 0.4, 0.2)
+        phases = algorithms._phases(1e-4, phase_estimation_poly, 0.4, 0.2)
         est, trace, _ = algorithms._run_phase_estimation(
             np.zeros(1), np.ones(1), 51, phases, None, True, None, 5, True,
         )
@@ -370,7 +372,7 @@ class TestEigenframe:
         # 2.2e-14 over these cases
         u = algorithms._modmul_unitary(2, 35) if name == "modmul_2_35" else _haar(64, 64)
         q, phi = algorithms._eigenframe(u)
-        phases = algorithms._phases(phase_estimation_poly, pe_epsilon_for(0.1, 12), 0.2)
+        phases = algorithms._phases(1e-4, phase_estimation_poly, pe_epsilon_for(0.1, 12), 0.2)
         rng = np.random.default_rng(j)
         for k in rng.integers(0, 512, 4):
             theta = Fraction(int(k), 512)
@@ -678,15 +680,107 @@ _EMPTY = np.zeros((0, 0))
         lambda: phase_estimation_record(_EMPTY, np.ones(0), 3, 0.1, 0.2, 0, True),
         lambda: inverse_poly_params(0.1, 1e160),
         lambda: inverse_poly(0.1, 1e160),
+        lambda: inverse_poly_params(0.1, 1e150),
     ],
     ids=["sign-delta-nan", "step-delta-nan", "inverse-kappa-nan", "rect-kappa-nan",
          "gibbs-beta-nan", "gibbs-beta-inf", "relu-steepness-nan", "relu-delta-nan",
          "sign-degree-negative", "fpsearch-d-huge", "reps-delta-2", "reps-delta-0",
          "reps-zeta-nan", "reps-zeta-underflow", "embed-0x0", "qubitize-0x0",
          "encoding-0x0", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0",
-         "inverse-params-kappa-huge", "inverse-kappa-huge"],
+         "inverse-params-kappa-huge", "inverse-kappa-huge", "inverse-params-kappa-1e150"],
 )
 def test_unusable_arguments_raise_a_typed_error(call):
     # each of these once reached numpy or the float conversions unchecked
     with np.errstate(all="raise"), pytest.raises(QsvtSimError):
         call()
+
+
+class TestSolveShare:
+    """Each run solves its phases to an eighth of its own budget (1e-4 at
+    most), so its result meets an epsilon or delta below 1e-4; when every
+    run solved to 1e-4, each of these missed it by about 5e-5."""
+
+    @pytest.fixture(scope="class")
+    def h16(self):
+        g = np.random.default_rng(7).standard_normal((2, 16, 16))
+        h = g[0] + 1j * g[1]
+        h = (h + h.conj().T) / 2
+        return h * 0.9 / np.linalg.norm(h, 2)
+
+    @pytest.mark.parametrize("t", [1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_hamsim_meets_its_epsilon(self, h16, t, eps):
+        enc = hamiltonian_simulation(h16, 1.0, t, eps)
+        exact = scipy.linalg.expm(-1j * t * h16)
+        assert np.linalg.norm(enc.alpha * extract_block(enc) - exact, 2) <= eps
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_exact_search_meets_its_delta(self, delta):
+        rec = qsvt_search(4, 3, delta, exact=True)
+        assert 1.0 - rec.params["marked_amplitude"] <= delta
+
+    def test_exact_threshold_meets_its_epsilon(self, monkeypatch):
+        # the transform the run reads, at the shifted eigenvalues outside the
+        # window, is within epsilon of the step sign(cut - x)
+        solved, phases = algorithms._phases, []
+
+        def recorded(*args):
+            phases.append(solved(*args))
+            return phases[-1]
+
+        monkeypatch.setattr(algorithms, "_phases", recorded)
+        q = scipy.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))[0]
+        h = (q * [-0.8, -0.5, -0.3, 0.3, 0.5, 0.9]) @ q.T
+        eps = 1e-6
+        eigenvalue_threshold(h, 1.0, 0.0, 0.3, ZETA, 0.1, q[:, 0], exact=True, epsilon=eps)
+        x = 0.5 * (1.0 + scipy.linalg.eigh(h, eigvals_only=True))
+        f = algorithms.response_many(phases[0], x).real
+        assert np.max(np.abs(f - np.sign(0.5 - x))) <= eps
+
+    def test_inversion_meets_its_epsilon(self):
+        # its output is 2 kappa times the transform, so its budget is eps / kappa
+        rng = np.random.default_rng(7)
+        u, v = (scipy.linalg.qr(rng.standard_normal((8, 8)))[0] for _ in range(2))
+        kappa, eps = 1.5, 2e-4
+        a = (u * np.linspace(1.0 / kappa, 1.0, 8)) @ v
+        enc = matrix_inversion(a, kappa, eps)
+        assert np.linalg.norm(enc.alpha * extract_block(enc) - scipy.linalg.inv(a), 2) <= eps
+
+    def test_the_memo_keys_on_the_tolerance(self, monkeypatch):
+        # the same target at two budgets is two solves; a repeat is none
+        solve, tols = algorithms.solve_phases, []
+
+        def counted(target, options):
+            tols.append(options.residual_tol)
+            return solve(target, options)
+
+        monkeypatch.setattr(algorithms, "solve_phases", counted)
+        for budget in (1e-2, 1e-6, 1e-2):
+            algorithms._phases(algorithms._solve_tol(budget), sign_poly, 0.0123, 0.4321)
+        assert tols == [1e-4, 1e-6 / 8]
+
+
+class TestPhaseEstimationInputs:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"phase_errors": [0.01]}, "phase_errors must be 5 finite numbers"),
+        ({"phase_errors": [0.01] * 6}, "phase_errors must be 5 finite numbers"),
+        ({"phase_errors": [math.nan] * 5}, "phase_errors must be 5 finite numbers"),
+        ({"phase_errors": [math.inf] * 5}, "phase_errors must be 5 finite numbers"),
+        ({"phase_errors": ["x"] * 5}, "phase_errors must be 5 finite numbers"),
+        ({"majority_votes": algorithms.VOTE_CAP + 2}, "up to the vote cap 1001"),
+        ({"majority_votes": 3.0}, "up to the vote cap 1001"),
+    ], ids=["errors-short", "errors-long", "errors-nan", "errors-inf", "errors-text",
+            "votes-past-cap", "votes-float"])
+    def test_caller_sized_inputs_are_rejected_before_any_solve(self, monkeypatch, kwargs,
+                                                               message):
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        monkeypatch.setattr(algorithms, "_eigenframe", _no_solve)
+        with pytest.raises(DomainError, match=message):
+            phase_estimation_record(oracle_1q(0.3), VEC1, 5, 0.15, exact=True, **kwargs)
+
+    @pytest.mark.parametrize("retries", [-1, 0, 2.5, algorithms.RETRY_CAP + 1])
+    def test_order_finding_retries_are_checked_before_any_solve(self, monkeypatch, retries):
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        monkeypatch.setattr(algorithms, "_eigenframe", _no_solve)
+        with pytest.raises(DomainError, match=f"retries = {retries}: .* the retry cap 1000"):
+            order_finding_demo(7, 15, seed=1, retries=retries)

@@ -333,6 +333,12 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "unknown channel 'foo'; the channels are re, im, abs2"),
         ("response --phases {sign} --svg {out}/o.svg --csv {out}/o.csv --channels=",
          "unknown channel ''; the channels are re, im, abs2"),
+        ("response --phases {sign} --channels foo",
+         "unknown channel 'foo'; the channels are re, im, abs2"),
+        ("response --phases {sign} --csv {out}/o.csv --channels re,foo",
+         "unknown channel 'foo'; the channels are re, im, abs2"),
+        ("phases --family fpsearch --args d=1e300",
+         "degree 2.00e+300 exceeds the degree cap 512"),
         ("phases --family poly_sign --args d=11,k=4 --json {out}/s.json "
          "--emit-response {out}/r.csv --npts -1", "--npts must lie in 1 to 1000000, got -1"),
         ("poly --family poly_sign --csv {out}/p.csv --npts 0",
@@ -342,7 +348,8 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
     ],
     ids=["qpe-no-eigvec", "qpe-phi-eigvec", "search-transition-nan", "poly-phase-d-negative", "threshold-delta-0",
          "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0",
-         "response-channel-unknown", "response-channel-empty", "phases-npts-negative",
+         "response-channel-unknown", "response-channel-empty", "response-channel-no-svg",
+         "response-channel-csv-only", "fpsearch-degree-magnitude", "phases-npts-negative",
          "poly-npts-0", "response-npts-past-cap"],
 )
 def test_bad_inputs_exit_1_with_a_typed_message(capsys, tmp_path, argv, message):

@@ -413,6 +413,13 @@ def test_degree_cap_checked_before_work(make, degree):
         make()
 
 
+def test_a_degree_past_15_digits_is_stated_by_its_magnitude():
+    # the degree at kappa = 1e150 has 153 digits
+    with pytest.raises(DegreeCapExceeded) as exc:
+        inverse_poly_params(0.1, 1e150)
+    assert str(exc.value) == "degree 9.87e+152 exceeds the degree cap 512"
+
+
 @pytest.mark.parametrize("family, degree, message", [
     ("poly_sign", 18, "sign family degree must be odd"),
     ("poly_thresh", 17, "threshold family degree must be even"),

@@ -340,6 +340,22 @@ class TestReflectionPairs:
         assert block.shape == expect.shape
         assert np.max(np.abs(block - expect), initial=0.0) <= 1e-13
 
+    def test_one_real_part_rule_on_both_routes(self):
+        # hamsim's weighted average of an even and an odd list reads out at
+        # P_R, where the even first list leaves it, and weights each pair
+        # alike whether the products come from a completion's factors or
+        # from a dense copy's eigenframe: the same block, exp(-iHt) / 2
+        g = random_contraction(np.random.default_rng(41), 6)
+        h = 0.5 * (g + g.conj().T)
+        completion = qubitize_hermitian(h, 1.0)
+        dense = BlockEncoding(completion.unitary, completion.proj_right, completion.proj_left)
+        phases = [seq.as_array() for seq in algorithms._hamsim_phases(2.0, 1e-6)]
+        blocks = [2.0 * extract_block(qsvt_engine._average_products(enc, phases, 2.0, (1, -1j)))
+                  for enc in (completion, dense)]
+        assert np.max(np.abs(blocks[0] - blocks[1])) <= 1e-12
+        lam, v = np.linalg.eigh(h)
+        assert np.linalg.norm(blocks[1] - (v * np.exp(-2j * lam)) @ v.conj().T, 2) <= 1e-6
+
     def test_n256_matches_svd_oracle(self):
         a = random_contraction(np.random.default_rng(256), 256)
         poly = sign_poly(0.05, 0.2)
