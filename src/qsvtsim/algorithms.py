@@ -43,6 +43,7 @@ from .errors import (
 )
 from .phase_solver import SolverOptions, solve_phases
 from .poly_approx import (
+    _require_inversion,
     eigenvalue_threshold_poly,
     jacobi_anger_cos,
     jacobi_anger_sin,
@@ -642,6 +643,7 @@ def matrix_inversion(a: np.ndarray, kappa: float, epsilon: float) -> BlockEncodi
     a = _square(a, DomainError)
     _require_dim(4 * len(a), "4n")  # checked before any work: the output has dimension 4n
     _require_finite(a)
+    _require_inversion(epsilon, kappa)
     # one SVD of A^dag serves the check and the completion, whose alpha 1
     # bounds the largest singular value at 1 + 1e-12 (``embed_general``'s bound)
     w, sigma, vh = np.linalg.svd(a.conj().T)

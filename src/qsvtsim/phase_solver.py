@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, ParityError
-from .poly_approx import ChebyshevPoly, Parity, _require_degree, _true_sup
+from .poly_approx import ChebyshevPoly, Parity, _require_degree
 from .qsp_core import (
     CANONICAL,
     PhaseSequence,
@@ -216,18 +216,20 @@ def _nudged(target: ChebyshevPoly, residual_tol: float) -> ChebyshevPoly:
     bound is solved at a small distance eta from it, which its residual
     against the raw target then carries.  eta = min(tol, 1 + tol - sup) / 2
     leaves half the tolerance for Newton, and less headroom when the sup is
-    already above 1.  The sup is the true one, which can exceed the
-    certification grid's between grid points; past 1 + residual_tol no QSP
-    response (always bounded by 1) meets the tolerance, so such a target is
-    a domain error.
+    already above 1.  A grid sup past 1 + 1e-9 is rejected first; otherwise
+    the sup is the target's exact one, ``ChebyshevPoly._sup``, the same
+    cached value the builders' unit rescale reads, so a second solve of the
+    same object takes no eigensolve.  It can exceed the certification
+    grid's sup between grid points; past 1 + residual_tol no QSP response
+    (always bounded by 1) meets the tolerance, so such a target is a domain
+    error.
     """
     if target.parity is Parity.NONE:
         raise ParityError("phase synthesis requires a parity-definite target")
     sup = target.sup_norm()
     if sup > 1.0 + 1e-9:
         raise DomainError(f"target sup norm {sup:.6f} exceeds 1")
-    # the grid holds both ends; the critical points complete the true sup
-    sup = _true_sup(target.coeffs, sup)
+    sup = target._sup
     if sup > 1.0 + residual_tol:
         raise DomainError(
             f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "

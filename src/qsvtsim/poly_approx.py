@@ -8,6 +8,16 @@ than trusted by construction.  Polynomials are evaluated by ``_chebval``,
 which sums a parity-definite series at half its length, in one Reinsch
 loop over every point, each point about its own end of [-1, 1].
 
+A polynomial's exact sup on [-1, 1] is taken once per ``ChebyshevPoly``
+(``_sup``): the maximum over the certification grid, which holds both
+ends, together with |p| at the real critical points of p
+(``_critical_points``, one companion eigensolve, called from nowhere
+else).  Every unit-ball rescale reads it through ``_in_unit_ball`` (the
+grown families' interpolants, the fixed-degree families and the Gibbs/ReLU
+fits), and so does the phase solver's bound check
+(``phase_solver._nudged``), so a second solve of the same object takes no
+eigensolve.
+
 The grown families (sign, both steps, inversion, rect) pay one grid pass
 for each degree they try and one for each candidate they certify in full;
 a certified polynomial keeps its grid values, so its ``sup_norm()`` costs
@@ -79,7 +89,13 @@ class Parity(Enum):
 
 @dataclass(frozen=True)
 class ChebyshevPoly:
-    """Real polynomial sum_k coeffs[k] * T_k(x) with a parity tag."""
+    """Real polynomial sum_k coeffs[k] * T_k(x) with a parity tag.
+
+    Its grid values and its exact sup are cached on the object, each taken
+    at its first read: ``sup_norm()`` is the certification grid's maximum,
+    and ``_sup`` completes it at the critical points.  ``_in_unit_ball``, the
+    one unit rescale, and the solver's bound check read ``_sup``.
+    """
 
     coeffs: np.ndarray
     parity: Parity = Parity.NONE
@@ -118,21 +134,34 @@ class ChebyshevPoly:
     def scaled(self, factor: float) -> "ChebyshevPoly":
         return ChebyshevPoly(self.coeffs * factor, self.parity)
 
-    def sup_norm(self, grid=None) -> float:
-        values = self._grid_values if grid is None else self(grid)
-        return float(np.max(np.abs(values)))
+    def sup_norm(self) -> float:
+        """max |p| on the certification grid."""
+        return float(np.max(np.abs(self._grid_values)))
 
     @functools.cached_property
     def _grid_values(self) -> np.ndarray:
         """p on the certification grid, read-only: evaluated once, by the
-        certification that accepts p or by the first ``sup_norm()``."""
+        certification that accepts p or by the first read of a sup."""
         values = _chebval(cert_grid(), self.coeffs)
         values.setflags(write=False)
         return values
 
+    @functools.cached_property
+    def _sup(self) -> float:
+        """max |p| on [-1, 1], taken once: the maximum over the certification
+        grid, which holds both ends, together with |p| at the real critical
+        points of p, which the grid can step over."""
+        points = _critical_points(self.coeffs)
+        return float(np.max(np.abs(_chebval(points, self.coeffs)), initial=self.sup_norm()))
 
-def cert_grid(n: int = CERT_GRID_SIZE) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, n)
+    def _in_unit_ball(self) -> "ChebyshevPoly":
+        """p itself, or p / (s (1 + 1e-12)) when its exact sup s passes 1."""
+        s = self._sup
+        return self if s <= 1.0 else ChebyshevPoly(self.coeffs / (s * (1.0 + 1e-12)), self.parity)
+
+
+def cert_grid() -> np.ndarray:
+    return np.linspace(-1.0, 1.0, CERT_GRID_SIZE)
 
 
 def poly_to_json(poly: ChebyshevPoly) -> str:
@@ -289,31 +318,13 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     return np.clip(cheb.chebroots(der).real, -1.0, 1.0)
 
 
-def _true_sup(coeffs: np.ndarray, grid_sup: float) -> float:
-    """max |p| on [-1, 1]: grid_sup, the maximum of |p| on a grid that holds
-    both ends, together with |p| at the real critical points of p, which the
-    grid can step over."""
-    points = _critical_points(coeffs)
-    return float(np.max(np.abs(_chebval(points, coeffs)), initial=grid_sup))
-
-
-def _rescale_into_unit(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scale coefficients so the sup norm on [-1, 1] is at most 1, given
-    their values on a grid that holds both ends."""
-    sup = _true_sup(coeffs, float(np.max(np.abs(values))))
-    if sup > 1.0:
-        coeffs = coeffs / (sup * (1.0 + 1e-12))
-    return coeffs
-
-
 def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
     """Parity-projected interpolant of target at a degree the caller gives,
     which must have the family's parity, scaled into the unit ball on
     [-1, 1]."""
     if degree % 2 != (parity is Parity.ODD):
         raise DomainError(f"{family} family degree must be {parity.value}")
-    coeffs = interpolate(target, degree, parity).coeffs
-    return ChebyshevPoly(_rescale_into_unit(coeffs, _chebval(cert_grid(), coeffs)), parity)
+    return interpolate(target, degree, parity)._in_unit_ball()
 
 
 class _Certifier:
@@ -379,25 +390,24 @@ def _grow_and_certify(target: Callable, parity: Parity, start_degree: int,
     until, scaled into the unit ball and trimmed, it certifies, then cut
     that to the smallest certifying truncation (``_certified_trim``).
 
-    Each degree's unscaled interpolant p is evaluated on the grid once.
-    The undershoot rule (``_Certifier.undershoots``) skips a degree, with
-    no rescale and so no eigensolve for the critical points, when at a
-    checked point with |r| > budget + 1e-9, sign(r) p < |r| - budget -
-    1e-9.  It is exact: the rescale only shrinks p, so the candidate would
-    miss r by more than the budget, and the 1e-9 covers the coefficients
-    trimming drops and the rounding of both evaluations, under 1.4e-11 for
-    the families' interpolants.  Otherwise those values give the rescale
-    its grid maximum, and the rescaled candidate is certified on the grid,
-    its one further pass.  The trim's screen rejects a probe only when it
+    Each degree's unscaled interpolant p is evaluated on the grid once,
+    into its cached grid values.  The undershoot rule
+    (``_Certifier.undershoots``) skips a degree, with no rescale and so no
+    eigensolve for the critical points, when at a checked point with |r| >
+    budget + 1e-9, sign(r) p < |r| - budget - 1e-9.  It is exact: the
+    rescale only shrinks p, so the candidate would miss r by more than the
+    budget, and the 1e-9 covers the coefficients trimming drops and the
+    rounding of both evaluations, under 1.4e-11 for the families'
+    interpolants.  Otherwise those values give p's exact sup its grid
+    maximum (``_in_unit_ball``), and the rescaled candidate is certified on
+    the grid, its one further pass.  The trim's screen rejects a probe only when it
     fails on a subset of the grid (``_certified_trim``).
     """
-    grid = cert_grid()
     degree = min(start_degree, DEGREE_CAP)
     while True:
-        coeffs = interpolate(target, degree, parity).coeffs
-        values = _chebval(grid, coeffs)
-        if not certifier.undershoots(values):
-            poly = ChebyshevPoly(_rescale_into_unit(coeffs, values), parity).trimmed()
+        interpolant = interpolate(target, degree, parity)
+        if not certifier.undershoots(interpolant._grid_values):
+            poly = interpolant._in_unit_ball().trimmed()
             if certifier(poly):
                 return _certified_trim(poly, certifier)
         if degree >= DEGREE_CAP:
@@ -625,13 +635,12 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
         coeffs[2 * j + 1] = 4.0 * (-1) ** j * tail[j]
     poly = ChebyshevPoly(coeffs, Parity.ODD)
 
-    grid = cert_grid()
-    vals = poly(grid)
-    if np.max(np.abs(vals)) > 4.0 * d_cap + 1e-9:
+    if poly.sup_norm() > 4.0 * d_cap + 1e-9:
         raise DegreeCapExceeded("inverse polynomial exceeded its 4D sup bound")
+    grid = cert_grid()
     outside = np.abs(grid) > 1.0 / kappa
     if np.any(outside):
-        err = np.max(np.abs(vals[outside] - 1.0 / grid[outside]))
+        err = np.max(np.abs(poly._grid_values[outside] - 1.0 / grid[outside]))
         if err > 2.0 * epsilon:
             raise DegreeCapExceeded(
                 f"inverse polynomial missed the 2*eps accuracy bound ({err:.3e})"
@@ -667,6 +676,22 @@ def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
                              certifier)
 
 
+def _require_inversion(epsilon: float, kappa: float) -> float:
+    """The inversion domain, kappa >= 1, 0 < epsilon < kappa / 2 and kappa /
+    epsilon at most INVERSION_RATIO_MAX, checked before any work; returns
+    the steepness s = kappa sqrt(ln(2 kappa / epsilon)) of the smooth
+    target."""
+    if kappa < 1.0 or not 0.0 < epsilon < 0.5 * kappa:
+        raise DomainError("requires kappa >= 1 and 0 < epsilon / kappa < 1/2")
+    s = kappa * math.sqrt(math.log(2.0 * kappa / epsilon))
+    if kappa / epsilon > INVERSION_RATIO_MAX:
+        raise DomainError(
+            f"kappa / epsilon = {kappa / epsilon:.6g} exceeds {INVERSION_RATIO_MAX:.6g}: the"
+            f" smooth 1/(2*kappa*x) target has sup {s / (2.0 * kappa) * _INVERSION_PEAK:.6f} > 1"
+        )
+    return s
+
+
 def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     """Odd, unit-bounded approximation of 1/(2*kappa*x) on |x| in [1/k, 1].
 
@@ -677,14 +702,7 @@ def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     sup h = (s / (2 kappa)) * _INVERSION_PEAK passes 1 once kappa / eps
     exceeds INVERSION_RATIO_MAX (about 9214).
     """
-    if kappa < 1.0 or not 0.0 < epsilon < 0.5 * kappa:
-        raise DomainError("requires kappa >= 1 and 0 < epsilon / kappa < 1/2")
-    s = kappa * math.sqrt(math.log(2.0 * kappa / epsilon))
-    if kappa / epsilon > INVERSION_RATIO_MAX:
-        raise DomainError(
-            f"kappa / epsilon = {kappa / epsilon:.6g} exceeds {INVERSION_RATIO_MAX:.6g}: the"
-            f" smooth 1/(2*kappa*x) target has sup {s / (2.0 * kappa) * _INVERSION_PEAK:.6f} > 1"
-        )
+    s = _require_inversion(epsilon, kappa)
 
     def target(x):  # h(0) = 0, as -expm1(0) / inf
         return -np.expm1(-((s * x) ** 2)) / (2.0 * kappa * np.where(x == 0.0, np.inf, x))
@@ -733,18 +751,19 @@ class FitResult(NamedTuple):
     residual: float
 
 
-def _even_fit(target: Callable, degree: int, grid_size: int = 2001) -> FitResult:
+def _even_fit(target: Callable, degree: int) -> FitResult:
+    """Even least-squares fit of target on a 2001-point grid, scaled into
+    the unit ball, with its largest error on that grid."""
     if degree % 2 != 0 or degree < 2:
         raise DomainError("fit degree must be even and >= 2")
     _require_degree(degree)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, 2001)
     design = cheb.chebvander(grid, degree)[:, ::2]
     vals = target(grid)
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     coeffs = np.zeros(degree + 1)
     coeffs[::2] = sol
-    coeffs = _rescale_into_unit(coeffs, _chebval(grid, coeffs))
-    poly = ChebyshevPoly(coeffs, Parity.EVEN)
+    poly = ChebyshevPoly(coeffs, Parity.EVEN)._in_unit_ball()
     residual = float(np.max(np.abs(poly(grid) - vals)))
     return FitResult(poly, residual)
 

@@ -563,6 +563,14 @@ class TestMatrixInversion:
         with pytest.raises(ConditionViolated):
             matrix_inversion(np.diag([0.1, 1.0]).astype(complex), 2.0, 0.05)
 
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, math.nan, math.inf, -2.0])
+    def test_kappa_outside_the_domain_is_rejected_before_any_svd(self, monkeypatch, kappa):
+        # the domain is checked before the SVD, whose condition check divides by kappa
+        monkeypatch.setattr(np.linalg, "svd", _no_solve)
+        monkeypatch.setattr(algorithms, "_phases", _no_solve)
+        with pytest.raises(DomainError, match="kappa"):
+            matrix_inversion(np.diag([0.8, 0.5]), kappa, 0.05)
+
     def test_a_singular_value_past_the_completion_bound_violates_the_condition(self):
         # alpha 1 bounds the largest singular value at 1 + 1e-12: one just past
         # it is the caller's condition, not a scale the caller never passed

@@ -326,6 +326,8 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "needs 10361632918474 shots, past the shot cap 10000000"),
         ("hamsim --matrix {empty} --alpha 1 --t 1 --epsilon 0.01", "nonempty matrix"),
         ("invert --matrix {empty} --kappa 2 --epsilon 0.1", "nonempty matrix"),
+        ("invert --matrix {h} --kappa 0 --epsilon 0.05",
+         "requires kappa >= 1 and 0 < epsilon / kappa < 1/2"),
         ("threshold --matrix {empty} --psi {empty} --alpha 1 --lambda-th 0.5 "
          "--delta-lambda 0.1 --exact", "nonempty matrix"),
         ("qpe --matrix {empty} --eigvec {empty} --n 3 --exact", "nonempty matrix"),
@@ -347,7 +349,8 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "--npts must lie in 1 to 1000000, got 1000000000000"),
     ],
     ids=["qpe-no-eigvec", "qpe-phi-eigvec", "search-transition-nan", "poly-phase-d-negative", "threshold-delta-0",
-         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "threshold-0x0", "qpe-0x0",
+         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "invert-kappa-0", "threshold-0x0",
+         "qpe-0x0",
          "response-channel-unknown", "response-channel-empty", "response-channel-no-svg",
          "response-channel-csv-only", "fpsearch-degree-magnitude", "phases-npts-negative",
          "poly-npts-0", "response-npts-past-cap"],

@@ -30,6 +30,7 @@ from qsvtsim import (
     rect_poly,
     relu_poly,
     sign_poly,
+    sign_poly_from_steepness,
     solve_truncation,
 )
 from qsvtsim import poly_approx, solve_phases
@@ -430,11 +431,12 @@ def test_fixed_degree_family_names_its_parity(family, degree, message):
         families.family_target(family, {"d": degree})
 
 
-# (degree, sha256 of the coefficient bytes) of certified, Jacobi-Anger and
-# fixed-degree targets.  The shared builders (grow-and-certify, the unit
-# interpolant, the Jacobi-Anger and fixed-degree builders) must keep every
-# bit of these; a change to their floating-point order re-pins them after
-# checking that the coefficients moved only in the last bits.
+# (degree, sha256 of the coefficient bytes) of certified, Jacobi-Anger,
+# fixed-degree, least-squares and closed-form targets.  The shared builders
+# (grow-and-certify, the unit rescale, the Jacobi-Anger, fixed-degree and
+# even-fit builders) must keep every bit of these; a change to their
+# floating-point order re-pins them after checking that the coefficients
+# moved only in the last bits.
 COEFF_DIGESTS = {
     "sign_0.1_0.4": (lambda: sign_poly(0.1, 0.4), 19,
                      "c83393e385f094287fcf7801b545c33fb429ce2b5f248eb1eb56659f5dbb6b35"),
@@ -458,6 +460,14 @@ COEFF_DIGESTS = {
                     "db668b2a2dfe9c05419863d67aca34d44631e211fb75e736279eb6575dcccef5"),
     "poly_phase": (lambda: families.family_target("poly_phase"), 18,
                    "11f5b3cc7548ec1519e01a4b1cb7002f4f1b9cbe0ba7cc0fe9b7f3814ca190f1"),
+    "gibbs_3.5_20": (lambda: gibbs_poly(3.5, 20).poly, 20,
+                     "422fdb44a2413106da1e2415e7bc62b4ccf4c5203e68f4349b6218d2ac213fee"),
+    "relu_0.6_15_20": (lambda: relu_poly(0.6, 15.0, 20).poly, 20,
+                       "2cc0e27a783657772fde9f5cb7cd2eef10a8235f062c195beecdd254e1b32484"),
+    "rect_0.05_10": (lambda: rect_poly(0.05, 10.0), 156,
+                     "8f779905b53e3aa2014fabed37b0e208de37090624d517f7d95ed93760f3a8ad"),
+    "inverse_0.1_3": (lambda: inverse_poly(0.1, 3.0), 31,
+                      "51b00d15486a6ccfa1bff130b0ccb3acb9ac19ce61a201c1da62e30f245fe8d3"),
 }
 
 
@@ -695,3 +705,30 @@ def test_sign_build_costs_four_grid_passes_and_one_eigensolve(monkeypatch):
     passes.clear()
     solve_phases(p)  # its sup norm reads the grid values the certification cached
     assert passes == []
+
+
+@pytest.mark.parametrize("make, builds", [
+    (lambda: sign_poly(0.01, 0.1), 1),
+    (lambda: matrix_inversion_poly(0.05, 3.0), 1),
+    (lambda: sign_poly_from_steepness(61, 12.0), 1),
+    (lambda: jacobi_anger_cos(15.0, 1e-3), 0),
+], ids=["sign", "inversion", "sign-steepness", "jacobi-anger"])
+def test_a_polynomial_takes_its_exact_sup_once(make, builds, monkeypatch):
+    # the critical points are found only by ChebyshevPoly._sup, cached on
+    # the object: a build takes them for the rescale of its interpolant, the
+    # first solve for the result, and a second solve of the same object not
+    # at all
+    calls = []
+    real_critical_points = poly_approx._critical_points
+
+    def critical_points(coeffs):
+        calls.append(len(coeffs))
+        return real_critical_points(coeffs)
+
+    monkeypatch.setattr(poly_approx, "_critical_points", critical_points)
+    p = make()
+    assert len(calls) == builds
+    first = solve_phases(p)
+    assert len(calls) == builds + 1
+    assert solve_phases(p).phases == first.phases
+    assert len(calls) == builds + 1

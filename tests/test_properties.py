@@ -1,7 +1,9 @@
 """Property tests: the Hadamard average and the engine's dense product
-against their literal circuits, the float writer against json.dumps, and
-the encoding codec and the stored structure (unitarity defect, block SVD)
-against every constructor's output, on seeded inputs."""
+against their literal circuits, the float writer against json.dumps, the
+encoding codec and the stored structure (unitarity defect, block SVD)
+against every constructor's output, a polynomial's exact sup against a
+dense scan, and the unitarity of a sequence's Laurent pair, on seeded
+inputs."""
 
 import functools
 import json
@@ -14,6 +16,9 @@ from scipy.linalg import block_diag
 
 from qsvtsim import (
     BlockEncoding,
+    ChebyshevPoly,
+    Convention,
+    Parity,
     PhaseSequence,
     QsvtProgram,
     embed_general,
@@ -22,8 +27,10 @@ from qsvtsim import (
     extract_block,
     grover_signal,
     hamiltonian_simulation,
+    laurent_from_pq,
     matrix_inversion,
     phase_oracle_block,
+    pq_from_sequence,
     qsvt_unitary,
     qubitize_hermitian,
     real_part_encoding,
@@ -254,3 +261,27 @@ def test_a_head_is_written_as_its_tiled_dense_matrix(seed, n, k, w):
     head = _complex(*edge)
     tiled = np.block([[head[:, p ^ q] for q in range(m)] for p in range(m)]).reshape(n * m, m * w)
     assert "".join(_matrix_chunks(head)) == json.dumps(_stdlib_matrix(tiled), sort_keys=True)
+
+
+@SETTINGS
+@given(seed=SEEDS, degree=st.integers(1, 60), odd=st.booleans())
+def test_the_exact_sup_is_never_below_a_dense_scan(seed, degree, odd):
+    # ChebyshevPoly._sup, the grid maximum with |p| at the critical points,
+    # against max |p| on 10^5 points x = cos(theta), up to the evaluator's
+    # rounding of 1e-14 sum |c_k|
+    coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
+    coeffs[(0 if odd else 1)::2] = 0.0
+    p = ChebyshevPoly(coeffs, Parity.ODD if odd else Parity.EVEN)
+    scan = np.max(np.abs(p(np.cos(np.linspace(0.0, np.pi, 100_000)))))
+    assert p._sup >= scan - 1e-14 * np.sum(np.abs(p.coeffs))
+
+
+@SETTINGS
+@given(seed=SEEDS, d=st.integers(1, 100),
+       convention=st.sampled_from([Convention.wx(), Convention.reflection(), Convention.wz()]))
+def test_the_laurent_pair_of_a_sequence_is_unitary(seed, d, convention):
+    # F(w)F(1/w) + G(w)G(1/w) - 1 is a Laurent polynomial of degree 2d, so
+    # its values at 4d + 8 roots of unity determine it
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, d + 1)
+    pair = laurent_from_pq(*pq_from_sequence(PhaseSequence(tuple(phases), convention)))
+    assert pair.unitarity_defect(4 * d + 8) <= 1e-12
