@@ -8,10 +8,14 @@ response to equal the target at as many positive Chebyshev nodes gives a
 square system, solved by damped Newton's method from (pi/4, 0, ..., 0, pi/4)
 (symmetric QSP; Dong, Lin, Ni & Wang, arXiv:2307.12468).  No restarts are
 needed.  The response and its analytic Jacobian come from one sweep in the
-signal's eigenframe, whose stored rows give every column.  A target whose sup comes within half the tolerance of 1 is solved
-scaled just inside the bound, so its residual is about that half rather
-than the rounding level.  Phase solutions are not unique, so callers should
-compare response functions rather than phase lists.
+signal's eigenframe, whose stored rows give every column.  A target whose
+sup comes within half the tolerance of 1 is solved scaled just inside the
+bound, so its residual is about that half rather than the rounding level.
+A solve is certified by the exact sup of its error on [-1, 1]
+(``residual``): Re P is a Chebyshev series, so one sweep at the nodes and
+one DCT give it exactly, and ``ChebyshevPoly._sup`` takes the sup.  Phase
+solutions are not unique, so callers should compare response functions
+rather than phase lists.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ import numpy as np
 from .errors import DomainError, NoConvergence, ParityError
 from .poly_approx import ChebyshevPoly, Parity, _require_degree
 from .qsp_core import (
+    _PLUS,
     CANONICAL,
     PhaseSequence,
     SignalKind,
     _eigen_sweep,
+    _frame_mixers,
     _mixers,
     _node_phases,
     _sweep_diagonal,
-    response_many,
 )
 
 # node-residual 2-norm that rounding leaves, per factor of the (d+1)-fold
@@ -109,6 +114,14 @@ def _wx_diagonal(nodes: np.ndarray) -> np.ndarray:
     return _sweep_diagonal(_node_phases(nodes, SignalKind.WX))
 
 
+def _positive_nodes(degree: int) -> np.ndarray:
+    """The (degree + 2) // 2 positive nodes cos((2j - 1) pi / 4n), j = 1..n,
+    of the 2n first-kind Chebyshev nodes, n = (degree + 2) // 2, in
+    decreasing order: they fix a degree-d series of d's parity."""
+    half = (degree + 2) // 2
+    return np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+
+
 def _jacobian(phases, mix, diag, rows, end) -> np.ndarray:
     """d/dphi_k of the response, (nodes, d + 1), from the rows and the final
     row ``end`` of its sweep; ``rows`` is overwritten.
@@ -178,7 +191,7 @@ def _newton(target: ChebyshevPoly):
     """
     degree = target.degree
     half = (degree + 2) // 2
-    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    nodes = _positive_nodes(degree)
     targets = target(nodes)
     diag = _wx_diagonal(nodes)
     rounding = ROUNDING * (degree + 1)
@@ -216,20 +229,20 @@ def _nudged(target: ChebyshevPoly, residual_tol: float) -> ChebyshevPoly:
     bound is solved at a small distance eta from it, which its residual
     against the raw target then carries.  eta = min(tol, 1 + tol - sup) / 2
     leaves half the tolerance for Newton, and less headroom when the sup is
-    already above 1.  A grid sup past 1 + 1e-9 is rejected first; otherwise
-    the sup is the target's exact one, ``ChebyshevPoly._sup``, the same
-    cached value the builders' unit rescale reads, so a second solve of the
-    same object takes no eigensolve.  It can exceed the certification
-    grid's sup between grid points; past 1 + residual_tol no QSP response
-    (always bounded by 1) meets the tolerance, so such a target is a domain
-    error.
+    already above 1.  The sup is the target's exact one,
+    ``ChebyshevPoly._sup``, the cached value the builders' unit rescale and
+    certification read, so a certified target takes no further sweep.  A
+    certification grid sup past 1 + 1e-9 is rejected as such, and the grid
+    is read only when the exact sup is past that too.  Otherwise the sup can
+    exceed the grid's between grid points; past 1 + residual_tol no QSP
+    response (always bounded by 1) meets the tolerance, so such a target is
+    a domain error.
     """
     if target.parity is Parity.NONE:
         raise ParityError("phase synthesis requires a parity-definite target")
-    sup = target.sup_norm()
-    if sup > 1.0 + 1e-9:
-        raise DomainError(f"target sup norm {sup:.6f} exceeds 1")
     sup = target._sup
+    if sup > 1.0 + 1e-9 and (grid_sup := target.sup_norm()) > 1.0 + 1e-9:
+        raise DomainError(f"target sup norm {grid_sup:.6f} exceeds 1")
     if sup > 1.0 + residual_tol:
         raise DomainError(
             f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "
@@ -245,10 +258,11 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
     """Phases whose canonical response matches the target polynomial.
 
     Deterministic: one Newton run on the (possibly nudged) target, whose
-    phases succeed when they reach ``residual_tol`` (max response error
-    against the raw target on a 1001-point grid).  Raises NoConvergence,
-    naming that residual and the Newton steps spent, when they do not, and
-    DegreeCapExceeded, before any work, on a target past the degree cap.
+    phases succeed when they reach ``residual_tol`` (the exact sup of the
+    response error against the raw target on [-1, 1], ``residual``).
+    Raises NoConvergence, naming that residual and the Newton steps spent,
+    when they do not, and DegreeCapExceeded, before any work, on a target
+    past the degree cap.
     """
     _require_degree(target.degree)
     phases, steps = _newton(_nudged(target, options.residual_tol))
@@ -263,10 +277,31 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
 
 
 def residual(seq: PhaseSequence, target: ChebyshevPoly) -> float:
-    """Max |Re(response) - target| over a 1001-point grid in the signal."""
-    grid = np.linspace(-1.0, 1.0, 1001)
-    vals = np.real(response_many(seq, grid))
-    return float(np.max(np.abs(vals - target(grid))))
+    """max |Re P - f| on [-1, 1], exact to rounding, where P = <0|U|0> is
+    the polynomial of seq's unitary in the Wx frame (the canonical
+    response's real part) and f the target.
+
+    For real phases of degree d, Re P is a degree-d Chebyshev series of d's
+    parity (GSLW'19, arXiv:1806.01838), so its values at the (d + 2) // 2
+    positive first-kind nodes, from one sweep (P = <+|M|+> of the frame
+    product M, as in ``qsp_core.pq_from_sequence``), fix it.  One DCT of
+    those values, mirrored by parity, gives its coefficients, and the
+    difference series' exact sup (``ChebyshevPoly._sup``) is the residual.
+    """
+    d = seq.degree
+    nodes = _positive_nodes(d)
+    top, bot = _eigen_sweep(_frame_mixers(seq), _wx_diagonal(nodes), _PLUS)
+    half_values = 0.5 * (top.real + bot.real)
+    values = np.concatenate([half_values, (-1.0) ** d * half_values[::-1]])
+    n = len(values)  # values at the nodes cos((j + 1/2) pi / n), j = 0..n-1
+    shift = np.exp(-0.5j * np.pi * np.arange(d + 1) / n)
+    re_p = (np.fft.fft(np.concatenate([values, values[::-1]]))[: d + 1] * shift).real / n
+    re_p[0] /= 2.0
+    re_p[1 - d % 2::2] = 0.0
+    error = np.zeros(max(d + 1, len(target.coeffs)))
+    error[: d + 1] = re_p
+    error[: len(target.coeffs)] -= target.coeffs
+    return ChebyshevPoly(error)._sup
 
 
 def fixed_point_phases(params: FixedPointParams) -> PhaseSequence:

@@ -9,29 +9,30 @@ which sums a parity-definite series at half its length, in one Reinsch
 loop over every point, each point about its own end of [-1, 1].
 
 A polynomial's exact sup on [-1, 1] is taken once per ``ChebyshevPoly``
-(``_sup``): the maximum over the certification grid, which holds both
-ends, together with |p| at the real critical points of p
-(``_critical_points``, one companion eigensolve, called from nowhere
-else).  Every unit-ball rescale reads it through ``_in_unit_ball`` (the
-grown families' interpolants, the fixed-degree families and the Gibbs/ReLU
-fits), and so does the phase solver's bound check
-(``phase_solver._nudged``), so a second solve of the same object takes no
-eigensolve.
+(``_sup``) by one extremum sweep (``_exact_sup``): an FFT samples p(cos t)
+on a grid fine enough that, by Bernstein's inequality, only a few sampled
+maxima can sit beside the sup, and each is refined by Newton's method and
+summed in the angle t (``_cosine_sums``).  It takes no eigensolve.  Every
+unit-ball rescale reads it through ``_in_unit_ball`` (the grown families'
+interpolants, the fixed-degree families and the Gibbs/ReLU fits), and so
+do the certification of the grown families and the phase solver's bound
+check (``phase_solver._nudged``), which for a grown family reads the sup
+its certification already took.
 
 The grown families (sign, both steps, inversion, rect) pay one grid pass
-for each degree they try and one for each candidate they certify in full;
-a certified polynomial keeps its grid values, so its ``sup_norm()`` costs
-no further pass.  Two rules reject a candidate before its full pass
-(``_Certifier``), and each rejects only what the full test rejects.  The
-trim's screen tests its probes on every 16th grid point, where their
-values are bit-equal to the full grid's, so failing there is failing on
-the grid.  The undershoot rule skips a degree, before the unit rescale and
-its eigensolve, when at a checked point with |r| > budget + 1e-9 the
-unscaled interpolant p has sign(r) p < |r| - budget - 1e-9: the rescale
-only shrinks p, so the certified candidate would miss r by more than the
-budget.  The 1e-9 covers the coefficients that trimming drops (under
-2.6e-12) and the rounding of both evaluations (1e-14 sum |c_k| each, under
-5e-14 for these families).
+for each candidate they certify in full; a certified polynomial keeps its
+grid values, so its ``sup_norm()`` costs no further pass, and it has an
+exact sup of at most 1 + 1e-12.  Two rules reject a candidate before its
+full pass (``_Certifier``), and each rejects only what the full test
+rejects.  Both read the screen, every 16th grid point, where values are
+bit-equal to the full grid's.  The trim's screen tests its probes there,
+so failing there is failing on the grid.  The undershoot rule skips a
+degree, before the unit rescale and its sweep, when at a screened point
+with |r| > budget + 1e-9 the unscaled interpolant p has sign(r) p < |r| -
+budget - 1e-9: the rescale only shrinks p, so the certified candidate
+would miss r by more than the budget.  The 1e-9 covers the coefficients
+that trimming drops (under 2.6e-12) and the rounding of both evaluations
+(1e-14 sum |c_k| each, under 5e-14 for these families).
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class ChebyshevPoly:
 
     Its grid values and its exact sup are cached on the object, each taken
     at its first read: ``sup_norm()`` is the certification grid's maximum,
-    and ``_sup`` completes it at the critical points.  ``_in_unit_ball``, the
-    one unit rescale, and the solver's bound check read ``_sup``.
+    and ``_sup`` the maximum on all of [-1, 1], from one extremum sweep
+    (``_exact_sup``).  ``_in_unit_ball``, the one unit rescale, and the
+    solver's bound check read ``_sup``.
     """
 
     coeffs: np.ndarray
@@ -148,11 +150,9 @@ class ChebyshevPoly:
 
     @functools.cached_property
     def _sup(self) -> float:
-        """max |p| on [-1, 1], taken once: the maximum over the certification
-        grid, which holds both ends, together with |p| at the real critical
-        points of p, which the grid can step over."""
-        points = _critical_points(self.coeffs)
-        return float(np.max(np.abs(_chebval(points, self.coeffs)), initial=self.sup_norm()))
+        """max |p| on [-1, 1], taken once by ``_exact_sup``; it reads no
+        grid, so it is not bounded by ``sup_norm()`` between grid points."""
+        return _exact_sup(self.coeffs)
 
     def _in_unit_ball(self) -> "ChebyshevPoly":
         """p itself, or p / (s (1 + 1e-12)) when its exact sup s passes 1."""
@@ -264,8 +264,8 @@ def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> Ch
 def _certified_trim(poly: ChebyshevPoly, certifier: _Certifier) -> ChebyshevPoly:
     """Smallest leading segment of a trimmed, parity-definite poly's coeffs
     that still certifies, by binary search on the truncation degree; poly
-    certifies.  Returns the certified object itself, whose grid values the
-    certification cached.
+    certifies.  Returns the certified object itself, whose grid values and
+    exact sup the certification cached.
 
     The probes the search makes while every probe fails are screened
     together, in one pass of ``_chebval`` over their coefficient rows,
@@ -296,26 +296,98 @@ def _certified_trim(poly: ChebyshevPoly, certifier: _Certifier) -> ChebyshevPoly
     return best
 
 
-def _critical_points(coeffs: np.ndarray) -> np.ndarray:
-    """Points of [-1, 1] among which are all real critical points of p.
+@functools.lru_cache(maxsize=None)
+def _half_turns(m: int) -> np.ndarray:
+    """e^{i pi j / m} for j = 0..m/2, read-only: the twiddles that turn an
+    odd series' half-length transform into its samples."""
+    w = np.exp(1j * np.pi * np.arange(m // 2 + 1) / m)
+    w.setflags(write=False)
+    return w
 
-    Every root is clipped onto the interval, so complex roots only add
-    harmless extra points.  A parity-definite p is handled at half size
-    through y = 2x^2 - 1, since T_2j(x) = T_j(y): an even p' is r(y), with
-    roots at both signs of x, of which only the nonnegative ones are
-    returned, since ``_chebval`` gives |p(-x)| = |p(x)| bit for bit for an
-    odd p; and an even p is p(x) = r(y), symmetric and stationary at x = 0
-    and wherever r' vanishes.
+
+def _cosine_sums(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """q(t) = sum_k c_k cos(k t) at each angle t in [0, pi], each cos(k t)
+    to about an ulp.  A plain cos(k t) would carry the rounding of the
+    product k t, up to k t 2^-53; here t = a + b with a on a 2^-20 grid, so
+    that k a is exact for k < 2^31 and |b| <= 2^-21, and cos(k t) =
+    cos(k a) cos(k b) - sin(k a) sin(k b).  At a few points this costs a
+    handful of array operations where ``_chebval`` loops over the degree,
+    and at t = 0 and pi it is the plain sum of the (signed) coefficients."""
+    k = np.arange(len(c))
+    a = np.round(t * 2.0**20) * 2.0**-20
+    ka, kb = np.outer(a, k), np.outer(t - a, k)
+    return (np.cos(ka) * np.cos(kb) - np.sin(ka) * np.sin(kb)) @ c
+
+
+def _exact_sup(coeffs: np.ndarray) -> float:
+    """max |p| on [-1, 1] of p = sum_k coeffs[k] T_k, to rounding.
+
+    In x = cos t, p is the cosine series q(t) = sum_k c_k cos(k t) of degree
+    d.  One rfft samples q at t_j = pi j / M, M a power of two with M >= 64
+    (d + 1): q(t_j) is the real part of the transform of c zero-padded to
+    2M.  An odd or even p has |p(-x)| = |p(x)|, so only t <= pi/2, j <=
+    M/2, is searched, from a transform of length M: even p is sum_n c_2n
+    cos(2n t), the real part of the transform of (c_0, c_2, ...), and odd p
+    is Re(e^{i t} conj(F)) for the transform F of (c_1, c_3, ...).
+
+    The top of |q| is within pi / 2M of a sample, and by Bernstein's
+    inequality, |q''| <= d^2 max |q|, that sample is at most r max |q| below
+    it, r = (d pi / 2M)^2 / 2 < 3.1e-4.  So only a sampled local maximum of
+    |q| at least (1 - r) times the top sample, less the FFT's rounding, can
+    sit beside the sup.  Each is refined by safeguarded Newton on q'(t) = 0
+    inside its bracket [t_{j-1}, t_{j+1}], from the vertex of the parabola
+    through its three samples (a step that leaves the bracket, or meets q''
+    of the wrong sign, bisects it instead), iterated until every step is
+    below 2^-30 / d: the point is then within that step of the maximum, so
+    |q| there is within (d 2^-30 / d)^2 max |q| / 2 = 2^-61 max |q| of it.
+    The sup is the largest |q| at the refined points, at their samples and
+    at both ends (``_cosine_sums``).
     """
-    def to_x(y_roots):
-        return np.sqrt(0.5 * (1.0 + np.clip(y_roots.real, -1.0, 1.0)))
-
-    der = cheb.chebder(coeffs)
-    if not np.any(der[1::2]):
-        return to_x(cheb.chebroots(der[::2]))
-    if not np.any(coeffs[1::2]):
-        return np.append(to_x(cheb.chebroots(cheb.chebder(coeffs[::2]))), 0.0)
-    return np.clip(cheb.chebroots(der).real, -1.0, 1.0)
+    c = np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(c)
+    d = int(nonzero[-1]) if len(nonzero) else 0
+    c = c[: d + 1]
+    if d == 0:
+        return abs(float(c[0]))
+    m = 1 << (64 * (d + 1) - 1).bit_length()
+    if not np.any(c[1::2]):
+        samples = np.fft.rfft(c[::2], m).real
+    elif not np.any(c[::2]):
+        samples = (np.fft.rfft(c[1::2], m).conj() * _half_turns(m)).real
+    else:
+        samples = np.fft.rfft(c, 2 * m).real
+    size = np.abs(samples)  # |q(t_j)|, j = 0..end
+    end = len(size) - 1
+    r = 0.5 * (d * math.pi / (2 * m)) ** 2
+    j = np.flatnonzero(size >= (1.0 - r) * size.max() - 1e-12 * np.sum(np.abs(c)))
+    # neighbours by reflection: q is even about t = 0 and about t = pi, and
+    # |q| about t = pi/2 when p has a parity
+    left = size[np.abs(j - 1)]
+    right = size[end - np.abs(end - j - 1)]
+    j, left, right = (v[(size[j] >= left) & (size[j] >= right)] for v in (j, left, right))
+    step = math.pi / m
+    start = j * step
+    sign = np.sign(samples[j])
+    lo = np.maximum(start - step, 0.0)
+    hi = np.minimum(start + step, end * step)
+    bend = left - 2.0 * size[j] + right  # <= 0 at a sampled maximum
+    vertex = np.divide(0.5 * step * (left - right), bend, out=np.zeros(len(j)), where=bend < 0.0)
+    t = np.clip(start + vertex, lo, hi)
+    k = np.arange(d + 1)
+    dq, ddq = -k * c, -k * k * c  # q' = sum dq_k sin(k t), q'' = sum ddq_k cos(k t)
+    for _ in range(100):
+        waves = np.exp(1j * np.outer(t, k))
+        slope = sign * (waves.imag @ dq)
+        curve = sign * (waves.real @ ddq)
+        lo = np.where(slope > 0.0, t, lo)
+        hi = np.where(slope < 0.0, t, hi)
+        newton = t - np.divide(slope, curve, out=np.full(len(t), np.inf), where=curve < 0.0)
+        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(nxt - t) <= 2.0**-30 / d)
+        t = nxt
+        if done:
+            break
+    return float(np.max(np.abs(_cosine_sums(np.concatenate([t, start, [0.0, math.pi]]), c))))
 
 
 def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
@@ -328,17 +400,22 @@ def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) ->
 
 
 class _Certifier:
-    """Certification test on the dense grid: p certifies when |p| <= 1 +
-    1e-12 everywhere and |p - r| <= budget on the grid points where keep
-    holds, r the reference there (``__call__``, on p's cached grid values).
+    """Certification test: p certifies when |p| <= 1 + 1e-12 and |p - r| <=
+    budget on the dense grid's points where keep holds, r the reference
+    there (on p's cached grid values), and p's exact sup is at most 1 +
+    1e-12 (``__call__``).  The sup is read only once the grid passes; the
+    result of a grown build is the last object read, so the phase solver's
+    bound check reads it from the cache.
 
     Two cheaper tests reject only candidates that the full test rejects.
+    Both read the screen, every SCREEN_STRIDE-th grid point, where
+    ``_chebval`` gives a point the same value bit for bit whatever other
+    points it is evaluated with and whether the series is zero-padded at
+    the top.
 
-    * The screen, ``screen``, is the full test on every SCREEN_STRIDE-th
-      grid point.  ``_chebval`` gives a point the same value bit for bit
-      whatever other points it is evaluated with and whether the series
-      is zero-padded at the top, so failing there is failing on the grid.
-    * The undershoot rule, ``undershoots``, reads the grid values of an
+    * ``screen`` is the full grid test there, so failing there is failing
+      on the grid.
+    * The undershoot rule, ``undershoots``, reads the screen's values of an
       unscaled interpolant p.  The unit rescale makes it p' = p / s with
       s = max(1, sup |p|), which only moves p towards 0: at a checked point
       with |r| > budget, sign(r) p' <= max(sign(r) p, 0), so where
@@ -355,23 +432,22 @@ class _Certifier:
 
     def __init__(self, keep: Callable, reference: Callable, budget: float):
         grid = cert_grid()
-        # the checked points and r there, on the grid and, for the screen,
-        # on its every SCREEN_STRIDE-th point
+        # the checked points and r there, on the grid and on the screen
         self.checked = np.flatnonzero(keep(grid))
         self.ref = ref = reference(grid[self.checked])
         on_sub = self.checked % SCREEN_STRIDE == 0
-        self._sub = self.checked[on_sub] // SCREEN_STRIDE, ref[on_sub]
+        sub_ref = ref[on_sub]
+        self._sub = self.checked[on_sub] // SCREEN_STRIDE, sub_ref
         self.budget = budget
-        self._sign = np.sign(ref)
-        far = np.abs(ref) > budget + UNDERSHOOT_MARGIN
-        self._floor = np.where(far, np.abs(ref) - budget - UNDERSHOOT_MARGIN, -np.inf)
+        self._sign = np.sign(sub_ref)
+        far = np.abs(sub_ref) > budget + UNDERSHOOT_MARGIN
+        self._floor = np.where(far, np.abs(sub_ref) - budget - UNDERSHOOT_MARGIN, -np.inf)
 
     def __call__(self, p: ChebyshevPoly) -> bool:
-        return bool(self._passes(p._grid_values, self.checked, self.ref))
+        return bool(self._passes(p._grid_values, self.checked, self.ref)) and p._sup <= 1.0 + 1e-12
 
     def screen(self, values: np.ndarray) -> np.ndarray:
-        """The test on every SCREEN_STRIDE-th grid point, for each row of
-        values there."""
+        """The grid test on the screen, for each row of values there."""
         return self._passes(values, *self._sub)
 
     def _passes(self, values, checked, ref):
@@ -379,9 +455,9 @@ class _Certifier:
         return (np.abs(values).max(-1) <= 1.0 + 1e-12) & (err.max(-1, initial=0.0) <= self.budget)
 
     def undershoots(self, values: np.ndarray) -> bool:
-        """Whether an unscaled interpolant with these grid values fails
-        after any unit rescale (see the class docstring)."""
-        return bool(np.any(self._sign * values[self.checked] < self._floor))
+        """Whether an unscaled interpolant with these values on the screen
+        fails after any unit rescale (see the class docstring)."""
+        return bool(np.any(self._sign * values[self._sub[0]] < self._floor))
 
 
 def _grow_and_certify(target: Callable, parity: Parity, start_degree: int,
@@ -390,23 +466,23 @@ def _grow_and_certify(target: Callable, parity: Parity, start_degree: int,
     until, scaled into the unit ball and trimmed, it certifies, then cut
     that to the smallest certifying truncation (``_certified_trim``).
 
-    Each degree's unscaled interpolant p is evaluated on the grid once,
-    into its cached grid values.  The undershoot rule
-    (``_Certifier.undershoots``) skips a degree, with no rescale and so no
-    eigensolve for the critical points, when at a checked point with |r| >
-    budget + 1e-9, sign(r) p < |r| - budget - 1e-9.  It is exact: the
-    rescale only shrinks p, so the candidate would miss r by more than the
-    budget, and the 1e-9 covers the coefficients trimming drops and the
+    Each degree's unscaled interpolant p is evaluated on the screen only.
+    The undershoot rule (``_Certifier.undershoots``) skips a degree there,
+    with no rescale and so no sweep for its sup, when at a screened point
+    with |r| > budget + 1e-9, sign(r) p < |r| - budget - 1e-9.  It is exact:
+    the rescale only shrinks p, so the candidate would miss r by more than
+    the budget, and the 1e-9 covers the coefficients trimming drops and the
     rounding of both evaluations, under 1.4e-11 for the families'
-    interpolants.  Otherwise those values give p's exact sup its grid
-    maximum (``_in_unit_ball``), and the rescaled candidate is certified on
-    the grid, its one further pass.  The trim's screen rejects a probe only when it
-    fails on a subset of the grid (``_certified_trim``).
+    interpolants.  Otherwise p's exact sup gives the rescale
+    (``_in_unit_ball``), and the rescaled candidate is certified, its one
+    grid pass.  The trim's screen rejects a probe only when it fails on a
+    subset of the grid (``_certified_trim``).
     """
     degree = min(start_degree, DEGREE_CAP)
+    sub_grid = cert_grid()[::SCREEN_STRIDE]
     while True:
         interpolant = interpolate(target, degree, parity)
-        if not certifier.undershoots(interpolant._grid_values):
+        if not certifier.undershoots(_chebval(sub_grid, interpolant.coeffs)):
             poly = interpolant._in_unit_ball().trimmed()
             if certifier(poly):
                 return _certified_trim(poly, certifier)
@@ -677,12 +753,14 @@ def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
 
 
 def _require_inversion(epsilon: float, kappa: float) -> float:
-    """The inversion domain, kappa >= 1, 0 < epsilon < kappa / 2 and kappa /
-    epsilon at most INVERSION_RATIO_MAX, checked before any work; returns
-    the steepness s = kappa sqrt(ln(2 kappa / epsilon)) of the smooth
-    target."""
+    """The inversion domain, finite kappa >= 1, 0 < epsilon < kappa / 2 and
+    kappa / epsilon at most INVERSION_RATIO_MAX, checked before any work;
+    returns the steepness s = kappa sqrt(ln(2 kappa / epsilon)) of the
+    smooth target."""
     if kappa < 1.0 or not 0.0 < epsilon < 0.5 * kappa:
         raise DomainError("requires kappa >= 1 and 0 < epsilon / kappa < 1/2")
+    if kappa == math.inf:  # s / (2 kappa) below would be inf / inf
+        raise DomainError(f"kappa must be finite, got {kappa}")
     s = kappa * math.sqrt(math.log(2.0 * kappa / epsilon))
     if kappa / epsilon > INVERSION_RATIO_MAX:
         raise DomainError(

@@ -166,21 +166,25 @@ def _eigen_sweep(mix: np.ndarray, diag: np.ndarray, start=_ZERO,
     e; ``start`` (2, 1) or (2, m) holds the start row of each node as a
     column.  Each phase costs one (2, 2) @ (2, m) product and one scaling.
     Returns the (2, m) final rows; ``rows`` (d + 1, 2, m), if given,
-    receives the row before each R_k.
+    receives the row before each R_k.  Each step writes its product into
+    one scratch buffer and scales it into the next row.
     """
-    last = len(mix) - 1
+    *mixers, last = list(mix)
+    buf = np.empty_like(diag)
     if rows is None:
-        row = np.empty_like(diag)
+        row, nxt = np.empty_like(diag), np.empty_like(diag)
         row[...] = start
-        for m in mix[:last]:
-            row = m @ row
-            row *= diag
-        return mix[last] @ row
+        for m in mixers:
+            np.dot(m, row, out=buf)
+            np.multiply(buf, diag, out=nxt)
+            row, nxt = nxt, row
+        return last @ row
     rows[0] = start
     views = list(rows)
-    for m, row, after in zip(mix, views, views[1:]):
-        np.multiply(m @ row, diag, out=after)
-    return mix[last] @ views[last]
+    for m, row, after in zip(mixers, views, views[1:]):
+        np.dot(m, row, out=buf)
+        np.multiply(buf, diag, out=after)
+    return last @ views[-1]
 
 
 def _frame_mixers(seq: PhaseSequence) -> np.ndarray:

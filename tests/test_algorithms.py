@@ -426,15 +426,15 @@ class TestOrderFinding:
 PE_REPLAYS = {
     "factor_7_15": (
         lambda: order_finding_demo(7, 15, seed=1),
-        "aa34c74c6093dd3ca8afe17435640c7db62502b5c6ced1c1c6cf4d5d22b8e47e",
+        "913bf10b6fde415d82c6b75f35f44c49129b2ed2741a934f22677411b75d67aa",
     ),
     "factor_2_21": (
         lambda: order_finding_demo(2, 21, seed=1),
-        "32072416d3a2621f790def625c2227209b88cd4674a34afeb88b07db1fc6e591",
+        "234fc912028bf55bd4bb81ff9d8ffee654bb1a5aebea5681b96578ee2abe4f6c",
     ),
     "factor_2_35": (
         lambda: order_finding_demo(2, 35, seed=1),
-        "bd747f5a169dfca3ab1e1278b0375c55a9081973daefc06828805315c4a7d80b",
+        "17ebcccccce9c3f2e7c833dcbca1534b24fe1319d594096721a529d6187a7d44",
     ),
     "qpe_sampled": (
         lambda: phase_estimation_record(
@@ -447,14 +447,14 @@ PE_REPLAYS = {
             oracle_1q(0.625 + 1 / 16), VEC1, 3, 0.4, 0.2, seed=2,
             majority_votes=5, escalate_ambiguous=True,
         ),
-        "d4093adf0121a48b7aca68af4345d3adce55e23bfa3e6455cd3dae038881161e",
+        "8716c8b2c8e86c48c566b662017dea302a834bbf91bb9b8417e4ec953d6b2802",
     ),
     "qpe_phase_errors": (
         lambda: phase_estimation_record(
             oracle_1q(0.995), VEC1, 5, pe_epsilon_for(0.1, 5), 0.2, seed=3,
             phase_errors=[0.01, -0.02, 0.005, 0.0, -0.01],
         ),
-        "e2ed12fefd05e4962282fe508f68eb119b4cbf0ff72fce25345a664b0ad0bbc9",
+        "b7a4084632855768b296ff02415759bb05201aabbef8525ed10461f482989e6d",
     ),
 }
 

@@ -328,6 +328,7 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
         ("invert --matrix {empty} --kappa 2 --epsilon 0.1", "nonempty matrix"),
         ("invert --matrix {h} --kappa 0 --epsilon 0.05",
          "requires kappa >= 1 and 0 < epsilon / kappa < 1/2"),
+        ("invert --matrix {h} --kappa inf --epsilon 0.05", "kappa must be finite, got inf"),
         ("threshold --matrix {empty} --psi {empty} --alpha 1 --lambda-th 0.5 "
          "--delta-lambda 0.1 --exact", "nonempty matrix"),
         ("qpe --matrix {empty} --eigvec {empty} --n 3 --exact", "nonempty matrix"),
@@ -349,7 +350,7 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "--npts must lie in 1 to 1000000, got 1000000000000"),
     ],
     ids=["qpe-no-eigvec", "qpe-phi-eigvec", "search-transition-nan", "poly-phase-d-negative", "threshold-delta-0",
-         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "invert-kappa-0", "threshold-0x0",
+         "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "invert-kappa-0", "invert-kappa-inf", "threshold-0x0",
          "qpe-0x0",
          "response-channel-unknown", "response-channel-empty", "response-channel-no-svg",
          "response-channel-csv-only", "fpsearch-degree-magnitude", "phases-npts-negative",

@@ -169,3 +169,56 @@ def test_family_round_trips(family_solutions):
         target, seq, resid = family_solutions(name, **args)
         assert resid <= 1e-6, f"{name} residual {resid:.2e}"
         assert len(seq.phases) == target.degree + 1
+
+
+def _scanned_residual(seq, target, points):
+    """max |Re(response) - target| on points values x = cos(theta), theta
+    evenly spaced over [0, pi]."""
+    x = np.cos(np.linspace(0.0, np.pi, points))
+    return float(np.max(np.abs(response_many(seq, x).real - target(x))))
+
+
+def _check_exact_residual(seq, target, points):
+    # the exact residual is at least the old 1001-point value, and within
+    # the scan's resolution of a dense scan: by Bernstein's inequality the
+    # sup of a degree-D error is at most (D pi / 2 (points - 1))^2 / 2 of
+    # itself above the nearest scanned value
+    resid = residual(seq, target)
+    assert resid >= _scanned_residual(seq, target, 1001) - 1e-14
+    grid = np.linspace(-1.0, 1.0, 1001)
+    assert resid >= np.max(np.abs(response_many(seq, grid).real - target(grid))) - 1e-14
+    scan = _scanned_residual(seq, target, points)
+    degree = max(seq.degree, target.degree)
+    assert scan - 1e-14 <= resid <= scan * (1 + 0.5 * (degree * np.pi / (2 * (points - 1))) ** 2) + 1e-14
+    return resid
+
+
+@pytest.mark.parametrize("name, args", [
+    ("poly_sign", dict(d=19, k=10.0)),
+    ("invert", dict(kappa=3.0, eps=0.3)),
+    ("hamsim", dict(t=5.0, eps=0.1, part="cos")),
+    ("hamsim", dict(t=5.0, eps=0.1, part="sin")),
+    ("poly_thresh", dict(d=18, k=10.0)),
+    ("poly_phase", dict(d=18, k=10.0)),
+    ("efilter", dict(d=30, dlam=0.3)),
+    ("gibbs", dict(d=20, beta=3.5)),
+    ("relu", dict(d=20, delta=0.6, steepness=15.0)),
+], ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v.values())))
+def test_the_residual_of_every_family_is_exact(family_solutions, name, args):
+    target, seq, resid = family_solutions(name, **args)
+    assert _check_exact_residual(seq, target, 100_001) == resid
+
+
+@pytest.mark.parametrize("degree, points", [
+    (1, 1_000_001), (2, 1_000_001), (7, 100_001), (8, 100_001), (39, 100_001), (40, 100_001),
+    (77, 100_001), (153, 100_001),
+])
+@pytest.mark.parametrize("parity", [Parity.NONE, Parity.EVEN, Parity.ODD])
+def test_the_residual_of_a_random_phase_list_is_exact(degree, points, parity):
+    # against a target of either parity, or of none, of half the list's degree
+    rng = np.random.default_rng(100 * degree + len(parity.value))
+    seq = PhaseSequence(tuple(rng.uniform(-np.pi, np.pi, degree + 1)), CANONICAL)
+    coeffs = 0.5 * rng.standard_normal(degree // 2 + 2)
+    if parity is not Parity.NONE:
+        coeffs[(0 if parity is Parity.ODD else 1)::2] = 0.0
+    _check_exact_residual(seq, ChebyshevPoly(coeffs, parity), points)

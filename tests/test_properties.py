@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.polynomial import chebyshev as cheb
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -266,14 +267,31 @@ def test_a_head_is_written_as_its_tiled_dense_matrix(seed, n, k, w):
 @SETTINGS
 @given(seed=SEEDS, degree=st.integers(1, 60), odd=st.booleans())
 def test_the_exact_sup_is_never_below_a_dense_scan(seed, degree, odd):
-    # ChebyshevPoly._sup, the grid maximum with |p| at the critical points,
-    # against max |p| on 10^5 points x = cos(theta), up to the evaluator's
-    # rounding of 1e-14 sum |c_k|
+    # ChebyshevPoly._sup, from the extremum sweep, against max |p| on 10^5
+    # points x = cos(theta), up to the evaluator's rounding of 1e-14 sum |c_k|
     coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
     coeffs[(0 if odd else 1)::2] = 0.0
     p = ChebyshevPoly(coeffs, Parity.ODD if odd else Parity.EVEN)
     scan = np.max(np.abs(p(np.cos(np.linspace(0.0, np.pi, 100_000)))))
     assert p._sup >= scan - 1e-14 * np.sum(np.abs(p.coeffs))
+
+
+@SETTINGS
+@given(seed=SEEDS, degree=st.integers(1, 60), parity=st.sampled_from(list(Parity)))
+def test_the_exact_sup_is_the_largest_value_at_a_critical_point(seed, degree, parity):
+    # the sweep's sup of an odd, even or mixed series against a dense scan
+    # and against |p| at both ends and at the real parts of the roots of p'
+    # (numpy's companion eigensolve), each within the evaluator's rounding
+    coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
+    if parity is not Parity.NONE:
+        coeffs[(0 if parity is Parity.ODD else 1)::2] = 0.0
+    p = ChebyshevPoly(coeffs, parity)
+    margin = 1e-14 * np.sum(np.abs(p.coeffs))
+    scan = np.max(np.abs(p(np.cos(np.linspace(0.0, np.pi, 100_000)))))
+    points = np.clip(cheb.chebroots(cheb.chebder(p.coeffs)).real, -1.0, 1.0)
+    reference = np.max(np.abs(p(np.append(points, [-1.0, 1.0]))))
+    assert p._sup >= scan - margin
+    assert abs(p._sup - reference) <= margin
 
 
 @SETTINGS
