@@ -8,12 +8,16 @@ response to equal the target at as many positive Chebyshev nodes gives a
 square system, solved by damped Newton's method from (pi/4, 0, ..., 0, pi/4)
 (symmetric QSP; Dong, Lin, Ni & Wang, arXiv:2307.12468).  No restarts are
 needed.  The response and its analytic Jacobian come from one sweep in the
-signal's eigenframe, whose stored rows give every column.  A target whose
-sup comes within half the tolerance of 1 is solved scaled just inside the
-bound, so its residual is about that half rather than the rounding level.
-A solve is certified by the exact sup of its error on [-1, 1]
-(``residual``): Re P is a Chebyshev series, so one sweep at the nodes and
-one DCT give it exactly, and ``ChebyshevPoly._sup`` takes the sup.  Phase
+signal's eigenframe, whose stored rows give every column.  The target's
+bound is read from its exact sup on [-1, 1] (``ChebyshevPoly._sup``, which
+a certified family's result keeps from its certification): a sup past
+1 + tol is a domain error, and a target whose sup comes within half the
+tolerance of 1 is solved scaled just inside the bound, so its residual is
+about that half rather than the rounding level.  A solve is certified by
+the exact sup of its error on [-1, 1] (``residual``): Re P is a Chebyshev
+series, so one sweep at the nodes and one DCT give it exactly, and
+``ChebyshevPoly._sup`` takes the sup.  So solving a certified result takes
+one extremum sweep, the residual's.  Phase
 solutions are not unique, so callers should compare response functions
 rather than phase lists.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, ParityError
-from .poly_approx import ChebyshevPoly, Parity, _require_degree
+from .poly_approx import ChebyshevPoly, Parity, _node_coeffs, _require_degree
 from .qsp_core import (
     _PLUS,
     CANONICAL,
@@ -229,24 +233,19 @@ def _nudged(target: ChebyshevPoly, residual_tol: float) -> ChebyshevPoly:
     bound is solved at a small distance eta from it, which its residual
     against the raw target then carries.  eta = min(tol, 1 + tol - sup) / 2
     leaves half the tolerance for Newton, and less headroom when the sup is
-    already above 1.  The sup is the target's exact one,
+    already above 1.  The sup is the target's exact one on [-1, 1],
     ``ChebyshevPoly._sup``, the cached value the builders' unit rescale and
-    certification read, so a certified target takes no further sweep.  A
-    certification grid sup past 1 + 1e-9 is rejected as such, and the grid
-    is read only when the exact sup is past that too.  Otherwise the sup can
-    exceed the grid's between grid points; past 1 + residual_tol no QSP
-    response (always bounded by 1) meets the tolerance, so such a target is
-    a domain error.
+    certification read, so a certified target takes no further sweep.  No
+    QSP response (always bounded by 1) comes within residual_tol of a target
+    whose sup passes 1 + residual_tol, so such a target is a domain error.
     """
     if target.parity is Parity.NONE:
         raise ParityError("phase synthesis requires a parity-definite target")
     sup = target._sup
-    if sup > 1.0 + 1e-9 and (grid_sup := target.sup_norm()) > 1.0 + 1e-9:
-        raise DomainError(f"target sup norm {grid_sup:.6f} exceeds 1")
     if sup > 1.0 + residual_tol:
         raise DomainError(
-            f"target sup norm {sup:.9f} (between grid points) exceeds 1 by "
-            f"{sup - 1.0:.3e}, more than residual_tol {residual_tol:.1e}"
+            f"target sup norm {sup:.9f} exceeds 1 by {sup - 1.0:.3e}, more than "
+            f"residual_tol {residual_tol:.1e}"
         )
     eta = 0.5 * min(residual_tol, 1.0 + residual_tol - sup)
     if sup <= 1.0 - eta:
@@ -261,8 +260,9 @@ def solve_phases(target: ChebyshevPoly, options: SolverOptions = SolverOptions()
     phases succeed when they reach ``residual_tol`` (the exact sup of the
     response error against the raw target on [-1, 1], ``residual``).
     Raises NoConvergence, naming that residual and the Newton steps spent,
-    when they do not, and DegreeCapExceeded, before any work, on a target
-    past the degree cap.
+    when they do not, and, before any Newton step, DegreeCapExceeded on a
+    target past the degree cap and DomainError on one whose exact sup
+    passes 1 + residual_tol (``_nudged``).
     """
     _require_degree(target.degree)
     phases, steps = _newton(_nudged(target, options.residual_tol))
@@ -285,18 +285,17 @@ def residual(seq: PhaseSequence, target: ChebyshevPoly) -> float:
     parity (GSLW'19, arXiv:1806.01838), so its values at the (d + 2) // 2
     positive first-kind nodes, from one sweep (P = <+|M|+> of the frame
     product M, as in ``qsp_core.pq_from_sequence``), fix it.  One DCT of
-    those values, mirrored by parity, gives its coefficients, and the
-    difference series' exact sup (``ChebyshevPoly._sup``) is the residual.
+    those values, mirrored by parity (``poly_approx._node_coeffs``), gives
+    its coefficients, and the difference series' exact sup
+    (``ChebyshevPoly._sup``) is the residual.
     """
     d = seq.degree
     nodes = _positive_nodes(d)
     top, bot = _eigen_sweep(_frame_mixers(seq), _wx_diagonal(nodes), _PLUS)
     half_values = 0.5 * (top.real + bot.real)
+    # Re P at all the nodes cos((j + 1/2) pi / n), j = 0..n-1, by parity
     values = np.concatenate([half_values, (-1.0) ** d * half_values[::-1]])
-    n = len(values)  # values at the nodes cos((j + 1/2) pi / n), j = 0..n-1
-    shift = np.exp(-0.5j * np.pi * np.arange(d + 1) / n)
-    re_p = (np.fft.fft(np.concatenate([values, values[::-1]]))[: d + 1] * shift).real / n
-    re_p[0] /= 2.0
+    re_p = _node_coeffs(values, d)
     re_p[1 - d % 2::2] = 0.0
     error = np.zeros(max(d + 1, len(target.coeffs)))
     error[: d + 1] = re_p

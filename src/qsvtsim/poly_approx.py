@@ -1,38 +1,21 @@
 """Target-function polynomial families in the Chebyshev basis.
 
 Every constructor returns a parity-tagged polynomial that has been checked
-on a dense certification grid against the bounds stated in its contract
-(boundedness on [-1, 1] and approximation accuracy outside the transition
-windows).  Certification is the contract: every result is re-checked rather
-than trusted by construction.  Polynomials are evaluated by ``_chebval``,
-which sums a parity-definite series at half its length, in one Reinsch
-loop over every point, each point about its own end of [-1, 1].
+against the bounds stated in its contract (boundedness on [-1, 1] and
+approximation accuracy on the windows outside the transitions).
+Certification is the contract: every result is re-checked rather than
+trusted by construction.  Polynomials are evaluated by ``_chebval``, which
+sums a parity-definite series at half its length, in one Reinsch loop over
+every point, each point about its own end of [-1, 1].
 
-A polynomial's exact sup on [-1, 1] is taken once per ``ChebyshevPoly``
-(``_sup``) by one extremum sweep (``_exact_sup``): an FFT samples p(cos t)
-on a grid fine enough that, by Bernstein's inequality, only a few sampled
-maxima can sit beside the sup, and each is refined by Newton's method and
-summed in the angle t (``_cosine_sums``).  It takes no eigensolve.  Every
-unit-ball rescale reads it through ``_in_unit_ball`` (the grown families'
-interpolants, the fixed-degree families and the Gibbs/ReLU fits), and so
-do the certification of the grown families and the phase solver's bound
-check (``phase_solver._nudged``), which for a grown family reads the sup
-its certification already took.
-
-The grown families (sign, both steps, inversion, rect) pay one grid pass
-for each candidate they certify in full; a certified polynomial keeps its
-grid values, so its ``sup_norm()`` costs no further pass, and it has an
-exact sup of at most 1 + 1e-12.  Two rules reject a candidate before its
-full pass (``_Certifier``), and each rejects only what the full test
-rejects.  Both read the screen, every 16th grid point, where values are
-bit-equal to the full grid's.  The trim's screen tests its probes there,
-so failing there is failing on the grid.  The undershoot rule skips a
-degree, before the unit rescale and its sweep, when at a screened point
-with |r| > budget + 1e-9 the unscaled interpolant p has sign(r) p < |r| -
-budget - 1e-9: the rescale only shrinks p, so the certified candidate
-would miss r by more than the budget.  The 1e-9 covers the coefficients
-that trimming drops (under 2.6e-12) and the rounding of both evaluations
-(1e-14 sum |c_k| each, under 5e-14 for these families).
+Every certificate is exact, from one extremum sweep with no eigensolve and
+no grid in x (``_extrema``): the sup of |p| on [-1, 1] and the largest
+error on each window.  A polynomial's sup is cached on it (``_sup``), and
+every unit-ball rescale (``_in_unit_ball``) and the phase solver's bound
+check (``phase_solver._nudged``) read it.  The grown families (sign, both
+steps, inversion, rect) state their windows as closed intervals of x >= 0
+and certify each candidate by one sweep (``_Certifier``); the result keeps
+the sup that sweep took, so the solver reads it from the cache.
 """
 
 from __future__ import annotations
@@ -56,12 +39,6 @@ from .errors import (
     _json_field,
 )
 
-CERT_GRID_SIZE = 4096
-# the trim's screen reads every SCREEN_STRIDE-th certification grid point;
-# the grow loop skips a degree whose interpolant undershoots its reference by
-# UNDERSHOOT_MARGIN more than the budget (see _Certifier)
-SCREEN_STRIDE = 16
-UNDERSHOOT_MARGIN = 1e-9
 PARITY_TOL = 1e-14
 DEGREE_CAP = 512
 
@@ -92,18 +69,17 @@ class Parity(Enum):
 class ChebyshevPoly:
     """Real polynomial sum_k coeffs[k] * T_k(x) with a parity tag.
 
-    Its grid values and its exact sup are cached on the object, each taken
-    at its first read: ``sup_norm()`` is the certification grid's maximum,
-    and ``_sup`` the maximum on all of [-1, 1], from one extremum sweep
-    (``_exact_sup``).  ``_in_unit_ball``, the one unit rescale, and the
-    solver's bound check read ``_sup``.
+    Its exact sup on [-1, 1] is cached on the object as ``_sup``, taken by
+    one extremum sweep (``_extrema``) at its first read, or kept from the
+    sweep that certified it.  ``sup_norm()``, ``_in_unit_ball``, the one
+    unit rescale, and the solver's bound check read it.
     """
 
     coeffs: np.ndarray
     parity: Parity = Parity.NONE
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float)).copy()
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or len(c) == 0:
             raise DomainError("coefficients must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(c)):
@@ -115,10 +91,7 @@ class ChebyshevPoly:
                 raise ParityError(
                     f"coefficient of opposite parity has magnitude {bad:.3e}"
                 )
-            if self.parity is Parity.EVEN:
-                c[1::2] = 0.0
-            else:
-                c[0::2] = 0.0
+        c = _project_parity(c, self.parity)  # a copy, whatever the parity
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -137,31 +110,18 @@ class ChebyshevPoly:
         return ChebyshevPoly(self.coeffs * factor, self.parity)
 
     def sup_norm(self) -> float:
-        """max |p| on the certification grid."""
-        return float(np.max(np.abs(self._grid_values)))
-
-    @functools.cached_property
-    def _grid_values(self) -> np.ndarray:
-        """p on the certification grid, read-only: evaluated once, by the
-        certification that accepts p or by the first read of a sup."""
-        values = _chebval(cert_grid(), self.coeffs)
-        values.setflags(write=False)
-        return values
+        """max |p| on [-1, 1], exact to rounding (``_sup``)."""
+        return self._sup
 
     @functools.cached_property
     def _sup(self) -> float:
-        """max |p| on [-1, 1], taken once by ``_exact_sup``; it reads no
-        grid, so it is not bounded by ``sup_norm()`` between grid points."""
-        return _exact_sup(self.coeffs)
+        """max |p| on [-1, 1], taken once by ``_extrema``."""
+        return float(_extrema(self.coeffs)[0])
 
     def _in_unit_ball(self) -> "ChebyshevPoly":
         """p itself, or p / (s (1 + 1e-12)) when its exact sup s passes 1."""
         s = self._sup
         return self if s <= 1.0 else ChebyshevPoly(self.coeffs / (s * (1.0 + 1e-12)), self.parity)
-
-
-def cert_grid() -> np.ndarray:
-    return np.linspace(-1.0, 1.0, CERT_GRID_SIZE)
 
 
 def poly_to_json(poly: ChebyshevPoly) -> str:
@@ -200,29 +160,20 @@ def _chebval(x, coeffs: np.ndarray):
     the call.  mu is even in x and the odd sum is x times an even one, so
     p(-x) is -p(x) for an odd series and p(x) for an even one, bit for
     bit.  A series of mixed parity is chebval.
-
-    Coefficient rows (k, n) of one parity give k rows of values in one
-    pass, each bit-equal to its row's own: a row zero-padded at the top
-    keeps d = b = 0 up to its top coefficient, the state its unpadded form
-    starts from.
     """
     c = np.asarray(coeffs)
-    even = not np.any(c[..., 1::2])
-    if not even and np.any(c[..., 0::2]):
-        return cheb.chebval(x, c.T)
-    a = c[..., 0::2] if even else c[..., 1::2]
-    if a.ndim > 1:  # one coefficient of every row at a time, a column against mu
-        a = a.T[..., None]
+    even = not np.any(c[1::2])
+    if not even and np.any(c[0::2]):
+        return cheb.chebval(x, c)
+    a = c[0::2] if even else c[1::2]
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     inner = np.abs(xs) < math.sqrt(0.5)
     end = np.where(inner, -1.0, 1.0)
     mu = np.where(inner, 4.0 * xs * xs, -4.0 * (1.0 - xs) * (1.0 + xs))
-    shape = np.broadcast_shapes(a.shape[1:], mu.shape)
-    b = np.zeros(shape)  # b_{k+1}
-    d = np.empty(shape)  # d_k
-    d[...] = a[-1]
-    t = np.empty(shape)
+    b = np.zeros(mu.shape)  # b_{k+1}
+    d = np.full(mu.shape, a[-1])  # d_k
+    t = np.empty(mu.shape)
     for ak in a[-2::-1]:
         b *= end
         b += d
@@ -232,7 +183,7 @@ def _chebval(x, coeffs: np.ndarray):
         d += ak
     # b_0 - y b_1 = d_0 - (mu / 2) b_1 and b_0 - b_1 = d_0 + (e - 1) b_1
     out = d - 0.5 * mu * b if even else xs * (d + (end - 1.0) * b)
-    return out.reshape(c.shape[:-1] + x.shape)[()]
+    return out.reshape(x.shape)[()]
 
 
 def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
@@ -242,6 +193,17 @@ def _project_parity(coeffs: np.ndarray, parity: Parity) -> np.ndarray:
     elif parity is Parity.ODD:
         out[0::2] = 0.0
     return out
+
+
+def _node_coeffs(values: np.ndarray, degree: int) -> np.ndarray:
+    """Chebyshev coefficients 0..degree of the series through values at the
+    n first-kind nodes cos((j + 1/2) pi / n), j = 0..n-1, n > degree: a
+    DCT-II, through one FFT of the values and their mirror."""
+    n = len(values)
+    shift = np.exp(-0.5j * np.pi * np.arange(degree + 1) / n)
+    coeffs = (np.fft.fft(np.concatenate([values, values[::-1]]))[: degree + 1] * shift).real / n
+    coeffs[0] /= 2.0
+    return coeffs
 
 
 def _require_degree(degree: int):
@@ -263,35 +225,18 @@ def interpolate(func: Callable, degree: int, parity: Parity = Parity.NONE) -> Ch
 
 def _certified_trim(poly: ChebyshevPoly, certifier: _Certifier) -> ChebyshevPoly:
     """Smallest leading segment of a trimmed, parity-definite poly's coeffs
-    that still certifies, by binary search on the truncation degree; poly
-    certifies.  Returns the certified object itself, whose grid values and
-    exact sup the certification cached.
-
-    The probes the search makes while every probe fails are screened
-    together, in one pass of ``_chebval`` over their coefficient rows,
-    zero-padded to poly's length, on every SCREEN_STRIDE-th grid point
-    (``_Certifier.screen``).  Only a probe that passes the screen is
-    certified in full; once one certifies, the search goes on from the
-    narrowed bracket with a fresh screen.
-    """
+    that still certifies, by binary search on the truncation degree, one
+    sweep per probe; poly certifies.  Returns the certified object itself,
+    whose exact sup the certification cached."""
     candidates = range(poly.degree % 2, poly.degree + 1, 2)
     lo, hi = 0, len(candidates) - 1  # candidates[hi] certifies, as best
     best = poly
-    sub_grid = cert_grid()[::SCREEN_STRIDE]
     while lo < hi:
-        path = [(lo + hi) // 2]
-        while path[-1] + 1 < hi:
-            path.append((path[-1] + 1 + hi) // 2)
-        rows = np.zeros((len(path), len(poly.coeffs)))
-        for row, mid in zip(rows, path):
-            row[: candidates[mid] + 1] = poly.coeffs[: candidates[mid] + 1]
-        screened = certifier.screen(_chebval(sub_grid, rows))
-        for mid, hopeful in zip(path, screened):
-            if hopeful:
-                probe = ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], poly.parity)
-                if certifier(probe):
-                    hi, best = mid, probe
-                    break
+        mid = (lo + hi) // 2
+        probe = ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], poly.parity)
+        if certifier(probe):
+            hi, best = mid, probe
+        else:
             lo = mid + 1
     return best
 
@@ -319,8 +264,35 @@ def _cosine_sums(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (np.cos(ka) * np.cos(kb) - np.sin(ka) * np.sin(kb)) @ c
 
 
-def _exact_sup(coeffs: np.ndarray) -> float:
-    """max |p| on [-1, 1] of p = sum_k coeffs[k] T_k, to rounding.
+def _refine(c: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            sign: np.ndarray, line: float = 0.0) -> np.ndarray:
+    """Where F(t) = sign q(t) - line cos(t) peaks in each bracket [lo, hi],
+    q(t) = sum_k c_k cos(k t) of degree d >= 1: safeguarded Newton on
+    F'(t) = 0 from t, where the sign of F' narrows the bracket, and a step
+    that leaves it, or meets F'' of the wrong sign, bisects it instead,
+    iterated until every step is below 2^-30 / d."""
+    d = len(c) - 1
+    k = np.arange(d + 1)
+    dq, ddq = -k * c, -k * k * c  # q' = sum dq_k sin(k t), q'' = sum ddq_k cos(k t)
+    for _ in range(100):
+        waves = np.exp(1j * np.outer(t, k))
+        slope = sign * (waves.imag @ dq) + line * np.sin(t)
+        curve = sign * (waves.real @ ddq) + line * np.cos(t)
+        lo = np.where(slope > 0.0, t, lo)
+        hi = np.where(slope < 0.0, t, hi)
+        newton = t - np.divide(slope, curve, out=np.full(len(t), np.inf), where=curve < 0.0)
+        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(nxt - t) <= 2.0**-30 / d)
+        t = nxt
+        if done:
+            break
+    return t
+
+
+def _extrema(coeffs: np.ndarray, windows=(), bounds=None) -> np.ndarray:
+    """max |p| on [-1, 1] of p = sum_k coeffs[k] T_k, then, for each window
+    (a, b, r, s) with 0 <= a <= b <= 1, max |p(x) - r| - s x on [a, b], all
+    to rounding, from one transform.
 
     In x = cos t, p is the cosine series q(t) = sum_k c_k cos(k t) of degree
     d.  One rfft samples q at t_j = pi j / M, M a power of two with M >= 64
@@ -331,24 +303,32 @@ def _exact_sup(coeffs: np.ndarray) -> float:
     is Re(e^{i t} conj(F)) for the transform F of (c_1, c_3, ...).
 
     The top of |q| is within pi / 2M of a sample, and by Bernstein's
-    inequality, |q''| <= d^2 max |q|, that sample is at most r max |q| below
-    it, r = (d pi / 2M)^2 / 2 < 3.1e-4.  So only a sampled local maximum of
-    |q| at least (1 - r) times the top sample, less the FFT's rounding, can
-    sit beside the sup.  Each is refined by safeguarded Newton on q'(t) = 0
-    inside its bracket [t_{j-1}, t_{j+1}], from the vertex of the parabola
-    through its three samples (a step that leaves the bracket, or meets q''
-    of the wrong sign, bisects it instead), iterated until every step is
-    below 2^-30 / d: the point is then within that step of the maximum, so
-    |q| there is within (d 2^-30 / d)^2 max |q| / 2 = 2^-61 max |q| of it.
-    The sup is the largest |q| at the refined points, at their samples and
-    at both ends (``_cosine_sums``).
+    inequality, |q''| <= d^2 S for S = max |q|, that sample is at most r S
+    below it, r = (d pi / 2M)^2 / 2 < 3.1e-4.  So only a sampled local
+    maximum of |q| at least (1 - r) times the top sample, less the FFT's
+    rounding, can sit beside the sup.  Each is refined (``_refine``) inside
+    [t_{j-1}, t_{j+1}] from the vertex of the parabola through its samples,
+    to within 2^-30 / d of the maximum, where |q| is within 2^-61 S of it.
+    The sup is the largest |q| there, at their samples and at both ends
+    (``_cosine_sums``).  A window's error e = |q - r| - s cos t is read the
+    same way on its samples, t_j in [acos b, acos a]: as |e''| <= d^2 S + s
+    and S is at most the top sample over 1 - r, its candidates are the
+    sampled local maxima of e within r (S + s) of its top sample, less the
+    same rounding, and each end sample that is at least its inner neighbour
+    (a peak beside the window's end has no sample outside), bracketed from
+    the window's end to that neighbour and refined from the end.  The error
+    is the largest e at the refined points, the peaks' samples and both
+    ends of the window.  With ``bounds`` (the sup's, then each window's), a
+    series with a sample past its bound, a point of the interval, is
+    refined no further: its sampled maxima, which already fail, are
+    returned.
     """
     c = np.asarray(coeffs, dtype=float)
     nonzero = np.flatnonzero(c)
     d = int(nonzero[-1]) if len(nonzero) else 0
     c = c[: d + 1]
-    if d == 0:
-        return abs(float(c[0]))
+    if d == 0:  # a constant: each window's error is largest at its end x = a
+        return np.array([abs(c[0])] + [abs(c[0] - r) - s * a for a, _, r, s in windows])
     m = 1 << (64 * (d + 1) - 1).bit_length()
     if not np.any(c[1::2]):
         samples = np.fft.rfft(c[::2], m).real
@@ -358,36 +338,54 @@ def _exact_sup(coeffs: np.ndarray) -> float:
         samples = np.fft.rfft(c, 2 * m).real
     size = np.abs(samples)  # |q(t_j)|, j = 0..end
     end = len(size) - 1
+    step = math.pi / m
     r = 0.5 * (d * math.pi / (2 * m)) ** 2
-    j = np.flatnonzero(size >= (1.0 - r) * size.max() - 1e-12 * np.sum(np.abs(c)))
+    rounding = 1e-12 * np.sum(np.abs(c))
+    spans = []  # each window's first sample j and its errors e(t_j)
+    for a, b, ref, s in windows:
+        first = math.ceil(math.acos(b) / step)
+        err = np.abs(samples[first : math.floor(math.acos(a) / step) + 1] - ref)
+        if s:
+            err -= s * np.cos(step * np.arange(first, first + len(err)))
+        spans.append((first, err))
+    sampled = np.array([size.max()] + [err.max(initial=-np.inf) for _, err in spans])
+    if bounds is not None and np.any(sampled > bounds):
+        return sampled
+
+    j = np.flatnonzero(size >= (1.0 - r) * sampled[0] - rounding)
     # neighbours by reflection: q is even about t = 0 and about t = pi, and
     # |q| about t = pi/2 when p has a parity
     left = size[np.abs(j - 1)]
     right = size[end - np.abs(end - j - 1)]
     j, left, right = (v[(size[j] >= left) & (size[j] >= right)] for v in (j, left, right))
-    step = math.pi / m
     start = j * step
-    sign = np.sign(samples[j])
     lo = np.maximum(start - step, 0.0)
     hi = np.minimum(start + step, end * step)
     bend = left - 2.0 * size[j] + right  # <= 0 at a sampled maximum
     vertex = np.divide(0.5 * step * (left - right), bend, out=np.zeros(len(j)), where=bend < 0.0)
-    t = np.clip(start + vertex, lo, hi)
-    k = np.arange(d + 1)
-    dq, ddq = -k * c, -k * k * c  # q' = sum dq_k sin(k t), q'' = sum ddq_k cos(k t)
-    for _ in range(100):
-        waves = np.exp(1j * np.outer(t, k))
-        slope = sign * (waves.imag @ dq)
-        curve = sign * (waves.real @ ddq)
-        lo = np.where(slope > 0.0, t, lo)
-        hi = np.where(slope < 0.0, t, hi)
-        newton = t - np.divide(slope, curve, out=np.full(len(t), np.inf), where=curve < 0.0)
-        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        done = np.all(np.abs(nxt - t) <= 2.0**-30 / d)
-        t = nxt
-        if done:
-            break
-    return float(np.max(np.abs(_cosine_sums(np.concatenate([t, start, [0.0, math.pi]]), c))))
+    t = _refine(c, np.clip(start + vertex, lo, hi), lo, hi, np.sign(samples[j]))
+    out = [np.max(np.abs(_cosine_sums(np.concatenate([t, start, [0.0, math.pi]]), c)))]
+
+    for (a, b, ref, s), (first, err) in zip(windows, spans):
+        last = first + len(err) - 1
+        ends = [math.acos(b), math.acos(a)]
+        left, mid, right = err[:-2], err[1:-1], err[2:]
+        floor = err.max(initial=-np.inf) - r * (sampled[0] / (1.0 - r) + s) - rounding
+        peak = np.flatnonzero((mid >= left) & (mid >= right) & (mid >= floor))
+        left, mid, right = left[peak], mid[peak], right[peak]
+        j = first + 1 + peak
+        bend = left - 2.0 * mid + right
+        vertex = np.divide(0.5 * step * (left - right), bend, out=np.zeros(len(j)), where=bend < 0.0)
+        rows = [(j * step + vertex, (j - 1) * step, (j + 1) * step, j)]
+        if len(err) < 2 or err[0] >= err[1]:
+            rows.append(([ends[0]], [ends[0]], [min((first + 1) * step, ends[1])], [first]))
+        if len(err) < 2 or err[-1] >= err[-2]:
+            rows.append(([ends[1]], [max((last - 1) * step, ends[0])], [ends[1]], [last]))
+        start, lo, hi, near = map(np.concatenate, zip(*rows))
+        sign = np.sign(samples[np.clip(near, 0, end)] - ref)
+        t = np.concatenate([_refine(c, start, lo, hi, sign, s), j * step, ends])
+        out.append(np.max(np.abs(_cosine_sums(t, c) - ref) - s * np.cos(t)))
+    return np.array(out)
 
 
 def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) -> ChebyshevPoly:
@@ -400,92 +398,48 @@ def _fixed_degree(family: str, target: Callable, degree: int, parity: Parity) ->
 
 
 class _Certifier:
-    """Certification test: p certifies when |p| <= 1 + 1e-12 and |p - r| <=
-    budget on the dense grid's points where keep holds, r the reference
-    there (on p's cached grid values), and p's exact sup is at most 1 +
-    1e-12 (``__call__``).  The sup is read only once the grid passes; the
-    result of a grown build is the last object read, so the phase solver's
-    bound check reads it from the cache.
-
-    Two cheaper tests reject only candidates that the full test rejects.
-    Both read the screen, every SCREEN_STRIDE-th grid point, where
-    ``_chebval`` gives a point the same value bit for bit whatever other
-    points it is evaluated with and whether the series is zero-padded at
-    the top.
-
-    * ``screen`` is the full grid test there, so failing there is failing
-      on the grid.
-    * The undershoot rule, ``undershoots``, reads the screen's values of an
-      unscaled interpolant p.  The unit rescale makes it p' = p / s with
-      s = max(1, sup |p|), which only moves p towards 0: at a checked point
-      with |r| > budget, sign(r) p' <= max(sign(r) p, 0), so where
-      sign(r) p < |r| - budget, |p' - r| > budget too.  The rule asks this
-      with UNDERSHOOT_MARGIN = 1e-9 to spare, for the difference between
-      the values it reads and those the full test reads: the top
-      coefficients that trimming drops from p' (fewer than 257, each at
-      most PARITY_TOL = 1e-14: under 2.6e-12) and the rounding of the two
-      evaluations, each within 1e-14 sum |c_k| (the evaluator's tested
-      accuracy up to degree 512).  As |c_k| <= 2 sup |p|, that is at most
-      5.2e-12 (s + 1) + 2.6e-12, inside the margin while s < 190; the
-      families' interpolants have s < 1.13 and sum |c_k| < 4.5.
+    """Certification test of a grown family's candidate p: its exact sup is
+    at most 1 + 1e-12 and its error on each window (a, b, r) of x >= 0,
+    max |p - r| on [a, b], at most budget, from one sweep (``_extrema``).
+    By p's parity a window also stands for its mirror on x <= 0, with the
+    reference -r (odd p) or r (even p).  With ``over_x`` the reference is
+    r / x, its own mirror for odd p: for x > 0, |p - r/x| <= budget is
+    |x p - r| - budget x <= 0, certified first on the degree-(d + 1) series
+    x p (``chebmulx``), whose sup is held to p's bound too, as |x p| <= |p|.
+    A certified p caches the sup of its own sweep, bit for bit that of a
+    sweep of p alone.
     """
 
-    def __init__(self, keep: Callable, reference: Callable, budget: float):
-        grid = cert_grid()
-        # the checked points and r there, on the grid and on the screen
-        self.checked = np.flatnonzero(keep(grid))
-        self.ref = ref = reference(grid[self.checked])
-        on_sub = self.checked % SCREEN_STRIDE == 0
-        sub_ref = ref[on_sub]
-        self._sub = self.checked[on_sub] // SCREEN_STRIDE, sub_ref
-        self.budget = budget
-        self._sign = np.sign(sub_ref)
-        far = np.abs(sub_ref) > budget + UNDERSHOOT_MARGIN
-        self._floor = np.where(far, np.abs(sub_ref) - budget - UNDERSHOOT_MARGIN, -np.inf)
+    def __init__(self, windows, budget: float, over_x: bool = False):
+        windows = [w for w in windows if w[0] <= w[1]]  # an empty window holds no point
+        self.windows = [(a, b, r, budget if over_x else 0.0) for a, b, r in windows]
+        self.bounds = np.array([1.0 + 1e-12] + [0.0 if over_x else budget] * len(windows))
+        self.over_x = over_x
 
     def __call__(self, p: ChebyshevPoly) -> bool:
-        return bool(self._passes(p._grid_values, self.checked, self.ref)) and p._sup <= 1.0 + 1e-12
-
-    def screen(self, values: np.ndarray) -> np.ndarray:
-        """The grid test on the screen, for each row of values there."""
-        return self._passes(values, *self._sub)
-
-    def _passes(self, values, checked, ref):
-        err = np.abs(np.take(values, checked, axis=-1) - ref)
-        return (np.abs(values).max(-1) <= 1.0 + 1e-12) & (err.max(-1, initial=0.0) <= self.budget)
-
-    def undershoots(self, values: np.ndarray) -> bool:
-        """Whether an unscaled interpolant with these values on the screen
-        fails after any unit rescale (see the class docstring)."""
-        return bool(np.any(self._sign * values[self._sub[0]] < self._floor))
+        sweeps = [(p.coeffs, self.windows)]
+        if self.over_x:
+            sweeps = [(cheb.chebmulx(p.coeffs), self.windows), (p.coeffs, ())]
+        for coeffs, windows in sweeps:
+            bounds = self.bounds[: len(windows) + 1]
+            extrema = _extrema(coeffs, windows, bounds)
+            if np.any(extrema > bounds):
+                return False
+        vars(p)["_sup"] = float(extrema[0])  # the last sweep is p's own
+        return True
 
 
 def _grow_and_certify(target: Callable, parity: Parity, start_degree: int,
                       certifier: _Certifier) -> ChebyshevPoly:
     """Grow the degree of target's parity-projected interpolant by ~1.5x
-    until, scaled into the unit ball and trimmed, it certifies, then cut
-    that to the smallest certifying truncation (``_certified_trim``).
-
-    Each degree's unscaled interpolant p is evaluated on the screen only.
-    The undershoot rule (``_Certifier.undershoots``) skips a degree there,
-    with no rescale and so no sweep for its sup, when at a screened point
-    with |r| > budget + 1e-9, sign(r) p < |r| - budget - 1e-9.  It is exact:
-    the rescale only shrinks p, so the candidate would miss r by more than
-    the budget, and the 1e-9 covers the coefficients trimming drops and the
-    rounding of both evaluations, under 1.4e-11 for the families'
-    interpolants.  Otherwise p's exact sup gives the rescale
-    (``_in_unit_ball``), and the rescaled candidate is certified, its one
-    grid pass.  The trim's screen rejects a probe only when it fails on a
-    subset of the grid (``_certified_trim``).
-    """
+    until, scaled into the unit ball by its exact sup (``_in_unit_ball``)
+    and trimmed, it certifies, then cut that to the smallest certifying
+    truncation (``_certified_trim``)."""
     degree = min(start_degree, DEGREE_CAP)
-    sub_grid = cert_grid()[::SCREEN_STRIDE]
     while True:
-        interpolant = interpolate(target, degree, parity)
-        if not certifier.undershoots(_chebval(sub_grid, interpolant.coeffs)):
-            poly = interpolant._in_unit_ball().trimmed()
-            if certifier(poly):
-                return _certified_trim(poly, certifier)
+        poly = interpolate(target, degree, parity)._in_unit_ball().trimmed()
+        if certifier(poly):
+            return _certified_trim(poly, certifier)
         if degree >= DEGREE_CAP:
             raise DegreeCapExceeded(f"certification failed at degree cap {DEGREE_CAP}")
         degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.5)))
@@ -514,11 +468,11 @@ def sign_poly(epsilon: float, delta: float) -> ChebyshevPoly:
 
     Constructed by Chebyshev interpolation of erf(k x) with the steepness
     k tied to (epsilon, delta); the degree is grown until both the unit
-    bound and the accuracy window certify on the dense grid.
+    bound and the accuracy window certify (``_Certifier``).
     """
     _validate_sign_args(epsilon, delta)
     k = erf_scale(epsilon, delta)
-    certifier = _Certifier(lambda g: np.abs(g) > delta / 2, np.sign, epsilon)
+    certifier = _Certifier([(delta / 2, 1.0, 1.0)], epsilon)
     start = int(2 * math.ceil(0.8 * k) + 1)
     return _grow_and_certify(lambda x: _erf(k * x), Parity.ODD, max(start, 9), certifier)
 
@@ -547,8 +501,8 @@ def _symmetric_step_poly(epsilon: float, delta: float, center: float) -> Chebysh
     def target(x):
         return norm * (-1.0 + epsilon / 4 + _erf(k * (center - x)) + _erf(k * (center + x)))
 
-    certifier = _Certifier(lambda g: (g >= 0.0) & (np.abs(g - center) > delta / 2),
-                           lambda x: np.sign(center - x), epsilon)
+    certifier = _Certifier([(0.0, center - delta / 2, 1.0), (center + delta / 2, 1.0, -1.0)],
+                           epsilon)
     start = int(2 * math.ceil(0.8 * k) + 2)
     return _grow_and_certify(target, Parity.EVEN, max(start, 10), certifier)
 
@@ -631,19 +585,14 @@ def _jacobi_anger_coeffs(t: float, degree: int) -> np.ndarray:
 
     By Jacobi-Anger they are J_0(t), then 2(-1)^k J_2k(t) at the even
     orders (the cosine) and 2(-1)^k J_2k+1(t) at the odd ones (the sine).
-    They come from a DCT-II, through one FFT, of the samples at n Chebyshev
-    nodes.  The aliased terms J_m(t), m >= 2n - degree >= 2|t| + 82, are
+    They come from the samples at n Chebyshev nodes (``_node_coeffs``).  The aliased terms J_m(t), m >= 2n - degree >= 2|t| + 82, are
     below (|t|/2)^m / m! < 1e-78.  `interpolate` is not used here: its
     Vandermonde recurrence loses accuracy at large t (2.7e-14 at t = 400,
     against 8.5e-15 for the samples themselves).
     """
     n = degree + math.ceil(abs(t)) + 41
     x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    y = np.cos(t * x) + np.sin(t * x)
-    shift = np.exp(-0.5j * np.pi * np.arange(degree + 1) / n)
-    coeffs = (np.fft.fft(np.concatenate([y, y[::-1]]))[: degree + 1] * shift).real / n
-    coeffs[0] /= 2.0
-    return coeffs
+    return _node_coeffs(np.cos(t * x) + np.sin(t * x), degree)
 
 
 def _jacobi_anger(t: float, epsilon: float, parity: Parity) -> ChebyshevPoly:
@@ -711,16 +660,15 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
         coeffs[2 * j + 1] = 4.0 * (-1) ** j * tail[j]
     poly = ChebyshevPoly(coeffs, Parity.ODD)
 
-    if poly.sup_norm() > 4.0 * d_cap + 1e-9:
+    if poly._sup > 4.0 * d_cap + 1e-9:
         raise DegreeCapExceeded("inverse polynomial exceeded its 4D sup bound")
-    grid = cert_grid()
-    outside = np.abs(grid) > 1.0 / kappa
-    if np.any(outside):
-        err = np.max(np.abs(poly._grid_values[outside] - 1.0 / grid[outside]))
-        if err > 2.0 * epsilon:
-            raise DegreeCapExceeded(
-                f"inverse polynomial missed the 2*eps accuracy bound ({err:.3e})"
-            )
+    # |p - 1/x| <= 2 eps on [1/kappa, 1] (and on its mirror, p being odd) is
+    # |x p - 1| - 2 eps x <= 0 there, on the series x p
+    miss = _extrema(cheb.chebmulx(coeffs), [(1.0 / kappa, 1.0, 1.0, 2.0 * epsilon)])[1]
+    if miss > 0.0:
+        raise DegreeCapExceeded(
+            f"inverse polynomial missed the 2*eps accuracy bound (|x p - 1| - 2 eps x = {miss:.3e})"
+        )
     return poly
 
 
@@ -745,8 +693,7 @@ def rect_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
         window = 0.5 * (_erf(s * (c - x)) + _erf(s * (c + x)))
         return epsilon / 2 + (1.0 - epsilon) * (1.0 - window)
 
-    certifier = _Certifier(lambda g: (np.abs(g) >= outer) | (np.abs(g) <= inner),
-                           lambda x: np.where(np.abs(x) >= outer, 1.0 - epsilon / 2, epsilon / 2),
+    certifier = _Certifier([(outer, 1.0, 1.0 - epsilon / 2), (0.0, inner, epsilon / 2)],
                            epsilon / 2)
     return _grow_and_certify(target, Parity.EVEN, max(int(2 * math.ceil(0.8 * s) + 2), 10),
                              certifier)
@@ -776,7 +723,8 @@ def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     Interpolates the odd entire function h(x) = (1 - exp(-(s x)^2)) /
     (2 kappa x), s = kappa * sqrt(ln(2 kappa / eps)), which is within
     eps/(4 kappa) of 1/(2 kappa x) on |x| >= 1/kappa, and grows the degree
-    until the unit bound and eps/(2 kappa) accuracy certify on the grid.
+    until the unit bound and eps/(2 kappa) accuracy certify on the closed
+    window (``_Certifier``, on x p).
     sup h = (s / (2 kappa)) * _INVERSION_PEAK passes 1 once kappa / eps
     exceeds INVERSION_RATIO_MAX (about 9214).
     """
@@ -785,8 +733,8 @@ def matrix_inversion_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
     def target(x):  # h(0) = 0, as -expm1(0) / inf
         return -np.expm1(-((s * x) ** 2)) / (2.0 * kappa * np.where(x == 0.0, np.inf, x))
 
-    certifier = _Certifier(lambda g: np.abs(g) > 1.0 / kappa,
-                           lambda x: 1.0 / (2.0 * kappa * x), epsilon / (2.0 * kappa))
+    certifier = _Certifier([(1.0 / kappa, 1.0, 1.0 / (2.0 * kappa))], epsilon / (2.0 * kappa),
+                           over_x=True)
     return _grow_and_certify(target, Parity.ODD, 2 * math.ceil(s) + 1, certifier)
 
 

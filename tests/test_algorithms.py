@@ -548,6 +548,13 @@ class TestMatrixInversion:
         approx = enc.alpha * extract_block(enc)
         assert np.max(np.abs(approx - np.diag([2.0, 1.0]))) <= 0.02
 
+    def test_a_singular_value_at_one_over_kappa_is_within_epsilon(self):
+        # the polynomial's window ends at x = 1/kappa: certified on a grid
+        # that missed it there, this returned 9.98979 at sigma = 0.1
+        enc = matrix_inversion(np.diag([1.0, 0.1]), 10.0, 0.01)
+        approx = enc.alpha * extract_block(enc)
+        assert np.max(np.abs(approx - np.diag([1.0, 10.0]))) <= 0.01
+
     def test_identity(self):
         enc = matrix_inversion(np.eye(2, dtype=complex), 2.0, 0.05)
         assert np.max(np.abs(enc.alpha * extract_block(enc) - np.eye(2))) <= 0.05

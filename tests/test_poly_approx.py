@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import sys
 from decimal import Decimal, localcontext
 
@@ -35,16 +36,16 @@ from qsvtsim import (
 )
 from qsvtsim import poly_approx, solve_phases
 from qsvtsim.poly_approx import (
-    CERT_GRID_SIZE,
     DEGREE_CAP,
     _chebval,
     _erf,
-    _exact_sup,
+    _extrema,
     _jacobi_anger_coeffs,
-    cert_grid,
-    interpolate,
     inverse_poly_params,
 )
+
+# 4096 evenly spaced test points of [-1, 1]
+GRID = np.linspace(-1.0, 1.0, 4096)
 
 
 def test_chebyshev_poly_parity_enforced():
@@ -81,7 +82,7 @@ def _random_series(degree: int, kind: str, seed: int) -> np.ndarray:
 def test_evaluator_matches_chebval(kind, degree):
     c = _random_series(degree, kind, 300 + degree)
     rng = np.random.default_rng(400 + degree)
-    x = np.concatenate([[-1.0, 0.0, 1.0], cert_grid(), rng.uniform(-1.0, 1.0, 1000)])
+    x = np.concatenate([[-1.0, 0.0, 1.0], GRID, rng.uniform(-1.0, 1.0, 1000)])
     bound = 1e-13 * np.sum(np.abs(c))
     assert np.max(np.abs(_chebval(x, c) - cheb.chebval(x, c))) <= bound
     poly = ChebyshevPoly(c, Parity.NONE if kind == "none" else Parity(kind))
@@ -91,21 +92,6 @@ def test_evaluator_matches_chebval(kind, degree):
         assert np.ndim(value) == 0 and abs(value - cheb.chebval(point, c)) <= bound
     grid = x[1:].reshape(2, -1)
     assert poly(grid).shape == grid.shape
-
-
-@pytest.mark.parametrize("kind", ["even", "odd"])
-def test_batched_rows_match_single_rows_bit_for_bit(kind):
-    # the trim screens its probes as zero-padded rows of one call
-    c = _random_series(154, kind, 600)
-    x = np.concatenate([[-1.0, 0.0, 1.0], cert_grid()[::16], np.linspace(-0.71, 0.71, 9)])
-    lengths = [d + 1 for d in (0, 1, 2, 3, 40, 41, 100, 101, 153, 154) if d % 2 == (kind == "odd")]
-    rows = np.zeros((len(lengths), len(c)))
-    for row, n in zip(rows, lengths):
-        row[:n] = c[:n]
-    batched = _chebval(x, rows)
-    assert batched.shape == (len(lengths), len(x))
-    for got, n in zip(batched, lengths):
-        assert got.tobytes() == _chebval(x, c[:n]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["even", "odd"])
@@ -123,7 +109,7 @@ def test_a_value_is_the_same_beside_points_of_both_regions(kind, points):
 
 
 def test_a_series_keeps_its_parity_bit_for_bit():
-    # _exact_sup searches one half of [-1, 1] for a p of either parity, as
+    # _extrema searches one half of [-1, 1] for a p of either parity, as
     # |p(-x)| = |p(x)| bit for bit
     s = 2**-0.5
     rng = np.random.default_rng(801)
@@ -329,27 +315,26 @@ class TestRectPoly:
         assert p.parity is Parity.EVEN
         assert 0.0 <= p(0.0) <= eps
         assert p(1.0) >= 1 - eps
-        grid = cert_grid()
-        vals = p(grid)
+        vals = p(GRID)
         assert np.max(np.abs(vals)) <= 1 + 1e-12
-        outer = np.abs(grid) >= 1 / kappa
+        outer = np.abs(GRID) >= 1 / kappa
         assert np.min(vals[outer]) >= 1 - eps
-        inner = np.abs(grid) <= 1 / (2 * kappa)
+        inner = np.abs(GRID) <= 1 / (2 * kappa)
         assert np.min(vals[inner]) >= -1e-12 and np.max(vals[inner]) <= eps
 
-    @pytest.mark.parametrize("eps, kappa, degree", [(0.01, 10.0, 276), (0.1, 20.0, 204),
+    @pytest.mark.parametrize("eps, kappa, degree", [(0.01, 10.0, 278), (0.1, 20.0, 204),
                                                     (0.05, 30.0, 458)])
     def test_certifies_at_large_kappa(self, eps, kappa, degree):
         # the window's transition fills the whole gap (1/(2 kappa), 1/kappa),
-        # which keeps these under the degree cap
+        # which keeps these under the degree cap; (0.01, 10) certified at 276
+        # on the grid, where p(1/kappa) = 0.98999 < 1 - eps
         p = rect_poly(eps, kappa)
         assert p.parity is Parity.EVEN and p.degree == degree
-        grid = cert_grid()
-        vals = p(grid)
+        vals = p(GRID)
         assert np.max(np.abs(vals)) <= 1 + 1e-12
-        outer = vals[np.abs(grid) >= 1 / kappa]
+        outer = vals[np.abs(GRID) >= 1 / kappa]
         assert 1 - eps <= np.min(outer) and np.max(outer) <= 1 + 1e-12
-        inner = vals[np.abs(grid) <= 1 / (2 * kappa)]
+        inner = vals[np.abs(GRID) <= 1 / (2 * kappa)]
         assert -1e-12 <= np.min(inner) and np.max(inner) <= eps
 
 
@@ -527,10 +512,9 @@ def test_composite_certification_is_rechecked():
     # components stay certified after the composite product and trim
     eps, kappa = 0.05, 2.5
     p = matrix_inversion_poly(eps, kappa)
-    grid = cert_grid()
-    assert np.max(np.abs(p(grid))) <= 1 + 1e-12
-    outside = np.abs(grid) > 1 / kappa
-    err = np.abs(p(grid[outside]) - 1 / (2 * kappa * grid[outside]))
+    assert np.max(np.abs(p(GRID))) <= 1 + 1e-12
+    outside = np.abs(GRID) > 1 / kappa
+    err = np.abs(p(GRID[outside]) - 1 / (2 * kappa * GRID[outside]))
     assert np.max(err) <= eps / (2 * kappa)
 
 
@@ -604,97 +588,54 @@ def test_certified_degrees(make, degree):
     assert make().degree == degree
 
 
-def _reference_grow_and_certify(target, parity, start_degree, keep, reference, budget, undershoots):
-    """The grow-and-certify loop with the unscreened binary search, as the
-    builders ran before the screen and the undershoot rule: every degree is
-    rescaled (by its exact sup) and certified on the whole grid and by its
-    exact sup, and so is every probe of the trim.  Checks on the way that
-    each degree the undershoot rule would skip fails here."""
-    grid = cert_grid()
-    mask = keep(grid)
-    ref = reference(grid[mask])
-
-    def certify(p):
-        vals = _chebval(grid, p.coeffs)
-        return bool(np.max(np.abs(vals)) <= 1.0 + 1e-12
-                    and np.max(np.abs(vals[mask] - ref), initial=0.0) <= budget
-                    and _exact_sup(p.coeffs) <= 1.0 + 1e-12)
-
-    degree, skipped = min(start_degree, DEGREE_CAP), 0
-    while True:
-        coeffs = interpolate(target, degree, parity).coeffs
-        sup = _exact_sup(coeffs)
-        poly = ChebyshevPoly(coeffs / (sup * (1.0 + 1e-12)) if sup > 1.0 else coeffs,
-                             parity).trimmed()
-        certified = certify(poly)
-        if undershoots(_chebval(grid[::poly_approx.SCREEN_STRIDE], coeffs)):
-            assert not certified, f"degree {degree} skipped but certifies"
-            skipped += 1
-        if certified:
-            break
-        assert degree < DEGREE_CAP
-        degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.5)))
-    candidates = range(poly.degree % 2, poly.degree + 1, 2)
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if certify(ChebyshevPoly(poly.coeffs[: candidates[mid] + 1], parity)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ChebyshevPoly(poly.coeffs[: candidates[hi] + 1], parity), poly.degree, skipped
-
-
-# every grow-and-certify family; the last two trim 511 -> 499 and 512 -> 458
+# every grow-and-certify family: (build, the degree it grew to, its
+# certified degree, the sha256 of its coefficient bytes), pinned at the bits
+# that the 4096-point grid, its screen and the undershoot rule certified,
+# which the extremum sweep keeps; the last two trim 511 -> 499 and 512 -> 458
 GROWN_BUILDS = {
-    "sign_0.1_0.4": lambda: sign_poly(0.1, 0.4),
-    "sign_0.01_0.1": lambda: sign_poly(0.01, 0.1),
-    "thresh_0.05_0.2_0.5": lambda: eigenvalue_threshold_poly(0.05, 0.2, 0.5),
-    "pe_0.1_0.2": lambda: phase_estimation_poly(0.1, 0.2),
-    "inv_0.05_3": lambda: matrix_inversion_poly(0.05, 3.0),
-    "rect_0.1_5": lambda: rect_poly(0.1, 5.0),
-    "inv_0.05_41": lambda: matrix_inversion_poly(0.05, 41.0),
-    "rect_0.05_30": lambda: rect_poly(0.05, 30.0),
+    "sign_0.1_0.4": (lambda: sign_poly(0.1, 0.4), 19, 19,
+                     "6511fdedb47467377e496b38a5dc3dfcb70a2b24f72c81ef5386258e67d3eb13"),
+    "sign_0.01_0.1": (lambda: sign_poly(0.01, 0.1), 153, 153,
+                      "406067767fac4e0090bfa148894e1a34d25250b51e44115e3bd61d9c0077e926"),
+    "thresh_0.05_0.2_0.5": (lambda: eigenvalue_threshold_poly(0.05, 0.2, 0.5), 48, 48,
+                            "4895f11fe7ca0a92d4295e71f41efdb53b27a337a4ad55c636a9a6744818eb92"),
+    "pe_0.1_0.2": (lambda: phase_estimation_poly(0.1, 0.2), 30, 30,
+                   "2d44f62e548f05bf6122da094e15241757e9580b238e20410a68591c8d7ed76a"),
+    "inv_0.05_3": (lambda: matrix_inversion_poly(0.05, 3.0), 33, 23,
+                   "6a823977a30ce615e2c3bc9a6eeae6fbce36f0ef0157e1561ff0f61d7ce2db0c"),
+    "rect_0.1_5": (lambda: rect_poly(0.1, 5.0), 62, 46,
+                   "03a3ef73e73a995790f1e954a4113d0bf15f895c8543d9c08a926945bf15fdac"),
+    "inv_0.05_41": (lambda: matrix_inversion_poly(0.05, 41.0), 511, 499,
+                    "05010ec99c736155c0050556ea51223f03d870b1403292357b860d52617667e4"),
+    "rect_0.05_30": (lambda: rect_poly(0.05, 30.0), 512, 458,
+                     "074fe4d1c5ef8138f989294638eb8f20b422400cbe5b438b8090033353adaa6b"),
 }
-TRIMMED = {"inv_0.05_41": (511, 499), "rect_0.05_30": (512, 458)}
 
 
 @pytest.mark.parametrize("name", list(GROWN_BUILDS))
-def test_screened_build_matches_the_full_reference(name, monkeypatch):
-    calls = []
+def test_a_grown_build_keeps_its_bits(name, monkeypatch):
+    make, grown, degree, digest = GROWN_BUILDS[name]
+    trimmed = []
+    real_trim = poly_approx._certified_trim
 
-    class Recording(poly_approx._Certifier):
-        def __init__(self, keep, reference, budget):
-            super().__init__(keep, reference, budget)
-            self.args = (keep, reference, budget)
+    def trim(poly, certifier):
+        trimmed.append(poly.degree)
+        return real_trim(poly, certifier)
 
-    real_grow = poly_approx._grow_and_certify
-
-    def grow(target, parity, start_degree, certifier):
-        calls.append((target, parity, start_degree, certifier))
-        return real_grow(target, parity, start_degree, certifier)
-
-    monkeypatch.setattr(poly_approx, "_Certifier", Recording)
-    monkeypatch.setattr(poly_approx, "_grow_and_certify", grow)
-    got = GROWN_BUILDS[name]()
-    (target, parity, start_degree, certifier), = calls
-    want, grown, skipped = _reference_grow_and_certify(
-        target, parity, start_degree, *certifier.args, certifier.undershoots)
-    assert got.parity is want.parity and got.coeffs.tobytes() == want.coeffs.tobytes()
-    # the certified object keeps the grid values it was certified on
-    assert got._grid_values.tobytes() == _chebval(cert_grid(), want.coeffs).tobytes()
-    if name in TRIMMED:
-        assert (grown, got.degree) == TRIMMED[name]
-    if name == "sign_0.01_0.1":
-        assert skipped == 2
+    monkeypatch.setattr(poly_approx, "_certified_trim", trim)
+    p = make()
+    assert (trimmed, p.degree) == ([grown], degree)
+    assert hashlib.sha256(p.coeffs.tobytes()).hexdigest() == digest
+    # the certified object keeps the sup its certification took
+    assert "_sup" in vars(p) and p._sup == _extrema(p.coeffs)[0]
 
 
-def test_sign_build_costs_one_grid_pass_and_no_eigensolve(monkeypatch):
+def test_no_build_or_solve_reads_a_grid_or_takes_an_eigensolve(monkeypatch):
     passes, eigensolves = [], []
     real_chebval, real_eigvals = poly_approx._chebval, np.linalg.eigvals
 
     def chebval(x, coeffs):
-        if np.size(x) >= CERT_GRID_SIZE:
+        if np.size(x) >= 4096:
             passes.append(np.shape(coeffs))
         return real_chebval(x, coeffs)
 
@@ -704,37 +645,39 @@ def test_sign_build_costs_one_grid_pass_and_no_eigensolve(monkeypatch):
 
     monkeypatch.setattr(poly_approx, "_chebval", chebval)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    # 12 passes and 3 eigensolves without the screen and the undershoot rule,
-    # and 4 and 1 with the rule on the full grid and companion-eigensolve sups
-    p = sign_poly(0.01, 0.1)
-    assert p.degree == 153
-    assert len(passes) <= 1 and eigensolves == []
-    passes.clear()
-    solve_phases(p)  # its sup norm reads the grid values the certification cached
+    # every certificate is the extremum sweep: no evaluation at 4096 points
+    # or more, in any grown build, in inverse_poly's checks or in a solve
+    for make, _, degree, _ in GROWN_BUILDS.values():
+        p = make()
+        assert p.degree == degree
+        solve_phases(p)  # its sup is the one the certification cached
+    assert inverse_poly(0.1, 3.0).degree == 31
     assert passes == [] and eigensolves == []
 
 
 @pytest.mark.parametrize("make, builds, first", [
-    (lambda: sign_poly(0.01, 0.1), 2, 0),
-    (lambda: matrix_inversion_poly(0.05, 3.0), 4, 0),
+    (lambda: sign_poly(0.01, 0.1), 12, 0),
+    (lambda: matrix_inversion_poly(0.05, 3.0), 13, 0),
     (lambda: sign_poly_from_steepness(61, 12.0), 1, 1),
     (lambda: jacobi_anger_cos(15.0, 1e-3), 0, 1),
 ], ids=["sign", "inversion", "sign-steepness", "jacobi-anger"])
 def test_a_polynomial_takes_its_exact_sup_once(make, builds, first, monkeypatch):
-    # the extremum sweep runs only in ChebyshevPoly._sup, cached on the
-    # object.  A grown build takes it for the rescale of its interpolant and
-    # for each candidate that certifies on the grid, its result included, so
-    # a solve reads the result's sup from the cache; a rescaled fixed-degree
-    # target and a Jacobi-Anger series take it at their first solve.  Every
-    # solve takes one more, on its residual's error series.
+    # the extremum sweep runs in ChebyshevPoly._sup, cached on the object,
+    # and in the certification of a grown family's candidates.  A grown
+    # build takes one for the rescale of each interpolant and one for each
+    # candidate and trim probe (two for inversion's, whose window is read
+    # on x p), and its result keeps the sup of its certification, so a solve
+    # reads it from the cache; a rescaled fixed-degree target and a
+    # Jacobi-Anger series take it at their first solve.  Every solve takes
+    # one more, on its residual's error series.
     calls = []
-    real_exact_sup = poly_approx._exact_sup
+    real_extrema = poly_approx._extrema
 
-    def exact_sup(coeffs):
+    def extrema(coeffs, *args):
         calls.append(coeffs.tobytes())
-        return real_exact_sup(coeffs)
+        return real_extrema(coeffs, *args)
 
-    monkeypatch.setattr(poly_approx, "_exact_sup", exact_sup)
+    monkeypatch.setattr(poly_approx, "_extrema", extrema)
     p = make()
     assert len(calls) == builds
     first_phases = solve_phases(p)
@@ -755,7 +698,7 @@ def test_the_exact_sup_matches_the_critical_points_up_to_the_cap(kind, degree):
     scan = np.max(np.abs(_chebval(np.cos(np.linspace(0.0, np.pi, 100_000)), c)))
     points = np.clip(cheb.chebroots(cheb.chebder(c)).real, -1.0, 1.0)
     reference = np.max(np.abs(_chebval(np.append(points, [-1.0, 1.0]), c)))
-    sup = _exact_sup(c)
+    sup = _extrema(c)[0]
     assert sup >= scan - margin
     assert abs(sup - reference) <= margin
 
@@ -775,6 +718,79 @@ def test_a_grown_build_is_bounded_between_grid_points(make):
     points = np.clip(cheb.chebroots(cheb.chebder(p.coeffs)).real, -1.0, 1.0)
     assert np.max(np.abs(p(np.append(points, [-1.0, 1.0])))) <= 1.0 + 1e-12
     assert p._sup <= 1.0 + 1e-12
+
+
+def test_windows_hold_where_the_grid_missed_them():
+    # certified on the 4096-point grid, rect_poly(0.01, 10) had p(0.1) =
+    # 0.98999, rect_poly(0.2, 30) reached 1.058 times its inner budget at
+    # x = 1/60 and matrix_inversion_poly(0.01, 10) 1.021 times its budget at
+    # x = 0.1, each at a window end that is no grid point
+    assert rect_poly(0.01, 10.0)(0.1) >= 0.99
+    assert abs(matrix_inversion_poly(0.01, 10.0)(0.1) - 0.5) <= 5e-4
+    p = rect_poly(0.2, 30.0)
+    outer = np.cos(np.linspace(0.0, math.acos(1 / 30), 200_001))
+    inner = np.cos(np.linspace(math.acos(1 / 60), math.pi / 2, 200_001))
+    assert np.max(np.abs(p(outer) - 0.9)) <= 0.1 and np.max(np.abs(p(inner) - 0.1)) <= 0.1
+
+
+def _certificate(kind, *args):
+    """A grown family's build, the series its windows are read on, its
+    windows (a, b, r, s) there, each within bound of max |q - r| - s x:
+    the family's own on p, or, for inversion, |p - c/x| <= beta as
+    |x p - c| - beta x <= 0 on x p."""
+    if kind == "sign":
+        eps, delta = args
+        p = sign_poly(eps, delta)
+        return p, p.coeffs, [(delta / 2, 1.0, 1.0, 0.0)], eps
+    if kind in ("thresh", "pe"):
+        eps, delta, c = args if kind == "thresh" else args + (2**-0.5,)
+        p = eigenvalue_threshold_poly(*args) if kind == "thresh" else phase_estimation_poly(*args)
+        return p, p.coeffs, [(0.0, c - delta / 2, 1.0, 0.0), (c + delta / 2, 1.0, -1.0, 0.0)], eps
+    if kind == "rect":
+        eps, kappa = args
+        p = rect_poly(eps, kappa)
+        windows = [(1 / kappa, 1.0, 1 - eps / 2, 0.0), (0.0, 1 / (2 * kappa), eps / 2, 0.0)]
+        return p, p.coeffs, windows, eps / 2
+    eps, kappa = args
+    p = matrix_inversion_poly(eps, kappa)
+    return p, cheb.chebmulx(p.coeffs), [(1 / kappa, 1.0, 1 / (2 * kappa), eps / (2 * kappa))], 0.0
+
+
+WINDOWED = [("sign", 0.1, 0.4), ("sign", 0.01, 0.1), ("sign", 1e-3, 0.2),
+            ("thresh", 0.05, 0.2, 0.5), ("thresh", 0.01, 0.1, 0.3), ("pe", 0.1, 0.2),
+            ("pe", 1e-3, 0.2), ("rect", 0.1, 5.0), ("rect", 0.01, 10.0), ("rect", 0.2, 30.0),
+            ("inv", 0.05, 3.0), ("inv", 0.01, 10.0), ("inv", 0.1, 20.0)]
+
+
+def _check_windows_against_a_scan(case, points):
+    # the sweep's sup and window errors against |p| and max |q - r| - s x on
+    # `points` angles spread over [0, pi] and over each window, with the
+    # window's ends: never below the scan, up to the evaluator's rounding,
+    # nor above it by more than the scan's Bernstein resolution
+    p, series, windows, bound = _certificate(*case)
+    scan = np.max(np.abs(p(np.cos(np.linspace(0.0, np.pi, points)))))
+    assert scan - 1e-14 * np.sum(np.abs(p.coeffs)) <= _extrema(p.coeffs)[0] == p._sup <= 1 + 1e-12
+    margin = 1e-14 * np.sum(np.abs(series))
+    d = len(series) - 1
+    for (a, b, r, s), err in zip(windows, _extrema(series, windows)[1:]):
+        t = np.linspace(math.acos(b), math.acos(a), points)
+        x = np.append(np.cos(t), [a, b])
+        e = np.abs(_chebval(x, series) - r) - s * x
+        resolution = 0.5 * (d * (t[1] - t[0])) ** 2 * (np.max(np.abs(_chebval(x, series))) + s)
+        assert e.max() - margin <= err <= e.max() + resolution + margin, (a, b)
+        assert err <= bound
+
+
+@pytest.mark.parametrize("case", WINDOWED, ids=lambda c: "_".join(map(str, c)))
+def test_window_errors_are_never_below_a_dense_scan(case):
+    _check_windows_against_a_scan(case, 200_001)
+
+
+@pytest.mark.skipif(not os.environ.get("QSVTSIM_SLOW_TESTS"),
+                    reason="set QSVTSIM_SLOW_TESTS=1 for the 10^6-point scans")
+@pytest.mark.parametrize("case", WINDOWED, ids=lambda c: "_".join(map(str, c)))
+def test_window_errors_are_never_below_a_million_point_scan(case):
+    _check_windows_against_a_scan(case, 1_000_001)
 
 
 def test_no_build_or_solve_takes_an_eigensolve(monkeypatch):
