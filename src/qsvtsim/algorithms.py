@@ -509,6 +509,10 @@ def phase_estimation_record(
 
 def pe_epsilon_for(delta: float, n: int) -> float:
     """Largest per-iteration epsilon meeting the 1-delta success budget."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise DomainError(f"bit count n must be an integer >= 1, got {n}")
     return math.sqrt(2.0 * delta / (n + 1))
 
 

@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+from numbers import Integral
 
 import numpy as np
 
@@ -650,9 +652,9 @@ def grover_signal(n: int, a_override: float | None = None) -> BlockEncoding:
     Rows act on the marked/unmarked basis and columns on the start basis;
     the 1x1 encoded block is the start-to-marked amplitude.
     """
-    if n < 2:
-        raise DomainError("search space must have at least 2 elements")
-    a = 1.0 / np.sqrt(n) if a_override is None else float(a_override)
+    if not (isinstance(n, Integral) and n >= 2):
+        raise DomainError(f"search space size n must be an integer >= 2, got {n}")
+    a = 1.0 / math.sqrt(n) if a_override is None else float(a_override)
     if not 0.0 < a <= 1.0:
         raise DomainError("signal amplitude must lie in (0, 1]")
     return _complete(np.eye(1), np.array([a]), np.eye(1), 1.0)

@@ -9,8 +9,9 @@ sums a parity-definite series at half its length, in one Reinsch loop over
 every point, each point about its own end of [-1, 1].
 
 Every certificate is exact, from one extremum sweep with no eigensolve and
-no grid in x (``_extrema``): the sup of |p| on [-1, 1] and the largest
-error on each window.  A polynomial's sup is cached on it (``_sup``), and
+no grid in x (``_extrema``): the largest error on each window, all read by
+one candidate rule, the sup of |p| on [-1, 1] being the first window, with
+no reference.  A polynomial's sup is cached on it (``_sup``), and
 every unit-ball rescale (``_in_unit_ball``) and the phase solver's bound
 check (``phase_solver._nudged``) read it.  The grown families (sign, both
 steps, inversion, rect) state their windows as closed intervals of x >= 0
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -265,7 +267,7 @@ def _cosine_sums(t: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _refine(c: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            sign: np.ndarray, line: float = 0.0) -> np.ndarray:
+            sign: np.ndarray, line: float) -> np.ndarray:
     """Where F(t) = sign q(t) - line cos(t) peaks in each bracket [lo, hi],
     q(t) = sum_k c_k cos(k t) of degree d >= 1: safeguarded Newton on
     F'(t) = 0 from t, where the sign of F' narrows the bracket, and a step
@@ -302,33 +304,29 @@ def _extrema(coeffs: np.ndarray, windows=(), bounds=None) -> np.ndarray:
     cos(2n t), the real part of the transform of (c_0, c_2, ...), and odd p
     is Re(e^{i t} conj(F)) for the transform F of (c_1, c_3, ...).
 
-    The top of |q| is within pi / 2M of a sample, and by Bernstein's
-    inequality, |q''| <= d^2 S for S = max |q|, that sample is at most r S
-    below it, r = (d pi / 2M)^2 / 2 < 3.1e-4.  So only a sampled local
-    maximum of |q| at least (1 - r) times the top sample, less the FFT's
-    rounding, can sit beside the sup.  Each is refined (``_refine``) inside
+    The sup is the first window: every sample, x from cos(t_end) to 1
+    (0 for a series of one parity, -1 for a mixed one), with r = s = 0.  A
+    window's error e = |q - r| - s cos t is read on its samples, t_j in
+    [acos b, acos a].  Its top is within pi / 2M of a sample, and as |q''|
+    <= d^2 S for S = max |q| (Bernstein's inequality), |e''| <= d^2 S + s,
+    so that sample is at most r (S + s) below it, r = (d pi / 2M)^2 / 2 <
+    3.1e-4, where S is at most the top sample of |q| over 1 - r.  So the
+    candidates are the sampled local maxima of e within r (S + s) of its
+    top sample, less the FFT's rounding, each refined (``_refine``) inside
     [t_{j-1}, t_{j+1}] from the vertex of the parabola through its samples,
-    to within 2^-30 / d of the maximum, where |q| is within 2^-61 S of it.
-    The sup is the largest |q| there, at their samples and at both ends
-    (``_cosine_sums``).  A window's error e = |q - r| - s cos t is read the
-    same way on its samples, t_j in [acos b, acos a]: as |e''| <= d^2 S + s
-    and S is at most the top sample over 1 - r, its candidates are the
-    sampled local maxima of e within r (S + s) of its top sample, less the
-    same rounding, and each end sample that is at least its inner neighbour
-    (a peak beside the window's end has no sample outside), bracketed from
-    the window's end to that neighbour and refined from the end.  The error
-    is the largest e at the refined points, the peaks' samples and both
-    ends of the window.  With ``bounds`` (the sup's, then each window's), a
-    series with a sample past its bound, a point of the interval, is
-    refined no further: its sampled maxima, which already fail, are
-    returned.
+    to within 2^-30 / d of the maximum, where |q| is within 2^-61 S of it;
+    and each end sample that is at least its inner neighbour (a peak
+    beside the window's end has no sample outside), bracketed from the
+    window's end to that neighbour and refined from the end.  The error is
+    the largest e at the refined points, the peaks' samples and both ends
+    of the window (``_cosine_sums``).  With ``bounds`` (the sup's, then
+    each window's), a series with a sample past its bound, a point of the
+    interval, is refined no further: its sampled maxima, which already
+    fail, are returned.
     """
     c = np.asarray(coeffs, dtype=float)
-    nonzero = np.flatnonzero(c)
-    d = int(nonzero[-1]) if len(nonzero) else 0
+    d = int(np.flatnonzero(c).max(initial=0))
     c = c[: d + 1]
-    if d == 0:  # a constant: each window's error is largest at its end x = a
-        return np.array([abs(c[0])] + [abs(c[0] - r) - s * a for a, _, r, s in windows])
     m = 1 << (64 * (d + 1) - 1).bit_length()
     if not np.any(c[1::2]):
         samples = np.fft.rfft(c[::2], m).real
@@ -336,9 +334,11 @@ def _extrema(coeffs: np.ndarray, windows=(), bounds=None) -> np.ndarray:
         samples = (np.fft.rfft(c[1::2], m).conj() * _half_turns(m)).real
     else:
         samples = np.fft.rfft(c, 2 * m).real
-    size = np.abs(samples)  # |q(t_j)|, j = 0..end
-    end = len(size) - 1
+    end = len(samples) - 1  # t = pi/2 for a series of one parity, else pi
     step = math.pi / m
+    windows = [(math.cos(end * step), 1.0, 0.0, 0.0), *windows]  # the sup: every sample
+    if d == 0:  # a constant: each window's error is largest at its end x = a
+        return np.array([abs(c[0] - r) - s * a for a, _, r, s in windows])
     r = 0.5 * (d * math.pi / (2 * m)) ** 2
     rounding = 1e-12 * np.sum(np.abs(c))
     spans = []  # each window's first sample j and its errors e(t_j)
@@ -348,24 +348,11 @@ def _extrema(coeffs: np.ndarray, windows=(), bounds=None) -> np.ndarray:
         if s:
             err -= s * np.cos(step * np.arange(first, first + len(err)))
         spans.append((first, err))
-    sampled = np.array([size.max()] + [err.max(initial=-np.inf) for _, err in spans])
+    sampled = np.array([err.max(initial=-np.inf) for _, err in spans])
     if bounds is not None and np.any(sampled > bounds):
         return sampled
 
-    j = np.flatnonzero(size >= (1.0 - r) * sampled[0] - rounding)
-    # neighbours by reflection: q is even about t = 0 and about t = pi, and
-    # |q| about t = pi/2 when p has a parity
-    left = size[np.abs(j - 1)]
-    right = size[end - np.abs(end - j - 1)]
-    j, left, right = (v[(size[j] >= left) & (size[j] >= right)] for v in (j, left, right))
-    start = j * step
-    lo = np.maximum(start - step, 0.0)
-    hi = np.minimum(start + step, end * step)
-    bend = left - 2.0 * size[j] + right  # <= 0 at a sampled maximum
-    vertex = np.divide(0.5 * step * (left - right), bend, out=np.zeros(len(j)), where=bend < 0.0)
-    t = _refine(c, np.clip(start + vertex, lo, hi), lo, hi, np.sign(samples[j]))
-    out = [np.max(np.abs(_cosine_sums(np.concatenate([t, start, [0.0, math.pi]]), c)))]
-
+    out = []
     for (a, b, ref, s), (first, err) in zip(windows, spans):
         last = first + len(err) - 1
         ends = [math.acos(b), math.acos(a)]
@@ -653,11 +640,9 @@ def inverse_poly(epsilon: float, kappa: float) -> ChebyshevPoly:
                  - 2 * b * math.log(2.0))
     terms = np.exp(log_terms)
     tail = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])  # tail[j] = sum_{i>j}
-    if d_cap >= len(tail):
-        tail = np.pad(tail, (0, d_cap + 1 - len(tail)))
+    tail = np.pad(tail, (0, max(d_cap + 1 - len(tail), 0)))[: d_cap + 1]
     coeffs = np.zeros(2 * d_cap + 2)
-    for j in range(0, d_cap + 1):
-        coeffs[2 * j + 1] = 4.0 * (-1) ** j * tail[j]
+    coeffs[1::2] = 4.0 * (-1.0) ** np.arange(d_cap + 1) * tail
     poly = ChebyshevPoly(coeffs, Parity.ODD)
 
     if poly._sup > 4.0 * d_cap + 1e-9:
@@ -755,10 +740,11 @@ def _cheb_t(order: int, y) -> np.ndarray:
 
 def eigenstate_filter_poly(k: int, delta_lambda: float) -> ChebyshevPoly:
     """Degree-2k even filter equal to 1 at x = 0 and damped for |x| > gap."""
-    if k < 1:
-        raise DomainError("filter order k must be >= 1")
+    if not (isinstance(k, Integral) and k >= 1):
+        raise DomainError(f"filter order k must be an integer >= 1, got {k}")
     if not 0.0 < delta_lambda < 1.0:
         raise DomainError("gap must lie in (0, 1)")
+    _require_degree(2 * k)  # before the target is formed: T_k overflows past the cap
     scale = 1.0 / (1.0 - delta_lambda**2)
 
     def arg(x):

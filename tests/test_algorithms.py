@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -776,6 +777,22 @@ class TestSolveShare:
 
 
 class TestPhaseEstimationInputs:
+    @pytest.mark.parametrize("delta, n, message", [
+        (-1, 3, "delta must lie in (0, 1), got -1"),
+        (0.0, 3, "delta must lie in (0, 1), got 0.0"),
+        (1.0, 3, "delta must lie in (0, 1), got 1.0"),
+        (math.nan, 3, "delta must lie in (0, 1), got nan"),
+        (0.1, -1, "bit count n must be an integer >= 1, got -1"),
+        (0.1, 0, "bit count n must be an integer >= 1, got 0"),
+        (0.1, 2.5, "bit count n must be an integer >= 1, got 2.5"),
+    ], ids=["delta-negative", "delta-0", "delta-1", "delta-nan", "n-negative", "n-0",
+            "n-float"])
+    def test_the_epsilon_rule_names_its_bad_argument(self, delta, n, message):
+        # these once ended in a raw ValueError (math domain error) or
+        # ZeroDivisionError from the square root
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pe_epsilon_for(delta, n)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"phase_errors": [0.01]}, "phase_errors must be 5 finite numbers"),
         ({"phase_errors": [0.01] * 6}, "phase_errors must be 5 finite numbers"),

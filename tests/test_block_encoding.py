@@ -226,6 +226,17 @@ class TestGroverSignal:
         with pytest.raises(DomainError):
             grover_signal(1)
 
+    @pytest.mark.parametrize("n", [1, -3, 2.5, 4.0, "4"])
+    def test_the_count_is_an_integer_of_at_least_2(self, n):
+        with pytest.raises(DomainError, match=f"n must be an integer >= 2, got {n}"):
+            grover_signal(n)
+
+    def test_a_count_past_numpy_integers(self):
+        # 10^20 is past int64: the amplitude 1/sqrt(n) is taken in Python floats
+        assert extract_block(grover_signal(10**20))[0, 0] == 1e-10
+        for n in (2, 3, 5, 1000, 2**52 + 1):  # both square roots are correctly rounded
+            assert extract_block(grover_signal(n))[0, 0] == 1.0 / np.sqrt(n)
+
 
 class TestProjectorPhase:
     def test_examples(self):

@@ -342,6 +342,8 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "unknown channel 'foo'; the channels are re, im, abs2"),
         ("phases --family fpsearch --args d=1e300",
          "degree 2.00e+300 exceeds the degree cap 512"),
+        ("qpe --phi 0.3 --n 3 --delta -1 --exact", "delta must lie in (0, 1), got -1.0"),
+        ("poly --family efilter --args d=1e300", "degree 1.00e+300 exceeds the degree cap 512"),
         ("phases --family poly_sign --args d=11,k=4 --json {out}/s.json "
          "--emit-response {out}/r.csv --npts -1", "--npts must lie in 1 to 1000000, got -1"),
         ("poly --family poly_sign --csv {out}/p.csv --npts 0",
@@ -353,7 +355,8 @@ _THRESHOLD = ("threshold --matrix {h} --psi {psi} --alpha 1 --lambda-th 0.5 "
          "threshold-past-shot-cap", "hamsim-0x0", "invert-0x0", "invert-kappa-0", "invert-kappa-inf", "threshold-0x0",
          "qpe-0x0",
          "response-channel-unknown", "response-channel-empty", "response-channel-no-svg",
-         "response-channel-csv-only", "fpsearch-degree-magnitude", "phases-npts-negative",
+         "response-channel-csv-only", "fpsearch-degree-magnitude", "qpe-delta-negative",
+         "efilter-degree-magnitude", "phases-npts-negative",
          "poly-npts-0", "response-npts-past-cap"],
 )
 def test_bad_inputs_exit_1_with_a_typed_message(capsys, tmp_path, argv, message):

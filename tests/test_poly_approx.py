@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import re
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -489,6 +491,18 @@ class TestEigenstateFilter:
         with pytest.raises(DomainError):
             eigenstate_filter_poly(5, 1.5)
 
+    @pytest.mark.parametrize("k, error, message", [
+        (2.5, DomainError, "filter order k must be an integer >= 1, got 2.5"),
+        (10**300, DegreeCapExceeded, "degree 2.00e+300 exceeds the degree cap 512"),
+    ], ids=["k-float", "k-huge"])
+    def test_the_order_is_checked_before_the_target_is_formed(self, k, error, message):
+        # (2.5, 0.2) once warned in a power, then raised a raw TypeError, and
+        # (10^300, 0.2) overflowed cosh before the cap error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=re.escape(message)):
+                eigenstate_filter_poly(k, 0.2)
+
 
 def test_gibbs_fit():
     fit = gibbs_poly(3.5, 20)
@@ -701,6 +715,15 @@ def test_the_exact_sup_matches_the_critical_points_up_to_the_cap(kind, degree):
     sup = _extrema(c)[0]
     assert sup >= scan - margin
     assert abs(sup - reference) <= margin
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7, 60, 333, 512])
+def test_the_sup_is_the_first_window(degree):
+    # the sup is read by the window rule alone, as the window [0, 1] with no
+    # reference: bit for bit the same value
+    for seed in range(10):
+        c = _random_series(degree, "odd" if degree % 2 else "even", 100 * degree + seed)
+        assert _extrema(c)[0] == _extrema(c, [(0.0, 1.0, 0.0, 0.0)])[1], seed
 
 
 @pytest.mark.parametrize("make", [
